@@ -48,7 +48,7 @@ for p in near.decomposition.pruned:
 # Exactness check at desk scale: a 2-copy chain (53130 candidates) is still
 # small enough to enumerate directly.
 two, _ = ops.build_chain(base_net, base_params, 2, [ops.TieLine(0, 7, 1, 4)])
-direct = ops.worst_case_all(two, threads=2)
+direct = ops.worst_case_all(two)
 print(f"\n2-copy cross-check ({direct.candidates_total} candidates):")
 worst = 0.0
 for i in range(3):

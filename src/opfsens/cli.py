@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -49,8 +48,6 @@ from .sensitivity import (
 )
 from .simplex import PIVOT_TOL
 
-ENV_THREADS = "OPF_SENSE_THREADS"
-
 # above this, an exhaustive scan is minutes-to-hours; suggest the bridge path
 SCAN_WARN_CANDIDATES = 2_000_000
 
@@ -62,13 +59,6 @@ def _warn_if_large_scan(net: Network) -> None:
             f"note: exhaustive scan over {n} candidate sets; the decompose "
             "command is far cheaper when the network has bridges\n"
         )
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(ENV_THREADS, "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--case", required=True, help="MATPOWER case file")
         p.add_argument("--chain", help="chain construction config (JSON)")
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help=f"worker threads (default: ${ENV_THREADS} or 1)")
         p.add_argument("--binding-tol", type=float, default=BINDING_TOL,
                        help=f"binding-constraint tolerance, per-unit (default {BINDING_TOL:g})")
         p.add_argument("--rank-tol", type=float, default=RANK_REL_TOL,
@@ -248,7 +236,7 @@ def _cmd_solve(args, net, params, loads, copies) -> None:
 
 def _cmd_report(args, net, params, loads, copies) -> None:
     _warn_if_large_scan(net)
-    rep = worst_case_all(net, threads=args.threads, rank_tol=args.rank_tol)
+    rep = worst_case_all(net, rank_tol=args.rank_tol)
     if args.format == "json":
         pairs = []
         for i in range(net.n_gen):
@@ -265,7 +253,6 @@ def _cmd_report(args, net, params, loads, copies) -> None:
             "diagnostics": {
                 "candidates_total": rep.candidates_total,
                 "candidates_valid": rep.candidates_valid,
-                "threads": args.threads,
             },
         })
     elif args.format == "csv":
@@ -278,8 +265,7 @@ def _cmd_sens_wcs(args, net, params, loads, copies) -> None:
     gi = _resolve_gen(net, args.pair[0], copies)
     lj = _resolve_load(net, args.pair[1], copies)
     _warn_if_large_scan(net)
-    value, bset = worst_case_siso(net, gi, lj, threads=args.threads,
-                                  rank_tol=args.rank_tol)
+    value, bset = worst_case_siso(net, gi, lj, rank_tol=args.rank_tol)
     doc = {
         "network": _network_doc(net),
         "pairs": [{
@@ -288,7 +274,7 @@ def _cmd_sens_wcs(args, net, params, loads, copies) -> None:
             "cwc": value,
             "binding": _binding_doc(net, bset),
         }],
-        "diagnostics": {"threads": args.threads},
+        "diagnostics": {},
     }
     if args.format == "json":
         _emit_json(doc)
@@ -325,8 +311,7 @@ def _cmd_sens_miso(args, net, params, loads, copies) -> None:
     if args.load_set:
         lset.update(_resolve_load(net, t.strip(), copies) for t in args.load_set.split(","))
     _warn_if_large_scan(net)
-    value, bset = worst_case_miso(net, gi, sorted(lset), threads=args.threads,
-                                  rank_tol=args.rank_tol)
+    value, bset = worst_case_miso(net, gi, sorted(lset), rank_tol=args.rank_tol)
     doc = {
         "network": _network_doc(net),
         "pairs": [{
@@ -335,7 +320,7 @@ def _cmd_sens_miso(args, net, params, loads, copies) -> None:
             "cwc": value,
             "binding": _binding_doc(net, bset),
         }],
-        "diagnostics": {"threads": args.threads},
+        "diagnostics": {},
     }
     if args.format == "json":
         _emit_json(doc)
@@ -349,8 +334,7 @@ def _cmd_sens_miso(args, net, params, loads, copies) -> None:
 def _cmd_decompose(args, net, params, loads, copies) -> None:
     gi = _resolve_gen(net, args.pair[0], copies)
     lj = _resolve_load(net, args.pair[1], copies)
-    res = worst_case_decomposed(net, gi, lj, threads=args.threads,
-                                collect_ties=True, rank_tol=args.rank_tol)
+    res = worst_case_decomposed(net, gi, lj, collect_ties=True, rank_tol=args.rank_tol)
     stages = []
     for sr in res.stages:
         stages.append({
@@ -374,7 +358,7 @@ def _cmd_decompose(args, net, params, loads, copies) -> None:
              "replaced_by": p.kind, "buses_removed": len(p.replaced)}
             for p in res.decomposition.pruned
         ],
-        "diagnostics": {"threads": args.threads},
+        "diagnostics": {},
     }
     if args.format == "json":
         _emit_json(doc)

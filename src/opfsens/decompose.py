@@ -10,7 +10,6 @@ product of the per-subgraph worst cases.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,17 +336,15 @@ def worst_case_decomposed(
     net: Network,
     gen: int,
     load: int,
-    threads: int = 1,
     collect_ties: bool = False,
     rank_tol: float = RANK_REL_TOL,
 ) -> DecomposedResult:
     """Worst-case sensitivity of pair ``(gen, load)`` via bridge decomposition.
 
     Equals the direct exhaustive search exactly when bridges exist, and
-    degenerates to it when they do not. Stages are independent and may run in
-    parallel; the result is deterministic regardless of scheduling. With
-    ``collect_ties`` every stage also reports all binding sets that achieve
-    its maximum within the tie tolerance.
+    degenerates to it when they do not. With ``collect_ties`` every stage
+    also reports all binding sets that achieve its maximum within the tie
+    tolerance.
     """
     if not 0 <= gen < net.n_gen:
         raise IndexError(f"generator index {gen} out of range")
@@ -378,11 +375,7 @@ def worst_case_decomposed(
         )
         return StageResult(stage=stage, factor=value, argmax=argmax)
 
-    if threads > 1 and len(decomp.stages) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(decomp.stages))) as pool:
-            results = tuple(pool.map(run_stage, decomp.stages))
-    else:
-        results = tuple(run_stage(s) for s in decomp.stages)
+    results = tuple(run_stage(s) for s in decomp.stages)
 
     value = float(np.prod([r.factor for r in results]))
     return DecomposedResult(value=value, stages=results, decomposition=decomp)

@@ -27,10 +27,6 @@ from . import linalg
 from .errors import CardinalityViolation, DependentBindings, RegionBoundary, Singular
 from .network import Network
 
-#: reciprocal-condition guard below which a stack is reported dependent
-RCOND_GUARD = 1e-12
-
-
 @dataclass(frozen=True, order=True)
 class BindingSet:
     """Ordered index sets of binding generators and branches."""
@@ -86,14 +82,18 @@ def build_z_stack(net: Network, bset: BindingSet) -> np.ndarray:
 
 
 def independence_check(net: Network, bset: BindingSet, rel_tol: float = linalg.RANK_REL_TOL) -> bool:
-    """True when the stack is invertible at the project rank tolerance.
+    """True when the stack passes the project independence test
+    (:func:`linalg.lu_factor_checked`), the one the set scan applies.
 
     Because the stack always contains the (always-binding) equality rows,
     invertibility here coincides with row-independence of the binding rows in
     the doubled-inequality standard form.
     """
-    stack = build_z_stack(net, bset)
-    return linalg.numerical_rank(stack, rel_tol) == net.n_bus
+    try:
+        linalg.lu_factor_checked(build_z_stack(net, bset), rel_tol)
+    except Singular:
+        return False
+    return True
 
 
 def require_independent(net: Network, bset: BindingSet) -> None:
@@ -124,18 +124,13 @@ def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
     Inverts the constraint stack and propagates generator balance rows
     through it; the load-column block (negated, because load injections enter
     the balance with a minus sign) is the Jacobian. Raises
-    :class:`DependentBindings` when the stack is singular or the reciprocal
-    condition estimate falls below :data:`RCOND_GUARD`.
+    :class:`DependentBindings` when the stack fails the independence test.
     """
     stack = build_z_stack(net, bset)
     try:
         factors = linalg.lu_factor_checked(stack)
     except Singular as exc:
-        raise DependentBindings(str(exc)) from exc
-    if linalg.rcond_estimate(stack) < RCOND_GUARD:
-        raise DependentBindings(
-            f"stack reciprocal condition below {RCOND_GUARD:g} for {bset}"
-        )
+        raise DependentBindings(f"{bset}: {exc}") from exc
     z_t = linalg.lu_solve_factored(factors, np.eye(net.n_bus))
     psi = net.laplacian[: net.n_gen, :] @ z_t
     jac = -psi[:, : net.n_load]
@@ -148,11 +143,13 @@ def jacobian_finite_diff(
     load: np.ndarray,
     step: float = 1e-4,
 ) -> np.ndarray:
-    """Central-difference Jacobian of the dispatch operator at ``load``.
+    """Finite-difference Jacobian of the dispatch operator at ``load``.
 
     Perturbs one load at a time by ``+/- step`` and differences the optimal
-    generation vectors. Every stencil point must sit in the same active-set
-    region as the center; otherwise :class:`RegionBoundary` is raised.
+    generation vectors; a load below ``step`` takes the forward difference,
+    since loads cannot go negative. Every stencil point must sit in the same
+    active-set region as the center; otherwise :class:`RegionBoundary` is
+    raised.
     """
     from .dcopf import extract_binding_set, solve_opf
 
@@ -165,13 +162,15 @@ def jacobian_finite_diff(
         probe = load.copy()
         probe[j] = load[j] + step
         hi = solve_opf(net, params, probe)
-        probe[j] = load[j] - step
-        lo = solve_opf(net, params, probe)
+        lo, width = center, step
+        if load[j] >= step:
+            probe[j] = load[j] - step
+            lo, width = solve_opf(net, params, probe), 2.0 * step
         for side, sol in (("+", hi), ("-", lo)):
             if extract_binding_set(sol, net, params) != center_set:
                 raise RegionBoundary(
                     f"binding set changed at load {j} ({side}{step:g}); "
                     "the stencil straddles an active-set region boundary"
                 )
-        jac[:, j] = (hi.gen - lo.gen) / (2.0 * step)
+        jac[:, j] = (hi.gen - lo.gen) / width
     return jac

@@ -7,8 +7,6 @@ caller that needs a different value passes it explicitly.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -17,71 +15,57 @@ from .errors import DimensionMismatch, Singular
 # Project-wide relative tolerance for rank / independence decisions.
 RANK_REL_TOL = 1e-10
 
-# A pivot below this fraction of ||A||_inf marks a dependent constraint stack.
-SINGULAR_PIVOT_REL = 1e-12
+_getrf, _getrs = sla.get_lapack_funcs(("getrf", "getrs"), (np.empty(0),))
 
 
-def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU-factor a square matrix with partial pivoting.
+def lu_factor_checked(
+    a: np.ndarray, rank_tol: float = RANK_REL_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LU-factor a square matrix, or a stack ``(..., n, n)`` of them, with
+    partial pivoting, and apply the project's one independence test.
 
-    Raises :class:`Singular` when any pivot magnitude falls below
-    ``SINGULAR_PIVOT_REL * ||a||_inf``, which signals a dependent row stack
-    rather than a numerical accident.
+    A matrix is dependent when its smallest pivot magnitude is at most
+    ``rank_tol`` times its largest (an exact zero pivot included). Returns
+    ``(lu, piv, independent)``, ``independent`` holding the verdict of each
+    matrix in the stack. A single dependent matrix raises :class:`Singular`.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
+    if a.shape[-1] == 0:
         raise DimensionMismatch("empty matrix")
-    norm = np.abs(a).sum(axis=1).max()  # ||a||_inf
-    with warnings.catch_warnings():
-        # exact singularity is an expected, handled outcome here
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if norm == 0.0 or pivots.min() <= SINGULAR_PIVOT_REL * norm:
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    lu = np.empty_like(flat)
+    piv = np.empty(flat.shape[:2], dtype=np.int32)
+    for k, m in enumerate(flat):
+        lu[k], piv[k], info = _getrf(m)
+        if info < 0:
+            raise ValueError(f"getrf: bad argument {-info}")
+    pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
+    independent = pivots.min(axis=1) > rank_tol * pivots.max(axis=1)
+    if a.ndim == 2 and not independent[0]:
         raise Singular(
-            f"pivot {pivots.min():.3e} below threshold {SINGULAR_PIVOT_REL * norm:.3e}"
+            f"pivot {pivots.min():.3e} at most {rank_tol:g} x largest {pivots.max():.3e}"
         )
-    return lu, piv
+    return lu.reshape(a.shape), piv.reshape(a.shape[:-1]), independent.reshape(a.shape[:-2])
 
 
-def lu_solve_factored(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Solve with factors from :func:`lu_factor_checked`."""
-    return sla.lu_solve(factors, np.asarray(rhs, dtype=float), check_finite=False)
-
-
-def factor_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = rhs`` by LU with partial pivoting.
-
-    Parameters
-    ----------
-    a:
-        Square coefficient matrix.
-    rhs:
-        Right-hand side, one vector per column (1-D input is treated as a
-        single column and returned 1-D).
-
-    Raises
-    ------
-    Singular
-        If a pivot falls below ``SINGULAR_PIVOT_REL * ||a||_inf``.
-    DimensionMismatch
-        If shapes are inconsistent.
-    """
-    a = np.asarray(a, dtype=float)
+def lu_solve_factored(factors: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
+    """Solve with factors from :func:`lu_factor_checked`, one right-hand side
+    (a vector or a matrix of columns) for every factored matrix."""
+    lu, piv = factors[:2]
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != a.shape[0]:
-        raise DimensionMismatch(
-            f"rhs has {rhs.shape[0]} rows, matrix has {a.shape[0]}"
-        )
-    return lu_solve_factored(lu_factor_checked(a), rhs)
-
-
-def invert(a: np.ndarray) -> np.ndarray:
-    """Inverse via :func:`factor_solve` against the identity."""
-    a = np.asarray(a, dtype=float)
-    return factor_solve(a, np.eye(a.shape[0]))
+    if rhs.shape[0] != lu.shape[-1]:
+        raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows, matrix has {lu.shape[-1]}")
+    n = lu.shape[-1]
+    flat_lu, flat_piv = lu.reshape(-1, n, n), piv.reshape(-1, n)
+    out = np.empty((len(flat_lu),) + rhs.shape)
+    for k in range(len(flat_lu)):
+        out[k], info = _getrs(flat_lu[k], flat_piv[k], rhs)
+        if info != 0:
+            raise ValueError(f"getrs: bad argument {-info}")
+    return out.reshape(lu.shape[:-2] + rhs.shape)
 
 
 def numerical_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:

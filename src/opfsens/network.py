@@ -74,10 +74,6 @@ class Network:
     def n_edge(self) -> int:
         return len(self.edges)
 
-    @property
-    def susceptance_diag(self) -> np.ndarray:
-        return np.diag(self.susceptances)
-
     def index_of(self, label: Label) -> int:
         try:
             return self.vertex_order.index(label)
@@ -87,9 +83,6 @@ class Network:
     def edge_label(self, e: int) -> tuple[Label, Label]:
         u, v, _ = self.edges[e]
         return self.vertex_order[u], self.vertex_order[v]
-
-    def is_generator(self, vertex: int) -> bool:
-        return vertex < self.n_gen
 
 
 @dataclass(frozen=True)

@@ -2,24 +2,27 @@
 
 The worst-case sensitivity of generator ``i`` to load ``j`` is the maximum
 of ``|J[i, j]|`` over every binding set (generator subset plus branch subset
-totalling ``n_gen - 1`` members) whose constraint stack is invertible.
-Enumeration is exhaustive (the problem is discrete and non-convex);
-candidate sets are scanned in lexicographic order and ties are resolved
-toward the lexicographically smallest set, so results do not depend on
-chunking or thread count.
+totalling ``n_gen - 1`` members) whose constraint stack is independent.
+Enumeration is exhaustive (the problem is discrete and non-convex). One scan
+walks the candidate sets in lexicographic order, a chunk at a time, and every
+query here reduces over it.
+
+Tie rule: the reported value is the maximum, and the reported set is the
+first independent set in lexicographic order whose value is at least the
+maximum minus :data:`TIE_TOL`, which is also the first of the tied sets. The
+rule depends on values and order only, so results do not depend on chunking.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
+from . import linalg
 from .errors import DegeneratePoint, DependentBindings, EmptyLoadSet, NoValidSet
 from .jacobian import BindingSet, jacobian_from_binding
 from .linalg import RANK_REL_TOL
@@ -27,6 +30,11 @@ from .network import Network
 
 #: two candidate values within this of each other count as a tie
 TIE_TOL = 1e-9
+
+#: candidate sets factorized together (128 stacks of the 18-bus chain: 0.33 MB)
+CHUNK = 128
+
+Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _lex_subsets(n: int, max_size: int) -> Iterator[tuple[int, ...]]:
@@ -66,72 +74,73 @@ def candidate_count(net: Network) -> int:
     )
 
 
-class _StackScanner:
-    """Shared per-set factorization with the project independence criterion."""
-
-    def __init__(self, net: Network, rank_tol: float = RANK_REL_TOL):
-        n, n_g = net.n_bus, net.n_gen
-        e1 = np.zeros((1, n))
-        e1[0, 0] = 1.0
-        # row pool: loads block stays fixed; gen/branch rows selected per set
-        self.pool = np.vstack([net.laplacian[n_g:, :], net.laplacian[:n_g, :],
-                               net.flow_matrix, e1])
-        self.n = n
-        self.n_load = net.n_load
-        self.gen_rows = net.laplacian[:n_g, :]
-        self.base_idx = list(range(net.n_load))
-        self.gen_ofs = net.n_load
-        self.branch_ofs = net.n_load + n_g
-        self.last = self.pool.shape[0] - 1
-        self.rank_tol = rank_tol
-
-    def factorize(self, sg: Sequence[int], sb: Sequence[int]):
-        """LU factors of the stack, or ``None`` if the set is dependent."""
-        idx = (
-            self.base_idx
-            + [self.gen_ofs + g for g in sg]
-            + [self.branch_ofs + e for e in sb]
-            + [self.last]
-        )
-        stack = self.pool[idx]
-        lu, piv, info = _lapack.dgetrf(stack)
-        if info > 0:  # exact zero pivot
-            return None
-        if info < 0:
-            raise ValueError(f"dgetrf: bad argument {-info}")
-        d = np.abs(np.diag(lu))
-        if d.min() <= self.rank_tol * d.max():
-            return None
-        return lu, piv
-
-    @staticmethod
-    def solve(factors, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        lu, piv = factors
-        x, info = _lapack.dgetrs(lu, piv, rhs, trans=trans)
-        if info != 0:
-            raise ValueError(f"dgetrs: bad argument {-info}")
-        return x
+def _scan(net: Network, rank_tol: float) -> Iterator[tuple[list[Key], np.ndarray]]:
+    """The one pass over the candidate sets, ``CHUNK`` at a time in
+    lexicographic order: yields the keys of each chunk's independent sets and
+    their signed Jacobians, shape ``(len(keys), n_gen, n_load)``."""
+    n_g, n_l = net.n_gen, net.n_load
+    e1 = np.zeros((1, net.n_bus))
+    e1[0, 0] = 1.0
+    # row pool: a stack takes every load row, its own generator and branch
+    # rows, and the reference-angle row, in the order of build_z_stack
+    pool = np.vstack([net.laplacian[n_g:], net.laplacian[:n_g], net.flow_matrix, e1])
+    load_rows, ref_row = list(range(n_l)), [len(pool) - 1]
+    rhs = np.eye(net.n_bus)[:, :n_l]
+    gen_rows = net.laplacian[:n_g]
+    cands = candidate_sets(net)
+    while chunk := list(islice(cands, CHUNK)):
+        rows = [load_rows + [n_l + g for g in sg] + [n_l + n_g + e for e in sb] + ref_row
+                for sg, sb in chunk]
+        lu, piv, ok = linalg.lu_factor_checked(pool[rows], rank_tol)
+        if ok.any():
+            z_inv = linalg.lu_solve_factored((lu[ok], piv[ok]), rhs)
+            yield [key for key, keep in zip(chunk, ok) if keep], -(gen_rows @ z_inv)
 
 
-def _chunks(items: list, n_chunks: int) -> list[list]:
-    size = max(1, math.ceil(len(items) / n_chunks))
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _fold(
+    net: Network,
+    rank_tol: float,
+    score: Callable[[np.ndarray], np.ndarray],
+    tie_tol: float = TIE_TOL,
+    all_ties: bool = False,
+) -> tuple[np.ndarray, list[list[tuple[float, Key]]], int]:
+    """Reduce the scan under the tie rule.
 
-
-def _better(val_a: float, key_a, val_b: float, key_b) -> bool:
-    """True when (val_a, key_a) beats (val_b, key_b): larger value, then
-    lexicographically smaller set. Total order, so reduction is associative."""
-    if val_a != val_b:
-        return val_a > val_b
-    return key_b is None or (key_a is not None and key_a < key_b)
+    ``score`` maps a chunk of Jacobians to values ``(k, m)``, one column per
+    reported entry. Returns the maxima ``(m,)``, the kept ``(value, key)``
+    list of each entry, whose first key is the argmax, and the number of
+    independent sets. The argmax beats every set before it, so only such
+    records within ``tie_tol`` of the running maximum are kept; with
+    ``all_ties`` every set within ``tie_tol`` of it is.
+    """
+    best = kept = None
+    valid = 0
+    for keys, jac in _scan(net, rank_tol):
+        vals = score(jac)
+        if best is None:
+            best = np.full(vals.shape[1], -np.inf)
+            kept = [[] for _ in range(vals.shape[1])]
+        valid += len(keys)
+        running = np.maximum.accumulate(np.vstack([best, vals]))
+        floor = running[-1] - tie_tol
+        take = vals >= floor
+        if not all_ties:
+            take &= vals > running[:-1]
+        for p in np.flatnonzero(running[-1] > best):
+            kept[p] = [entry for entry in kept[p] if entry[0] >= floor[p]]
+        for t, p in zip(*np.nonzero(take)):
+            kept[p].append((vals[t, p], keys[t]))
+        best = running[-1]
+    if not valid:
+        raise NoValidSet("no independent binding set exists for this network")
+    return best, kept, valid
 
 
 def enumerate_binding_sets(net: Network, rank_tol: float = RANK_REL_TOL) -> Iterator[BindingSet]:
     """Yield every independent binding set in lexicographic order."""
-    scanner = _StackScanner(net, rank_tol)
-    for sg, sb in candidate_sets(net):
-        if scanner.factorize(sg, sb) is not None:
-            yield BindingSet(gens=sg, branches=sb)
+    for keys, _ in _scan(net, rank_tol):
+        for key in keys:
+            yield BindingSet(*key)
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,7 @@ class SensitivityReport:
     """Worst-case sensitivity of every generator-load pair.
 
     ``cwc[i, j]`` is the worst case for generator ``i`` and load ``j``;
-    ``argmax[i][j]`` the lexicographically smallest achieving set.
+    ``argmax[i][j]`` the set the tie rule picks for it.
     """
 
     cwc: np.ndarray
@@ -148,67 +157,24 @@ class SensitivityReport:
     candidates_valid: int
 
 
-def _scan_scalar(
-    net: Network,
-    score: Callable[[_StackScanner, object], float],
-    threads: int = 1,
-    rank_tol: float = RANK_REL_TOL,
-) -> tuple[float, BindingSet, int, int]:
-    """Maximize a per-set scalar over all candidates. Returns
-    ``(value, argmax, total, valid)``."""
-    scanner = _StackScanner(net, rank_tol)
-    cands = list(candidate_sets(net))
-
-    def scan(chunk):
-        best, key, valid = -1.0, None, 0
-        for sg, sb in chunk:
-            factors = scanner.factorize(sg, sb)
-            if factors is None:
-                continue
-            valid += 1
-            val = score(scanner, factors)
-            if _better(val, (sg, sb), best, key):
-                best, key = val, (sg, sb)
-        return best, key, valid
-
-    if threads <= 1:
-        results = [scan(cands)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, _chunks(cands, threads * 4)))
-
-    best, key, valid = -1.0, None, 0
-    for b, k, v in results:
-        valid += v
-        if _better(b, k, best, key):
-            best, key = b, k
-    if key is None:
-        raise NoValidSet("no independent binding set exists for this network")
-    return best, BindingSet(gens=key[0], branches=key[1]), len(cands), valid
-
-
-def worst_case_siso(
-    net: Network, gen: int, load: int, threads: int = 1, rank_tol: float = RANK_REL_TOL
-) -> tuple[float, BindingSet]:
-    """Worst-case sensitivity of one generator-load pair.
-
-    ``gen`` and ``load`` are zero-based internal indices (load ``j`` is bus
-    ``n_gen + j``). Ties resolve to the lexicographically smallest set.
-    """
+def _check_pair(net: Network, gen: int, load: int) -> None:
     if not 0 <= gen < net.n_gen:
         raise IndexError(f"generator index {gen} out of range")
     if not 0 <= load < net.n_load:
         raise IndexError(f"load index {load} out of range")
-    rhs = np.zeros(net.n_bus)
-    rhs[load] = 1.0
-    gen_row = net.laplacian[gen]
 
-    def score(scanner: _StackScanner, factors) -> float:
-        col = scanner.solve(factors, rhs)
-        return abs(float(gen_row @ col))
 
-    val, bset, _, _ = _scan_scalar(net, score, threads, rank_tol)
-    return val, bset
+def worst_case_siso(
+    net: Network, gen: int, load: int, rank_tol: float = RANK_REL_TOL
+) -> tuple[float, BindingSet]:
+    """Worst-case sensitivity of one generator-load pair and its argmax.
+
+    ``gen`` and ``load`` are zero-based internal indices (load ``j`` is bus
+    ``n_gen + j``).
+    """
+    _check_pair(net, gen, load)
+    best, kept, _ = _fold(net, rank_tol, lambda jac: np.abs(jac[:, gen, load, None]))
+    return float(best[0]), BindingSet(*kept[0][0][1])
 
 
 def worst_case_miso(
@@ -216,7 +182,6 @@ def worst_case_miso(
     gen: int,
     loads: Sequence[int],
     norm: str = "euclidean",
-    threads: int = 1,
     rank_tol: float = RANK_REL_TOL,
 ) -> tuple[float, BindingSet]:
     """Worst-case sensitivity of one generator to joint perturbations of a
@@ -232,72 +197,21 @@ def worst_case_miso(
         raise IndexError(f"load indices {loads} out of range")
     if not 0 <= gen < net.n_gen:
         raise IndexError(f"generator index {gen} out of range")
-    gen_row = net.laplacian[gen]
-    cols = np.array(loads)
-
-    def score(scanner: _StackScanner, factors) -> float:
-        w = scanner.solve(factors, gen_row, trans=1)
-        return float(np.linalg.norm(w[cols]))
-
-    val, bset, _, _ = _scan_scalar(net, score, threads, rank_tol)
-    return val, bset
-
-
-def worst_case_all(
-    net: Network, threads: int = 1, rank_tol: float = RANK_REL_TOL
-) -> SensitivityReport:
-    """Worst cases for every pair in one enumeration pass."""
-    scanner = _StackScanner(net, rank_tol)
-    cands = list(candidate_sets(net))
-    n_g, n_l = net.n_gen, net.n_load
-    rhs = np.eye(net.n_bus)[:, :n_l]
-
-    def scan(chunk):
-        cwc = np.zeros((n_g, n_l))
-        keys = [[None] * n_l for _ in range(n_g)]
-        valid = 0
-        for sg, sb in chunk:
-            factors = scanner.factorize(sg, sb)
-            if factors is None:
-                continue
-            valid += 1
-            jac = np.abs(scanner.gen_rows @ scanner.solve(factors, rhs))
-            # vectorized update; exact float ties fall back to the key order
-            for i, j in np.argwhere(jac > cwc):
-                cwc[i, j] = jac[i, j]
-                keys[i][j] = (sg, sb)
-            for i, j in np.argwhere(jac == cwc):
-                if _better(jac[i, j], (sg, sb), cwc[i, j], keys[i][j]):
-                    keys[i][j] = (sg, sb)
-        return cwc, keys, valid
-
-    if threads <= 1:
-        results = [scan(cands)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, _chunks(cands, threads * 4)))
-
-    cwc = np.zeros((n_g, n_l))
-    keys = [[None] * n_l for _ in range(n_g)]
-    valid = 0
-    for c, k, v in results:
-        valid += v
-        for i in range(n_g):
-            for j in range(n_l):
-                if _better(c[i, j], k[i][j], cwc[i, j], keys[i][j]):
-                    cwc[i, j] = c[i, j]
-                    keys[i][j] = k[i][j]
-    if valid == 0:
-        raise NoValidSet("no independent binding set exists for this network")
-
-    argmax = tuple(
-        tuple(BindingSet(gens=keys[i][j][0], branches=keys[i][j][1]) for j in range(n_l))
-        for i in range(n_g)
+    best, kept, _ = _fold(
+        net, rank_tol, lambda jac: np.linalg.norm(jac[:, gen, loads], axis=1)[:, None]
     )
+    return float(best[0]), BindingSet(*kept[0][0][1])
+
+
+def worst_case_all(net: Network, rank_tol: float = RANK_REL_TOL) -> SensitivityReport:
+    """Worst cases for every pair in one enumeration pass."""
+    n_l = net.n_load
+    best, kept, valid = _fold(net, rank_tol, lambda jac: np.abs(jac).reshape(len(jac), -1))
+    argmax = [BindingSet(*entries[0][1]) for entries in kept]
     return SensitivityReport(
-        cwc=cwc,
-        argmax=argmax,
-        candidates_total=len(cands),
+        cwc=best.reshape(net.n_gen, n_l),
+        argmax=tuple(tuple(argmax[i * n_l : (i + 1) * n_l]) for i in range(net.n_gen)),
+        candidates_total=candidate_count(net),
         candidates_valid=valid,
     )
 
@@ -309,25 +223,18 @@ def tied_argmax_sets(
     tie_tol: float = TIE_TOL,
     rank_tol: float = RANK_REL_TOL,
 ) -> tuple[float, BindingSet, list[BindingSet]]:
-    """Worst case, its canonical argmax, and every set tied within ``tie_tol``.
+    """Worst case, its argmax, and every set tied within ``tie_tol``, in
+    lexicographic order; the argmax is the first of them.
 
     Degenerate maxima are common (a binding leaf branch is indistinguishable
     from binding the generator behind it), so reports list all of them.
     """
-    best, argmax = worst_case_siso(net, gen, load, rank_tol=rank_tol)
-    scanner = _StackScanner(net, rank_tol)
-    rhs = np.zeros(net.n_bus)
-    rhs[load] = 1.0
-    gen_row = net.laplacian[gen]
-    ties = []
-    for sg, sb in candidate_sets(net):
-        factors = scanner.factorize(sg, sb)
-        if factors is None:
-            continue
-        val = abs(float(gen_row @ scanner.solve(factors, rhs)))
-        if val >= best - tie_tol:
-            ties.append(BindingSet(gens=sg, branches=sb))
-    return best, argmax, ties
+    _check_pair(net, gen, load)
+    best, kept, _ = _fold(
+        net, rank_tol, lambda jac: np.abs(jac[:, gen, load, None]), tie_tol, all_ties=True
+    )
+    ties = [BindingSet(*key) for _, key in kept[0]]
+    return float(best[0]), ties[0], ties
 
 
 def local_sensitivity(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import opfsens as ops
+from opfsens import sensitivity
 from opfsens.errors import OpfSensError
 from opfsens.jacobian import BindingSet
 
@@ -101,7 +102,7 @@ def test_criterion_5_decomposition_desk_scale(chain18):
     within 1e-6 for all first-copy generators x all 12 loads."""
     net, _ = chain18
     t0 = time.perf_counter()
-    direct = ops.worst_case_all(net, threads=1)
+    direct = ops.worst_case_all(net)
     assert direct.candidates_total == 53130
     worst = 0.0
     for i in range(3):
@@ -176,19 +177,20 @@ def test_criterion_7_kkt_validation(net9, params9, loads9):
     _report(7, f"{solved} solves, max KKT residual {worst:.2e} <= 1e-8")
 
 
-def test_criterion_8_thread_determinism(net9, chain18):
-    """Criterion 1 and criterion 5 computations are bit-identical for
-    1, 2, and 8 worker threads."""
-    base9 = ops.worst_case_all(net9, threads=1)
-    base18 = ops.worst_case_all(chain18[0], threads=1)
-    for threads in (2, 8):
-        rep9 = ops.worst_case_all(net9, threads=threads)
-        assert np.array_equal(rep9.cwc, base9.cwc)
-        assert rep9.argmax == base9.argmax
-        rep18 = ops.worst_case_all(chain18[0], threads=threads)
-        assert np.array_equal(rep18.cwc, base18.cwc)
-        assert rep18.argmax == base18.argmax
-    _report(8, "reports bit-identical across --threads {1, 2, 8}")
+def test_criterion_8_chunk_determinism(net9, chain18, monkeypatch):
+    """Criterion 1 and criterion 5 computations are bit-identical for scan
+    chunks of 1, 7 and the default number of candidate sets."""
+    default = sensitivity.CHUNK
+    base9 = ops.worst_case_all(net9)
+    base18 = ops.worst_case_all(chain18[0])
+    for chunk in (1, 7):
+        monkeypatch.setattr(sensitivity, "CHUNK", chunk)
+        for base, net in ((base9, net9), (base18, chain18[0])):
+            rep = ops.worst_case_all(net)
+            assert np.array_equal(rep.cwc, base.cwc)
+            assert rep.argmax == base.argmax
+            assert rep.candidates_valid == base.candidates_valid
+    _report(8, f"reports bit-identical across scan chunks of 1, 7 and {default} sets")
 
 
 def test_criterion_9_trivial_closure(two_bus):

@@ -57,16 +57,6 @@ def test_json_round_trips(capsys):
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out
 
 
-def test_threads_do_not_change_output(capsys):
-    outs = []
-    for t in ("1", "2", "8"):
-        code, out, _ = run_cli(capsys, "report", "--case", CASE,
-                               "--format", "json", "--threads", t)
-        assert code == 0
-        outs.append(out.replace(f'"threads": {t}', '"threads": N'))
-    assert outs[0] == outs[1] == outs[2]
-
-
 def test_decompose_chain(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--case", CASE, "--chain", CHAIN,
                            "--pair", "1", "4", "--format", "json")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import opfsens as ops
+from opfsens import sensitivity
 from opfsens.network import assemble_network
 
 
@@ -229,11 +230,14 @@ def test_decomposed_equals_direct_random_topologies(seed):
             assert abs(res.value - rep.cwc[i, j]) <= 1e-6
 
 
-def test_decomposed_thread_invariance(chain27):
+def test_decomposed_chunk_invariance(chain27, monkeypatch):
     net, _ = chain27
     lj = net.index_of("7''") - net.n_gen
-    r1 = ops.worst_case_decomposed(net, 0, lj, threads=1)
-    r4 = ops.worst_case_decomposed(net, 0, lj, threads=4)
-    assert r1.value == r4.value
-    assert r1.factors == r4.factors
-    assert [s.argmax for s in r1.stages] == [s.argmax for s in r4.stages]
+    base = ops.worst_case_decomposed(net, 0, lj, collect_ties=True)
+    for chunk in (1, 7):
+        monkeypatch.setattr(sensitivity, "CHUNK", chunk)
+        res = ops.worst_case_decomposed(net, 0, lj, collect_ties=True)
+        assert res.value == base.value
+        assert res.factors == base.factors
+        assert [s.argmax for s in res.stages] == [s.argmax for s in base.stages]
+        assert [s.ties for s in res.stages] == [s.ties for s in base.stages]

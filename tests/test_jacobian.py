@@ -11,6 +11,7 @@ import opfsens as ops
 from opfsens.errors import CardinalityViolation, DependentBindings, RegionBoundary
 from opfsens.jacobian import BindingSet, build_z_stack
 from opfsens.network import assemble_network
+from opfsens.sensitivity import candidate_sets
 
 from conftest import random_regular_params
 
@@ -117,6 +118,17 @@ def test_finite_diff_matches_binding_formula(net9, params9):
         checked += 1
 
 
+def test_finite_diff_at_nominal_loads(net9, params9, loads9):
+    """case9's nominal loads include zeros, which cannot be stepped down:
+    those columns take the forward difference."""
+    assert (loads9 == 0.0).any()
+    sol = ops.solve_opf(net9, params9, loads9)
+    bset = ops.extract_binding_set(sol, net9, params9)
+    fd = ops.jacobian_finite_diff(net9, params9, loads9, step=1e-4)
+    jac = ops.jacobian_from_binding(net9, bset).jac
+    assert np.abs(jac - fd).max() <= 1e-9
+
+
 def test_finite_diff_region_boundary(net9, params9):
     """A stencil wide enough to cross into a neighboring active-set region
     must be reported, not silently averaged."""
@@ -178,3 +190,39 @@ def test_scale_covariance(net9):
         j1 = ops.jacobian_from_binding(net9, bset).jac
         j2 = ops.jacobian_from_binding(scaled, bset).jac
         assert np.abs(j1 - j2).max() < 1e-9
+
+
+def _random_network(rng, n_bus=10, n_gen=3, extra=4):
+    """A random spanning tree plus ``extra`` further edges, susceptances
+    log-uniform in 1e-3..1e3."""
+    order = rng.permutation(n_bus)
+    edges = {tuple(sorted((int(order[k]), int(order[rng.integers(k)])))) for k in range(1, n_bus)}
+    while len(edges) < n_bus - 1 + extra:
+        edges.add(tuple(sorted(int(v) for v in rng.choice(n_bus, 2, replace=False))))
+    return assemble_network(
+        list(range(n_gen)), list(range(n_gen, n_bus)),
+        [(u, v, float(10.0 ** rng.uniform(-3.0, 3.0))) for u, v in sorted(edges)],
+    )
+
+
+def test_independence_agrees_across_entry_points():
+    """One independence test: every set the scan yields is accepted by
+    independence_check and jacobian_from_binding, and every candidate it
+    skips is rejected by both, on random networks whose susceptances span
+    six decades."""
+    rng = np.random.default_rng(7)
+    accepted = 0
+    for _ in range(30):
+        net = _random_network(rng)
+        scanned = set(ops.enumerate_binding_sets(net))
+        for key in candidate_sets(net):
+            bset = BindingSet(*key)
+            if bset in scanned:
+                assert ops.independence_check(net, bset)
+                ops.jacobian_from_binding(net, bset)
+            else:
+                assert not ops.independence_check(net, bset)
+                with pytest.raises(DependentBindings):
+                    ops.jacobian_from_binding(net, bset)
+        accepted += len(scanned)
+    assert accepted > 1000

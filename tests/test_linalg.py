@@ -1,4 +1,5 @@
-"""Kernel tests: pivoted solves, numerical rank, tolerance behavior."""
+"""Kernel tests: pivoted factorization and solves, the independence test,
+numerical rank."""
 
 from __future__ import annotations
 
@@ -8,16 +9,20 @@ import pytest
 import opfsens as ops
 from opfsens.errors import Singular
 from opfsens.jacobian import BindingSet, build_z_stack
-from opfsens.linalg import factor_solve, invert, numerical_rank, rcond_estimate
+from opfsens.linalg import lu_factor_checked, lu_solve_factored, numerical_rank, rcond_estimate
+
+
+def _solve(a, rhs):
+    return lu_solve_factored(lu_factor_checked(a), rhs)
 
 
 def test_identity_solve():
     rhs = np.arange(12.0).reshape(4, 3)
-    assert np.array_equal(factor_solve(np.eye(4), rhs), rhs)
+    assert np.array_equal(_solve(np.eye(4), rhs), rhs)
 
 
 def test_diagonal_solve():
-    x = factor_solve(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([[2.0], [8.0]]))
+    x = _solve(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([[2.0], [8.0]]))
     assert x.tolist() == [[1.0], [2.0]]
 
 
@@ -27,7 +32,7 @@ def test_case9_stack_residual(net9):
     bset = BindingSet(gens=(0,), branches=(1,))  # edge 1 is (4,5)
     a = build_z_stack(net9, bset)
     rhs = np.eye(9)
-    x = factor_solve(a, rhs)
+    x = _solve(a, rhs)
     norm_a = np.abs(a).sum(axis=1).max()
     norm_x = np.abs(x).sum(axis=1).max()
     residual = np.abs(a @ x - rhs).max()
@@ -37,14 +42,33 @@ def test_case9_stack_residual(net9):
 def test_singular_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(Singular):
-        factor_solve(a, np.eye(2))
+        lu_factor_checked(a)
+
+
+def test_independence_threshold():
+    """Dependent when the smallest pivot is at most rank_tol times the largest."""
+    assert lu_factor_checked(np.diag([1.0, 1e-9]))[2]
+    with pytest.raises(Singular):
+        lu_factor_checked(np.diag([1.0, 1e-11]))
+    assert lu_factor_checked(np.diag([1.0, 1e-11]), rank_tol=1e-12)[2]
+
+
+def test_stack_marks_dependent_members():
+    """A stack is factored matrix by matrix: dependent members are marked,
+    not raised, and the rest solve as they would alone."""
+    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], [[2.0, 0.0], [0.0, 4.0]]])
+    lu, piv, independent = lu_factor_checked(stack)
+    assert independent.tolist() == [True, False, True]
+    x = lu_solve_factored((lu[independent], piv[independent]), np.array([2.0, 8.0]))
+    assert x.tolist() == [[2.0, 8.0], [1.0, 2.0]]
+    assert np.array_equal(x[1], _solve(stack[2], np.array([2.0, 8.0])))
 
 
 def test_invert_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(10):
         a = rng.standard_normal((20, 20)) + 20.0 * np.eye(20)  # well conditioned
-        err = np.abs(a @ invert(a) - np.eye(20)).max()
+        err = np.abs(a @ _solve(a, np.eye(20)) - np.eye(20)).max()
         assert err < 1e-9 * np.linalg.cond(a)
 
 

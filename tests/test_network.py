@@ -37,7 +37,7 @@ def test_laplacian_rank(net9):
 
 
 def test_incidence_consistency(net9):
-    rebuilt = net9.incidence @ net9.susceptance_diag @ net9.incidence.T
+    rebuilt = net9.incidence @ np.diag(net9.susceptances) @ net9.incidence.T
     assert np.abs(rebuilt - net9.laplacian).max() < 1e-12
 
 

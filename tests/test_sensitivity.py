@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 import opfsens as ops
+from opfsens import sensitivity
 from opfsens.errors import EmptyLoadSet
 from opfsens.jacobian import BindingSet
 from opfsens.network import assemble_network
-from opfsens.sensitivity import candidate_count
+from opfsens.sensitivity import TIE_TOL, candidate_count
 
 from conftest import random_regular_params
 
@@ -78,17 +81,50 @@ def test_worst_case_two_bus(two_bus):
 
 
 def test_worst_case_matches_per_pair_scan(net9):
-    """The per-pair scan and the all-pairs scan agree (to BLAS rounding; the
-    two use single- vs multi-column solves) and both argmaxes reproduce
-    their values."""
+    """The per-pair and the all-pairs query reduce over the same scan: equal
+    values and sets, and the set reproduces the value."""
     rep = ops.worst_case_all(net9)
     for i, j in ((0, 0), (1, 3), (2, 5)):
         val, bset = ops.worst_case_siso(net9, i, j)
-        assert val == pytest.approx(rep.cwc[i, j], abs=1e-12)
+        assert val == rep.cwc[i, j]
+        assert bset == rep.argmax[i][j]
         assert abs(ops.jacobian_from_binding(net9, bset).jac[i, j]) == pytest.approx(
             val, abs=1e-9)
-        assert abs(ops.jacobian_from_binding(net9, rep.argmax[i][j]).jac[i, j]) == \
-            pytest.approx(rep.cwc[i, j], abs=1e-9)
+
+
+def _assert_one_argmax(net, rep, i, j):
+    val, bset = ops.worst_case_siso(net, i, j)
+    best, argmax, ties = ops.tied_argmax_sets(net, i, j)
+    assert rep.argmax[i][j] == bset == argmax == ties[0]
+    assert rep.cwc[i, j] == val == best
+
+
+def test_queries_name_one_argmax(net9, chain27):
+    """All-pairs, SISO and tie queries pick the same set: on every case9
+    pair and on the stages of three far pairs of the 27-bus chain."""
+    rep = ops.worst_case_all(net9)
+    for i, j in itertools.product(range(net9.n_gen), range(net9.n_load)):
+        _assert_one_argmax(net9, rep, i, j)
+    net, _ = chain27
+    for gen, bus in ((0, "4''"), (1, "7''"), (2, "9''")):
+        res = ops.worst_case_decomposed(net, gen, net.index_of(bus) - net.n_gen,
+                                        collect_ties=True)
+        for sr in res.stages:
+            st = sr.stage
+            assert sr.argmax == sr.ties[0]
+            _assert_one_argmax(st.network, ops.worst_case_all(st.network),
+                               st.gen_index, st.load_index)
+
+
+def test_argmax_is_first_tied_set(net9):
+    """The tie rule, checked apart from the scan: the argmax is the first
+    enumerated set whose Jacobian entry is within TIE_TOL of the maximum."""
+    rep = ops.worst_case_all(net9)
+    jacs = [(bset, np.abs(ops.jacobian_from_binding(net9, bset).jac))
+            for bset in ops.enumerate_binding_sets(net9)]
+    for i, j in itertools.product(range(net9.n_gen), range(net9.n_load)):
+        first = next(b for b, jac in jacs if jac[i, j] >= rep.cwc[i, j] - TIE_TOL)
+        assert rep.argmax[i][j] == first
 
 
 def test_max_dominates_every_set(net9):
@@ -195,16 +231,22 @@ def test_structural_check_non_cut(net9):
     assert res.vacuous and res.passed and len(res.components) == 1
 
 
-def test_thread_count_invariance(net9):
-    base = ops.worst_case_all(net9, threads=1)
-    for threads in (2, 8):
-        rep = ops.worst_case_all(net9, threads=threads)
+def test_chunk_size_invariance(net9, monkeypatch):
+    base = ops.worst_case_all(net9)
+    base_siso = ops.worst_case_siso(net9, 2, 5)
+    base_miso = ops.worst_case_miso(net9, 2, [2, 5])
+    base_ties = ops.tied_argmax_sets(net9, 0, 3)
+    base_sets = list(ops.enumerate_binding_sets(net9))
+    for chunk in (1, 7):
+        monkeypatch.setattr(sensitivity, "CHUNK", chunk)
+        rep = ops.worst_case_all(net9)
         assert np.array_equal(rep.cwc, base.cwc)
         assert rep.argmax == base.argmax
         assert rep.candidates_valid == base.candidates_valid
-    v1, b1 = ops.worst_case_siso(net9, 2, 5, threads=1)
-    v8, b8 = ops.worst_case_siso(net9, 2, 5, threads=8)
-    assert v1 == v8 and b1 == b8
+        assert ops.worst_case_siso(net9, 2, 5) == base_siso
+        assert ops.worst_case_miso(net9, 2, [2, 5]) == base_miso
+        assert ops.tied_argmax_sets(net9, 0, 3) == base_ties
+        assert list(ops.enumerate_binding_sets(net9)) == base_sets
 
 
 def test_tied_argmax_contains_gen_branch_equivalents(net9):
