@@ -27,15 +27,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dcopf import (
-    BINDING_TOL,
-    check_regularity,
-    kkt_residuals,
-    solve_opf,
-)
+from .dcopf import check_regularity, kkt_residuals, solve_opf
 from .errors import OpfSensError
 from .jacobian import BindingSet
-from .linalg import RANK_REL_TOL
 from .matpower import read_case
 from .network import Network, build_chain, build_network, copy_label, load_chain_config, nominal_loads
 from .decompose import worst_case_decomposed
@@ -46,7 +40,6 @@ from .sensitivity import (
     worst_case_miso,
     worst_case_siso,
 )
-from .simplex import PIVOT_TOL
 
 # above this, an exhaustive scan is minutes-to-hours; suggest the bridge path
 SCAN_WARN_CANDIDATES = 2_000_000
@@ -69,32 +62,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, pair: bool = False) -> None:
+    def command(name: str, help: str, pair: bool = False, loads: bool = False,
+                formats: tuple[str, ...] = ("table", "json")) -> argparse.ArgumentParser:
+        """A subcommand with the flags it reads: every command reads a case,
+        an optional chain and an output format."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--case", required=True, help="MATPOWER case file")
         p.add_argument("--chain", help="chain construction config (JSON)")
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--binding-tol", type=float, default=BINDING_TOL,
-                       help=f"binding-constraint tolerance, per-unit (default {BINDING_TOL:g})")
-        p.add_argument("--rank-tol", type=float, default=RANK_REL_TOL,
-                       help=f"independence / rank tolerance (default {RANK_REL_TOL:g})")
-        p.add_argument("--solver-tol", type=float, default=PIVOT_TOL,
-                       help=f"LP pivot tolerance (default {PIVOT_TOL:g})")
-        p.add_argument("--loads", help="comma-separated per-unit load override, "
-                                       "in internal load order (the report's "
-                                       "column order)")
+        p.add_argument("--format", choices=formats, default="table")
+        if loads:
+            p.add_argument("--loads", help="comma-separated per-unit load override, "
+                                           "in internal load order (the report's "
+                                           "column order)")
         if pair:
             p.add_argument("--pair", nargs=2, required=True, metavar=("GEN", "LOAD"),
                            help="generator and load bus ids")
+        return p
 
-    common(sub.add_parser("solve", help="solve one dispatch LP"))
-    common(sub.add_parser("sens-local", help="local sensitivity at a point"), pair=True)
-    common(sub.add_parser("sens-wcs", help="worst-case pair sensitivity"), pair=True)
-    miso = sub.add_parser("sens-miso", help="worst-case set sensitivity")
-    common(miso, pair=True)
+    command("solve", "solve one dispatch LP", loads=True)
+    command("sens-local", "local sensitivity at a point", pair=True, loads=True)
+    command("sens-wcs", "worst-case pair sensitivity", pair=True)
+    miso = command("sens-miso", "worst-case set sensitivity", pair=True)
     miso.add_argument("--load-set", help="comma-separated extra load bus ids joined "
                                          "with the --pair load")
-    common(sub.add_parser("decompose", help="pair worst case via bridges"), pair=True)
-    common(sub.add_parser("report", help="full worst-case table"))
+    command("decompose", "pair worst case via bridges", pair=True)
+    command("report", "full worst-case table", formats=("table", "csv", "json"))
     return parser
 
 
@@ -109,7 +101,7 @@ def _load_model(args):
         loads = np.tile(base_loads, copies)
     else:
         loads = nominal_loads(case, net)
-    if args.loads:
+    if getattr(args, "loads", None):
         loads = np.array([float(t) for t in args.loads.split(",")])
     return net, params, loads, copies
 
@@ -135,28 +127,19 @@ def _candidate_labels(token: str, default_copy: int) -> list:
     return [label, copy_label(label, default_copy)]
 
 
-def _resolve_gen(net: Network, token: str, copies: int) -> int:
-    for cand in _candidate_labels(token, 0):
+def _resolve(net: Network, token: str, copies: int, load: bool = False) -> int:
+    """Internal generator index of a bus token, or with ``load`` its internal
+    load index."""
+    kind = "load" if load else "generator"
+    for cand in _candidate_labels(token, copies - 1 if load else 0):
         try:
             i = net.index_of(cand)
         except KeyError:
             continue
-        if i >= net.n_gen:
-            raise ValueError(f"bus {token} is not a generator")
-        return i
-    raise ValueError(f"unknown generator bus {token}")
-
-
-def _resolve_load(net: Network, token: str, copies: int) -> int:
-    for cand in _candidate_labels(token, copies - 1):
-        try:
-            i = net.index_of(cand)
-        except KeyError:
-            continue
-        if i < net.n_gen:
-            raise ValueError(f"bus {token} is not a load")
-        return i - net.n_gen
-    raise ValueError(f"unknown load bus {token}")
+        if (i >= net.n_gen) != load:
+            raise ValueError(f"bus {token} is not a {kind}")
+        return i - net.n_gen if load else i
+    raise ValueError(f"unknown {kind} bus {token}")
 
 
 def _network_doc(net: Network) -> dict:
@@ -207,8 +190,7 @@ def _emit_csv(net: Network, cwc: np.ndarray) -> None:
 
 
 def _cmd_solve(args, net, params, loads, copies) -> None:
-    sol = solve_opf(net, params, loads, binding_tol=args.binding_tol,
-                    solver_tol=args.solver_tol)
+    sol = solve_opf(net, params, loads)
     kkt = kkt_residuals(sol, net, params, loads)
     reg = check_regularity(sol)
     doc = {
@@ -236,7 +218,7 @@ def _cmd_solve(args, net, params, loads, copies) -> None:
 
 def _cmd_report(args, net, params, loads, copies) -> None:
     _warn_if_large_scan(net)
-    rep = worst_case_all(net, rank_tol=args.rank_tol)
+    rep = worst_case_all(net)
     if args.format == "json":
         pairs = []
         for i in range(net.n_gen):
@@ -262,10 +244,10 @@ def _cmd_report(args, net, params, loads, copies) -> None:
 
 
 def _cmd_sens_wcs(args, net, params, loads, copies) -> None:
-    gi = _resolve_gen(net, args.pair[0], copies)
-    lj = _resolve_load(net, args.pair[1], copies)
+    gi = _resolve(net, args.pair[0], copies)
+    lj = _resolve(net, args.pair[1], copies, load=True)
     _warn_if_large_scan(net)
-    value, bset = worst_case_siso(net, gi, lj, rank_tol=args.rank_tol)
+    value, bset = worst_case_siso(net, gi, lj)
     doc = {
         "network": _network_doc(net),
         "pairs": [{
@@ -286,10 +268,9 @@ def _cmd_sens_wcs(args, net, params, loads, copies) -> None:
 
 
 def _cmd_sens_local(args, net, params, loads, copies) -> None:
-    gi = _resolve_gen(net, args.pair[0], copies)
-    lj = _resolve_load(net, args.pair[1], copies)
-    value = local_sensitivity(net, params, loads, gi, lj,
-                              binding_tol=args.binding_tol)
+    gi = _resolve(net, args.pair[0], copies)
+    lj = _resolve(net, args.pair[1], copies, load=True)
+    value = local_sensitivity(net, params, loads, gi, lj)
     doc = {
         "network": _network_doc(net),
         "pairs": [{
@@ -306,12 +287,12 @@ def _cmd_sens_local(args, net, params, loads, copies) -> None:
 
 
 def _cmd_sens_miso(args, net, params, loads, copies) -> None:
-    gi = _resolve_gen(net, args.pair[0], copies)
-    lset = {_resolve_load(net, args.pair[1], copies)}
+    gi = _resolve(net, args.pair[0], copies)
+    lset = {_resolve(net, args.pair[1], copies, load=True)}
     if args.load_set:
-        lset.update(_resolve_load(net, t.strip(), copies) for t in args.load_set.split(","))
+        lset.update(_resolve(net, t.strip(), copies, load=True) for t in args.load_set.split(","))
     _warn_if_large_scan(net)
-    value, bset = worst_case_miso(net, gi, sorted(lset), rank_tol=args.rank_tol)
+    value, bset = worst_case_miso(net, gi, sorted(lset))
     doc = {
         "network": _network_doc(net),
         "pairs": [{
@@ -332,9 +313,9 @@ def _cmd_sens_miso(args, net, params, loads, copies) -> None:
 
 
 def _cmd_decompose(args, net, params, loads, copies) -> None:
-    gi = _resolve_gen(net, args.pair[0], copies)
-    lj = _resolve_load(net, args.pair[1], copies)
-    res = worst_case_decomposed(net, gi, lj, collect_ties=True, rank_tol=args.rank_tol)
+    gi = _resolve(net, args.pair[0], copies)
+    lj = _resolve(net, args.pair[1], copies, load=True)
+    res = worst_case_decomposed(net, gi, lj, collect_ties=True)
     stages = []
     for sr in res.stages:
         stages.append({

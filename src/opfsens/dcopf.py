@@ -10,8 +10,9 @@ The problem in network terms::
                 flow_lower <= B C' theta    <= flow_upper
 
 Internally the equalities are solved as genuine equalities (the reference
-angle is eliminated); the doubled-inequality standard form is materialized
-separately because the independence test for binding sets is defined on it.
+angle is eliminated). The doubled-inequality standard form is materialized
+separately, as the reference that the constraint-stack independence test
+(:func:`jacobian.independence_check`) is checked against in the tests.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import numpy as np
 from . import jacobian as _jac
 from .errors import DegeneratePoint, DimensionMismatch
 from .network import Network, OpfParams
-from .simplex import LpSolution, solve_lp
+from .simplex import solve_lp
 
 logger = logging.getLogger(__name__)
 
-#: default absolute tolerance (per-unit) for calling a constraint binding
+#: absolute tolerance (per-unit) for calling a constraint binding
 BINDING_TOL = 1e-7
 
-#: default tolerance for dual magnitudes / uniqueness in regularity checks
+#: tolerance for dual magnitudes / uniqueness in regularity checks
 REGULARITY_TOL = 1e-9
 
 
@@ -59,10 +60,10 @@ def is_interior_load(net: Network, load: np.ndarray) -> bool:
 class StandardFormLp:
     """All-inequality form ``A x <= b`` with ``x = [s_g; theta]``.
 
-    Each equality appears as two opposite-sign rows, which is the convention
-    under which binding-set independence is defined. ``row_tags`` names every
-    row: ``slack+|slack-``, ``balance+(v)|balance-(v)``, ``gen-upper(i)`` /
-    ``gen-lower(i)``, ``flow-upper(e)`` / ``flow-lower(e)``.
+    Each equality appears as two opposite-sign rows. This form is the
+    reference the constraint-stack independence test is checked against.
+    ``row_tags`` names every row: ``slack+|slack-``, ``balance+(v)|balance-(v)``,
+    ``gen-upper(i)`` / ``gen-lower(i)``, ``flow-upper(e)`` / ``flow-lower(e)``.
     """
 
     a: np.ndarray
@@ -139,7 +140,6 @@ class OpfSolution:
     dual_gen_lower: np.ndarray
     dual_flow_upper: np.ndarray
     dual_flow_lower: np.ndarray
-    binding_tol: float
     min_basic_value: float
     min_nonbasic_rc: float
 
@@ -204,14 +204,7 @@ def _equality_form(net: Network, params: OpfParams, load: np.ndarray):
     return a, b, c, sl
 
 
-def solve_opf(
-    net: Network,
-    params: OpfParams,
-    load: np.ndarray,
-    *,
-    binding_tol: float = BINDING_TOL,
-    solver_tol: float | None = None,
-) -> OpfSolution:
+def solve_opf(net: Network, params: OpfParams, load: np.ndarray) -> OpfSolution:
     """Solve the dispatch LP to an optimal basic solution with duals.
 
     Deterministic: the simplex uses Bland's rule, so identical inputs give
@@ -224,10 +217,7 @@ def solve_opf(
     nr = n - 1
 
     a, b, c, sl = _equality_form(net, params, load)
-    if solver_tol is None:
-        lp: LpSolution = solve_lp(c, a, b)
-    else:
-        lp = solve_lp(c, a, b, pivot_tol=solver_tol)
+    lp = solve_lp(c, a, b)
 
     gen = lp.x[:n_g]
     theta = np.concatenate([[0.0], lp.x[sl["tp"]] - lp.x[sl["tm"]]])
@@ -272,7 +262,6 @@ def solve_opf(
         dual_gen_lower=lam_lo,
         dual_flow_upper=mu_up,
         dual_flow_lower=mu_lo,
-        binding_tol=binding_tol,
         min_basic_value=min_basic,
         min_nonbasic_rc=min_rc,
     )
@@ -356,29 +345,22 @@ def kkt_residuals(
     )
 
 
-def extract_binding_set(
-    sol: OpfSolution,
-    net: Network,
-    params: OpfParams,
-    tol: float | None = None,
-) -> _jac.BindingSet:
-    """Read the binding generators and branches off a solved instance.
+def _at_limit(value: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> tuple[int, ...]:
+    """Indices of the entries within :data:`BINDING_TOL` of either limit."""
+    gap = np.minimum(np.abs(value - upper), np.abs(value - lower))
+    return tuple(int(i) for i in np.flatnonzero(gap <= BINDING_TOL))
+
+
+def extract_binding_set(sol: OpfSolution, net: Network, params: OpfParams) -> _jac.BindingSet:
+    """Read the binding generators and branches off a solved instance: those
+    within :data:`BINDING_TOL` of a limit.
 
     Raises :class:`DegeneratePoint` when the binding-inequality count is not
     ``n_gen - 1`` (the load sits outside the regular region) and
     :class:`DependentBindings` when the constraint stack is singular.
     """
-    tol = sol.binding_tol if tol is None else tol
-    gens = tuple(
-        int(i)
-        for i in range(net.n_gen)
-        if min(abs(sol.gen[i] - params.gen_upper[i]), abs(sol.gen[i] - params.gen_lower[i])) <= tol
-    )
-    branches = tuple(
-        int(e)
-        for e in range(net.n_edge)
-        if min(abs(sol.flows[e] - params.flow_upper[e]), abs(sol.flows[e] - params.flow_lower[e])) <= tol
-    )
+    gens = _at_limit(sol.gen, params.gen_upper, params.gen_lower)
+    branches = _at_limit(sol.flows, params.flow_upper, params.flow_lower)
     count = len(gens) + len(branches)
     if count != net.n_gen - 1:
         raise DegeneratePoint(
@@ -400,22 +382,23 @@ class RegularityReport:
     degenerate_vertex: bool
 
 
-def check_regularity(sol: OpfSolution, tol: float = REGULARITY_TOL) -> RegularityReport:
+def check_regularity(sol: OpfSolution) -> RegularityReport:
     """Count significant dual variables and flag non-unique optima.
 
     Inequality duals (generator and flow bounds) are counted together;
     equality-row multipliers are reported separately. The uniqueness flag is
     true when the optimal vertex is nondegenerate and every nonbasic reduced
-    cost is strictly positive.
+    cost is strictly positive; "significant" and "strictly" both mean beyond
+    :data:`REGULARITY_TOL`.
     """
     ineq = np.concatenate([
         sol.dual_gen_upper, sol.dual_gen_lower,
         sol.dual_flow_upper, sol.dual_flow_lower,
     ])
-    n_ineq = int(np.sum(np.abs(ineq) > tol))
-    n_eq = int(np.sum(np.abs(sol.dual_eq) > tol))
-    degenerate = sol.min_basic_value <= tol
-    unique = (not degenerate) and sol.min_nonbasic_rc > tol
+    n_ineq = int(np.sum(np.abs(ineq) > REGULARITY_TOL))
+    n_eq = int(np.sum(np.abs(sol.dual_eq) > REGULARITY_TOL))
+    degenerate = sol.min_basic_value <= REGULARITY_TOL
+    unique = (not degenerate) and sol.min_nonbasic_rc > REGULARITY_TOL
     return RegularityReport(
         nonzero_inequality_duals=n_ineq,
         nonzero_equality_duals=n_eq,
@@ -425,22 +408,17 @@ def check_regularity(sol: OpfSolution, tol: float = REGULARITY_TOL) -> Regularit
 
 
 def solve_opf_regular(
-    net: Network,
-    params: OpfParams,
-    load: np.ndarray,
-    *,
-    binding_tol: float = BINDING_TOL,
-    seed: int = 0,
+    net: Network, params: OpfParams, load: np.ndarray
 ) -> tuple[OpfSolution, OpfParams]:
     """Solve, and if the optimum is detectably non-unique, retry once with a
     small deterministic cost perturbation (magnitude ``1e-6 * ||f||_inf``).
 
     Returns the solution together with the cost vector actually used.
     """
-    sol = solve_opf(net, params, load, binding_tol=binding_tol)
+    sol = solve_opf(net, params, load)
     if check_regularity(sol).unique:
         return sol, params
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     scale = 1e-6 * max(float(np.abs(params.cost).max()), 1.0)
     perturbed = OpfParams(
         cost=params.cost + rng.uniform(0.0, scale, size=net.n_gen),
@@ -450,4 +428,4 @@ def solve_opf_regular(
         flow_lower=params.flow_lower,
     )
     logger.info("cost vector perturbed by uniform noise <= %.3e to restore uniqueness", scale)
-    return solve_opf(net, perturbed, load, binding_tol=binding_tol), perturbed
+    return solve_opf(net, perturbed, load), perturbed

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NoPath
 from .jacobian import BindingSet
-from .linalg import RANK_REL_TOL
 from .network import Label, Network, assemble_network
 from .sensitivity import tied_argmax_sets, worst_case_siso
 
@@ -337,7 +336,6 @@ def worst_case_decomposed(
     gen: int,
     load: int,
     collect_ties: bool = False,
-    rank_tol: float = RANK_REL_TOL,
 ) -> DecomposedResult:
     """Worst-case sensitivity of pair ``(gen, load)`` via bridge decomposition.
 
@@ -366,13 +364,9 @@ def worst_case_decomposed(
 
     def run_stage(stage: StageProblem) -> StageResult:
         if collect_ties:
-            value, argmax, ties = tied_argmax_sets(
-                stage.network, stage.gen_index, stage.load_index, rank_tol=rank_tol
-            )
+            value, argmax, ties = tied_argmax_sets(stage.network, stage.gen_index, stage.load_index)
             return StageResult(stage=stage, factor=value, argmax=argmax, ties=tuple(ties))
-        value, argmax = worst_case_siso(
-            stage.network, stage.gen_index, stage.load_index, rank_tol=rank_tol
-        )
+        value, argmax = worst_case_siso(stage.network, stage.gen_index, stage.load_index)
         return StageResult(stage=stage, factor=value, argmax=argmax)
 
     results = tuple(run_stage(s) for s in decomp.stages)

@@ -37,6 +37,11 @@ class DuplicateGeneratorBus(OpfSensError):
     """Two generators are attached to the same bus (unsupported)."""
 
 
+class InvalidLimits(OpfSensError):
+    """Operating limits or costs are inconsistent: a negative cost or lower
+    generator limit, or a lower limit above its upper limit."""
+
+
 class InvalidTie(OpfSensError):
     """A chain tie line refers to an invalid copy or bus, or copies < 2."""
 

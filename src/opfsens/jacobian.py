@@ -81,7 +81,7 @@ def build_z_stack(net: Network, bset: BindingSet) -> np.ndarray:
     ])
 
 
-def independence_check(net: Network, bset: BindingSet, rel_tol: float = linalg.RANK_REL_TOL) -> bool:
+def independence_check(net: Network, bset: BindingSet) -> bool:
     """True when the stack passes the project independence test
     (:func:`linalg.lu_factor_checked`), the one the set scan applies.
 
@@ -90,7 +90,7 @@ def independence_check(net: Network, bset: BindingSet, rel_tol: float = linalg.R
     the doubled-inequality standard form.
     """
     try:
-        linalg.lu_factor_checked(build_z_stack(net, bset), rel_tol)
+        linalg.lu_factor_checked(build_z_stack(net, bset))
     except Singular:
         return False
     return True

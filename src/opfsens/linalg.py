@@ -1,8 +1,7 @@
 """Dense linear algebra kernel: pivoted factorization, solves, numerical rank.
 
-Matrices are plain ``numpy.ndarray`` (row-major, float64). The rank /
-independence tolerance is fixed project-wide at :data:`RANK_REL_TOL` and every
-caller that needs a different value passes it explicitly.
+Matrices are plain ``numpy.ndarray`` (row-major, float64). The independence
+tolerance is fixed project-wide at :data:`RANK_REL_TOL`.
 """
 
 from __future__ import annotations
@@ -18,16 +17,15 @@ RANK_REL_TOL = 1e-10
 _getrf, _getrs = sla.get_lapack_funcs(("getrf", "getrs"), (np.empty(0),))
 
 
-def lu_factor_checked(
-    a: np.ndarray, rank_tol: float = RANK_REL_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LU-factor a square matrix, or a stack ``(..., n, n)`` of them, with
     partial pivoting, and apply the project's one independence test.
 
     A matrix is dependent when its smallest pivot magnitude is at most
-    ``rank_tol`` times its largest (an exact zero pivot included). Returns
-    ``(lu, piv, independent)``, ``independent`` holding the verdict of each
-    matrix in the stack. A single dependent matrix raises :class:`Singular`.
+    :data:`RANK_REL_TOL` times its largest (an exact zero pivot included).
+    Returns ``(lu, piv, independent)``, ``independent`` holding the verdict of
+    each matrix in the stack. A single dependent matrix raises
+    :class:`Singular`.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -43,10 +41,10 @@ def lu_factor_checked(
         if info < 0:
             raise ValueError(f"getrf: bad argument {-info}")
     pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-    independent = pivots.min(axis=1) > rank_tol * pivots.max(axis=1)
+    independent = pivots.min(axis=1) > RANK_REL_TOL * pivots.max(axis=1)
     if a.ndim == 2 and not independent[0]:
         raise Singular(
-            f"pivot {pivots.min():.3e} at most {rank_tol:g} x largest {pivots.max():.3e}"
+            f"pivot {pivots.min():.3e} at most {RANK_REL_TOL:g} x largest {pivots.max():.3e}"
         )
     return lu.reshape(a.shape), piv.reshape(a.shape[:-1]), independent.reshape(a.shape[:-2])
 

@@ -9,18 +9,27 @@ the columns this package needs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 from .errors import DanglingReference, MalformedMatrix, MissingTable
-
-REQUIRED_TABLES = ("bus", "gen", "branch", "gencost")
 
 # column positions in the standard MATPOWER format
 _BUS_I, _BUS_TYPE, _BUS_PD = 0, 1, 2
 _GEN_BUS, _GEN_PMAX, _GEN_PMIN = 0, 8, 9
 _BR_FROM, _BR_TO, _BR_X, _BR_RATE_A = 0, 1, 3, 5
 _COST_MODEL, _COST_NCOEF = 0, 3
+
+# the fixed columns this package reads from each table: every row needs them,
+# holding finite numbers
+_READ_COLUMNS = {
+    "bus": (_BUS_I, _BUS_PD),
+    "gen": (_GEN_BUS, _GEN_PMAX, _GEN_PMIN),
+    "branch": (_BR_FROM, _BR_TO, _BR_X, _BR_RATE_A),
+    "gencost": (_COST_MODEL, _COST_NCOEF),
+}
+REQUIRED_TABLES = tuple(_READ_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -89,6 +98,8 @@ class MatpowerCase:
         coeffs = row[4 : 4 + n]
         if len(coeffs) != n:
             raise MalformedMatrix(f"generator {g}: gencost row shorter than n={n}")
+        if not all(map(math.isfinite, coeffs)):
+            raise MalformedMatrix(f"generator {g}: non-finite cost coefficient in {coeffs}")
         return [float(c) for c in coeffs]
 
 
@@ -109,11 +120,18 @@ def _parse_matrix(name: str, body: str) -> list[list[float]]:
     if not rows:
         raise MalformedMatrix(f"table '{name}' is empty")
     width = len(rows[0])
+    read = _READ_COLUMNS[name]
+    if width <= max(read):
+        raise MalformedMatrix(
+            f"table '{name}' has {width} columns, expected at least {max(read) + 1}"
+        )
     for i, row in enumerate(rows):
         if len(row) != width:
             raise MalformedMatrix(
                 f"table '{name}': row {i} has {len(row)} cells, expected {width}"
             )
+        if not all(math.isfinite(row[c]) for c in read):
+            raise MalformedMatrix(f"table '{name}': row {i} has a non-finite cell")
     return rows
 
 
@@ -123,7 +141,8 @@ def parse_matpower(text: str) -> MatpowerCase:
     Raises
     ------
     MalformedMatrix
-        Unbalanced brackets, non-numeric cells, ragged rows, bad baseMVA.
+        Unbalanced brackets, non-numeric cells, ragged rows, too few columns,
+        a non-finite cell in a column this package reads, bad baseMVA.
     MissingTable
         A required table (or baseMVA) is absent.
     DanglingReference
@@ -138,8 +157,8 @@ def parse_matpower(text: str) -> MatpowerCase:
         base_mva = float(m.group(1).strip())
     except ValueError as exc:
         raise MalformedMatrix(f"baseMVA is not numeric: {m.group(1).strip()!r}") from exc
-    if base_mva <= 0:
-        raise MalformedMatrix(f"baseMVA must be positive, got {base_mva}")
+    if not 0 < base_mva < math.inf:
+        raise MalformedMatrix(f"baseMVA must be positive and finite, got {base_mva}")
 
     tables: dict[str, list[list[float]]] = {}
     for name in REQUIRED_TABLES:

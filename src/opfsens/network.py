@@ -21,6 +21,7 @@ from .errors import (
     DisconnectedChain,
     DisconnectedGraph,
     DuplicateGeneratorBus,
+    InvalidLimits,
     InvalidTie,
     ZeroReactance,
 )
@@ -30,6 +31,9 @@ logger = logging.getLogger(__name__)
 
 # per-unit stand-in for MATPOWER's rate_a = 0 ("unlimited") convention
 UNLIMITED_FLOW_PU = 10.0
+
+# per-unit upper limit of an offline generator's output window
+OFFLINE_WINDOW_PU = 1e-5
 
 Label = int | str
 
@@ -107,13 +111,13 @@ class OpfParams:
             if arr.shape != (want,):
                 raise DimensionMismatch(f"{name} has shape {arr.shape}, want ({want},)")
         if np.any(self.gen_lower < 0):
-            raise ValueError("generator lower limits must be nonnegative")
+            raise InvalidLimits("generator lower limits must be nonnegative")
         if np.any(self.gen_lower > self.gen_upper):
-            raise ValueError("generator lower limit exceeds upper limit")
+            raise InvalidLimits("generator lower limit exceeds upper limit")
         if np.any(self.flow_lower > self.flow_upper):
-            raise ValueError("flow lower limit exceeds upper limit")
+            raise InvalidLimits("flow lower limit exceeds upper limit")
         if np.any(self.cost < 0):
-            raise ValueError("costs must be nonnegative")
+            raise InvalidLimits("costs must be nonnegative")
 
 
 def _connected(n: int, adjacency: list[list[int]]) -> bool:
@@ -261,18 +265,17 @@ def nominal_loads(case: MatpowerCase, net: Network) -> np.ndarray:
     )
 
 
-def offline_generator(params: OpfParams, gen: int, eps: float = 1e-5) -> OpfParams:
+def offline_generator(params: OpfParams, gen: int) -> OpfParams:
     """Limits for a scenario where generator ``gen`` drops offline.
 
-    The output window collapses to ``[0, eps]`` rather than exactly zero:
-    a zero-width window makes the upper and lower bound rows coincide, which
-    breaks the independence assumptions behind the sensitivity machinery.
+    The output window collapses to ``[0, OFFLINE_WINDOW_PU]`` rather than
+    exactly zero: a zero-width window makes the upper and lower bound rows
+    coincide, which breaks the independence assumptions behind the
+    sensitivity machinery.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     upper = params.gen_upper.copy()
     lower = params.gen_lower.copy()
-    upper[gen] = eps
+    upper[gen] = OFFLINE_WINDOW_PU
     lower[gen] = 0.0
     return OpfParams(
         cost=params.cost,

@@ -25,7 +25,6 @@ import numpy as np
 from . import linalg
 from .errors import DegeneratePoint, DependentBindings, EmptyLoadSet, NoValidSet
 from .jacobian import BindingSet, jacobian_from_binding
-from .linalg import RANK_REL_TOL
 from .network import Network
 
 #: two candidate values within this of each other count as a tie
@@ -74,7 +73,7 @@ def candidate_count(net: Network) -> int:
     )
 
 
-def _scan(net: Network, rank_tol: float) -> Iterator[tuple[list[Key], np.ndarray]]:
+def _scan(net: Network) -> Iterator[tuple[list[Key], np.ndarray]]:
     """The one pass over the candidate sets, ``CHUNK`` at a time in
     lexicographic order: yields the keys of each chunk's independent sets and
     their signed Jacobians, shape ``(len(keys), n_gen, n_load)``."""
@@ -91,7 +90,7 @@ def _scan(net: Network, rank_tol: float) -> Iterator[tuple[list[Key], np.ndarray
     while chunk := list(islice(cands, CHUNK)):
         rows = [load_rows + [n_l + g for g in sg] + [n_l + n_g + e for e in sb] + ref_row
                 for sg, sb in chunk]
-        lu, piv, ok = linalg.lu_factor_checked(pool[rows], rank_tol)
+        lu, piv, ok = linalg.lu_factor_checked(pool[rows])
         if ok.any():
             z_inv = linalg.lu_solve_factored((lu[ok], piv[ok]), rhs)
             yield [key for key, keep in zip(chunk, ok) if keep], -(gen_rows @ z_inv)
@@ -99,9 +98,7 @@ def _scan(net: Network, rank_tol: float) -> Iterator[tuple[list[Key], np.ndarray
 
 def _fold(
     net: Network,
-    rank_tol: float,
     score: Callable[[np.ndarray], np.ndarray],
-    tie_tol: float = TIE_TOL,
     all_ties: bool = False,
 ) -> tuple[np.ndarray, list[list[tuple[float, Key]]], int]:
     """Reduce the scan under the tie rule.
@@ -110,19 +107,19 @@ def _fold(
     reported entry. Returns the maxima ``(m,)``, the kept ``(value, key)``
     list of each entry, whose first key is the argmax, and the number of
     independent sets. The argmax beats every set before it, so only such
-    records within ``tie_tol`` of the running maximum are kept; with
-    ``all_ties`` every set within ``tie_tol`` of it is.
+    records within :data:`TIE_TOL` of the running maximum are kept; with
+    ``all_ties`` every set within :data:`TIE_TOL` of it is.
     """
     best = kept = None
     valid = 0
-    for keys, jac in _scan(net, rank_tol):
+    for keys, jac in _scan(net):
         vals = score(jac)
         if best is None:
             best = np.full(vals.shape[1], -np.inf)
             kept = [[] for _ in range(vals.shape[1])]
         valid += len(keys)
         running = np.maximum.accumulate(np.vstack([best, vals]))
-        floor = running[-1] - tie_tol
+        floor = running[-1] - TIE_TOL
         take = vals >= floor
         if not all_ties:
             take &= vals > running[:-1]
@@ -136,9 +133,9 @@ def _fold(
     return best, kept, valid
 
 
-def enumerate_binding_sets(net: Network, rank_tol: float = RANK_REL_TOL) -> Iterator[BindingSet]:
+def enumerate_binding_sets(net: Network) -> Iterator[BindingSet]:
     """Yield every independent binding set in lexicographic order."""
-    for keys, _ in _scan(net, rank_tol):
+    for keys, _ in _scan(net):
         for key in keys:
             yield BindingSet(*key)
 
@@ -164,32 +161,22 @@ def _check_pair(net: Network, gen: int, load: int) -> None:
         raise IndexError(f"load index {load} out of range")
 
 
-def worst_case_siso(
-    net: Network, gen: int, load: int, rank_tol: float = RANK_REL_TOL
-) -> tuple[float, BindingSet]:
+def worst_case_siso(net: Network, gen: int, load: int) -> tuple[float, BindingSet]:
     """Worst-case sensitivity of one generator-load pair and its argmax.
 
     ``gen`` and ``load`` are zero-based internal indices (load ``j`` is bus
     ``n_gen + j``).
     """
     _check_pair(net, gen, load)
-    best, kept, _ = _fold(net, rank_tol, lambda jac: np.abs(jac[:, gen, load, None]))
+    best, kept, _ = _fold(net, lambda jac: np.abs(jac[:, gen, load, None]))
     return float(best[0]), BindingSet(*kept[0][0][1])
 
 
-def worst_case_miso(
-    net: Network,
-    gen: int,
-    loads: Sequence[int],
-    norm: str = "euclidean",
-    rank_tol: float = RANK_REL_TOL,
-) -> tuple[float, BindingSet]:
+def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float, BindingSet]:
     """Worst-case sensitivity of one generator to joint perturbations of a
     load set: the Euclidean norm of the Jacobian row restricted to ``loads``,
     maximized over binding sets (the exact Lipschitz constant of the linear
     response under 2-norm perturbations confined to those loads)."""
-    if norm != "euclidean":
-        raise ValueError(f"unsupported norm {norm!r}")
     loads = sorted(set(int(j) for j in loads))
     if not loads:
         raise EmptyLoadSet("MISO sensitivity needs at least one load index")
@@ -197,16 +184,14 @@ def worst_case_miso(
         raise IndexError(f"load indices {loads} out of range")
     if not 0 <= gen < net.n_gen:
         raise IndexError(f"generator index {gen} out of range")
-    best, kept, _ = _fold(
-        net, rank_tol, lambda jac: np.linalg.norm(jac[:, gen, loads], axis=1)[:, None]
-    )
+    best, kept, _ = _fold(net, lambda jac: np.linalg.norm(jac[:, gen, loads], axis=1)[:, None])
     return float(best[0]), BindingSet(*kept[0][0][1])
 
 
-def worst_case_all(net: Network, rank_tol: float = RANK_REL_TOL) -> SensitivityReport:
+def worst_case_all(net: Network) -> SensitivityReport:
     """Worst cases for every pair in one enumeration pass."""
     n_l = net.n_load
-    best, kept, valid = _fold(net, rank_tol, lambda jac: np.abs(jac).reshape(len(jac), -1))
+    best, kept, valid = _fold(net, lambda jac: np.abs(jac).reshape(len(jac), -1))
     argmax = [BindingSet(*entries[0][1]) for entries in kept]
     return SensitivityReport(
         cwc=best.reshape(net.n_gen, n_l),
@@ -216,23 +201,15 @@ def worst_case_all(net: Network, rank_tol: float = RANK_REL_TOL) -> SensitivityR
     )
 
 
-def tied_argmax_sets(
-    net: Network,
-    gen: int,
-    load: int,
-    tie_tol: float = TIE_TOL,
-    rank_tol: float = RANK_REL_TOL,
-) -> tuple[float, BindingSet, list[BindingSet]]:
-    """Worst case, its argmax, and every set tied within ``tie_tol``, in
+def tied_argmax_sets(net: Network, gen: int, load: int) -> tuple[float, BindingSet, list[BindingSet]]:
+    """Worst case, its argmax, and every set tied within :data:`TIE_TOL`, in
     lexicographic order; the argmax is the first of them.
 
     Degenerate maxima are common (a binding leaf branch is indistinguishable
     from binding the generator behind it), so reports list all of them.
     """
     _check_pair(net, gen, load)
-    best, kept, _ = _fold(
-        net, rank_tol, lambda jac: np.abs(jac[:, gen, load, None]), tie_tol, all_ties=True
-    )
+    best, kept, _ = _fold(net, lambda jac: np.abs(jac[:, gen, load, None]), all_ties=True)
     ties = [BindingSet(*key) for _, key in kept[0]]
     return float(best[0]), ties[0], ties
 
@@ -243,15 +220,13 @@ def local_sensitivity(
     load: np.ndarray,
     gen: int,
     load_idx: int,
-    binding_tol: float | None = None,
 ) -> float:
     """|J_ij| at the binding set realized by this load: the local Lipschitz
     constant of generator ``gen`` w.r.t. load ``load_idx`` inside the
     active-set region containing ``load``."""
-    from .dcopf import BINDING_TOL, extract_binding_set, solve_opf
+    from .dcopf import extract_binding_set, solve_opf
 
-    tol = BINDING_TOL if binding_tol is None else binding_tol
-    sol = solve_opf(net, params, load, binding_tol=tol)
+    sol = solve_opf(net, params, load)
     bset = extract_binding_set(sol, net, params)
     jac = jacobian_from_binding(net, bset).jac
     return abs(float(jac[gen, load_idx]))

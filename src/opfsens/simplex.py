@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import Infeasible, NumericalFailure, Unbounded
 
+#: reduced costs and pivot-column entries within this of zero count as zero
 PIVOT_TOL = 1e-9
+#: largest infeasibility (phase-1 optimum, negative basic value) accepted as zero
 FEAS_TOL = 1e-8
 
 
@@ -44,7 +46,6 @@ def _run_simplex(
     basis: np.ndarray,
     allowed: int,
     max_iter: int,
-    tol: float,
 ) -> int:
     """Bland's rule iterations on a tableau whose last row is the objective.
 
@@ -57,28 +58,26 @@ def _run_simplex(
         rc = tab[-1, :allowed]
         entering = -1
         for j in range(allowed):
-            if rc[j] < -tol:
+            if rc[j] < -PIVOT_TOL:
                 entering = j
                 break
         if entering < 0:
             return it
         col = tab[:m, entering]
         ratios = np.full(m, np.inf)
-        positive = col > tol
+        positive = col > PIVOT_TOL
         ratios[positive] = tab[:m, -1][positive] / col[positive]
         best = ratios.min()
         if not np.isfinite(best):
             raise Unbounded(f"unbounded direction along variable {entering}")
         # Bland: among minimal ratios, leave the smallest basis index
-        candidates = np.flatnonzero(ratios <= best + tol * (1.0 + abs(best)))
+        candidates = np.flatnonzero(ratios <= best + PIVOT_TOL * (1.0 + abs(best)))
         leaving = int(min(candidates, key=lambda r: basis[r]))
         _pivot(tab, basis, leaving, entering)
     raise NumericalFailure(f"simplex did not terminate in {max_iter} iterations")
 
 
-def solve_lp(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, pivot_tol: float = PIVOT_TOL
-) -> LpSolution:
+def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
     """Minimize ``c'x`` over ``a x = b, x >= 0``.
 
     Raises :class:`Infeasible` or :class:`Unbounded` accordingly, and
@@ -105,7 +104,7 @@ def solve_lp(
     tab[-1, n : n + m] = 1.0
     tab[-1] -= tab[:m].sum(axis=0)  # reduce objective over the artificial basis
 
-    iters = _run_simplex(tab, basis, n + m, max_iter, pivot_tol)
+    iters = _run_simplex(tab, basis, n + m, max_iter)
     if tab[-1, -1] < -FEAS_TOL:
         raise Infeasible(f"phase-1 optimum {-tab[-1, -1]:.3e} > 0")
 
@@ -115,7 +114,7 @@ def solve_lp(
         if basis[i] >= n:
             row = tab[i, :n]
             j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > pivot_tol:
+            if abs(row[j]) > PIVOT_TOL:
                 _pivot(tab, basis, i, j)
             else:
                 keep[i] = False
@@ -133,7 +132,7 @@ def solve_lp(
     for i in range(m_eff):
         if tab[-1, basis[i]] != 0.0:
             tab[-1] -= tab[-1, basis[i]] * tab[i]
-    iters += _run_simplex(tab, basis, n, max_iter, pivot_tol)
+    iters += _run_simplex(tab, basis, n, max_iter)
 
     x = np.zeros(n)
     values = tab[:m_eff, -1]

@@ -147,3 +147,44 @@ def test_missing_case_file_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--case", "/nonexistent/case.m"])
     assert exc.value.code == 2
+
+
+# the arguments each subcommand needs; the optional flags, including the
+# removed tolerance flags; and the ones each subcommand reads
+_BASE = {
+    "solve": [],
+    "sens-local": ["--pair", "3", "9"],
+    "sens-wcs": ["--pair", "3", "9"],
+    "sens-miso": ["--pair", "3", "9"],
+    "decompose": ["--pair", "3", "9"],
+    "report": [],
+}
+_FLAGS = {
+    "--loads": ["--loads", "0.2,0.3,0.25,0.3,0.4,0.35"],
+    "--format csv": ["--format", "csv"],
+    "--pair": ["--pair", "3", "9"],
+    "--load-set": ["--load-set", "6"],
+    "--binding-tol": ["--binding-tol", "1e-7"],
+    "--rank-tol": ["--rank-tol", "1e-10"],
+    "--solver-tol": ["--solver-tol", "1e-9"],
+}
+_READS = {
+    "solve": {"--loads"},
+    "sens-local": {"--loads", "--pair"},
+    "sens-wcs": {"--pair"},
+    "sens-miso": {"--pair", "--load-set"},
+    "decompose": {"--pair"},
+    "report": {"--format csv"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in _BASE for flag in _FLAGS if flag not in _READS[command]
+])
+def test_unread_flags_are_usage_errors(capsys, command, flag):
+    """Each subcommand accepts only the flags it reads; any other is an
+    argparse usage error, not silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--case", CASE, *_BASE[command], *_FLAGS[flag]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

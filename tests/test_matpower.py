@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import random
+import re
+
 import pytest
 
 import opfsens as ops
-from opfsens.errors import DanglingReference, DisconnectedGraph, MalformedMatrix, MissingTable
+from opfsens.cli import main
+from opfsens.errors import (
+    DanglingReference,
+    DisconnectedGraph,
+    InvalidLimits,
+    MalformedMatrix,
+    MissingTable,
+    OpfSensError,
+)
 
 MINI_CASE = """\
 function mpc = mini
@@ -142,3 +154,67 @@ def test_parse_deterministic(case9_text):
     b = ops.parse_matpower(case9_text)
     assert a.bus == b.bus and a.gen == b.gen and a.branch == b.branch
     assert a.gencost == b.gencost and a.base_mva == b.base_mva
+
+
+def _cut_rows(text: str, table: str, cells: int) -> str:
+    """Keep only the first ``cells`` cells of every row of one table."""
+    head, _, rest = text.partition(f"mpc.{table} = [")
+    body, _, tail = rest.partition("]")
+    rows = [" ".join(row.split()[:cells]) for row in body.split(";")]
+    return f"{head}mpc.{table} = [{';'.join(rows)}]{tail}"
+
+
+@pytest.mark.parametrize("table, cells", [("gen", 5), ("branch", 4)])
+def test_short_rows_exit_1(case9_text, tmp_path, capsys, table, cells):
+    """Rows too short for the columns the package reads are a malformed
+    table, reported as a JSON error with exit 1, not a traceback."""
+    path = tmp_path / "short.m"
+    path.write_text(_cut_rows(case9_text, table, cells))
+    assert main(["report", "--case", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err["type"] == "MalformedMatrix"
+    assert f"table '{table}' has {cells} columns" in err["message"]
+
+
+@pytest.mark.parametrize("cells, bad", [
+    ("1 2 0 0.1 0 100", "1 2 0 nan 0 100"),  # branch reactance
+    ("2 1 50", "inf 1 50"),                  # bus id
+    ("2 0 0 2 1.5 0", "2 0 0 2 nan 0"),      # cost coefficient
+])
+def test_non_finite_cell_rejected(cells, bad):
+    with pytest.raises(MalformedMatrix):
+        ops.build_network(ops.parse_matpower(MINI_CASE.replace(cells, bad)))
+
+
+def test_inverted_limits_are_domain_errors():
+    case = ops.parse_matpower(MINI_CASE.replace("200 0 0 0", "-5 0 0 0"))
+    with pytest.raises(InvalidLimits):
+        ops.build_network(case)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Delete, replace or repeat one to three cells, or delete a line."""
+    cells = ["0", "-1", "0.5", "1e9", "1e400", "nan", "inf", "-inf", "x", ";", "[", "]", "%"]
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.2:
+            lines = text.splitlines()
+            del lines[rng.randrange(len(lines))]
+            text = "\n".join(lines)
+            continue
+        tokens = list(re.finditer(r"\S+", text))
+        t = rng.choice(tokens)
+        new = rng.choice(["", rng.choice(cells), f"{t.group()} {t.group()}"])
+        text = text[: t.start()] + new + text[t.end() :]
+    return text
+
+
+def test_mutated_case_raises_only_domain_errors(case9_text):
+    """Seeded mutants of case9 either parse and build or raise an
+    OpfSensError; no other exception escapes to the caller."""
+    rng = random.Random(20201)
+    for _ in range(500):
+        text = _mutate(rng, case9_text)
+        try:
+            ops.build_network(ops.parse_matpower(text))
+        except OpfSensError:
+            pass

@@ -175,8 +175,6 @@ def test_miso_all_loads_dominates_row_max(net9, table9):
 def test_miso_validation(net9):
     with pytest.raises(EmptyLoadSet):
         ops.worst_case_miso(net9, 0, [])
-    with pytest.raises(ValueError):
-        ops.worst_case_miso(net9, 0, [0], norm="manhattan")
 
 
 def test_local_sensitivity_two_bus(two_bus):
