@@ -3,10 +3,13 @@
 Brute force is exponential: a 27-bus chain of three 9-bus copies has about
 ten million candidate sets. But each tie line between copies is a bridge,
 and the worst case of a pair separated by bridges factors into per-subgraph
-worst cases: prune off-path sides to single buses, split at the on-path
-bridges, complete each subgraph with an auxiliary generator/load at the
-bridge stubs, and multiply the per-stage maxima. Each stage here enumerates
-only a few hundred sets.
+worst cases. One pass over the bridge tree does the split: the bridges
+between load buses cut the network into blocks, the tree path from the
+generator's block to the load's block gives the split points, every
+off-path subtree collapses to a single bus, and each block on the path is
+completed with an auxiliary generator/load at its bridge stubs. The pair's
+worst case is the product of the per-stage maxima. Each stage here
+enumerates only a few hundred sets.
 """
 
 import numpy as np

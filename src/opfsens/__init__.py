@@ -25,7 +25,6 @@ from .decompose import (
     DecomposedResult,
     chain_partition,
     find_bridges,
-    prune_offpath,
     worst_case_decomposed,
 )
 from .jacobian import (
@@ -74,7 +73,7 @@ __all__ = [
     "SensitivityReport", "enumerate_binding_sets", "worst_case_siso",
     "worst_case_all", "worst_case_miso", "local_sensitivity", "structural_check",
     "tied_argmax_sets", "sample_lower_bound",
-    "ChainDecomposition", "DecomposedResult", "find_bridges", "prune_offpath",
+    "ChainDecomposition", "DecomposedResult", "find_bridges",
     "chain_partition", "worst_case_decomposed",
     "bundled_case_path", "bundled_chain_config_path",
 ]

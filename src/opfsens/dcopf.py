@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobian as _jac
-from .errors import DegeneratePoint, DimensionMismatch
+from .errors import DegeneratePoint, DimensionMismatch, InvalidLoad
 from .network import Network, OpfParams
 from .simplex import solve_lp
 
@@ -39,21 +39,16 @@ REGULARITY_TOL = 1e-9
 def check_load(net: Network, load: np.ndarray) -> np.ndarray:
     """Validate a load vector: one finite, nonnegative entry per load bus.
 
-    Strict positivity (the domain where the sensitivity theory lives) is
-    reported by :func:`is_interior_load`, not enforced here, so that stock
-    case files with zero-demand buses remain solvable.
+    Strict positivity (the domain where the sensitivity theory lives) is not
+    enforced, so that stock case files with zero-demand buses remain
+    solvable.
     """
     load = np.asarray(load, dtype=float)
     if load.shape != (net.n_load,):
         raise DimensionMismatch(f"load has shape {load.shape}, want ({net.n_load},)")
     if not np.all(np.isfinite(load)) or np.any(load < 0):
-        raise ValueError("loads must be finite and nonnegative")
+        raise InvalidLoad("loads must be finite and nonnegative")
     return load
-
-
-def is_interior_load(net: Network, load: np.ndarray) -> bool:
-    """True when every load is strictly positive."""
-    return bool(np.all(np.asarray(load) > 0))
 
 
 @dataclass(frozen=True)

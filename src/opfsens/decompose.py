@@ -1,20 +1,20 @@
 """Bridge decomposition of the worst-case sensitivity computation.
 
 When the graph has bridges, the worst case for a generator-load pair factors
-into per-subgraph worst cases: off-path subgraphs collapse to single buses,
-the bridges along a shortest generator-load path split the graph into a chain
-of subgraphs, each subgraph is completed with an auxiliary generator/load
-pair at the bridge attachment points, and the pair's worst case is the
-product of the per-subgraph worst cases.
+into per-subgraph worst cases. One pass over the bridge tree does the split:
+off-path subtrees collapse to single buses, the bridges on the tree path from
+the generator to the load split the graph into a chain of subgraphs, each
+subgraph is completed with an auxiliary generator/load pair at the bridge
+attachment points, and the pair's worst case is the product of the
+per-subgraph worst cases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPath
 from .jacobian import BindingSet
 from .network import Label, Network, assemble_network
 from .sensitivity import tied_argmax_sets, worst_case_siso
@@ -72,19 +72,6 @@ def find_bridges(net: Network) -> list[int]:
     return sorted(bridges)
 
 
-def _component(net: Network, start: int, removed_edges: set[int]) -> set[int]:
-    adj = _adjacency(net)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w, e in adj[u]:
-            if e not in removed_edges and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 @dataclass(frozen=True)
 class PrunedSubgraph:
     """Record of one off-path side collapsed into a single bus."""
@@ -93,71 +80,6 @@ class PrunedSubgraph:
     replaced: tuple[Label, ...]
     kind: str           # "generator" | "load"
     new_label: str
-
-
-def prune_offpath(net: Network, gen: int, load: int) -> tuple[Network, tuple[PrunedSubgraph, ...]]:
-    """Collapse every off-path bridge side into a single bus.
-
-    A bridge whose deletion leaves the generator and load connected carries no
-    sensitivity information beyond its aggregate injection: the far side is
-    replaced by one generator (if it contains any) or one load, still attached
-    through the bridge edge. Bridges with a generator endpoint are kept as-is.
-    Returns the reduced network and the collapse records.
-    """
-    records: list[PrunedSubgraph] = []
-    counter = 0
-    current = net
-    a_label = net.vertex_order[gen]
-    b_label = net.vertex_order[net.n_gen + load]
-
-    while True:
-        a = current.index_of(a_label)
-        b = current.index_of(b_label)
-        pruned_this_round = False
-        for e in find_bridges(current):
-            u, v, be = current.edges[e]
-            if u < current.n_gen or v < current.n_gen:
-                continue
-            side_u = _component(current, u, {e})
-            if (a in side_u) != (b in side_u):
-                continue  # bridge lies on the path
-            near_anchor, far_root = (u, v) if a in side_u else (v, u)
-            far = _component(current, far_root, {e})
-            if len(far) <= 1:
-                continue  # already a single bus; nothing to collapse
-            has_gen = any(w < current.n_gen for w in far)
-            new_label = f"~{'g' if has_gen else 'l'}{counter}"
-            counter += 1
-
-            keep = set(range(current.n_bus)) - far
-            gen_labels = [current.vertex_order[i] for i in range(current.n_gen) if i in keep]
-            load_labels = [
-                current.vertex_order[i]
-                for i in range(current.n_gen, current.n_bus)
-                if i in keep
-            ]
-            if has_gen:
-                gen_labels.append(new_label)
-            else:
-                load_labels.append(new_label)
-            edges = [
-                (current.vertex_order[eu], current.vertex_order[ev], eb)
-                for (eu, ev, eb) in current.edges
-                if eu in keep and ev in keep
-            ]
-            edges.append((current.vertex_order[near_anchor], new_label, be))
-
-            records.append(PrunedSubgraph(
-                bridge=(current.vertex_order[u], current.vertex_order[v]),
-                replaced=tuple(current.vertex_order[i] for i in sorted(far)),
-                kind="generator" if has_gen else "load",
-                new_label=new_label,
-            ))
-            current = assemble_network(gen_labels, load_labels, edges, sort_labels=False)
-            pruned_this_round = True
-            break
-        if not pruned_this_round:
-            return current, tuple(records)
 
 
 @dataclass(frozen=True)
@@ -175,124 +97,121 @@ class StageProblem:
 class ChainDecomposition:
     """Bridges along the path, the chain subgraphs, and augmentation records."""
 
-    bridges: tuple[int, ...]                       # edge indices in path order
+    bridges: tuple[int, ...]                       # edge indices of the network, in path order
     stages: tuple[StageProblem, ...]
     augmented: tuple[tuple[str, str], ...]         # (p_l, q_l) label pairs per bridge
-    pruned: tuple[PrunedSubgraph, ...] = field(default=())
-
-
-def _shortest_path(net: Network, a: int, b: int) -> tuple[list[int], list[int]]:
-    """Lexicographically smallest shortest path (by internal vertex index).
-
-    Returns (vertex sequence, edge index sequence).
-    """
-    adj = _adjacency(net)
-    dist = {b: 0}
-    frontier = [b]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w, _ in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    if a not in dist:
-        raise NoPath(f"no path between {net.vertex_order[a]!r} and {net.vertex_order[b]!r}")
-
-    path = [a]
-    edges: list[int] = []
-    cur = a
-    while cur != b:
-        steps = [(w, e) for w, e in adj[cur] if dist.get(w, -1) == dist[cur] - 1]
-        w, e = min(steps)  # smallest next vertex, then smallest edge index
-        path.append(w)
-        edges.append(e)
-        cur = w
-    return path, edges
+    pruned: tuple[PrunedSubgraph, ...]             # one per collapsed off-path side
 
 
 def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
-    """Split the graph at the bridges along the generator-load shortest path.
+    """Split the pair's problem into a chain of stages in one pass over the
+    bridge tree.
 
-    Each on-path bridge is replicated into both neighboring subgraphs: the
-    subgraph it leaves gains an auxiliary load at the stub, the subgraph it
-    enters gains an auxiliary generator, both with the bridge's susceptance.
-    Stage ``l`` then pairs that subgraph's generator (the original one in the
-    first stage) with its load (the original one in the last stage).
+    Only bridges between two load buses split; a bridge at a generator spur
+    would only spawn a trivial stage. The blocks, the components left once
+    those bridges are removed, form a tree. Rooted at the generator's block,
+    its path to the load's block gives the on-path bridges, each oriented
+    from the bus ``x`` it leaves to the bus ``y`` it enters.
+
+    An off-path subtree carries no sensitivity information beyond its
+    aggregate injection: when it has more than one bus it collapses into one
+    bus, ``~g{k}`` if it holds a generator and ``~l{k}`` otherwise, still
+    attached through its bridge (``k`` counts collapses in ascending bridge
+    index). Each on-path bridge is replicated into both neighboring blocks:
+    the block it leaves gains an auxiliary load ``q{l}`` at ``x``, the block
+    it enters gains an auxiliary generator ``p{l}`` at ``y``, both with the
+    bridge's susceptance. Stage ``l`` then pairs its block's generator (the
+    original one in the first stage) with its load (the original one in the
+    last stage). With nothing to split or collapse the one stage is ``net``.
     """
-    b_vertex = net.n_gen + load
-    path, path_edges = _shortest_path(net, gen, b_vertex)
-    bridge_set = set(find_bridges(net))
-    # split only at bridges between non-generator buses (same guard as the
-    # pruning step); a generator-spur bridge would only spawn a trivial stage
-    path_bridges = [
-        e for e in path_edges
-        if e in bridge_set
-        and net.edges[e][0] >= net.n_gen
-        and net.edges[e][1] >= net.n_gen
-    ]
+    n_gen, labels = net.n_gen, net.vertex_order
+    load_bus = n_gen + load
+    cut = {e for e in find_bridges(net) if min(net.edges[e][:2]) >= n_gen}
 
-    if not path_bridges:
-        return ChainDecomposition(
-            bridges=(),
-            stages=(StageProblem(
-                network=net,
-                gen_index=gen,
-                load_index=load,
-                gen_label=net.vertex_order[gen],
-                load_label=net.vertex_order[b_vertex],
-            ),),
-            augmented=(),
-        )
+    # one DFS from the generator labels every bus with its block; block b > 0
+    # is entered from block parent[b] < b through the bridge entry[b] = (x, y, e)
+    block = [-1] * net.n_bus
+    block[gen] = 0
+    parent: list[int] = [-1]
+    entry: list[tuple[int, int, int]] = [(-1, -1, -1)]
+    adj = _adjacency(net)
+    stack = [gen]
+    while stack:
+        u = stack.pop()
+        for w, e in adj[u]:
+            if block[w] != -1:
+                continue
+            if e in cut:
+                block[w] = len(parent)
+                parent.append(block[u])
+                entry.append((u, w, e))
+            else:
+                block[w] = block[u]
+            stack.append(w)
 
-    # orient each path bridge in path direction: leaves at x_l, enters at y_l
-    oriented: list[tuple[int, int, int]] = []  # (x, y, edge)
-    pos_on_path = {v: t for t, v in enumerate(path)}
-    for e in path_bridges:
-        u, v, _ = net.edges[e]
-        x, y = (u, v) if pos_on_path[u] < pos_on_path[v] else (v, u)
-        oriented.append((x, y, e))
-    oriented.sort(key=lambda t: pos_on_path[t[0]])
+    path = [block[load_bus]]
+    while path[-1]:  # up to the generator's block 0
+        path.append(parent[path[-1]])
+    path.reverse()
+    stage_of = {b: l for l, b in enumerate(path)}
+    oriented = [entry[b] for b in path[1:]]
+    m = len(path)
 
-    removed = {e for _, _, e in oriented}
-    comps = [sorted(_component(net, gen, removed))]
-    for _, y, _ in oriented:
-        comps.append(sorted(_component(net, y, removed)))
+    # an off-path block b lies in the subtree of top[b], which hangs from a
+    # path block; its buses form one off-path side
+    top = list(range(len(parent)))
+    for b in range(1, len(parent)):
+        if parent[b] not in stage_of:
+            top[b] = top[parent[b]]
+    home = [stage_of.get(block[v]) for v in range(net.n_bus)]  # stage of each kept bus
+    sides: dict[int, list[int]] = {}
+    for v, h in enumerate(home):
+        if h is None:
+            sides.setdefault(top[block[v]], []).append(v)
 
-    m = len(comps)
+    records: list[PrunedSubgraph] = []
+    pendants: list[list[tuple[Label, str, float]]] = [[] for _ in range(m)]
+    for t in sorted(sides, key=lambda t: entry[t][2]):
+        x, _, e = entry[t]
+        side, l = sides[t], stage_of[parent[t]]
+        if len(side) == 1:
+            home[side[0]] = l  # a one-bus side keeps its bus and edge
+            continue
+        kind = "generator" if side[0] < n_gen else "load"
+        new_label = f"~{kind[0]}{len(records)}"
+        records.append(PrunedSubgraph(
+            bridge=net.edge_label(e),
+            replaced=tuple(labels[v] for v in side),
+            kind=kind,
+            new_label=new_label,
+        ))
+        pendants[l].append((labels[x], new_label, net.edges[e][2]))
+
     stages: list[StageProblem] = []
-    augmented: list[tuple[str, str]] = []
-    for l in range(1, m):
-        augmented.append((f"p{l}", f"q{l}"))
-
-    for l in range(m):  # component l hosts stage l
-        members = set(comps[l])
-        gen_labels = [net.vertex_order[i] for i in comps[l] if i < net.n_gen]
-        load_labels = [net.vertex_order[i] for i in comps[l] if i >= net.n_gen]
-        edges = [
-            (net.vertex_order[u], net.vertex_order[v], be)
-            for (u, v, be) in net.edges
-            if u in members and v in members
-        ]
+    for l in range(m):
+        kept = [v for v in range(net.n_bus) if home[v] == l]
+        gen_labels = [labels[v] for v in kept if v < n_gen]
+        gen_labels += [c for _, c, _ in pendants[l] if c.startswith("~g")]
+        load_labels = [labels[v] for v in kept if v >= n_gen]
+        load_labels += [c for _, c, _ in pendants[l] if c.startswith("~l")]
+        edges = [(labels[u], labels[v], b) for u, v, b in net.edges if home[u] == home[v] == l]
+        edges += pendants[l]
+        stage_gen_label, stage_load_label = labels[gen], labels[load_bus]
         if l > 0:  # auxiliary generator where bridge l-1 enters
-            x, y, e = oriented[l - 1]
-            p_label = f"p{l}"
-            gen_labels.append(p_label)
-            edges.append((p_label, net.vertex_order[y], net.edges[e][2]))
-            stage_gen_label: Label = p_label
-        else:
-            stage_gen_label = net.vertex_order[gen]
+            _, y, e = oriented[l - 1]
+            stage_gen_label = f"p{l}"
+            gen_labels.append(stage_gen_label)
+            edges.append((stage_gen_label, labels[y], net.edges[e][2]))
         if l < m - 1:  # auxiliary load where bridge l leaves
-            x, y, e = oriented[l]
-            q_label = f"q{l + 1}"
-            load_labels.append(q_label)
-            edges.append((net.vertex_order[x], q_label, net.edges[e][2]))
-            stage_load_label: Label = q_label
-        else:
-            stage_load_label = net.vertex_order[b_vertex]
+            x, _, e = oriented[l]
+            stage_load_label = f"q{l + 1}"
+            load_labels.append(stage_load_label)
+            edges.append((labels[x], stage_load_label, net.edges[e][2]))
 
-        sub = assemble_network(gen_labels, load_labels, edges, sort_labels=False)
+        if m == 1 and not records:
+            sub = net
+        else:
+            sub = assemble_network(gen_labels, load_labels, edges, sort_labels=False)
         stages.append(StageProblem(
             network=sub,
             gen_index=sub.index_of(stage_gen_label),
@@ -304,7 +223,8 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
     return ChainDecomposition(
         bridges=tuple(e for _, _, e in oriented),
         stages=tuple(stages),
-        augmented=tuple(augmented),
+        augmented=tuple((f"p{l}", f"q{l}") for l in range(1, m)),
+        pruned=tuple(records),
     )
 
 
@@ -349,18 +269,7 @@ def worst_case_decomposed(
     if not 0 <= load < net.n_load:
         raise IndexError(f"load index {load} out of range")
 
-    pruned_net, prune_records = prune_offpath(net, gen, load)
-    decomp = chain_partition(
-        pruned_net,
-        pruned_net.index_of(net.vertex_order[gen]),
-        pruned_net.index_of(net.vertex_order[net.n_gen + load]) - pruned_net.n_gen,
-    )
-    decomp = ChainDecomposition(
-        bridges=decomp.bridges,
-        stages=decomp.stages,
-        augmented=decomp.augmented,
-        pruned=prune_records,
-    )
+    decomp = chain_partition(net, gen, load)
 
     def run_stage(stage: StageProblem) -> StageResult:
         if collect_ties:

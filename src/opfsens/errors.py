@@ -62,6 +62,10 @@ class DimensionMismatch(OpfSensError):
     """Vector or matrix dimensions do not agree with the network."""
 
 
+class InvalidLoad(OpfSensError):
+    """A load vector has a negative or non-finite entry."""
+
+
 class Infeasible(OpfSensError):
     """The OPF linear program has an empty feasible set."""
 
@@ -101,8 +105,3 @@ class NoValidSet(OpfSensError):
 class EmptyLoadSet(OpfSensError):
     """A MISO sensitivity query received an empty load set."""
 
-
-# --- decomposition --------------------------------------------------------
-
-class NoPath(OpfSensError):
-    """No path connects the requested generator and load."""

@@ -106,7 +106,7 @@ def require_independent(net: Network, bset: BindingSet) -> None:
 
 @dataclass(frozen=True)
 class JacobianResult:
-    """Sensitivity matrix with its constituent factors.
+    """Sensitivity matrix of one binding set.
 
     ``jac[i, j]`` is the derivative of generation ``i`` with respect to load
     ``j`` inside the active-set region; rows indexed by binding generators
@@ -114,8 +114,6 @@ class JacobianResult:
     """
 
     jac: np.ndarray      # n_gen x n_load
-    z_stack: np.ndarray  # n_bus x n_bus
-    psi: np.ndarray      # n_gen x n_bus
 
 
 def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
@@ -133,8 +131,7 @@ def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
         raise DependentBindings(f"{bset}: {exc}") from exc
     z_t = linalg.lu_solve_factored(factors, np.eye(net.n_bus))
     psi = net.laplacian[: net.n_gen, :] @ z_t
-    jac = -psi[:, : net.n_load]
-    return JacobianResult(jac=jac, z_stack=stack, psi=psi)
+    return JacobianResult(jac=-psi[:, : net.n_load])
 
 
 def jacobian_finite_diff(

@@ -31,6 +31,13 @@ _READ_COLUMNS = {
 }
 REQUIRED_TABLES = tuple(_READ_COLUMNS)
 
+# the columns that hold bus ids, which must be integers
+_ID_COLUMNS = {
+    "bus": (_BUS_I,),
+    "gen": (_GEN_BUS,),
+    "branch": (_BR_FROM, _BR_TO),
+}
+
 
 @dataclass(frozen=True)
 class MatpowerCase:
@@ -132,6 +139,8 @@ def _parse_matrix(name: str, body: str) -> list[list[float]]:
             )
         if not all(math.isfinite(row[c]) for c in read):
             raise MalformedMatrix(f"table '{name}': row {i} has a non-finite cell")
+        if not all(row[c].is_integer() for c in _ID_COLUMNS.get(name, ())):
+            raise MalformedMatrix(f"table '{name}': row {i} has a non-integral bus id")
     return rows
 
 
@@ -142,7 +151,8 @@ def parse_matpower(text: str) -> MatpowerCase:
     ------
     MalformedMatrix
         Unbalanced brackets, non-numeric cells, ragged rows, too few columns,
-        a non-finite cell in a column this package reads, bad baseMVA.
+        a non-finite cell in a column this package reads, a non-integral bus
+        id, bad baseMVA.
     MissingTable
         A required table (or baseMVA) is absent.
     DanglingReference

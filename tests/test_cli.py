@@ -131,6 +131,17 @@ def test_domain_error_exit_1(capsys):
     assert doc["error"]["type"] == "Infeasible"
 
 
+@pytest.mark.parametrize("first", ["-1", "nan"])
+def test_bad_load_exit_1(capsys, first):
+    """A negative or non-finite load is a domain error, like a load vector
+    of the wrong length, not a usage error."""
+    code, out, err = run_cli(capsys, "solve", "--case", CASE,
+                             f"--loads={first},0.2,0.2,0.2,0.2,0.2")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidLoad"
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sens-wcs", "--case", CASE])  # missing --pair

@@ -1,4 +1,5 @@
-"""Bridge finding, pruning, chain partitioning, and the product identity."""
+"""Bridge finding, the one-pass chain partition with its collapse records,
+and the product identity."""
 
 from __future__ import annotations
 
@@ -77,20 +78,23 @@ def test_prune_far_pair_keeps_everything(chain27):
     """For a first-copy generator against a last-copy load every non-spur
     bridge lies on the path: nothing prunable."""
     net, _ = chain27
-    pruned, records = ops.prune_offpath(net, 0, net.index_of("9''") - net.n_gen)
-    assert records == ()
-    assert pruned.n_bus == net.n_bus
+    decomp = ops.chain_partition(net, 0, net.index_of("9''") - net.n_gen)
+    assert decomp.pruned == ()
+    # every bus is in a stage; each split adds one auxiliary pair
+    n_bus = sum(s.network.n_bus for s in decomp.stages) - 2 * len(decomp.bridges)
+    assert n_bus == net.n_bus
 
 
 def test_prune_near_pair_collapses_far_copies(chain27):
     """Generator 1 against a first-copy load: both far copies collapse into a
     single generator bus behind the first tie."""
     net, _ = chain27
-    pruned, records = ops.prune_offpath(net, 0, net.index_of("5") - net.n_gen)
+    decomp = ops.chain_partition(net, 0, net.index_of("5") - net.n_gen)
+    records = decomp.pruned
     assert len(records) == 1
     assert records[0].kind == "generator"
     assert len(records[0].replaced) == 18
-    assert pruned.n_bus == 10
+    assert decomp.stages[0].network.n_bus == 10
 
 
 def test_prune_pendant_load_subtree():
@@ -101,11 +105,12 @@ def test_prune_pendant_load_subtree():
          (4, 5, 1.0), (5, 6, 1.0)],
     )
     # subtree {5, 6} hangs off 4; pair (gen 1, load 3) never crosses it
-    pruned, records = ops.prune_offpath(base, 0, 0)
+    decomp = ops.chain_partition(base, 0, 0)
+    records = decomp.pruned
     assert len(records) == 1
     assert records[0].kind == "load"
     assert records[0].replaced == (5, 6)
-    assert pruned.n_bus == 5
+    assert decomp.stages[0].network.n_bus == 5
 
 
 def test_prune_single_pendant_is_identity():
@@ -114,16 +119,28 @@ def test_prune_single_pendant_is_identity():
         [1, 2], [3, 4, 5],
         [(1, 3, 1.0), (3, 4, 2.0), (4, 2, 1.0), (3, 4, 3.0), (4, 5, 1.0)],
     )
-    pruned, records = ops.prune_offpath(base, 0, 0)
-    assert records == ()
-    assert pruned.n_bus == 5
+    decomp = ops.chain_partition(base, 0, 0)
+    assert decomp.pruned == ()
+    assert decomp.stages[0].network.n_bus == 5
 
 
 def test_prune_bridge_free_identity():
     net = cycle_graph()
-    pruned, records = ops.prune_offpath(net, 0, 0)
-    assert records == ()
-    assert pruned.vertex_order == net.vertex_order
+    decomp = ops.chain_partition(net, 0, 0)
+    assert decomp.pruned == ()
+    assert decomp.stages[0].network.vertex_order == net.vertex_order
+
+
+def _assert_records_partition(net, decomp):
+    """The collapse records name disjoint sets of original buses, and every
+    original bus lies in exactly one record or exactly one stage network
+    (the ``p``/``q``/``~`` buses of the stages do not count)."""
+    original = set(net.vertex_order)
+    replaced = [lab for rec in decomp.pruned for lab in rec.replaced]
+    assert len(replaced) == len(set(replaced))
+    assert not any(str(lab).startswith("~") for lab in replaced)
+    staged = [lab for s in decomp.stages for lab in s.network.vertex_order if lab in original]
+    assert sorted(map(str, replaced + staged)) == sorted(map(str, original))
 
 
 def test_chain_partition_27bus(chain27):
@@ -218,7 +235,10 @@ def _random_bridge_network(seed):
     return assemble_network(gens, loads, all_edges)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 23])
+RANDOM_SEEDS = [*range(20), 23]
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_decomposed_equals_direct_random_topologies(seed):
     """The product identity holds on arbitrary bridge structures, not just
     chains: random blobs in a tree, random splits, every pair checked."""
@@ -227,7 +247,24 @@ def test_decomposed_equals_direct_random_topologies(seed):
     for i in range(net.n_gen):
         for j in range(net.n_load):
             res = ops.worst_case_decomposed(net, i, j)
-            assert abs(res.value - rep.cwc[i, j]) <= 1e-6
+            assert res.value == pytest.approx(rep.cwc[i, j], rel=1e-9)
+
+
+def test_records_partition_original_buses(chain27):
+    """Every pair of the 27-bus chain and of the random topologies: one
+    record per maximal off-path side, disjoint from the stages. A nested
+    side is one record, so no record names a collapsed ``~`` bus."""
+    nets = [chain27[0]] + [_random_bridge_network(seed) for seed in RANDOM_SEEDS]
+    for net in nets:
+        for i in range(net.n_gen):
+            for j in range(net.n_load):
+                _assert_records_partition(net, ops.chain_partition(net, i, j))
+    # the decomposed query reports the same records: generator 1'' against
+    # load 5'' collapses both other copies behind one bridge
+    net = chain27[0]
+    res = ops.worst_case_decomposed(net, net.index_of("1''"), net.index_of("5''") - net.n_gen)
+    _assert_records_partition(net, res.decomposition)
+    assert [len(rec.replaced) for rec in res.decomposition.pruned] == [18]
 
 
 def test_decomposed_chunk_invariance(chain27, monkeypatch):

@@ -186,6 +186,22 @@ def test_non_finite_cell_rejected(cells, bad):
         ops.build_network(ops.parse_matpower(MINI_CASE.replace(cells, bad)))
 
 
+@pytest.mark.parametrize("table, cells, bad", [
+    ("bus", "\t5\t1\t90\t", "\t5.5\t1\t90\t"),
+    ("gen", "\t3\t85\t", "\t3.5\t85\t"),
+    ("branch", "\t4\t5\t0.017", "\t4\t5.5\t0.017"),
+])
+def test_fractional_bus_id_exit_1(case9_text, tmp_path, capsys, table, cells, bad):
+    """A bus id that is not an integer is a malformed table, not truncated."""
+    assert case9_text.count(cells) == 1
+    path = tmp_path / "fractional.m"
+    path.write_text(case9_text.replace(cells, bad))
+    assert main(["report", "--case", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err["type"] == "MalformedMatrix"
+    assert f"table '{table}'" in err["message"]
+
+
 def test_inverted_limits_are_domain_errors():
     case = ops.parse_matpower(MINI_CASE.replace("200 0 0 0", "-5 0 0 0"))
     with pytest.raises(InvalidLimits):
