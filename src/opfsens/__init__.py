@@ -12,13 +12,11 @@ from importlib import resources
 from . import errors
 from .dcopf import (
     OpfSolution,
-    StandardFormLp,
     check_regularity,
     extract_binding_set,
     kkt_residuals,
     solve_opf,
     solve_opf_regular,
-    standard_form,
 )
 from .decompose import (
     ChainDecomposition,
@@ -30,7 +28,6 @@ from .decompose import (
 from .jacobian import (
     BindingSet,
     JacobianResult,
-    build_z_stack,
     independence_check,
     jacobian_finite_diff,
     jacobian_from_binding,
@@ -66,9 +63,9 @@ __all__ = [
     "Network", "OpfParams", "TieLine",
     "build_network", "build_chain", "load_chain_config", "nominal_loads",
     "offline_generator",
-    "OpfSolution", "StandardFormLp", "standard_form", "solve_opf",
+    "OpfSolution", "solve_opf",
     "solve_opf_regular", "kkt_residuals", "extract_binding_set", "check_regularity",
-    "BindingSet", "JacobianResult", "build_z_stack", "jacobian_from_binding",
+    "BindingSet", "JacobianResult", "jacobian_from_binding",
     "jacobian_finite_diff", "independence_check",
     "SensitivityReport", "enumerate_binding_sets", "worst_case_siso",
     "worst_case_all", "worst_case_miso", "local_sensitivity", "structural_check",

@@ -10,9 +10,9 @@ The problem in network terms::
                 flow_lower <= B C' theta    <= flow_upper
 
 Internally the equalities are solved as genuine equalities (the reference
-angle is eliminated). The doubled-inequality standard form is materialized
-separately, as the reference that the constraint-stack independence test
-(:func:`jacobian.independence_check`) is checked against in the tests.
+angle is eliminated). The doubled-inequality standard form, the reference
+that the independence test (:func:`jacobian.independence_check`) is checked
+against, is built by the test suite's oracles alone.
 """
 
 from __future__ import annotations
@@ -49,71 +49,6 @@ def check_load(net: Network, load: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(load)) or np.any(load < 0):
         raise InvalidLoad("loads must be finite and nonnegative")
     return load
-
-
-@dataclass(frozen=True)
-class StandardFormLp:
-    """All-inequality form ``A x <= b`` with ``x = [s_g; theta]``.
-
-    Each equality appears as two opposite-sign rows. This form is the
-    reference the constraint-stack independence test is checked against.
-    ``row_tags`` names every row: ``slack+|slack-``, ``balance+(v)|balance-(v)``,
-    ``gen-upper(i)`` / ``gen-lower(i)``, ``flow-upper(e)`` / ``flow-lower(e)``.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    row_tags: tuple[str, ...]
-
-
-def standard_form(net: Network, params: OpfParams, load: np.ndarray) -> StandardFormLp:
-    """Assemble the doubled-inequality standard form of the dispatch LP."""
-    load = check_load(net, load)
-    params.validate(net)
-    n, n_g, m = net.n_bus, net.n_gen, net.n_edge
-    if net.n_load == 0:
-        raise DimensionMismatch("network has no load buses")
-
-    lap = net.laplacian
-    bct = net.flow_matrix
-    w = np.zeros((n, n_g))
-    w[:n_g, :] = np.eye(n_g)
-    y = np.concatenate([np.zeros(n_g), -load])
-
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    zeros_g = np.zeros(n_g)
-
-    rows = [
-        np.concatenate([zeros_g, e1])[None, :],
-        -np.concatenate([zeros_g, e1])[None, :],
-        np.hstack([-w, lap]),
-        np.hstack([w, -lap]),
-        np.hstack([np.eye(n_g), np.zeros((n_g, n))]),
-        np.hstack([-np.eye(n_g), np.zeros((n_g, n))]),
-        np.hstack([np.zeros((m, n_g)), bct]),
-        np.hstack([np.zeros((m, n_g)), -bct]),
-    ]
-    a = np.vstack(rows)
-    b = np.concatenate([
-        [0.0, 0.0], y, -y,
-        params.gen_upper, -params.gen_lower,
-        params.flow_upper, -params.flow_lower,
-    ])
-    c = np.concatenate([params.cost, np.zeros(n)])
-
-    labels = [str(v) for v in net.vertex_order]
-    tags = (
-        ["slack+", "slack-"]
-        + [f"balance+({v})" for v in labels]
-        + [f"balance-({v})" for v in labels]
-        + [f"gen-upper({v})" for v in labels[:n_g]]
-        + [f"gen-lower({v})" for v in labels[:n_g]]
-        + [f"flow-upper({e})" for e in range(m)]
-        + [f"flow-lower({e})" for e in range(m)]
-    )
-    return StandardFormLp(a=a, b=b, c=c, row_tags=tuple(tags))
 
 
 @dataclass(frozen=True)
@@ -352,7 +287,7 @@ def extract_binding_set(sol: OpfSolution, net: Network, params: OpfParams) -> _j
 
     Raises :class:`DegeneratePoint` when the binding-inequality count is not
     ``n_gen - 1`` (the load sits outside the regular region) and
-    :class:`DependentBindings` when the constraint stack is singular.
+    :class:`DependentBindings` when the set fails the independence test.
     """
     gens = _at_limit(sol.gen, params.gen_upper, params.gen_lower)
     branches = _at_limit(sol.flows, params.flow_upper, params.flow_lower)

@@ -53,7 +53,7 @@ class DisconnectedChain(OpfSensError):
 # --- linear algebra -------------------------------------------------------
 
 class Singular(OpfSensError):
-    """A factorization pivot fell below threshold: dependent constraint stack."""
+    """A factorization pivot fell below threshold: the matrix is dependent."""
 
 
 # --- LP / OPF solving -----------------------------------------------------
@@ -83,7 +83,7 @@ class DegeneratePoint(OpfSensError):
 
 
 class DependentBindings(OpfSensError):
-    """The binding-set constraint stack is singular (sets not independent)."""
+    """The binding set fails the independence test (its rows are dependent)."""
 
 
 # --- Jacobian construction ------------------------------------------------

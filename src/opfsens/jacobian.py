@@ -3,7 +3,7 @@
 Given the set of binding generators and the set of binding branches (which
 together must have ``n_gen - 1`` members), the optimal generation response
 to load changes is a fixed linear map determined purely by the graph. It is
-read off the inverse of the square row stack::
+read off the inverse of the square row stack ``Z``::
 
     [ load rows of L          ]
     [ binding-gen rows of L   ]      (n_bus x n_bus)
@@ -15,6 +15,20 @@ binding quantities, and the last row pins the reference angle: together they
 determine the angles, hence all generations. The map is independent of which
 side (upper or lower) each constraint binds, because a bound value only
 shifts the affine offset, never the coefficient row.
+
+The package never factors that stack. Its load rows and reference row fix
+the angles up to the span of ``N``, the angles that injections at
+generators 2..n_gen produce (:class:`~opfsens.network.PtdfBasis`). So with
+``S`` the binding rows, ``G`` the generator rows of ``L`` and ``theta_p``
+the angles that load injections produce, the stack is invertible exactly
+when the ``k x k`` matrix ``S N`` is (``k = n_gen - 1``), and::
+
+    J = -(G theta_p - G N (S N)^-1 S theta_p)
+
+The independence test is the pivot ratio of ``S N``
+(:func:`linalg.lu_factor_checked`). The set scan, :func:`independence_check`
+and :func:`jacobian_from_binding` all apply it through
+:func:`reduced_factors`, so they agree by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import CardinalityViolation, DependentBindings, RegionBoundary, Singular
+from .errors import CardinalityViolation, DependentBindings, RegionBoundary
 from .network import Network
 
 @dataclass(frozen=True, order=True)
@@ -63,45 +77,56 @@ def _check_cardinality(net: Network, bset: BindingSet) -> None:
         raise CardinalityViolation(f"branch index {bset.branches[-1]} out of range")
 
 
-def build_z_stack(net: Network, bset: BindingSet) -> np.ndarray:
-    """Assemble the square constraint stack for a binding set.
-
-    Row order: load rows of the Laplacian, binding-generator rows of the
-    Laplacian, binding-branch rows of the flow matrix, reference-angle row.
-    """
+def pool_rows(net: Network, bset: BindingSet) -> np.ndarray:
+    """Indices of a binding set's rows in the PTDF pool: its generators,
+    then ``n_gen`` plus each branch."""
     _check_cardinality(net, bset)
-    n = net.n_bus
-    e1 = np.zeros((1, n))
-    e1[0, 0] = 1.0
-    return np.vstack([
-        net.laplacian[net.n_gen :, :],
-        net.laplacian[list(bset.gens), :],
-        net.flow_matrix[list(bset.branches), :],
-        e1,
-    ])
+    return np.array(bset.gens + tuple(net.n_gen + e for e in bset.branches), dtype=np.intp)
+
+
+def reduced_factors(net: Network, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor ``S N`` for a stack of candidate sets, ``rows`` holding the pool
+    indices of one set per row: :func:`linalg.lu_factor_checked` of the
+    ``(len(rows), k, k)`` gather, verdicts included."""
+    return linalg.lu_factor_checked(net.ptdf_basis.pool_n[rows])
+
+
+def reduced_jacobians(net: Network, rows: np.ndarray) -> np.ndarray:
+    """Signed Jacobians ``(len(rows), n_gen, n_load)`` of independent sets:
+    one batched solve with ``S N`` for ``(S N)^-1 S theta_p``."""
+    basis = net.ptdf_basis
+    y = np.linalg.solve(basis.pool_n[rows], basis.pool_p[rows])
+    return basis.pool_n[: net.n_gen] @ y - basis.pool_p[: net.n_gen]
+
+
+def _checked_rows(net: Network, bset: BindingSet) -> np.ndarray:
+    """The set's pool rows as a stack of one; :class:`DependentBindings`
+    unless it passes the independence test."""
+    rows = pool_rows(net, bset)[None]
+    lu, _, ok = reduced_factors(net, rows)
+    if not ok[0]:
+        pivots = np.abs(np.diagonal(lu[0]))
+        raise DependentBindings(
+            f"binding set gens={bset.gens} branches={bset.branches} is dependent: "
+            f"smallest pivot of S N {np.nanmin(pivots):.3e}"
+        )
+    return rows
 
 
 def independence_check(net: Network, bset: BindingSet) -> bool:
-    """True when the stack passes the project independence test
-    (:func:`linalg.lu_factor_checked`), the one the set scan applies.
+    """True when ``S N`` passes the project independence test, the one the
+    set scan applies.
 
-    Because the stack always contains the (always-binding) equality rows,
-    invertibility here coincides with row-independence of the binding rows in
-    the doubled-inequality standard form.
+    Because the full stack always contains the (always-binding) equality
+    rows, invertibility coincides with row-independence of the binding rows
+    in the doubled-inequality standard form.
     """
-    try:
-        linalg.lu_factor_checked(build_z_stack(net, bset))
-    except Singular:
-        return False
-    return True
+    return bool(reduced_factors(net, pool_rows(net, bset)[None])[2][0])
 
 
 def require_independent(net: Network, bset: BindingSet) -> None:
     """Raise :class:`DependentBindings` unless the set passes independence."""
-    if not independence_check(net, bset):
-        raise DependentBindings(
-            f"binding set gens={bset.gens} branches={bset.branches} has a singular stack"
-        )
+    _checked_rows(net, bset)
 
 
 @dataclass(frozen=True)
@@ -117,21 +142,12 @@ class JacobianResult:
 
 
 def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
-    """Closed-form Jacobian of optimal generation w.r.t. loads for one set.
-
-    Inverts the constraint stack and propagates generator balance rows
-    through it; the load-column block (negated, because load injections enter
-    the balance with a minus sign) is the Jacobian. Raises
-    :class:`DependentBindings` when the stack fails the independence test.
+    """Closed-form Jacobian of optimal generation w.r.t. loads for one set:
+    ``-(G theta_p - G N (S N)^-1 S theta_p)``, the load-column block of
+    ``-G`` times the stack inverse. Raises :class:`DependentBindings` when
+    ``S N`` fails the independence test.
     """
-    stack = build_z_stack(net, bset)
-    try:
-        factors = linalg.lu_factor_checked(stack)
-    except Singular as exc:
-        raise DependentBindings(f"{bset}: {exc}") from exc
-    z_t = linalg.lu_solve_factored(factors, np.eye(net.n_bus))
-    psi = net.laplacian[: net.n_gen, :] @ z_t
-    return JacobianResult(jac=-psi[:, : net.n_load])
+    return JacobianResult(jac=reduced_jacobians(net, _checked_rows(net, bset))[0])
 
 
 def jacobian_finite_diff(

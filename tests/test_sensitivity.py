@@ -14,6 +14,7 @@ from opfsens.jacobian import BindingSet
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count
 
+import oracles
 from conftest import random_regular_params
 
 
@@ -46,6 +47,17 @@ def test_enumeration_star_two_generators():
         BindingSet((), (0,)), BindingSet((), (1,)),
         BindingSet((0,), ()), BindingSet((1,), ()),
     ]
+
+
+@pytest.mark.parametrize("combo_rows", [sensitivity.COMBO_ROWS, 40, 1])
+def test_candidate_order_matches_itertools(net9, chain18, two_bus, monkeypatch, combo_rows):
+    """The numpy-built candidate rows list every set once, in the
+    lexicographic order itertools gives, also when long combination lists
+    are built a prefix at a time from a short table."""
+    monkeypatch.setattr(sensitivity, "COMBO_ROWS", combo_rows)
+    star = assemble_network([1, 2], [3], [(1, 3, 5.0), (2, 3, 7.0)])
+    for net in (net9, chain18[0], two_bus[0], star):
+        assert list(sensitivity.candidate_sets(net)) == oracles.lex_candidates(net)
 
 
 def test_worst_case_siso_published(net9, table9):
