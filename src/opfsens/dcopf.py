@@ -149,7 +149,8 @@ def solve_opf(net: Network, params: OpfParams, load: np.ndarray) -> OpfSolution:
     a, b, c, sl = _equality_form(net, params, load)
     lp = solve_lp(c, a, b)
 
-    gen = lp.x[:n_g]
+    # copies, not views: a kept solution must not hold the LP's whole vectors
+    gen = lp.x[:n_g].copy()
     theta = np.concatenate([[0.0], lp.x[sl["tp"]] - lp.x[sl["tm"]]])
     flows = net.flow_matrix @ theta
 
@@ -163,7 +164,7 @@ def solve_opf(net: Network, params: OpfParams, load: np.ndarray) -> OpfSolution:
     lam_up = -y_gu
     lam_lo = y_gl + lp.reduced_costs[:n_g]
     mu_up = -y_fu
-    mu_lo = y_fl
+    mu_lo = y_fl.copy()
     # the eliminated reference-angle multiplier, recovered from stationarity
     tau_bal = -y_bal
     tau_ref = -(net.laplacian[:, 0] @ tau_bal + net.incidence[0] @ (

@@ -28,7 +28,10 @@ when the ``k x k`` matrix ``S N`` is (``k = n_gen - 1``), and::
 The independence test is the pivot ratio of ``S N``
 (:func:`linalg.lu_factor_checked`). The set scan, :func:`independence_check`
 and :func:`jacobian_from_binding` all apply it through
-:func:`reduced_factors`, so they agree by construction.
+:func:`reduced_factors`, so they agree by construction. The Jacobian is then
+solved from those same factors (:func:`reduced_jacobians`), for only the
+load columns a caller reads, so it comes from exactly the pivots the test
+judged.
 """
 
 from __future__ import annotations
@@ -91,26 +94,41 @@ def reduced_factors(net: Network, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return linalg.lu_factor_checked(net.ptdf_basis.pool_n[rows])
 
 
-def reduced_jacobians(net: Network, rows: np.ndarray) -> np.ndarray:
-    """Signed Jacobians ``(len(rows), n_gen, n_load)`` of independent sets:
-    one batched solve with ``S N`` for ``(S N)^-1 S theta_p``."""
-    basis = net.ptdf_basis
-    y = np.linalg.solve(basis.pool_n[rows], basis.pool_p[rows])
-    return basis.pool_n[: net.n_gen] @ y - basis.pool_p[: net.n_gen]
+def reduced_jacobians(
+    net: Network, rows: np.ndarray, factors: tuple[np.ndarray, np.ndarray], loads: np.ndarray
+) -> np.ndarray:
+    """Signed Jacobians ``(len(rows), n_gen, len(loads))`` of independent
+    sets, for the load columns ``loads`` only.
+
+    ``factors`` are the ``(lu, piv)`` of ``S N`` from :func:`reduced_factors`
+    for exactly these rows, the ones whose verdict passed, so the solve
+    ``y = (S N)^-1 S theta_p`` uses the pivots the test judged. The
+    generator rows of the pool are exact (:class:`~opfsens.network.PtdfBasis`:
+    ``G N`` is a row of minus ones over the identity, ``G theta_p`` a row of
+    minus ones over zeros), so row ``g > 0`` of the Jacobian is row ``g - 1``
+    of ``y`` and row 0 is ``1 - y_0 - y_1 - ...``, subtracted left to right.
+    Each column is computed on its own: a subset of ``loads`` gives the same
+    columns bit for bit.
+    """
+    rhs = net.ptdf_basis.pool_p[rows[:, :, None], loads]
+    y = linalg.lu_solve_factored(factors, rhs).transpose(1, 2, 0)  # (k, loads, sets)
+    jac = np.concatenate([np.ones((1,) + y.shape[1:]), y])
+    jac[0] = np.subtract.reduce(jac)
+    return np.ascontiguousarray(jac.transpose(2, 0, 1))
 
 
-def _checked_rows(net: Network, bset: BindingSet) -> np.ndarray:
-    """The set's pool rows as a stack of one; :class:`DependentBindings`
-    unless it passes the independence test."""
+def _checked(net: Network, bset: BindingSet) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The set's pool rows as a stack of one and their factors;
+    :class:`DependentBindings` unless it passes the independence test."""
     rows = pool_rows(net, bset)[None]
-    lu, _, ok = reduced_factors(net, rows)
+    lu, piv, ok = reduced_factors(net, rows)
     if not ok[0]:
         pivots = np.abs(np.diagonal(lu[0]))
         raise DependentBindings(
             f"binding set gens={bset.gens} branches={bset.branches} is dependent: "
             f"smallest pivot of S N {np.nanmin(pivots):.3e}"
         )
-    return rows
+    return rows, (lu, piv)
 
 
 def independence_check(net: Network, bset: BindingSet) -> bool:
@@ -126,7 +144,7 @@ def independence_check(net: Network, bset: BindingSet) -> bool:
 
 def require_independent(net: Network, bset: BindingSet) -> None:
     """Raise :class:`DependentBindings` unless the set passes independence."""
-    _checked_rows(net, bset)
+    _checked(net, bset)
 
 
 @dataclass(frozen=True)
@@ -147,7 +165,8 @@ def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
     ``-G`` times the stack inverse. Raises :class:`DependentBindings` when
     ``S N`` fails the independence test.
     """
-    return JacobianResult(jac=reduced_jacobians(net, _checked_rows(net, bset))[0])
+    rows, factors = _checked(net, bset)
+    return JacobianResult(jac=reduced_jacobians(net, rows, factors, np.arange(net.n_load))[0])
 
 
 def jacobian_finite_diff(

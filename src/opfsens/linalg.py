@@ -4,8 +4,9 @@ solves, numerical rank.
 Matrices are plain ``numpy.ndarray`` (row-major, float64). Factorization and
 solves take a single matrix or a stack ``(..., n, n)`` of them and run as one
 sequence of whole-stack numpy operations, ``n`` column steps with no call per
-matrix. The independence tolerance is fixed project-wide at
-:data:`RANK_REL_TOL`.
+matrix. Internally a stack is held batch-last, ``(n, n, batch)``, so each
+step reads and writes contiguous rows of every matrix at once. The
+independence tolerance is fixed project-wide at :data:`RANK_REL_TOL`.
 """
 
 from __future__ import annotations
@@ -36,63 +37,94 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Each matrix is factored exactly as it would be alone; the factors of a
     dependent one are not for solving. A single dependent matrix raises
     :class:`Singular`.
+
+    The stack is eliminated batch-last, as one ``(n, n, batch)`` array, so
+    every step works on contiguous rows of the whole stack and swaps rows
+    with one gather and one scatter through flat offsets. ``lu`` is a view
+    of that array.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     n = a.shape[-1]
-    lu = a.reshape(math.prod(a.shape[:-2]), n, n).copy()
-    piv = np.empty(lu.shape[:2], dtype=np.intp)
-    at = np.arange(len(lu))
+    count = math.prod(a.shape[:-2])
+    w = a.reshape(count, n, n).transpose(1, 2, 0).copy()
+    piv = np.empty((n, count), dtype=np.intp)
+    # flat offsets of row 0 of w; row p of matrix b adds p * n * count
+    flat, cells = w.reshape(-1), np.arange(n * count).reshape(n, count)
     # an exact zero pivot divides zeros by zero: the NaN multipliers that
     # follow only reach matrices the test rejects anyway
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(n - 1):
-            p = j + np.abs(lu[:, j:, j]).argmax(axis=1)
-            piv[:, j] = p
-            row = lu[at, p]
-            lu[at, p] = lu[:, j]
-            lu[:, j] = row
-            below = lu[:, j + 1 :, j]
-            below /= row[:, j, None]
-            lu[:, j + 1 :, j + 1 :] -= below[:, :, None] * row[:, None, j + 1 :]
-    piv[:, n - 1 :] = n - 1
-    pivots = np.abs(lu.diagonal(axis1=1, axis2=2))
-    scale = np.maximum(pivots.max(axis=1, initial=0.0), 1.0)
-    independent = pivots.min(axis=1, initial=np.inf) > RANK_REL_TOL * scale
+            p = piv[j] = np.abs(w[j:, j]).argmax(axis=0) + j
+            at = p * (n * count) + cells
+            row = flat[at]
+            flat[at] = w[j]
+            w[j] = row
+            below = w[j + 1 :, j]
+            below /= row[j]
+            rest = w[j + 1 :, j + 1 :]
+            rest -= below[:, None] * row[j + 1 :]
+    piv[n - 1 :] = n - 1
+    pivots = np.abs(w.diagonal().T)
+    scale = pivots.max(axis=0, initial=1.0)
+    independent = pivots.min(axis=0, initial=np.inf) > RANK_REL_TOL * scale
     if a.ndim == 2 and not independent[0]:
         raise Singular(
             f"pivot {np.nanmin(pivots):.3e} at most {RANK_REL_TOL:g} x the larger of 1 "
             f"and the largest pivot {np.nanmax(pivots):.3e}"
         )
-    return lu.reshape(a.shape), piv.reshape(a.shape[:-1]), independent.reshape(a.shape[:-2])
+    return (
+        w.transpose(2, 0, 1).reshape(a.shape),
+        piv.T.reshape(a.shape[:-1]),
+        independent.reshape(a.shape[:-2]),
+    )
 
 
 def lu_solve_factored(factors: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
-    """Solve with factors from :func:`lu_factor_checked`, one right-hand side
-    (a vector or a matrix of columns) for every factored matrix."""
+    """Solve with factors from :func:`lu_factor_checked`.
+
+    ``rhs`` is either one right-hand side shared by every factored matrix (a
+    vector or a matrix of columns, ``n`` rows), or one per matrix: a stack
+    ``(..., n, m)`` whose leading shape is the factored stack's. The
+    substitution runs batch-last like the factorization, each column of the
+    solution computed on its own, so solving a subset of columns gives those
+    columns bit for bit.
+    """
     lu, piv = factors[:2]
     rhs = np.asarray(rhs, dtype=float)
     n = lu.shape[-1]
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise DimensionMismatch(f"rhs has shape {rhs.shape}, matrix has {n} rows")
     batch = lu.shape[:-2]
     count = math.prod(batch)
-    b = rhs[:, None] if rhs.ndim == 1 else rhs
-    x = np.broadcast_to(b, (count,) + b.shape).copy()
-    lu, piv = lu.reshape(count, n, n), piv.reshape(count, n)
-    at = np.arange(count)
-    for j in range(n):
-        p = piv[:, j]
-        row = x[at, p]
-        x[at, p] = x[:, j]
-        x[:, j] = row
-    for j in range(n):
-        x[:, j + 1 :] -= lu[:, j + 1 :, j, None] * x[:, j, None]
+    if rhs.ndim > 2:
+        if rhs.shape[:-1] != batch + (n,):
+            raise DimensionMismatch(f"rhs has shape {rhs.shape}, factors have {lu.shape}")
+        x = rhs.reshape(count, n, rhs.shape[-1]).transpose(1, 2, 0).copy()
+        shape = rhs.shape
+    else:
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+            raise DimensionMismatch(f"rhs has shape {rhs.shape}, matrix has {n} rows")
+        b = rhs[:, None] if rhs.ndim == 1 else rhs
+        x = np.broadcast_to(b[..., None], b.shape + (count,)).copy()
+        shape = batch + rhs.shape
+    lu = np.ascontiguousarray(lu.reshape(count, n, n).transpose(1, 2, 0))
+    # flat offsets of row 0 of x, then of the rows that steps 0..n-2 swap in
+    flat, cells = x.reshape(-1), np.arange(math.prod(x.shape[1:])).reshape(x.shape[1:])
+    at = piv.reshape(count, n).T[:-1, None] * cells.size + cells
+    for j, to in enumerate(at):
+        row = flat[to]
+        flat[to] = x[j]
+        x[j] = row
+    for j in range(n - 1):
+        rest = x[j + 1 :]
+        rest -= lu[j + 1 :, j, None] * x[j]
     for j in reversed(range(n)):
-        x[:, j] /= lu[:, j, j, None]
-        x[:, :j] -= lu[:, :j, j, None] * x[:, j, None]
-    return x.reshape(batch + rhs.shape)
+        xj = x[j]
+        xj /= lu[j, j]
+        if j:
+            head = x[:j]
+            head -= lu[:j, j, None] * xj
+    return x.transpose(2, 0, 1).reshape(shape)
 
 
 def numerical_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:

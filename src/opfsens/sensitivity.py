@@ -8,8 +8,11 @@ walks the candidate sets in lexicographic order, a chunk at a time, and every
 query here reduces over it. A chunk is an array of pool row indices, built
 with numpy from tables of branch combinations; it is tested and solved in
 the reduced ``k x k`` space of :mod:`~opfsens.jacobian` by one batched
-factorization and one batched solve. Index rows become ``(gens, branches)``
-keys only for the records a query keeps.
+factorization, and its independent sets are solved from those same factors
+for only the load columns the query reads: one for a single pair and its
+ties, the load set for MISO, every load for the whole table, none for
+enumeration. Index rows become ``(gens, branches)`` keys only for the
+records a query keeps.
 
 Tie rule: the reported value is the maximum, and the reported set is the
 first independent set in lexicographic order whose value is at least the
@@ -163,34 +166,41 @@ def _chunks(blocks: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
         yield np.concatenate(pending)
 
 
-def _scan(net: Network) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """The one pass over the candidate sets, ``CHUNK`` at a time in
     lexicographic order: yields the pool rows of each chunk's independent
-    sets and their signed Jacobians, shape ``(len(rows), n_gen, n_load)``.
+    sets and their signed Jacobians for the load columns ``loads``, shape
+    ``(len(rows), n_gen, len(loads))``, solved from the factors the test
+    passed; with no ``loads`` nothing is solved and the Jacobians are None.
     Chunks span generator subsets, so a small network is one kernel call."""
+    loads = np.asarray(loads, dtype=np.intp)
     for rows in _chunks(_candidate_rows(net), CHUNK):
-        ok = reduced_factors(net, rows)[2]
+        lu, piv, ok = reduced_factors(net, rows)
         if ok.any():
-            yield rows[ok], reduced_jacobians(net, rows[ok])
+            rows = rows[ok]
+            jac = reduced_jacobians(net, rows, (lu[ok], piv[ok]), loads) if loads.size else None
+            yield rows, jac
 
 
 def _fold(
     net: Network,
+    loads: Sequence[int],
     score: Callable[[np.ndarray], np.ndarray],
     all_ties: bool = False,
 ) -> tuple[np.ndarray, list[list[tuple[float, Key]]], int]:
     """Reduce the scan under the tie rule.
 
-    ``score`` maps a chunk of Jacobians to values ``(k, m)``, one column per
-    reported entry. Returns the maxima ``(m,)``, the kept ``(value, key)``
-    list of each entry, whose first key is the argmax, and the number of
-    independent sets. The argmax beats every set before it, so only such
-    records within :data:`TIE_TOL` of the running maximum are kept; with
-    ``all_ties`` every set within :data:`TIE_TOL` of it is.
+    ``score`` maps a chunk of Jacobians, restricted to the load columns
+    ``loads``, to values ``(k, m)``, one column per reported entry. Returns
+    the maxima ``(m,)``, the kept ``(value, key)`` list of each entry, whose
+    first key is the argmax, and the number of independent sets. The argmax
+    beats every set before it, so only such records within :data:`TIE_TOL`
+    of the running maximum are kept; with ``all_ties`` every set within
+    :data:`TIE_TOL` of it is.
     """
     best = kept = None
     valid = 0
-    for rows, jac in _scan(net):
+    for rows, jac in _scan(net, loads):
         vals = score(jac)
         if best is None:
             best = np.full(vals.shape[1], -np.inf)
@@ -205,7 +215,8 @@ def _fold(
             kept[p] = [entry for entry in kept[p] if entry[0] >= floor[p]]
         for t, p in zip(*np.nonzero(take)):
             kept[p].append((vals[t, p], _key(net, rows[t])))
-        best = running[-1]
+        # a copy: a view would keep the whole running array alive in reports
+        best = running[-1].copy()
     if not valid:
         raise NoValidSet("no independent binding set exists for this network")
     return best, kept, valid
@@ -213,7 +224,7 @@ def _fold(
 
 def enumerate_binding_sets(net: Network) -> Iterator[BindingSet]:
     """Yield every independent binding set in lexicographic order."""
-    for rows, _ in _scan(net):
+    for rows, _ in _scan(net, ()):
         for row in rows:
             yield BindingSet(*_key(net, row))
 
@@ -246,7 +257,7 @@ def worst_case_siso(net: Network, gen: int, load: int) -> tuple[float, BindingSe
     ``n_gen + j``).
     """
     _check_pair(net, gen, load)
-    best, kept, _ = _fold(net, lambda jac: np.abs(jac[:, gen, load, None]))
+    best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]))
     return float(best[0]), BindingSet(*kept[0][0][1])
 
 
@@ -262,14 +273,14 @@ def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float
         raise IndexError(f"load indices {loads} out of range")
     if not 0 <= gen < net.n_gen:
         raise IndexError(f"generator index {gen} out of range")
-    best, kept, _ = _fold(net, lambda jac: np.linalg.norm(jac[:, gen, loads], axis=1)[:, None])
+    best, kept, _ = _fold(net, loads, lambda jac: np.linalg.norm(jac[:, gen], axis=1)[:, None])
     return float(best[0]), BindingSet(*kept[0][0][1])
 
 
 def worst_case_all(net: Network) -> SensitivityReport:
     """Worst cases for every pair in one enumeration pass."""
     n_l = net.n_load
-    best, kept, valid = _fold(net, lambda jac: np.abs(jac).reshape(len(jac), -1))
+    best, kept, valid = _fold(net, range(n_l), lambda jac: np.abs(jac).reshape(len(jac), -1))
     argmax = [BindingSet(*entries[0][1]) for entries in kept]
     return SensitivityReport(
         cwc=best.reshape(net.n_gen, n_l),
@@ -287,7 +298,7 @@ def tied_argmax_sets(net: Network, gen: int, load: int) -> tuple[float, BindingS
     from binding the generator behind it), so reports list all of them.
     """
     _check_pair(net, gen, load)
-    best, kept, _ = _fold(net, lambda jac: np.abs(jac[:, gen, load, None]), all_ties=True)
+    best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]), all_ties=True)
     ties = [BindingSet(*key) for _, key in kept[0]]
     return float(best[0]), ties[0], ties
 

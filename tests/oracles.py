@@ -2,10 +2,12 @@
 from the package: the doubled-inequality standard form of the dispatch LP,
 the candidate order built with ``itertools``, and the full
 ``n_bus x n_bus`` constraint stack with the independence test and Jacobian
-that the package's reduced ``k x k`` kernel replaces."""
+that the package's reduced ``k x k`` kernel replaces, and the row-major
+stacked LU that the package's batch-last kernel must reproduce bit for bit."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from opfsens.dcopf import check_load
-from opfsens.errors import DimensionMismatch
+from opfsens.errors import DimensionMismatch, Singular
 from opfsens.jacobian import BindingSet
 from opfsens.linalg import RANK_REL_TOL
 from opfsens.network import Network, OpfParams
@@ -148,3 +150,53 @@ def lex_candidates(net: Network) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     )
     return [(sg, sb) for sg in gen_subsets
             for sb in combinations(range(net.n_edge), need - len(sg))]
+
+
+# The package's stacked LU as it was before its batch-last layout, verbatim:
+# one ``(batch, n, n)`` array, each column step a whole-stack operation.
+def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LU-factor a square matrix, or a stack ``(..., n, n)`` of them, with
+    partial pivoting, and apply the project's one independence test.
+
+    A matrix is dependent when its smallest pivot magnitude is at most
+    :data:`RANK_REL_TOL` times the larger of 1 and its largest pivot (an
+    exact zero pivot included); the empty ``0 x 0`` matrix is independent.
+    The floor of 1 fits the matrices the package factors, ``S N`` of
+    :mod:`~opfsens.jacobian`: dimensionless, with entries of magnitude at
+    most 1, so a matrix whose rows are all rounding noise is dependent
+    rather than well scaled. Returns ``(lu, piv, independent)``: the
+    unit-lower and upper factors packed in one array, the row swapped with
+    row ``j`` at step ``j``, and the verdict of each matrix in the stack.
+    Each matrix is factored exactly as it would be alone; the factors of a
+    dependent one are not for solving. A single dependent matrix raises
+    :class:`Singular`.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
+    n = a.shape[-1]
+    lu = a.reshape(math.prod(a.shape[:-2]), n, n).copy()
+    piv = np.empty(lu.shape[:2], dtype=np.intp)
+    at = np.arange(len(lu))
+    # an exact zero pivot divides zeros by zero: the NaN multipliers that
+    # follow only reach matrices the test rejects anyway
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n - 1):
+            p = j + np.abs(lu[:, j:, j]).argmax(axis=1)
+            piv[:, j] = p
+            row = lu[at, p]
+            lu[at, p] = lu[:, j]
+            lu[:, j] = row
+            below = lu[:, j + 1 :, j]
+            below /= row[:, j, None]
+            lu[:, j + 1 :, j + 1 :] -= below[:, :, None] * row[:, None, j + 1 :]
+    piv[:, n - 1 :] = n - 1
+    pivots = np.abs(lu.diagonal(axis1=1, axis2=2))
+    scale = np.maximum(pivots.max(axis=1, initial=0.0), 1.0)
+    independent = pivots.min(axis=1, initial=np.inf) > RANK_REL_TOL * scale
+    if a.ndim == 2 and not independent[0]:
+        raise Singular(
+            f"pivot {np.nanmin(pivots):.3e} at most {RANK_REL_TOL:g} x the larger of 1 "
+            f"and the largest pivot {np.nanmax(pivots):.3e}"
+        )
+    return lu.reshape(a.shape), piv.reshape(a.shape[:-1]), independent.reshape(a.shape[:-2])

@@ -85,6 +85,14 @@ def test_solve_deterministic(net9, params9, loads9):
     assert s1.objective == s2.objective
 
 
+def test_solution_arrays_own_their_data(net9, params9, loads9):
+    """A kept solution holds no view of the LP's whole primal or dual vector."""
+    sol = ops.solve_opf(net9, params9, loads9)
+    arrays = [v for v in vars(sol).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8
+    assert all(v.flags.owndata for v in arrays)
+
+
 def test_lossless_balance_over_random_instances(net9, params9):
     rng = np.random.default_rng(21)
     for _ in range(10):

@@ -10,7 +10,7 @@ import pytest
 
 import opfsens as ops
 from opfsens.errors import CardinalityViolation, DependentBindings, RegionBoundary
-from opfsens.jacobian import BindingSet
+from opfsens.jacobian import BindingSet, pool_rows, reduced_factors, reduced_jacobians
 from opfsens.network import assemble_network
 from opfsens.sensitivity import candidate_sets
 
@@ -247,6 +247,26 @@ def test_ptdf_basis_against_grounded_inverse(net9, chain18):
         assert (basis.pool_n[0] == -1.0).all() and (basis.pool_p[0] == -1.0).all()
         assert np.array_equal(basis.pool_n[1:n_g], np.eye(n_g - 1))
         assert not basis.pool_p[1:n_g].any()
+
+
+def test_load_columns_solve_bit_for_bit(chain18):
+    """Solving a chunk's accepted sets for a subset of load columns gives
+    those columns of the all-column solve bit for bit, and a set's
+    jacobian_from_binding is its row of the chunk, also bit for bit."""
+    net = chain18[0]
+    keys = list(itertools.islice(candidate_sets(net), 0, 20000, 40))
+    rows = np.array([pool_rows(net, BindingSet(*key)) for key in keys])
+    lu, piv, ok = reduced_factors(net, rows)
+    factors = (lu[ok], piv[ok])
+    full = reduced_jacobians(net, rows[ok], factors, np.arange(net.n_load))
+    for loads in ([3], [0, 4, 8], [8, 1]):
+        part = reduced_jacobians(net, rows[ok], factors, np.array(loads))
+        assert np.array_equal(part, full[:, :, loads])
+    assert np.array_equal(reduced_jacobians(net, rows[ok], factors, np.array([], int)),
+                          full[:, :, :0])
+    for t in np.flatnonzero(ok)[::25]:
+        jac = ops.jacobian_from_binding(net, BindingSet(*keys[t])).jac
+        assert np.array_equal(jac, full[np.count_nonzero(ok[:t])])
 
 
 def _compare_full_stack(net, keys, jac_tol):

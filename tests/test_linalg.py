@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opfsens as ops
-from opfsens.errors import Singular
+from opfsens.errors import DimensionMismatch, Singular
 from opfsens.jacobian import BindingSet
 from opfsens.linalg import lu_factor_checked, lu_solve_factored, numerical_rank, rcond_estimate
 
@@ -92,6 +94,67 @@ def test_zero_pivot_member_factors_apart():
     for k, a in ((0, good), (2, good.T)):
         alone = lu_factor_checked(a)
         assert np.array_equal(lu[k], alone[0]) and np.array_equal(piv[k], alone[1])
+
+
+def _bits(arrays):
+    return [np.ascontiguousarray(a).view(np.uint8) for a in arrays]
+
+
+@st.composite
+def _stacks(draw):
+    """Stacks ``(batch, n, n)`` with rows scaled from 1e-12 to 1e3, and some
+    members given an exact-zero column or a duplicated row; small integer
+    entries make pivot candidates tie."""
+    n, batch = draw(st.integers(0, 8)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.integers(-2, 3, (batch, n, n)).astype(float)
+    else:
+        a = rng.standard_normal((batch, n, n))
+    if draw(st.booleans()):
+        a *= 10.0 ** rng.uniform(-12.0, 3.0, (batch, n, 1))
+    if n:
+        hit = np.flatnonzero(rng.random(batch) < draw(st.sampled_from([0.0, 0.2, 1.0])))
+        a[hit, :, rng.integers(n, size=len(hit))] = 0.0
+    if n > 1:
+        hit = np.flatnonzero(rng.random(batch) < draw(st.sampled_from([0.0, 0.2, 1.0])))
+        src = rng.integers(n, size=len(hit))
+        a[hit, (src + rng.integers(1, n, size=len(hit))) % n] = a[hit, src]
+    return a
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_stacks())
+def test_batch_last_kernel_matches_row_major_oracle(a):
+    """Factors, pivots and verdicts are bitwise the row-major oracle's and
+    each member's factored alone; one right-hand side per matrix solves
+    within eps * cond of np.linalg.solve."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = oracles.lu_factor_checked(a)
+    lu, piv, ok = got = lu_factor_checked(a)
+    assert all(np.array_equal(x, y) for x, y in zip(_bits(got), _bits(want)))
+    for k in range(len(a)):
+        alone = [v[0] for v in lu_factor_checked(a[k : k + 1])]
+        mine = (lu[k], piv[k], ok[k])
+        assert all(np.array_equal(x, y) for x, y in zip(_bits(alone), _bits(mine)))
+
+    rhs = np.random.default_rng(len(a)).standard_normal(a.shape[:2] + (3,))
+    x = lu_solve_factored((lu[ok], piv[ok]), rhs[ok])
+    assert x.shape == rhs[ok].shape
+    if a.shape[-1]:  # cond is undefined for 0 x 0
+        eps = np.finfo(float).eps
+        for xk, ak, bk in zip(x, a[ok], rhs[ok]):
+            ref = np.linalg.solve(ak, bk)
+            bound = 10 * len(ak) * eps * np.linalg.cond(ak) * max(np.abs(ref).max(), 1.0)
+            assert np.abs(xk - ref).max() <= bound
+
+
+def test_per_matrix_rhs_shape_checked():
+    factors = lu_factor_checked(np.array([np.eye(2), 2.0 * np.eye(2)]))
+    x = lu_solve_factored(factors, np.array([[[2.0], [4.0]], [[2.0], [4.0]]]))
+    assert x.tolist() == [[[2.0], [4.0]], [[1.0], [2.0]]]
+    with pytest.raises(DimensionMismatch):
+        lu_solve_factored(factors, np.ones((3, 2, 1)))
 
 
 def test_invert_round_trip():

@@ -259,6 +259,13 @@ def test_chunk_size_invariance(net9, monkeypatch):
         assert list(ops.enumerate_binding_sets(net9)) == base_sets
 
 
+def test_report_holds_no_scan_buffer(chain18):
+    """A kept report's table owns memory of its own size, not the scan's
+    running-maximum array it was read from."""
+    cwc = ops.worst_case_all(chain18[0]).cwc
+    assert (cwc if cwc.base is None else cwc.base).nbytes == cwc.nbytes
+
+
 def test_tied_argmax_contains_gen_branch_equivalents(net9):
     """Binding a leaf generator and binding its spur give the same map, so
     the tie list must contain both flavors."""
