@@ -50,12 +50,6 @@ class DisconnectedChain(OpfSensError):
     """The chained network is not connected by the given tie lines."""
 
 
-# --- linear algebra -------------------------------------------------------
-
-class Singular(OpfSensError):
-    """A factorization pivot fell below threshold: the matrix is dependent."""
-
-
 # --- LP / OPF solving -----------------------------------------------------
 
 class DimensionMismatch(OpfSensError):

@@ -27,16 +27,15 @@ when the ``k x k`` matrix ``S N`` is (``k = n_gen - 1``), and::
 
 The independence test is the pivot ratio of ``S N``
 (:func:`linalg.lu_factor_checked`). The set scan, :func:`independence_check`
-and :func:`jacobian_from_binding` all apply it through
-:func:`reduced_factors`, so they agree by construction. The Jacobian is then
-solved from those same factors (:func:`reduced_jacobians`), for only the
-load columns a caller reads, so it comes from exactly the pivots the test
-judged.
+and :func:`jacobian_from_binding` all test and solve through
+:func:`reduced_solve`, the one owner of the factors, so they agree by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -87,48 +86,49 @@ def pool_rows(net: Network, bset: BindingSet) -> np.ndarray:
     return np.array(bset.gens + tuple(net.n_gen + e for e in bset.branches), dtype=np.intp)
 
 
-def reduced_factors(net: Network, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor ``S N`` for a stack of candidate sets, ``rows`` holding the pool
-    indices of one set per row: :func:`linalg.lu_factor_checked` of the
-    ``(len(rows), k, k)`` gather, verdicts included."""
-    return linalg.lu_factor_checked(net.ptdf_basis.pool_n[rows])
+def reduced_solve(
+    net: Network, rows: np.ndarray, loads: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Test and solve a stack of candidate sets, ``rows`` holding the pool
+    indices of one set per row.
 
-
-def reduced_jacobians(
-    net: Network, rows: np.ndarray, factors: tuple[np.ndarray, np.ndarray], loads: np.ndarray
-) -> np.ndarray:
-    """Signed Jacobians ``(len(rows), n_gen, len(loads))`` of independent
-    sets, for the load columns ``loads`` only.
-
-    ``factors`` are the ``(lu, piv)`` of ``S N`` from :func:`reduced_factors`
-    for exactly these rows, the ones whose verdict passed, so the solve
-    ``y = (S N)^-1 S theta_p`` uses the pivots the test judged. The
-    generator rows of the pool are exact (:class:`~opfsens.network.PtdfBasis`:
-    ``G N`` is a row of minus ones over the identity, ``G theta_p`` a row of
-    minus ones over zeros), so row ``g > 0`` of the Jacobian is row ``g - 1``
-    of ``y`` and row 0 is ``1 - y_0 - y_1 - ...``, subtracted left to right.
-    Each column is computed on its own: a subset of ``loads`` gives the same
-    columns bit for bit.
+    Returns ``(ok, jac)``: the verdict of :func:`linalg.lu_factor_checked` on
+    each set's ``S N``, and the signed Jacobians of the sets that pass,
+    ``(ok.sum(), n_gen, len(loads))``, for the load columns ``loads`` only;
+    with no loads nothing is solved. The solve ``y = (S N)^-1 S theta_p``
+    reuses the factors the test judged. The generator rows of the pool are
+    exact (:class:`~opfsens.network.PtdfBasis`: ``G N`` is a row of minus
+    ones over the identity, ``G theta_p`` a row of minus ones over zeros),
+    so row ``g > 0`` of the Jacobian is row ``g - 1`` of ``y`` and row 0 is
+    ``1 - y_0 - y_1 - ...``, subtracted left to right. Each column is
+    computed on its own: a subset of ``loads`` gives the same columns bit for
+    bit.
     """
-    rhs = net.ptdf_basis.pool_p[rows[:, :, None], loads]
-    y = linalg.lu_solve_factored(factors, rhs).transpose(1, 2, 0)  # (k, loads, sets)
+    basis = net.ptdf_basis
+    loads = np.asarray(loads, dtype=np.intp)
+    lu, piv, ok = linalg.lu_factor_checked(basis.pool_n[rows].transpose(1, 2, 0))
+    passed = np.flatnonzero(ok)
+    if not (passed.size and loads.size):
+        return ok, np.zeros((passed.size, net.n_gen, loads.size))
+    # take keeps the batch axis last in memory; a boolean mask would not
+    factors = lu.take(passed, axis=2), piv.take(passed, axis=1)
+    rhs = basis.pool_p[rows[passed, :, None], loads].transpose(1, 2, 0)
+    y = linalg.lu_solve_factored(factors, rhs)  # (k, loads, sets)
     jac = np.concatenate([np.ones((1,) + y.shape[1:]), y])
     jac[0] = np.subtract.reduce(jac)
-    return np.ascontiguousarray(jac.transpose(2, 0, 1))
+    return ok, np.ascontiguousarray(jac.transpose(2, 0, 1))
 
 
-def _checked(net: Network, bset: BindingSet) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The set's pool rows as a stack of one and their factors;
+def _solve_one(net: Network, bset: BindingSet, loads: Sequence[int]) -> np.ndarray:
+    """The set's Jacobian for ``loads`` from :func:`reduced_solve`;
     :class:`DependentBindings` unless it passes the independence test."""
-    rows = pool_rows(net, bset)[None]
-    lu, piv, ok = reduced_factors(net, rows)
+    ok, jac = reduced_solve(net, pool_rows(net, bset)[None], loads)
     if not ok[0]:
-        pivots = np.abs(np.diagonal(lu[0]))
         raise DependentBindings(
             f"binding set gens={bset.gens} branches={bset.branches} is dependent: "
-            f"smallest pivot of S N {np.nanmin(pivots):.3e}"
+            "S N fails the independence test"
         )
-    return rows, (lu, piv)
+    return jac[0]
 
 
 def independence_check(net: Network, bset: BindingSet) -> bool:
@@ -139,12 +139,12 @@ def independence_check(net: Network, bset: BindingSet) -> bool:
     rows, invertibility coincides with row-independence of the binding rows
     in the doubled-inequality standard form.
     """
-    return bool(reduced_factors(net, pool_rows(net, bset)[None])[2][0])
+    return bool(reduced_solve(net, pool_rows(net, bset)[None], ())[0][0])
 
 
 def require_independent(net: Network, bset: BindingSet) -> None:
     """Raise :class:`DependentBindings` unless the set passes independence."""
-    _checked(net, bset)
+    _solve_one(net, bset, ())
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,7 @@ def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
     ``-G`` times the stack inverse. Raises :class:`DependentBindings` when
     ``S N`` fails the independence test.
     """
-    rows, factors = _checked(net, bset)
-    return JacobianResult(jac=reduced_jacobians(net, rows, factors, np.arange(net.n_load))[0])
+    return JacobianResult(jac=_solve_one(net, bset, range(net.n_load)))
 
 
 def jacobian_finite_diff(

@@ -1,29 +1,37 @@
 """Dense linear algebra kernel in numpy: batched pivoted factorization and
 solves, numerical rank.
 
-Matrices are plain ``numpy.ndarray`` (row-major, float64). Factorization and
-solves take a single matrix or a stack ``(..., n, n)`` of them and run as one
-sequence of whole-stack numpy operations, ``n`` column steps with no call per
-matrix. Internally a stack is held batch-last, ``(n, n, batch)``, so each
-step reads and writes contiguous rows of every matrix at once. The
+Factorization and solves take one batch-last stack, ``(n, n, count)``
+matrices and ``(n, m, count)`` right-hand sides, and run as one sequence of
+whole-stack numpy operations, ``n`` column steps with no call per matrix;
+each step reads and writes contiguous rows of every matrix at once. The
 independence tolerance is fixed project-wide at :data:`RANK_REL_TOL`.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DimensionMismatch, Singular
+from .errors import DimensionMismatch
 
 # Project-wide relative tolerance for rank / independence decisions.
 RANK_REL_TOL = 1e-10
 
 
+def _swap_rows(w: np.ndarray, j: int, at: np.ndarray) -> np.ndarray:
+    """Swap row ``j`` of each matrix of the C-ordered stack ``w`` with the
+    row at flat offsets ``at``, which are ``p * w[0].size`` plus the offsets
+    of row 0 for the rows ``p`` swapped in; returns the row swapped in."""
+    flat = w.reshape(-1)
+    row = flat[at]
+    flat[at] = w[j]
+    w[j] = row
+    return row
+
+
 def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LU-factor a square matrix, or a stack ``(..., n, n)`` of them, with
-    partial pivoting, and apply the project's one independence test.
+    """LU-factor a stack ``(n, n, count)`` of square matrices with partial
+    pivoting, and apply the project's one independence test.
 
     A matrix is dependent when its smallest pivot magnitude is at most
     :data:`RANK_REL_TOL` times the larger of 1 and its largest pivot (an
@@ -32,35 +40,25 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     :mod:`~opfsens.jacobian`: dimensionless, with entries of magnitude at
     most 1, so a matrix whose rows are all rounding noise is dependent
     rather than well scaled. Returns ``(lu, piv, independent)``: the
-    unit-lower and upper factors packed in one array, the row swapped with
-    row ``j`` at step ``j``, and the verdict of each matrix in the stack.
-    Each matrix is factored exactly as it would be alone; the factors of a
-    dependent one are not for solving. A single dependent matrix raises
-    :class:`Singular`.
-
-    The stack is eliminated batch-last, as one ``(n, n, batch)`` array, so
-    every step works on contiguous rows of the whole stack and swaps rows
-    with one gather and one scatter through flat offsets. ``lu`` is a view
-    of that array.
+    unit-lower and upper factors packed in one C-ordered ``(n, n, count)``
+    array, the row swapped with row ``j`` at step ``j`` as ``(n, count)``,
+    and the verdict of each matrix, ``(count,)``. Each matrix is factored
+    exactly as it would be alone; the factors of a dependent one are not
+    for solving.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
-    n = a.shape[-1]
-    count = math.prod(a.shape[:-2])
-    w = a.reshape(count, n, n).transpose(1, 2, 0).copy()
+    # a C-ordered copy: row swaps go through flat offsets of w
+    w = np.array(a, dtype=float, order="C")
+    if w.ndim != 3 or w.shape[0] != w.shape[1]:
+        raise DimensionMismatch(f"expected a stack (n, n, count), got shape {w.shape}")
+    n, _, count = w.shape
     piv = np.empty((n, count), dtype=np.intp)
-    # flat offsets of row 0 of w; row p of matrix b adds p * n * count
-    flat, cells = w.reshape(-1), np.arange(n * count).reshape(n, count)
+    cells = np.arange(n * count).reshape(n, count)
     # an exact zero pivot divides zeros by zero: the NaN multipliers that
     # follow only reach matrices the test rejects anyway
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(n - 1):
             p = piv[j] = np.abs(w[j:, j]).argmax(axis=0) + j
-            at = p * (n * count) + cells
-            row = flat[at]
-            flat[at] = w[j]
-            w[j] = row
+            row = _swap_rows(w, j, p * (n * count) + cells)
             below = w[j + 1 :, j]
             below /= row[j]
             rest = w[j + 1 :, j + 1 :]
@@ -69,52 +67,25 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     pivots = np.abs(w.diagonal().T)
     scale = pivots.max(axis=0, initial=1.0)
     independent = pivots.min(axis=0, initial=np.inf) > RANK_REL_TOL * scale
-    if a.ndim == 2 and not independent[0]:
-        raise Singular(
-            f"pivot {np.nanmin(pivots):.3e} at most {RANK_REL_TOL:g} x the larger of 1 "
-            f"and the largest pivot {np.nanmax(pivots):.3e}"
-        )
-    return (
-        w.transpose(2, 0, 1).reshape(a.shape),
-        piv.T.reshape(a.shape[:-1]),
-        independent.reshape(a.shape[:-2]),
-    )
+    return w, piv, independent
 
 
-def lu_solve_factored(factors: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
-    """Solve with factors from :func:`lu_factor_checked`.
+def lu_solve_factored(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve with factors ``(lu, piv)`` from :func:`lu_factor_checked`.
 
-    ``rhs`` is either one right-hand side shared by every factored matrix (a
-    vector or a matrix of columns, ``n`` rows), or one per matrix: a stack
-    ``(..., n, m)`` whose leading shape is the factored stack's. The
-    substitution runs batch-last like the factorization, each column of the
-    solution computed on its own, so solving a subset of columns gives those
-    columns bit for bit.
+    ``rhs`` holds one right-hand side per factored matrix, batch-last
+    ``(n, m, count)``, and the solution has the same shape. Each column of
+    the solution is computed on its own, so solving a subset of columns
+    gives those columns bit for bit.
     """
-    lu, piv = factors[:2]
-    rhs = np.asarray(rhs, dtype=float)
-    n = lu.shape[-1]
-    batch = lu.shape[:-2]
-    count = math.prod(batch)
-    if rhs.ndim > 2:
-        if rhs.shape[:-1] != batch + (n,):
-            raise DimensionMismatch(f"rhs has shape {rhs.shape}, factors have {lu.shape}")
-        x = rhs.reshape(count, n, rhs.shape[-1]).transpose(1, 2, 0).copy()
-        shape = rhs.shape
-    else:
-        if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-            raise DimensionMismatch(f"rhs has shape {rhs.shape}, matrix has {n} rows")
-        b = rhs[:, None] if rhs.ndim == 1 else rhs
-        x = np.broadcast_to(b[..., None], b.shape + (count,)).copy()
-        shape = batch + rhs.shape
-    lu = np.ascontiguousarray(lu.reshape(count, n, n).transpose(1, 2, 0))
-    # flat offsets of row 0 of x, then of the rows that steps 0..n-2 swap in
-    flat, cells = x.reshape(-1), np.arange(math.prod(x.shape[1:])).reshape(x.shape[1:])
-    at = piv.reshape(count, n).T[:-1, None] * cells.size + cells
-    for j, to in enumerate(at):
-        row = flat[to]
-        flat[to] = x[j]
-        x[j] = row
+    lu, piv = factors
+    n, _, count = lu.shape
+    x = np.array(rhs, dtype=float, order="C")
+    if x.ndim != 3 or (x.shape[0], x.shape[2]) != (n, count):
+        raise DimensionMismatch(f"rhs has shape {x.shape}, factors have {lu.shape}")
+    cells = np.arange(x.shape[1] * count).reshape(x.shape[1:])
+    for j in range(n - 1):
+        _swap_rows(x, j, piv[j] * cells.size + cells)
     for j in range(n - 1):
         rest = x[j + 1 :]
         rest -= lu[j + 1 :, j, None] * x[j]
@@ -124,7 +95,7 @@ def lu_solve_factored(factors: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.nd
         if j:
             head = x[:j]
             head -= lu[:j, j, None] * xj
-    return x.transpose(2, 0, 1).reshape(shape)
+    return x
 
 
 def numerical_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:

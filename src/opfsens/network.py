@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -136,9 +137,8 @@ class OpfParams:
     flow_lower: np.ndarray
 
     def validate(self, net: Network) -> None:
-        if self.cost.shape != (net.n_gen,):
-            raise DimensionMismatch(f"cost has shape {self.cost.shape}, want ({net.n_gen},)")
         for name, arr, want in (
+            ("cost", self.cost, net.n_gen),
             ("gen_upper", self.gen_upper, net.n_gen),
             ("gen_lower", self.gen_lower, net.n_gen),
             ("flow_upper", self.flow_upper, net.n_edge),
@@ -146,6 +146,8 @@ class OpfParams:
         ):
             if arr.shape != (want,):
                 raise DimensionMismatch(f"{name} has shape {arr.shape}, want ({want},)")
+            if not np.isfinite(arr).all():
+                raise InvalidLimits(f"{name} has a non-finite entry")
         if np.any(self.gen_lower < 0):
             raise InvalidLimits("generator lower limits must be nonnegative")
         if np.any(self.gen_lower > self.gen_upper):
@@ -184,7 +186,7 @@ def assemble_network(
 
     ``edges`` entries are ``(label_u, label_v, susceptance)``. Raises
     :class:`DisconnectedGraph` when the graph is not connected and
-    :class:`ZeroReactance` for nonpositive susceptance.
+    :class:`ZeroReactance` for a susceptance that is not finite and positive.
     """
     gens = sorted(gen_labels) if sort_labels else list(gen_labels)
     loads = sorted(load_labels) if sort_labels else list(load_labels)
@@ -199,8 +201,9 @@ def assemble_network(
     idx_edges = []
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for e, (lu, lv, be) in enumerate(edges):
-        if be <= 0:
-            raise ZeroReactance(f"edge ({lu!r},{lv!r}) has susceptance {be} <= 0")
+        if not 0 < be < math.inf:
+            raise ZeroReactance(
+                f"edge ({lu!r},{lv!r}) has susceptance {be}, not finite and positive")
         u, v = pos[lu], pos[lv]
         incidence[u, e] = 1.0
         incidence[v, e] = -1.0
@@ -349,8 +352,9 @@ def build_chain(
 
     Copy ``k`` gets labels suffixed with ``k`` prime marks. All generators of
     all copies come first in the internal order (copy-major); tie edges are
-    appended after every copy's edges. A tie with unspecified susceptance or
-    flow limit inherits the base network's first branch values.
+    appended after every copy's edges. A tie's susceptance and flow limit,
+    given or inherited from the base network's first branch, must be finite
+    and positive.
     """
     if copies < 2:
         raise InvalidTie(f"a chain needs at least 2 copies, got {copies}")
@@ -381,11 +385,13 @@ def build_chain(
             if bus not in valid:
                 raise InvalidTie(f"tie bus {bus!r} not in the base network")
         b = t.susceptance if t.susceptance is not None else default_b
-        if b <= 0:
-            raise InvalidTie(f"tie susceptance {b} must be positive")
+        limit = t.flow_limit if t.flow_limit is not None else default_limit
+        if not (0 < b < math.inf and 0 < limit < math.inf):
+            raise InvalidTie(
+                f"tie susceptance {b} and flow limit {limit} must be finite and positive")
         edges.append((copy_label(t.from_bus, t.from_copy),
                       copy_label(t.to_bus, t.to_copy), b))
-        tie_limits.append(t.flow_limit if t.flow_limit is not None else default_limit)
+        tie_limits.append(limit)
 
     try:
         net = assemble_network(gen_labels, load_labels, edges, sort_labels=False)
@@ -405,6 +411,14 @@ def build_chain(
     return net, params
 
 
+def _config_value(value, kinds: tuple[type, ...], what: str):
+    """``value`` when it is one of ``kinds`` and not a bool, else
+    :class:`InvalidTie`."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise InvalidTie(f"{what} has type {type(value).__name__}: {value!r}")
+    return value
+
+
 def load_chain_config(path) -> tuple[int, list[TieLine]]:
     """Read a chain construction config (JSON) naming copies and ties.
 
@@ -415,22 +429,27 @@ def load_chain_config(path) -> tuple[int, list[TieLine]]:
                    "to":   {"copy": 1, "bus": 8},
                    "susceptance": 17.4,      # optional
                    "flow_limit": 2.5}]}      # optional, per-unit
+
+    Copies are integers, buses integer or string labels, and susceptance and
+    flow limit numbers that :func:`build_chain` checks. A config that is not
+    such a document raises :class:`InvalidTie`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    number = (int, float, type(None))
     try:
-        copies = int(doc["copies"])
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        copies = _config_value(doc["copies"], (int,), "copies")
         ties = [
             TieLine(
-                from_copy=int(t["from"]["copy"]),
-                from_bus=t["from"]["bus"],
-                to_copy=int(t["to"]["copy"]),
-                to_bus=t["to"]["bus"],
-                susceptance=t.get("susceptance"),
-                flow_limit=t.get("flow_limit"),
+                from_copy=_config_value(t["from"]["copy"], (int,), "tie copy"),
+                from_bus=_config_value(t["from"]["bus"], (int, str), "tie bus"),
+                to_copy=_config_value(t["to"]["copy"], (int,), "tie copy"),
+                to_bus=_config_value(t["to"]["bus"], (int, str), "tie bus"),
+                susceptance=_config_value(t.get("susceptance"), number, "tie susceptance"),
+                flow_limit=_config_value(t.get("flow_limit"), number, "tie flow limit"),
             )
             for t in doc["ties"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InvalidTie(f"bad chain config: {exc}") from exc
     return copies, ties

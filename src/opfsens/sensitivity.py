@@ -6,13 +6,11 @@ totalling ``n_gen - 1`` members) whose constraint stack is independent.
 Enumeration is exhaustive (the problem is discrete and non-convex). One scan
 walks the candidate sets in lexicographic order, a chunk at a time, and every
 query here reduces over it. A chunk is an array of pool row indices, built
-with numpy from tables of branch combinations; it is tested and solved in
-the reduced ``k x k`` space of :mod:`~opfsens.jacobian` by one batched
-factorization, and its independent sets are solved from those same factors
-for only the load columns the query reads: one for a single pair and its
-ties, the load set for MISO, every load for the whole table, none for
-enumeration. Index rows become ``(gens, branches)`` keys only for the
-records a query keeps.
+with numpy from tables of branch combinations; it is tested and solved by
+:func:`~opfsens.jacobian.reduced_solve` for only the load columns the query
+reads: one for a single pair and its ties, the load set for MISO, every load
+for the whole table, none for enumeration. Index rows become
+``(gens, branches)`` keys only for the records a query keeps.
 
 Tie rule: the reported value is the maximum, and the reported set is the
 first independent set in lexicographic order whose value is at least the
@@ -31,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DegeneratePoint, DependentBindings, EmptyLoadSet, NoValidSet
-from .jacobian import BindingSet, jacobian_from_binding, reduced_factors, reduced_jacobians
+from .jacobian import BindingSet, jacobian_from_binding, reduced_solve
 from .network import Network
 
 #: two candidate values within this of each other count as a tie
@@ -132,14 +130,6 @@ def _key(net: Network, row: np.ndarray) -> Key:
     return tuple(row[:n_gens]), tuple(v - net.n_gen for v in row[n_gens:])
 
 
-def candidate_sets(net: Network) -> Iterator[Key]:
-    """All generator/branch set pairs of the required total size, in
-    lexicographic order (generator subset first, then branch subset)."""
-    for rows in _candidate_rows(net):
-        for row in rows:
-            yield _key(net, row)
-
-
 def candidate_count(net: Network) -> int:
     """Number of cardinality-feasible sets, before the independence filter."""
     k_max = net.n_gen - 1
@@ -166,20 +156,17 @@ def _chunks(blocks: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
         yield np.concatenate(pending)
 
 
-def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one pass over the candidate sets, ``CHUNK`` at a time in
     lexicographic order: yields the pool rows of each chunk's independent
     sets and their signed Jacobians for the load columns ``loads``, shape
-    ``(len(rows), n_gen, len(loads))``, solved from the factors the test
-    passed; with no ``loads`` nothing is solved and the Jacobians are None.
-    Chunks span generator subsets, so a small network is one kernel call."""
-    loads = np.asarray(loads, dtype=np.intp)
+    ``(len(rows), n_gen, len(loads))``, from :func:`reduced_solve`; with no
+    ``loads`` nothing is solved. Chunks span generator subsets, so a small
+    network is one kernel call."""
     for rows in _chunks(_candidate_rows(net), CHUNK):
-        lu, piv, ok = reduced_factors(net, rows)
+        ok, jac = reduced_solve(net, rows, loads)
         if ok.any():
-            rows = rows[ok]
-            jac = reduced_jacobians(net, rows, (lu[ok], piv[ok]), loads) if loads.size else None
-            yield rows, jac
+            yield rows[ok], jac
 
 
 def _fold(

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from opfsens.dcopf import check_load
-from opfsens.errors import DimensionMismatch, Singular
+from opfsens.errors import DimensionMismatch
 from opfsens.jacobian import BindingSet
 from opfsens.linalg import RANK_REL_TOL
 from opfsens.network import Network, OpfParams
@@ -152,8 +152,10 @@ def lex_candidates(net: Network) -> list[tuple[tuple[int, ...], tuple[int, ...]]
             for sb in combinations(range(net.n_edge), need - len(sg))]
 
 
-# The package's stacked LU as it was before its batch-last layout, verbatim:
-# one ``(batch, n, n)`` array, each column step a whole-stack operation.
+# The package's stacked LU as it was before its batch-last layout, verbatim
+# but for the single-matrix path, which raised an error the package no
+# longer has: one ``(batch, n, n)`` array, each column step a whole-stack
+# operation.
 def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LU-factor a square matrix, or a stack ``(..., n, n)`` of them, with
     partial pivoting, and apply the project's one independence test.
@@ -168,8 +170,7 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     unit-lower and upper factors packed in one array, the row swapped with
     row ``j`` at step ``j``, and the verdict of each matrix in the stack.
     Each matrix is factored exactly as it would be alone; the factors of a
-    dependent one are not for solving. A single dependent matrix raises
-    :class:`Singular`.
+    dependent one are not for solving.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -194,9 +195,4 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     pivots = np.abs(lu.diagonal(axis1=1, axis2=2))
     scale = np.maximum(pivots.max(axis=1, initial=0.0), 1.0)
     independent = pivots.min(axis=1, initial=np.inf) > RANK_REL_TOL * scale
-    if a.ndim == 2 and not independent[0]:
-        raise Singular(
-            f"pivot {np.nanmin(pivots):.3e} at most {RANK_REL_TOL:g} x the larger of 1 "
-            f"and the largest pivot {np.nanmax(pivots):.3e}"
-        )
     return lu.reshape(a.shape), piv.reshape(a.shape[:-1]), independent.reshape(a.shape[:-2])

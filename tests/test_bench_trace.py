@@ -36,6 +36,8 @@ def test_traced_layers_are_recorded(monkeypatch, chain27, net9, params9, loads9)
         "sensitivity.tied_argmax_sets",
         "dcopf.extract_binding_set",
         "jacobian.jacobian_from_binding",
+        "linalg.lu_factor_checked",
+        "linalg.lu_solve_factored",
     ):
         assert tracer.named(name), f"no span named {name}"
     # the wrappers are gone again

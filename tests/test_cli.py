@@ -158,6 +158,38 @@ def test_unknown_bus_exit_2(capsys):
     assert exc.value.code == 2
 
 
+_CHAIN2 = ('{"copies": 2, "ties": [{"from": {"copy": 0, "bus": 7}, '
+           '"to": {"copy": 1, "bus": 8}, "susceptance": 17.4, "flow_limit": 2.5}]}')
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"bus": 7', '"bus": [7]'),
+    ("17.4", '"x"'),
+    ("17.4", "NaN"),
+    ("17.4", "Infinity"),
+    ("2.5", "NaN"),
+    ('"copies": 2', '"copies": 2.7'),
+    ('"copies": 2', '"copies": "two"'),
+    ('"copy": 1', '"copy": 1.9'),
+    ("}]}", "}]"),
+])
+def test_malformed_chain_config_exit_1(capsys, tmp_path, old, new):
+    """A chain config with a malformed or non-finite value is a domain error
+    with a JSON message: not a traceback, a usage error, or a truncated or
+    NaN value carried into the results."""
+    path = tmp_path / "chain.json"
+    assert ops.load_chain_config(_write(path, _CHAIN2))[0] == 2
+    code, out, err = run_cli(capsys, "report", "--case", CASE,
+                             "--chain", _write(path, _CHAIN2.replace(old, new, 1)))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "InvalidTie"
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
 def test_missing_case_file_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--case", "/nonexistent/case.m"])

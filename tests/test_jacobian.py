@@ -10,9 +10,8 @@ import pytest
 
 import opfsens as ops
 from opfsens.errors import CardinalityViolation, DependentBindings, RegionBoundary
-from opfsens.jacobian import BindingSet, pool_rows, reduced_factors, reduced_jacobians
+from opfsens.jacobian import BindingSet, pool_rows, reduced_solve
 from opfsens.network import assemble_network
-from opfsens.sensitivity import candidate_sets
 
 import oracles
 from conftest import random_regular_params
@@ -220,7 +219,7 @@ def test_independence_agrees_across_entry_points():
     for _ in range(30):
         net = _random_network(rng)
         scanned = set(ops.enumerate_binding_sets(net))
-        for key in candidate_sets(net):
+        for key in oracles.lex_candidates(net):
             bset = BindingSet(*key)
             if bset in scanned:
                 assert ops.independence_check(net, bset)
@@ -254,16 +253,15 @@ def test_load_columns_solve_bit_for_bit(chain18):
     those columns of the all-column solve bit for bit, and a set's
     jacobian_from_binding is its row of the chunk, also bit for bit."""
     net = chain18[0]
-    keys = list(itertools.islice(candidate_sets(net), 0, 20000, 40))
+    keys = oracles.lex_candidates(net)[0:20000:40]
     rows = np.array([pool_rows(net, BindingSet(*key)) for key in keys])
-    lu, piv, ok = reduced_factors(net, rows)
-    factors = (lu[ok], piv[ok])
-    full = reduced_jacobians(net, rows[ok], factors, np.arange(net.n_load))
+    ok, full = reduced_solve(net, rows, np.arange(net.n_load))
+    assert full.shape == (np.count_nonzero(ok), net.n_gen, net.n_load)
     for loads in ([3], [0, 4, 8], [8, 1]):
-        part = reduced_jacobians(net, rows[ok], factors, np.array(loads))
-        assert np.array_equal(part, full[:, :, loads])
-    assert np.array_equal(reduced_jacobians(net, rows[ok], factors, np.array([], int)),
-                          full[:, :, :0])
+        part_ok, part = reduced_solve(net, rows, np.array(loads))
+        assert np.array_equal(part_ok, ok) and np.array_equal(part, full[:, :, loads])
+    empty_ok, empty = reduced_solve(net, rows, np.array([], int))
+    assert np.array_equal(empty_ok, ok) and np.array_equal(empty, full[:, :, :0])
     for t in np.flatnonzero(ok)[::25]:
         jac = ops.jacobian_from_binding(net, BindingSet(*keys[t])).jac
         assert np.array_equal(jac, full[np.count_nonzero(ok[:t])])
@@ -291,9 +289,9 @@ def test_reduced_test_matches_full_stack(net9, chain18):
     of the 18-bus chain: the k x k verdict is the full stack's, and every
     accepted Jacobian is np.linalg.solve's on the full stack within 1e-10."""
     net = chain18[0]
-    cands = list(candidate_sets(net))
+    cands = oracles.lex_candidates(net)
     sample = [cands[k] for k in np.random.default_rng(0).choice(len(cands), 2000, replace=False)]
-    assert _compare_full_stack(net9, candidate_sets(net9), lambda bset: 1e-10) == []
+    assert _compare_full_stack(net9, oracles.lex_candidates(net9), lambda bset: 1e-10) == []
     assert _compare_full_stack(net, sample, lambda bset: 1e-10) == []
 
 
@@ -323,7 +321,7 @@ def test_reduced_test_on_random_networks():
         net = _random_network(rng)
         nets.append(net)
         tol = lambda bset: max(1e-10, eps * np.linalg.cond(oracles.build_z_stack(net, bset), 1))
-        flips |= {(t, key) for key in _compare_full_stack(net, candidate_sets(net), tol)}
+        flips |= {(t, key) for key in _compare_full_stack(net, oracles.lex_candidates(net), tol)}
     assert flips == FULL_STACK_ONLY_REJECTS
     for t, key in flips:
         assert ops.independence_check(nets[t], BindingSet(*key))

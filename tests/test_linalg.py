@@ -9,15 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfsens as ops
-from opfsens.errors import DimensionMismatch, Singular
+from opfsens.errors import DimensionMismatch
 from opfsens.jacobian import BindingSet
 from opfsens.linalg import lu_factor_checked, lu_solve_factored, numerical_rank, rcond_estimate
 
 import oracles
 
 
+def _stack(*mats):
+    """The matrices as one batch-last stack ``(n, n, count)``."""
+    return np.stack(mats, axis=-1)
+
+
+def _independent(*mats):
+    return lu_factor_checked(_stack(*mats))[2].tolist()
+
+
 def _solve(a, rhs):
-    return lu_solve_factored(lu_factor_checked(a), rhs)
+    """Solve one matrix for the columns of ``rhs`` as a stack of one."""
+    return lu_solve_factored(lu_factor_checked(a[..., None])[:2], rhs[..., None])[..., 0]
 
 
 def test_identity_solve():
@@ -43,45 +53,42 @@ def test_case9_stack_residual(net9):
     assert residual <= 1e-10 * norm_a * norm_x
 
 
-def test_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(Singular):
-        lu_factor_checked(a)
+def test_singular_is_dependent():
+    assert _independent(np.array([[1.0, 2.0], [2.0, 4.0]])) == [False]
 
 
 def test_independence_threshold():
     """Dependent when the smallest pivot is at most RANK_REL_TOL times the largest."""
-    assert lu_factor_checked(np.diag([1.0, 1e-9]))[2]
-    with pytest.raises(Singular):
-        lu_factor_checked(np.diag([1.0, 1e-11]))
+    assert _independent(np.diag([1.0, 1e-9]), np.diag([1.0, 1e-11])) == [True, False]
 
 
 def test_stack_marks_dependent_members():
-    """A stack is factored matrix by matrix: dependent members are marked,
-    not raised, and the rest solve as they would alone."""
-    stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], [[2.0, 0.0], [0.0, 4.0]]])
+    """A stack is factored matrix by matrix: dependent members are marked
+    and the rest solve as they would alone."""
+    stack = _stack(np.eye(2), [[1.0, 2.0], [2.0, 4.0]], [[2.0, 0.0], [0.0, 4.0]])
     lu, piv, independent = lu_factor_checked(stack)
     assert independent.tolist() == [True, False, True]
-    x = lu_solve_factored((lu[independent], piv[independent]), np.array([2.0, 8.0]))
-    assert x.tolist() == [[2.0, 8.0], [1.0, 2.0]]
-    assert np.array_equal(x[1], _solve(stack[2], np.array([2.0, 8.0])))
+    passed = np.flatnonzero(independent)
+    rhs = np.broadcast_to(np.array([[2.0], [8.0]])[..., None], (2, 1, 2))
+    x = lu_solve_factored((lu.take(passed, axis=2), piv.take(passed, axis=1)), rhs)
+    assert x[:, 0].T.tolist() == [[2.0, 8.0], [1.0, 2.0]]
+    assert np.array_equal(x[..., 1], _solve(stack[..., 2], rhs[..., 0]))
 
 
 def test_reference_pivot_is_at_least_one():
     """The smallest pivot is compared with the larger of 1 and the largest
     pivot: rounding noise is dependent, not a well-scaled matrix."""
-    with pytest.raises(Singular):
-        lu_factor_checked(1e-16 * np.eye(3))
-    assert lu_factor_checked(np.diag([1e-9, 1.0]))[2]
-    assert lu_factor_checked(np.diag([1e3, 2e-7]))[2]
-    with pytest.raises(Singular):
-        lu_factor_checked(np.diag([1e3, 1e-7]))
+    assert _independent(1e-16 * np.eye(3)) == [False]
+    assert _independent(
+        np.diag([1e-9, 1.0]), np.diag([1e3, 2e-7]), np.diag([1e3, 1e-7])
+    ) == [True, True, False]
 
 
 def test_empty_matrices_are_independent():
-    lu, piv, independent = lu_factor_checked(np.zeros((3, 0, 0)))
-    assert lu.shape == (3, 0, 0) and piv.shape == (3, 0)
+    lu, piv, independent = lu_factor_checked(np.zeros((0, 0, 3)))
+    assert lu.shape == (0, 0, 3) and piv.shape == (0, 3)
     assert independent.tolist() == [True, True, True]
+    assert lu_solve_factored((lu, piv), np.zeros((0, 2, 3))).shape == (0, 2, 3)
 
 
 def test_zero_pivot_member_factors_apart():
@@ -89,11 +96,12 @@ def test_zero_pivot_member_factors_apart():
     every other member factors bit for bit as it would alone."""
     good = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
     zero_column = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]])
-    lu, piv, independent = lu_factor_checked(np.array([good, zero_column, good.T]))
+    lu, piv, independent = lu_factor_checked(_stack(good, zero_column, good.T))
     assert independent.tolist() == [True, False, True]
     for k, a in ((0, good), (2, good.T)):
-        alone = lu_factor_checked(a)
-        assert np.array_equal(lu[k], alone[0]) and np.array_equal(piv[k], alone[1])
+        alone = lu_factor_checked(a[..., None])
+        assert np.array_equal(lu[..., k], alone[0][..., 0])
+        assert np.array_equal(piv[:, k], alone[1][:, 0])
 
 
 def _bits(arrays):
@@ -102,9 +110,9 @@ def _bits(arrays):
 
 @st.composite
 def _stacks(draw):
-    """Stacks ``(batch, n, n)`` with rows scaled from 1e-12 to 1e3, and some
-    members given an exact-zero column or a duplicated row; small integer
-    entries make pivot candidates tie."""
+    """Row-major stacks ``(batch, n, n)`` with rows scaled from 1e-12 to 1e3,
+    and some members given an exact-zero column or a duplicated row; small
+    integer entries make pivot candidates tie."""
     n, batch = draw(st.integers(0, 8)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -126,43 +134,58 @@ def _stacks(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_stacks())
 def test_batch_last_kernel_matches_row_major_oracle(a):
-    """Factors, pivots and verdicts are bitwise the row-major oracle's and
-    each member's factored alone; one right-hand side per matrix solves
-    within eps * cond of np.linalg.solve."""
+    """Factors, pivots and verdicts are bitwise the row-major oracle's, moved
+    batch-last, and each member's factored alone; a transposed gather, which
+    is not C-contiguous, factors to the same bits as its C-ordered copy. One
+    right-hand side per matrix solves within eps * cond of np.linalg.solve."""
     with np.errstate(divide="ignore", invalid="ignore"):
         want = oracles.lu_factor_checked(a)
-    lu, piv, ok = got = lu_factor_checked(a)
-    assert all(np.array_equal(x, y) for x, y in zip(_bits(got), _bits(want)))
+    gather = a[np.arange(len(a))].transpose(1, 2, 0)
+    lu, piv, ok = got = lu_factor_checked(np.ascontiguousarray(gather))
+    assert all(np.array_equal(x, y) for x, y in zip(_bits(got), _bits(lu_factor_checked(gather))))
+    batch_first = (lu.transpose(2, 0, 1), piv.T, ok)
+    assert all(np.array_equal(x, y) for x, y in zip(_bits(batch_first), _bits(want)))
     for k in range(len(a)):
-        alone = [v[0] for v in lu_factor_checked(a[k : k + 1])]
-        mine = (lu[k], piv[k], ok[k])
+        alone = [v[..., 0] for v in lu_factor_checked(a[k][..., None])]
+        mine = (lu[..., k], piv[:, k], ok[k])
         assert all(np.array_equal(x, y) for x, y in zip(_bits(alone), _bits(mine)))
 
     rhs = np.random.default_rng(len(a)).standard_normal(a.shape[:2] + (3,))
-    x = lu_solve_factored((lu[ok], piv[ok]), rhs[ok])
-    assert x.shape == rhs[ok].shape
+    passed = np.flatnonzero(ok)
+    factors = lu.take(passed, axis=2), piv.take(passed, axis=1)
+    x = lu_solve_factored(factors, rhs[passed].transpose(1, 2, 0))
+    assert x.shape == (a.shape[1], 3, len(passed))
     if a.shape[-1]:  # cond is undefined for 0 x 0
         eps = np.finfo(float).eps
-        for xk, ak, bk in zip(x, a[ok], rhs[ok]):
+        for xk, ak, bk in zip(x.transpose(2, 0, 1), a[passed], rhs[passed]):
             ref = np.linalg.solve(ak, bk)
             bound = 10 * len(ak) * eps * np.linalg.cond(ak) * max(np.abs(ref).max(), 1.0)
             assert np.abs(xk - ref).max() <= bound
 
 
 def test_per_matrix_rhs_shape_checked():
-    factors = lu_factor_checked(np.array([np.eye(2), 2.0 * np.eye(2)]))
-    x = lu_solve_factored(factors, np.array([[[2.0], [4.0]], [[2.0], [4.0]]]))
-    assert x.tolist() == [[[2.0], [4.0]], [[1.0], [2.0]]]
-    with pytest.raises(DimensionMismatch):
-        lu_solve_factored(factors, np.ones((3, 2, 1)))
+    """A solve takes one batch-last right-hand side per factored matrix, and
+    factors a batch-last stack of square matrices only."""
+    factors = lu_factor_checked(_stack(np.eye(2), 2.0 * np.eye(2)))[:2]
+    rhs = np.broadcast_to(np.array([[2.0], [4.0]])[..., None], (2, 1, 2))
+    x = lu_solve_factored(factors, rhs)
+    assert x[:, 0].T.tolist() == [[2.0, 4.0], [1.0, 2.0]]
+    for bad in (np.ones((2, 1, 3)), np.ones((3, 1, 2)), np.ones((2, 1))):
+        with pytest.raises(DimensionMismatch):
+            lu_solve_factored(factors, bad)
+    for bad in (np.eye(2), np.ones((2, 3, 4)), np.ones((1, 2, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            lu_factor_checked(bad)
 
 
 def test_invert_round_trip():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        a = rng.standard_normal((20, 20)) + 20.0 * np.eye(20)  # well conditioned
-        err = np.abs(a @ _solve(a, np.eye(20)) - np.eye(20)).max()
-        assert err < 1e-9 * np.linalg.cond(a)
+    a = rng.standard_normal((20, 20, 10)) + 20.0 * np.eye(20)[..., None]  # well conditioned
+    eye = np.broadcast_to(np.eye(20)[..., None], a.shape)
+    x = lu_solve_factored(lu_factor_checked(a)[:2], eye)
+    for k in range(a.shape[-1]):
+        err = np.abs(a[..., k] @ x[..., k] - np.eye(20)).max()
+        assert err < 1e-9 * np.linalg.cond(a[..., k])
 
 
 def test_rank_identity():

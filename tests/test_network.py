@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import opfsens as ops
-from opfsens.errors import DisconnectedChain, DuplicateGeneratorBus, InvalidTie, ZeroReactance
+from opfsens.errors import (
+    DisconnectedChain, DuplicateGeneratorBus, InvalidLimits, InvalidTie, ZeroReactance,
+)
 from opfsens.linalg import numerical_rank
 from opfsens.network import UNLIMITED_FLOW_PU, assemble_network
 
@@ -66,6 +70,24 @@ def test_zero_reactance(case9_text):
     text = case9_text.replace("	1	4	0	0.0576", "	1	4	0	0")
     with pytest.raises(ZeroReactance):
         ops.build_network(ops.parse_matpower(text))
+
+
+def test_non_finite_values_are_domain_errors():
+    """A non-finite susceptance is no reactance, and a non-finite cost or
+    limit an invalid limit; neither reaches the LP or the scan."""
+    for b in (np.nan, np.inf):
+        with pytest.raises(ZeroReactance):
+            assemble_network([1], [2], [(1, 2, b)])
+    net = assemble_network([1, 2, 3], [4], [(1, 4, 1.0), (2, 4, 1.0), (3, 4, 1.0)])
+    ok = ops.OpfParams(cost=np.ones(3), gen_upper=np.ones(3), gen_lower=np.zeros(3),
+                       flow_upper=np.ones(3), flow_lower=-np.ones(3))
+    ok.validate(net)
+    for name in ("cost", "gen_upper", "gen_lower", "flow_upper", "flow_lower"):
+        for bad in (np.nan, np.inf, -np.inf):
+            arr = getattr(ok, name).copy()
+            arr[1] = bad
+            with pytest.raises(InvalidLimits, match=name):
+                dataclasses.replace(ok, **{name: arr}).validate(net)
 
 
 def test_duplicate_generator_bus(case9_text):
