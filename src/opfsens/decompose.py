@@ -7,10 +7,15 @@ the generator to the load split the graph into a chain of subgraphs, each
 subgraph is completed with an auxiliary generator/load pair at the bridge
 attachment points, and the pair's worst case is the product of the
 per-subgraph worst cases.
+
+What does not depend on the pair is built once per network: its adjacency,
+its bridges, and every stage network, which is reused, with its cached PTDF
+basis, by each later pair that yields the same stage.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +33,13 @@ def _adjacency(net: Network) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def find_bridges(net: Network) -> list[int]:
+def _bridges(adj: list[list[tuple[int, int]]]) -> tuple[int, ...]:
     """Bridge edge indices via one iterative DFS low-link pass, ascending.
 
     Parallel edges are handled per edge index: only the exact edge used to
     enter a vertex is skipped, so a doubled edge is never reported.
     """
-    n = net.n_bus
-    adj = _adjacency(net)
+    n = len(adj)
     disc = [-1] * n
     low = [0] * n
     bridges: list[int] = []
@@ -69,7 +73,37 @@ def find_bridges(net: Network) -> list[int]:
                 iters[w] = iter(adj[w])
             else:
                 low[v] = min(low[v], disc[w])
-    return sorted(bridges)
+    return tuple(sorted(bridges))
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """What the decompositions of every pair of one network share: its
+    adjacency, its bridges, and the stage networks built so far, keyed by
+    their exact :func:`assemble_network` arguments, so a stage that recurs
+    is one object with one cached PTDF basis."""
+
+    adj: list[list[tuple[int, int]]]
+    bridges: tuple[int, ...]
+    stages: dict[tuple, Network]
+
+
+#: one entry per network decomposed so far, dropped with the network
+_STRUCTURES: weakref.WeakKeyDictionary[Network, _Structure] = weakref.WeakKeyDictionary()
+
+
+def _structure(net: Network) -> _Structure:
+    found = _STRUCTURES.get(net)
+    if found is None:
+        adj = _adjacency(net)
+        found = _STRUCTURES[net] = _Structure(adj=adj, bridges=_bridges(adj), stages={})
+    return found
+
+
+def find_bridges(net: Network) -> list[int]:
+    """Bridge edge indices, ascending: a fresh list of the ones
+    :func:`_bridges` found once for ``net``."""
+    return list(_structure(net).bridges)
 
 
 @dataclass(frozen=True)
@@ -126,7 +160,8 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
     """
     n_gen, labels = net.n_gen, net.vertex_order
     load_bus = n_gen + load
-    cut = {e for e in find_bridges(net) if min(net.edges[e][:2]) >= n_gen}
+    shared = _structure(net)
+    cut = {e for e in shared.bridges if min(net.edges[e][:2]) >= n_gen}
 
     # one DFS from the generator labels every bus with its block; block b > 0
     # is entered from block parent[b] < b through the bridge entry[b] = (x, y, e)
@@ -134,7 +169,7 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
     block[gen] = 0
     parent: list[int] = [-1]
     entry: list[tuple[int, int, int]] = [(-1, -1, -1)]
-    adj = _adjacency(net)
+    adj = shared.adj
     stack = [gen]
     while stack:
         u = stack.pop()
@@ -211,7 +246,10 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
         if m == 1 and not records:
             sub = net
         else:
-            sub = assemble_network(gen_labels, load_labels, edges, sort_labels=False)
+            key = (tuple(gen_labels), tuple(load_labels), tuple(edges))
+            if key not in shared.stages:
+                shared.stages[key] = assemble_network(*key, sort_labels=False)
+            sub = shared.stages[key]
         stages.append(StageProblem(
             network=sub,
             gen_index=sub.index_of(stage_gen_label),

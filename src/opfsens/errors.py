@@ -43,7 +43,8 @@ class InvalidLimits(OpfSensError):
 
 
 class InvalidTie(OpfSensError):
-    """A chain tie line refers to an invalid copy or bus, or copies < 2."""
+    """A chain tie line or a ``bus@copy`` selector refers to an invalid copy
+    or bus, or copies < 2."""
 
 
 class DisconnectedChain(OpfSensError):

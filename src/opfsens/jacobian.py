@@ -34,6 +34,7 @@ construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,17 +44,25 @@ from . import linalg
 from .errors import CardinalityViolation, DependentBindings, RegionBoundary
 from .network import Network
 
-@dataclass(frozen=True, order=True)
+
+def _increasing(s: Sequence[int]) -> bool:
+    return all(map(operator.lt, s, s[1:]))
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class BindingSet:
-    """Ordered index sets of binding generators and branches."""
+    """Ordered index sets of binding generators and branches.
+
+    Slotted: reports and tie lists hold thousands of them.
+    """
 
     gens: tuple[int, ...]
     branches: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if list(self.gens) != sorted(set(self.gens)):
+        if not _increasing(self.gens):
             raise CardinalityViolation(f"generator set {self.gens} not strictly increasing")
-        if list(self.branches) != sorted(set(self.branches)):
+        if not _increasing(self.branches):
             raise CardinalityViolation(f"branch set {self.branches} not strictly increasing")
 
     @property

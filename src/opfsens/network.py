@@ -58,9 +58,13 @@ class PtdfBasis:
     pool_p: np.ndarray   # pool @ theta_p, (n_gen + n_edge) x n_load
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Immutable graph model with precomputed matrices.
+
+    Networks compare and hash by identity: their array fields have no
+    elementwise ``==`` to derive one from, and per-network caches
+    (:mod:`~opfsens.decompose`) key on them.
 
     Attributes
     ----------
@@ -338,7 +342,10 @@ class TieLine:
 
 
 def copy_label(bus: Label, copy: int) -> str:
-    """Original label decorated with copy provenance: 4, 4', 4''."""
+    """Original label decorated with copy provenance: 4, 4', 4''. A negative
+    copy raises :class:`InvalidTie`."""
+    if copy < 0:
+        raise InvalidTie(f"copy index {copy} of bus {bus!r} is negative")
     return str(bus) + "'" * copy
 
 

@@ -10,7 +10,8 @@ with numpy from tables of branch combinations; it is tested and solved by
 :func:`~opfsens.jacobian.reduced_solve` for only the load columns the query
 reads: one for a single pair and its ties, the load set for MISO, every load
 for the whole table, none for enumeration. Index rows become
-``(gens, branches)`` keys only for the records a query keeps.
+``(gens, branches)`` keys only for the records a query keeps, in one
+conversion per chunk.
 
 Tie rule: the reported value is the maximum, and the reported set is the
 first independent set in lexicographic order whose value is at least the
@@ -43,6 +44,11 @@ CHUNK = 1024
 #: most rows of one precomputed branch-combination table; longer combination
 #: lists are built a fixed prefix at a time from one table's tails
 COMBO_ROWS = 1 << 16
+
+#: networks with at most this many candidate sets scan chunks built once per
+#: shape and ``CHUNK`` (the 27-bus stages have 78 to 1820); larger ones, such
+#: as the 18-bus chain with 53130 (2.1 MB of rows), stream them
+CACHED_CANDIDATES = 4096
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -107,27 +113,28 @@ def _combination_blocks(m: int, r: int) -> Iterator[np.ndarray]:
             yield block
 
 
-def _candidate_rows(net: Network) -> Iterator[np.ndarray]:
+def _candidate_rows(n_gen: int, n_edge: int) -> Iterator[np.ndarray]:
     """Every generator/branch set of the required total size, in
     lexicographic order (generator subset first, then branch subset), as
     blocks of :func:`~opfsens.jacobian.pool_rows` rows."""
-    n_g, need_total = net.n_gen, net.n_gen - 1
-    for sg in _lex_subsets(n_g, need_total):
+    need_total = n_gen - 1
+    for sg in _lex_subsets(n_gen, need_total):
         need = need_total - len(sg)
-        if need > net.n_edge:
+        if need > n_edge:
             continue
-        for block in _combination_blocks(net.n_edge, need):
+        for block in _combination_blocks(n_edge, need):
             rows = np.empty((len(block), need_total), dtype=np.intp)
             rows[:, : len(sg)] = sg
-            rows[:, len(sg) :] = n_g + block
+            rows[:, len(sg) :] = n_gen + block
             yield rows
 
 
-def _key(net: Network, row: np.ndarray) -> Key:
-    """The ``(gens, branches)`` key of one row of pool indices."""
-    row = row.tolist()
-    n_gens = sum(v < net.n_gen for v in row)
-    return tuple(row[:n_gens]), tuple(v - net.n_gen for v in row[n_gens:])
+def _keys(net: Network, rows: np.ndarray) -> list[Key]:
+    """The ``(gens, branches)`` keys of rows of pool indices, in order."""
+    is_gen = rows < net.n_gen
+    n_gens = is_gen.sum(axis=1).tolist()
+    rows = np.where(is_gen, rows, rows - net.n_gen).tolist()
+    return [(tuple(row[:c]), tuple(row[c:])) for row, c in zip(rows, n_gens)]
 
 
 def candidate_count(net: Network) -> int:
@@ -156,14 +163,30 @@ def _chunks(blocks: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
         yield np.concatenate(pending)
 
 
+@lru_cache(maxsize=16)
+def _cached_chunks(n_gen: int, n_edge: int, size: int) -> tuple[np.ndarray, ...]:
+    """The chunks of ``size`` rows of :func:`_candidate_rows` for one
+    network shape (read-only: they are shared by every network of that
+    shape)."""
+    chunks = tuple(_chunks(_candidate_rows(n_gen, n_edge), size))
+    for rows in chunks:
+        rows.setflags(write=False)
+    return chunks
+
+
 def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one pass over the candidate sets, ``CHUNK`` at a time in
     lexicographic order: yields the pool rows of each chunk's independent
     sets and their signed Jacobians for the load columns ``loads``, shape
     ``(len(rows), n_gen, len(loads))``, from :func:`reduced_solve`; with no
     ``loads`` nothing is solved. Chunks span generator subsets, so a small
-    network is one kernel call."""
-    for rows in _chunks(_candidate_rows(net), CHUNK):
+    network is one kernel call, and up to :data:`CACHED_CANDIDATES` they are
+    built once per shape and ``CHUNK``."""
+    if candidate_count(net) <= CACHED_CANDIDATES:
+        chunks = _cached_chunks(net.n_gen, net.n_edge, CHUNK)
+    else:
+        chunks = _chunks(_candidate_rows(net.n_gen, net.n_edge), CHUNK)
+    for rows in chunks:
         ok, jac = reduced_solve(net, rows, loads)
         if ok.any():
             yield rows[ok], jac
@@ -200,8 +223,9 @@ def _fold(
             take &= vals > running[:-1]
         for p in np.flatnonzero(running[-1] > best):
             kept[p] = [entry for entry in kept[p] if entry[0] >= floor[p]]
-        for t, p in zip(*np.nonzero(take)):
-            kept[p].append((vals[t, p], _key(net, rows[t])))
+        ts, ps = np.nonzero(take)
+        for p, value, key in zip(ps.tolist(), vals[ts, ps].tolist(), _keys(net, rows[ts])):
+            kept[p].append((value, key))
         # a copy: a view would keep the whole running array alive in reports
         best = running[-1].copy()
     if not valid:
@@ -212,8 +236,8 @@ def _fold(
 def enumerate_binding_sets(net: Network) -> Iterator[BindingSet]:
     """Yield every independent binding set in lexicographic order."""
     for rows, _ in _scan(net, ()):
-        for row in rows:
-            yield BindingSet(*_key(net, row))
+        for key in _keys(net, rows):
+            yield BindingSet(*key)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,15 @@ from opfsens import dcopf, decompose, jacobian
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_traced_layers_are_recorded(monkeypatch, chain27, net9, params9, loads9):
+def test_traced_layers_are_recorded(monkeypatch, net9, params9, loads9):
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
     import spans
 
-    net, _ = chain27
+    # a fresh chain: a network decomposed before reuses its stage networks,
+    # so only a first decomposition calls assemble_network
+    copies, ties = ops.load_chain_config(ops.bundled_chain_config_path())
+    net, _ = ops.build_chain(net9, params9, copies, ties)
     tracer = spans.Tracer(layers.TARGETS)
     with tracer.instrument():
         decompose.worst_case_decomposed(

@@ -90,6 +90,15 @@ def test_pair_at_copy_selector(capsys):
     assert doc["cwc"] > 0
 
 
+def test_negative_copy_exit_1(capsys):
+    """A negative copy in a bus@copy token is a domain error with a JSON
+    message, not a silent alias of copy 0."""
+    code, out, err = run_cli(capsys, "decompose", "--case", CASE, "--chain", CHAIN,
+                             "--pair", "1@-1", "7@-3", "--format", "json")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "InvalidTie"
+
+
 def test_solve_json(capsys):
     code, out, _ = run_cli(capsys, "solve", "--case", CASE, "--format", "json")
     assert code == 0

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 import opfsens as ops
-from opfsens import sensitivity
+from opfsens import decompose, sensitivity
 from opfsens.network import assemble_network
 
 
@@ -278,3 +278,61 @@ def test_decomposed_chunk_invariance(chain27, monkeypatch):
         assert res.factors == base.factors
         assert [s.argmax for s in res.stages] == [s.argmax for s in base.stages]
         assert [s.ties for s in res.stages] == [s.ties for s in base.stages]
+
+
+def _fresh_chain27(net9, params9):
+    copies, ties = ops.load_chain_config(ops.bundled_chain_config_path())
+    return ops.build_chain(net9, params9, copies, ties)[0]
+
+
+def _report(res):
+    """What a decomposed result reports, each float by its exact bits."""
+    stages = [
+        (s.factor.hex(), s.argmax, s.ties, s.stage.gen_label, s.stage.load_label,
+         s.stage.gen_index, s.stage.load_index, s.stage.network.n_gen,
+         s.stage.network.vertex_order, s.stage.network.edges)
+        for s in res.stages
+    ]
+    decomp = res.decomposition
+    return res.value.hex(), stages, decomp.bridges, decomp.augmented, decomp.pruned
+
+
+@pytest.mark.parametrize("make", ["chain27", *range(20)])
+def test_shared_stages_match_cold_builds(make, net9, params9, monkeypatch):
+    """A network decomposed before reuses its stage networks. Every pair's
+    result from the warm network equals, bit for bit, the one from a network
+    never decomposed, with no candidate chunks cached; equal stages are one
+    object; each distinct stage is assembled once, 15 on the 27-bus chain."""
+    def build():
+        if make == "chain27":
+            return _fresh_chain27(net9, params9)
+        return _random_bridge_network(make)
+
+    assembled = []
+    assemble = decompose.assemble_network
+
+    def counting(*args, **kwargs):
+        assembled.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "assemble_network", counting)
+    warm = build()
+    pairs = [(i, j) for i in range(warm.n_gen) for j in range(warm.n_load)]
+    first = {p: ops.worst_case_decomposed(warm, *p, collect_ties=True) for p in pairs}
+
+    objects: dict[tuple, set[int]] = {}
+    for res in first.values():
+        for s in res.stages:
+            sub = s.stage.network
+            objects.setdefault((sub.n_gen, sub.vertex_order, sub.edges), set()).add(id(sub))
+    assert all(len(ids) == 1 for ids in objects.values())
+    built = [key for key, ids in objects.items() if ids != {id(warm)}]
+    assert len(assembled) == len(built)
+    if make == "chain27":
+        assert len(assembled) == 15
+
+    for p in pairs:
+        again = ops.worst_case_decomposed(warm, *p, collect_ties=True)
+        sensitivity._cached_chunks.cache_clear()
+        cold = ops.worst_case_decomposed(build(), *p, collect_ties=True)
+        assert _report(again) == _report(cold) == _report(first[p])

@@ -4,6 +4,8 @@ constraint stack, and the finite-difference cross-check."""
 from __future__ import annotations
 
 import itertools
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -59,6 +61,24 @@ def test_duplicate_branch_rejected():
         BindingSet(gens=(), branches=(3, 3))
     with pytest.raises(CardinalityViolation):
         BindingSet(gens=(1, 1), branches=())
+
+
+def test_binding_set_value_semantics():
+    """A slotted BindingSet keeps the value semantics of the plain frozen
+    dataclass: pickle round trip, equality, field-tuple ordering and hash,
+    the same rejection messages, and no per-instance dict."""
+    a, b, c = BindingSet((0, 2), (1, 5)), BindingSet((0, 2), (3,)), BindingSet((), (0, 1))
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert a == BindingSet((0, 2), (1, 5)) and a != b
+    assert hash(a) == hash(((0, 2), (1, 5)))
+    assert sorted([b, a, c]) == [c, a, b]
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        a.gens = ()
+    with pytest.raises(CardinalityViolation, match=r"^generator set \(2, 0\) not strictly increasing$"):
+        BindingSet((2, 0), ())
+    with pytest.raises(CardinalityViolation, match=r"^branch set \(1, 5, 5\) not strictly increasing$"):
+        BindingSet((), (1, 5, 5))
 
 
 def test_cardinality_enforced(net9):

@@ -10,7 +10,7 @@ import pytest
 import opfsens as ops
 from opfsens import sensitivity
 from opfsens.errors import EmptyLoadSet
-from opfsens.jacobian import BindingSet
+from opfsens.jacobian import BindingSet, reduced_solve
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count
 
@@ -57,8 +57,8 @@ def test_candidate_order_matches_itertools(net9, chain18, two_bus, monkeypatch, 
     monkeypatch.setattr(sensitivity, "COMBO_ROWS", combo_rows)
     star = assemble_network([1, 2], [3], [(1, 3, 5.0), (2, 3, 7.0)])
     for net in (net9, chain18[0], two_bus[0], star):
-        keys = [sensitivity._key(net, row)
-                for rows in sensitivity._candidate_rows(net) for row in rows]
+        keys = [key for rows in sensitivity._candidate_rows(net.n_gen, net.n_edge)
+                for key in sensitivity._keys(net, rows)]
         assert keys == oracles.lex_candidates(net)
 
 
@@ -259,6 +259,28 @@ def test_chunk_size_invariance(net9, monkeypatch):
         assert ops.worst_case_miso(net9, 2, [2, 5]) == base_miso
         assert ops.tied_argmax_sets(net9, 0, 3) == base_ties
         assert list(ops.enumerate_binding_sets(net9)) == base_sets
+
+
+def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
+    """Candidate chunks cached per network shape are cached per ``CHUNK``
+    too, so the chunk-invariance tests scan each chunking for real: case9's
+    66 candidates take 66 kernel calls at ``CHUNK`` 1, 10 at 7 and one at
+    the default, whichever ran first."""
+    calls = []
+
+    def counting(net, rows, loads):
+        calls.append(len(rows))
+        return reduced_solve(net, rows, loads)
+
+    monkeypatch.setattr(sensitivity, "reduced_solve", counting)
+    assert candidate_count(net9) == 66 <= sensitivity.CACHED_CANDIDATES
+    default = sensitivity.CHUNK
+    for chunk, want in ((default, 1), (1, 66), (7, 10), (default, 1)):
+        monkeypatch.setattr(sensitivity, "CHUNK", chunk)
+        calls.clear()
+        ops.worst_case_all(net9)
+        assert len(calls) == want
+        assert sum(calls) == 66
 
 
 def test_report_holds_no_scan_buffer(chain18):
