@@ -21,16 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobian import BindingSet
-from .network import Label, Network, assemble_network
+from .network import Label, Network, _adjacency, assemble_network
 from .sensitivity import tied_argmax_sets, worst_case_siso
-
-
-def _adjacency(net: Network) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(net.n_bus)]
-    for e, (u, v, _) in enumerate(net.edges):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    return adj
 
 
 def _bridges(adj: list[list[tuple[int, int]]]) -> tuple[int, ...]:
@@ -95,7 +87,7 @@ _STRUCTURES: weakref.WeakKeyDictionary[Network, _Structure] = weakref.WeakKeyDic
 def _structure(net: Network) -> _Structure:
     found = _STRUCTURES.get(net)
     if found is None:
-        adj = _adjacency(net)
+        adj = _adjacency(net.n_bus, net.edges)
         found = _STRUCTURES[net] = _Structure(adj=adj, bridges=_bridges(adj), stages={})
     return found
 

@@ -2,9 +2,10 @@
 operating limits, and construction from MATPOWER cases or chained copies.
 
 Internal vertex order is always generators first (indices ``0..n_gen-1``),
-then loads, each group sorted by original bus label. Edges keep declaration
-order; the incidence column of edge ``(u, v)`` is ``+1`` at ``u`` and ``-1``
-at ``v``.
+then loads. A MATPOWER case sorts each group by bus label; a chain orders
+each group copy-major, and a decomposition stage keeps the order it is
+given. Edges keep declaration order; the incidence column of edge ``(u, v)``
+is ``+1`` at ``u`` and ``-1`` at ``v``.
 """
 
 from __future__ import annotations
@@ -162,21 +163,38 @@ class OpfParams:
             raise InvalidLimits("costs must be nonnegative")
 
 
-def _connected(n: int, adjacency: list[list[int]]) -> bool:
-    if n == 0:
-        return True
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+def _adjacency(
+    n_bus: int, edges: Sequence[tuple[int, int, float]]
+) -> list[list[tuple[int, int]]]:
+    """The ``(neighbor, edge index)`` pairs of every vertex, from ``(u, v,
+    susceptance)`` edges over internal vertex indices."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_bus)]
+    for e, (u, v, _) in enumerate(edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    return adj
+
+
+def _components(
+    adj: list[list[tuple[int, int]]], removed: set[int] | frozenset[int] = frozenset()
+) -> list[list[int]]:
+    """The vertices of each connected component of the graph once the edges
+    ``removed`` are taken out, components in order of their least vertex."""
+    seen = [False] * len(adj)
+    components = []
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp, stack = [s], [s]
+        while stack:
+            for w, e in adj[stack.pop()]:
+                if not seen[w] and e not in removed:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        components.append(comp)
+    return components
 
 
 def assemble_network(
@@ -203,7 +221,6 @@ def assemble_network(
     incidence = np.zeros((n, m))
     b = np.zeros(m)
     idx_edges = []
-    adjacency: list[list[int]] = [[] for _ in range(n)]
     for e, (lu, lv, be) in enumerate(edges):
         if not 0 < be < math.inf:
             raise ZeroReactance(
@@ -213,10 +230,8 @@ def assemble_network(
         incidence[v, e] = -1.0
         b[e] = be
         idx_edges.append((u, v, float(be)))
-        adjacency[u].append(v)
-        adjacency[v].append(u)
 
-    if not _connected(n, adjacency):
+    if len(_components(_adjacency(n, idx_edges))) > 1:
         raise DisconnectedGraph("network graph is not connected")
 
     flow_matrix = b[:, None] * incidence.T

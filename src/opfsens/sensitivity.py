@@ -24,14 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegeneratePoint, DependentBindings, EmptyLoadSet, NoValidSet
 from .jacobian import BindingSet, jacobian_from_binding, reduced_solve
-from .network import Network
+from .network import Network, _adjacency, _components
 
 #: two candidate values within this of each other count as a tie
 TIE_TOL = 1e-9
@@ -53,80 +53,46 @@ CACHED_CANDIDATES = 4096
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _lex_subsets(n: int, max_size: int) -> Iterator[tuple[int, ...]]:
-    """All subsets of ``range(n)`` up to ``max_size``, lexicographic order."""
-    prefix: list[int] = []
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(prefix)
-        if len(prefix) < max_size:
-            for v in range(start, n):
-                prefix.append(v)
-                yield from rec(v + 1)
-                prefix.pop()
-
-    yield from rec(0)
-
-
 @lru_cache(maxsize=64)
 def _combinations(m: int, r: int) -> np.ndarray:
     """All ``r``-subsets of ``range(m)``, one per row, lexicographic order
-    (read-only: the array is shared by every caller).
-
-    Built one column at a time, extending each row only by values that still
-    leave room for the remaining columns.
-    """
-    rows = np.zeros((1, 0), dtype=np.intp)
-    for t in range(r):
-        lo = rows[:, -1] + 1 if t else np.zeros(1, dtype=np.intp)
-        reps = np.maximum(m - r + t + 1 - lo, 0)
-        parent = np.repeat(np.arange(len(rows)), reps)
-        value = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps) + lo[parent]
-        rows = np.column_stack([rows[parent], value])
+    (read-only: the array is shared by every caller)."""
+    count = math.comb(m, r)
+    rows = np.fromiter(chain.from_iterable(combinations(range(m), r)), np.intp, count * r)
+    rows = rows.reshape(count, r)
     rows.setflags(write=False)
     return rows
 
 
-def _combination_blocks(m: int, r: int) -> Iterator[np.ndarray]:
-    """The ``r``-subsets of ``range(m)`` in lexicographic order, in blocks.
-
-    A table of all ``q``-subsets, ``q`` as large as keeps it within
-    :data:`COMBO_ROWS` rows, is the whole list when ``q = r``. Otherwise each
-    block is one fixed prefix of ``r - q`` entries, from
-    ``itertools.combinations``, followed by every suffix from the table whose
-    first entry lies past the prefix: a contiguous tail of the table.
-    """
-    q = r
-    while math.comb(m, q) > COMBO_ROWS:
-        q -= 1
-    table = _combinations(m, q)
-    if q == r:
-        yield table
-        return
-    first = np.searchsorted(table[:, 0], np.arange(m + 1)) if q else np.zeros(m + 1, np.intp)
-    for prefix in combinations(range(m), r - q):
-        tail = table[first[prefix[-1] + 1] :]
-        if len(tail):
-            block = np.empty((len(tail), r), dtype=np.intp)
-            block[:, : r - q] = prefix
-            block[:, r - q :] = tail
-            yield block
-
-
 def _candidate_rows(n_gen: int, n_edge: int) -> Iterator[np.ndarray]:
-    """Every generator/branch set of the required total size, in
-    lexicographic order (generator subset first, then branch subset), as
-    blocks of :func:`~opfsens.jacobian.pool_rows` rows."""
-    need_total = n_gen - 1
-    for sg in _lex_subsets(n_gen, need_total):
-        need = need_total - len(sg)
-        if need > n_edge:
-            continue
-        for block in _combination_blocks(n_edge, need):
-            rows = np.empty((len(block), need_total), dtype=np.intp)
-            rows[:, : len(sg)] = sg
-            rows[:, len(sg) :] = n_gen + block
-            yield rows
+    """Every generator/branch set of ``n_gen - 1`` members, in lexicographic
+    order (generator subset first, then branch subset), as blocks of
+    :func:`~opfsens.jacobian.pool_rows` rows.
+
+    The ``need`` branches of a generator subset come from a table of all
+    ``q``-subsets, ``q`` as large as keeps it within :data:`COMBO_ROWS`
+    rows. Each block is one prefix, the generator subset and ``need - q``
+    branches from ``itertools.combinations``, followed by every suffix from
+    the table whose first entry lies past the prefix: a contiguous tail of
+    the table, the whole table when ``q = need``.
+    """
+    size = n_gen - 1
+    for sg in sorted(chain.from_iterable(combinations(range(n_gen), k) for k in range(n_gen))):
+        need = size - len(sg)
+        q = need
+        while math.comb(n_edge, q) > COMBO_ROWS:
+            q -= 1
+        table = _combinations(n_edge, q)
+        if q < need:  # first[v]: the first table row that starts at v or later
+            first = (np.searchsorted(table[:, 0], np.arange(n_edge + 1)) if q
+                     else np.zeros(n_edge + 1, np.intp))
+        for branches in combinations(range(n_edge), need - q):
+            tail = table[first[branches[-1] + 1] :] if branches else table
+            if len(tail):
+                rows = np.empty((len(tail), size), dtype=np.intp)
+                rows[:, : size - q] = sg + tuple(n_gen + b for b in branches)
+                rows[:, size - q :] = n_gen + tail
+                yield rows
 
 
 def _keys(net: Network, rows: np.ndarray) -> list[Key]:
@@ -138,13 +104,9 @@ def _keys(net: Network, rows: np.ndarray) -> list[Key]:
 
 
 def candidate_count(net: Network) -> int:
-    """Number of cardinality-feasible sets, before the independence filter."""
-    k_max = net.n_gen - 1
-    return sum(
-        math.comb(net.n_gen, k) * math.comb(net.n_edge, k_max - k)
-        for k in range(k_max + 1)
-        if k_max - k <= net.n_edge
-    )
+    """Number of cardinality-feasible sets, before the independence filter:
+    ``n_gen - 1`` of the ``n_gen + n_edge`` pool rows."""
+    return math.comb(net.n_gen + net.n_edge, net.n_gen - 1) if net.n_gen else 0
 
 
 def _chunks(blocks: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
@@ -347,30 +309,10 @@ class StructuralCheck:
 
 def structural_check(net: Network, bset: BindingSet) -> StructuralCheck:
     """Verify the free-generator-per-component property of a binding set."""
-    removed = set(bset.branches)
-    adjacency: list[list[int]] = [[] for _ in range(net.n_bus)]
-    for e, (u, v, _) in enumerate(net.edges):
-        if e not in removed:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-
-    seen = [False] * net.n_bus
-    components = []
-    for s in range(net.n_bus):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        components.append(tuple(sorted(comp)))
-
+    components = [
+        tuple(sorted(comp))
+        for comp in _components(_adjacency(net.n_bus, net.edges), set(bset.branches))
+    ]
     binding = set(bset.gens)
     passed = all(
         any(v < net.n_gen and v not in binding for v in comp) for comp in components

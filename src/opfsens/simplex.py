@@ -29,7 +29,6 @@ class LpSolution:
     basis: np.ndarray          # row -> variable index
     duals: np.ndarray          # y with A' y + reduced_costs = c
     reduced_costs: np.ndarray
-    min_basic_value: float     # 0 at a degenerate vertex
     iterations: int
 
 
@@ -135,8 +134,7 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
     iters += _run_simplex(tab, basis, n, max_iter)
 
     x = np.zeros(n)
-    values = tab[:m_eff, -1]
-    x[basis] = values
+    x[basis] = tab[:m_eff, -1]
     if (x < -FEAS_TOL).any():
         raise NumericalFailure(f"negative basic value {x.min():.3e}")
     np.clip(x, 0.0, None, out=x)
@@ -160,6 +158,5 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
         basis=basis.copy(),
         duals=duals,
         reduced_costs=reduced,
-        min_basic_value=float(values.min()) if m_eff else 0.0,
         iterations=iters,
     )

@@ -1,6 +1,7 @@
 """Reference computations the tests check the package against, kept apart
 from the package: the doubled-inequality standard form of the dispatch LP,
-the candidate order built with ``itertools``, and the full
+the candidate order built with ``itertools``, graph components from
+``scipy.sparse.csgraph``, and the full
 ``n_bus x n_bus`` constraint stack with the independence test and Jacobian
 that the package's reduced ``k x k`` kernel replaces, and the row-major
 stacked LU that the package's batch-last kernel must reproduce bit for bit."""
@@ -13,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from opfsens.dcopf import check_load
 from opfsens.errors import DimensionMismatch
@@ -150,6 +153,22 @@ def lex_candidates(net: Network) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     )
     return [(sg, sb) for sg in gen_subsets
             for sb in combinations(range(net.n_edge), need - len(sg))]
+
+
+def csgraph_components(n_bus: int, edges, removed=()) -> list[tuple[int, ...]]:
+    """The connected components of the graph on ``range(n_bus)`` with edges
+    ``(u, v, ...)`` less the edge indices ``removed``, from
+    ``scipy.sparse.csgraph``: each as an ascending tuple, in order of their
+    least vertex."""
+    removed = set(removed)
+    kept = [edge[:2] for e, edge in enumerate(edges) if e not in removed]
+    rows, cols = zip(*kept) if kept else ((), ())
+    graph = coo_matrix((np.ones(len(kept)), (rows, cols)), shape=(n_bus, n_bus))
+    _, labels = connected_components(graph, directed=False)
+    comps: dict[int, list[int]] = {}
+    for v, label in enumerate(labels.tolist()):
+        comps.setdefault(label, []).append(v)
+    return sorted(tuple(c) for c in comps.values())
 
 
 # The package's stacked LU as it was before its batch-last layout, verbatim

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import opfsens as ops
+from opfsens import cli
 from opfsens.cli import main
 
 CASE = str(ops.bundled_case_path())
@@ -197,6 +198,53 @@ def test_malformed_chain_config_exit_1(capsys, tmp_path, old, new):
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+# two generator buses and one line: a network with no load bus
+_NO_LOAD_CASE = """function mpc = noload
+mpc.version = '2';
+mpc.baseMVA = 100;
+mpc.bus = [
+	1	3	0	0	0	0	1	1	0	345	1	1.1	0.9;
+	2	2	0	0	0	0	1	1	0	345	1	1.1	0.9;
+];
+mpc.gen = [
+	1	0	0	300	-300	1	100	1	250	10	0	0	0	0	0	0	0	0	0	0	0;
+	2	0	0	300	-300	1	100	1	300	10	0	0	0	0	0	0	0	0	0	0	0;
+];
+mpc.branch = [
+	1	2	0	0.0576	0	250	250	250	0	0	1	-360	360;
+];
+mpc.gencost = [
+	2	0	0	2	5	0;
+	2	0	0	2	1.2	0;
+];
+"""
+
+
+def test_report_table_without_loads(capsys, tmp_path):
+    """A network with no load bus has an empty worst-case table: the table
+    format prints its header and generator rows, as the CSV does."""
+    case = _write(tmp_path / "noload.m", _NO_LOAD_CASE)
+    rows = {}
+    for fmt, sep in (("table", None), ("csv", ",")):
+        code, out, err = run_cli(capsys, "report", "--case", case, "--format", fmt)
+        assert (code, err) == (0, "")
+        rows[fmt] = [line.split(sep) for line in out.splitlines()]
+    assert rows["table"] == rows["csv"] == [["gen\\load"], ["1"], ["2"]]
+
+
+def test_large_scan_note_gives_a_time(capsys, monkeypatch):
+    """Above the threshold the note gives the scan's rough time at about
+    2 us per candidate, in seconds and, from 100 s, in minutes."""
+    monkeypatch.setattr(cli, "SCAN_WARN_CANDIDATES", 10)
+    code, _, err = run_cli(capsys, "report", "--case", CASE)
+    assert code == 0
+    assert "note: exhaustive scan over 66 candidate sets, roughly 0.00013 s;" in err
+    for count, eta in ((48_903_492, "98 s"), (10**9, "33 min")):
+        monkeypatch.setattr(cli, "candidate_count", lambda net: count)
+        cli._warn_if_large_scan(None)
+        assert f"over {count} candidate sets, roughly {eta};" in capsys.readouterr().err
 
 
 def test_missing_case_file_exit_2(capsys):

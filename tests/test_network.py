@@ -9,10 +9,13 @@ import pytest
 
 import opfsens as ops
 from opfsens.errors import (
-    DisconnectedChain, DuplicateGeneratorBus, InvalidLimits, InvalidTie, ZeroReactance,
+    DisconnectedChain, DisconnectedGraph, DuplicateGeneratorBus, InvalidLimits, InvalidTie,
+    ZeroReactance,
 )
 from opfsens.linalg import numerical_rank
-from opfsens.network import UNLIMITED_FLOW_PU, assemble_network
+from opfsens.network import UNLIMITED_FLOW_PU, _adjacency, _components, assemble_network
+
+import oracles
 
 
 def test_case9_shape(net9):
@@ -140,22 +143,8 @@ def test_two_copy_chain_tie_is_bridge(chain18):
     net, _ = chain18
     assert (net.n_bus, net.n_edge) == (18, 19)
 
-    def connected_without(edge):
-        adj = {i: set() for i in range(net.n_bus)}
-        for e, (u, v, _) in enumerate(net.edges):
-            if e != edge:
-                adj[u].add(v)
-                adj[v].add(u)
-        seen, stack = set(), [0]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(adj[u] - seen)
-        return len(seen) == net.n_bus
-
-    bridges_oracle = [e for e in range(net.n_edge) if not connected_without(e)]
+    bridges_oracle = [e for e in range(net.n_edge)
+                      if len(oracles.csgraph_components(net.n_bus, net.edges, {e})) > 1]
     tie_edge = net.n_edge - 1  # ties are appended last
     assert tie_edge in bridges_oracle
     cross = [
@@ -189,3 +178,40 @@ def test_chain_config_round_trip(tmp_path, net9, params9):
     assert ties == [ops.TieLine(0, 7, 1, 4)]
     net, _ = ops.build_chain(net9, params9, copies, ties)
     assert net.n_bus == 18
+
+
+def _random_graphs(seed: int, count: int = 200):
+    """Seeded random multigraphs on 1 to 11 vertices, often disconnected:
+    ``(n_bus, edges)`` with ``(u, v, susceptance)`` edges, no self-loops."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 12))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)).tolist()
+        yield n, [(u, v, float(rng.uniform(0.5, 2.0))) for u, v in pairs if u != v]
+
+
+def test_components_match_csgraph():
+    """The components walk, with random edges removed, gives scipy's
+    partition, components in order of their least vertex."""
+    rng = np.random.default_rng(41)
+    for n, edges in _random_graphs(40):
+        removed = {e for e in range(len(edges)) if rng.random() < 0.3}
+        comps = _components(_adjacency(n, edges), removed)
+        assert [tuple(sorted(c)) for c in comps] == oracles.csgraph_components(n, edges, removed)
+
+
+def test_assemble_rejects_exactly_the_disconnected_graphs():
+    """``assemble_network`` raises :class:`DisconnectedGraph` exactly when
+    scipy finds more than one component."""
+    outcomes = set()
+    for n, edges in _random_graphs(42):
+        n_gen = 1 + n // 3
+        labeled = [(u + 1, v + 1, b) for u, v, b in edges]
+        connected = len(oracles.csgraph_components(n, edges)) == 1
+        outcomes.add(connected)
+        if connected:
+            assert assemble_network(range(1, n_gen + 1), range(n_gen + 1, n + 1), labeled).n_bus == n
+        else:
+            with pytest.raises(DisconnectedGraph):
+                assemble_network(range(1, n_gen + 1), range(n_gen + 1, n + 1), labeled)
+    assert outcomes == {True, False}

@@ -9,7 +9,7 @@ import pytest
 
 import opfsens as ops
 from opfsens import sensitivity
-from opfsens.errors import EmptyLoadSet
+from opfsens.errors import EmptyLoadSet, NoValidSet
 from opfsens.jacobian import BindingSet, reduced_solve
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count
@@ -21,6 +21,13 @@ from conftest import random_regular_params
 def test_candidate_count_case9(net9):
     # C(3,0)C(9,2) + C(3,1)C(9,1) + C(3,2)C(9,0)
     assert candidate_count(net9) == 36 + 27 + 3 == 66
+
+
+def test_network_without_generators_has_no_candidates():
+    net = assemble_network([], [1, 2], [(1, 2, 1.0)])
+    assert candidate_count(net) == 0
+    with pytest.raises(NoValidSet):
+        ops.worst_case_all(net)
 
 
 def test_enumeration_case9(net9):
@@ -241,6 +248,20 @@ def test_structural_check_violating_set(net9):
 def test_structural_check_non_cut(net9):
     res = ops.structural_check(net9, BindingSet(gens=(0,), branches=(1,)))
     assert res.vacuous and res.passed and len(res.components) == 1
+
+
+def test_structural_check_matches_csgraph(net9):
+    """On every one of case9's 66 candidate sets: the components of the
+    graph less the binding branches are scipy's, ``passed`` says that each
+    keeps a non-binding generator, and ``vacuous`` that there is one."""
+    candidates = oracles.lex_candidates(net9)
+    assert len(candidates) == 66
+    for gens, branches in candidates:
+        res = ops.structural_check(net9, BindingSet(gens, branches))
+        comps = oracles.csgraph_components(net9.n_bus, net9.edges, branches)
+        assert res.components == tuple(comps)
+        assert res.passed == all(any(v < net9.n_gen and v not in gens for v in c) for c in comps)
+        assert res.vacuous == (len(comps) == 1)
 
 
 def test_chunk_size_invariance(net9, monkeypatch):
