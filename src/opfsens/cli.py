@@ -49,9 +49,9 @@ SCAN_WARN_CANDIDATES = 2_000_000
 def _warn_if_large_scan(net: Network) -> None:
     n = candidate_count(net)
     if n > SCAN_WARN_CANDIDATES:
-        # about 2 us per candidate: the direct scan of the bundled 27-bus
-        # chain's 48.9M candidates took 97 s on a 2-vCPU x86 machine
-        seconds = n * 2e-6
+        # about 1.8 us per candidate: the direct scan of the bundled 27-bus
+        # chain's 48.9M candidates took 88 s on a 2-vCPU x86 machine
+        seconds = n * 1.8e-6
         eta = f"{seconds:.2g} s" if seconds < 100 else f"{seconds / 60:.0f} min"
         sys.stderr.write(
             f"note: exhaustive scan over {n} candidate sets, roughly {eta}; the "

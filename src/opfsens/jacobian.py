@@ -109,23 +109,24 @@ def reduced_solve(
     exact (:class:`~opfsens.network.PtdfBasis`: ``G N`` is a row of minus
     ones over the identity, ``G theta_p`` a row of minus ones over zeros),
     so row ``g > 0`` of the Jacobian is row ``g - 1`` of ``y`` and row 0 is
-    ``1 - y_0 - y_1 - ...``, subtracted left to right. Each column is
-    computed on its own: a subset of ``loads`` gives the same columns bit for
-    bit.
+    ``1 - y_0 - y_1 - ...``, subtracted left to right; both are written
+    straight into the returned array. Each column is computed on its own: a
+    subset of ``loads`` gives the same columns bit for bit.
     """
     basis = net.ptdf_basis
     loads = np.asarray(loads, dtype=np.intp)
-    lu, piv, ok = linalg.lu_factor_checked(basis.pool_n[rows].transpose(1, 2, 0))
+    lu, piv, ok = linalg.lu_factor_checked(basis.pool_n.take(rows, axis=0).transpose(1, 2, 0))
     passed = np.flatnonzero(ok)
+    jac = np.zeros((passed.size, net.n_gen, loads.size))
     if not (passed.size and loads.size):
-        return ok, np.zeros((passed.size, net.n_gen, loads.size))
+        return ok, jac
     # take keeps the batch axis last in memory; a boolean mask would not
     factors = lu.take(passed, axis=2), piv.take(passed, axis=1)
-    rhs = basis.pool_p[rows[passed, :, None], loads].transpose(1, 2, 0)
+    rhs = basis.pool_p.take(loads, axis=1).take(rows[passed], axis=0).transpose(1, 2, 0)
     y = linalg.lu_solve_factored(factors, rhs)  # (k, loads, sets)
-    jac = np.concatenate([np.ones((1,) + y.shape[1:]), y])
-    jac[0] = np.subtract.reduce(jac)
-    return ok, np.ascontiguousarray(jac.transpose(2, 0, 1))
+    jac[:, 1:] = y.transpose(2, 0, 1)
+    np.subtract.reduce(y, axis=0, initial=1.0, out=jac[:, 0].T)
+    return ok, jac
 
 
 def _solve_one(net: Network, bset: BindingSet, loads: Sequence[int]) -> np.ndarray:

@@ -11,7 +11,8 @@ with numpy from tables of branch combinations; it is tested and solved by
 reads: one for a single pair and its ties, the load set for MISO, every load
 for the whole table, none for enumeration. Index rows become
 ``(gens, branches)`` keys only for the records a query keeps, in one
-conversion per chunk.
+conversion per chunk, and reported sets are shared objects, one per
+distinct set.
 
 Tie rule: the reported value is the maximum, and the reported set is the
 first independent set in lexicographic order whose value is at least the
@@ -36,9 +37,9 @@ from .network import Network, _adjacency, _components
 #: two candidate values within this of each other count as a tie
 TIE_TOL = 1e-9
 
-#: candidate sets factored together: scan time is flat from 512 to 4096 on the
-#: 18-bus chain and the 27-bus stages; 1024 matrices S N of the 18-bus chain
-#: (k = 5) take 0.2 MB
+#: candidate sets factored together. Against 1024, scan time is about 10%
+#: higher at 512 on the 18-bus chain and the 27-bus stages, and 0-16% lower
+#: at 2048 and 4096; 1024 matrices S N of the 18-bus chain (k = 5) take 0.2 MB
 CHUNK = 1024
 
 #: most rows of one precomputed branch-combination table; longer combination
@@ -101,6 +102,14 @@ def _keys(net: Network, rows: np.ndarray) -> list[Key]:
     n_gens = is_gen.sum(axis=1).tolist()
     rows = np.where(is_gen, rows, rows - net.n_gen).tolist()
     return [(tuple(row[:c]), tuple(row[c:])) for row, c in zip(rows, n_gens)]
+
+
+@lru_cache(maxsize=4096)
+def _binding_set(gens: tuple[int, ...], branches: tuple[int, ...]) -> BindingSet:
+    """The shared :class:`BindingSet` of a reported key: argmax entries and
+    tie lists hold one validated object per distinct set, kept while it is
+    among the 4096 most recently reported."""
+    return BindingSet(gens, branches)
 
 
 def candidate_count(net: Network) -> int:
@@ -168,7 +177,9 @@ def _fold(
     first key is the argmax, and the number of independent sets. The argmax
     beats every set before it, so only such records within :data:`TIE_TOL`
     of the running maximum are kept; with ``all_ties`` every set within
-    :data:`TIE_TOL` of it is.
+    :data:`TIE_TOL` of it is. A chunk is folded only into its live columns,
+    those whose chunk maximum can set a record: above ``best``, or with
+    ``all_ties`` within :data:`TIE_TOL` of it.
     """
     best = kept = None
     valid = 0
@@ -178,18 +189,23 @@ def _fold(
             best = np.full(vals.shape[1], -np.inf)
             kept = [[] for _ in range(vals.shape[1])]
         valid += len(rows)
-        running = np.maximum.accumulate(np.vstack([best, vals]))
+        top = vals.max(axis=0)
+        live = np.flatnonzero(top >= best - TIE_TOL if all_ties else top > best)
+        if not live.size:
+            continue
+        vals = vals[:, live]
+        running = np.maximum.accumulate(np.vstack([best[live], vals]))
         floor = running[-1] - TIE_TOL
         take = vals >= floor
         if not all_ties:
             take &= vals > running[:-1]
-        for p in np.flatnonzero(running[-1] > best):
-            kept[p] = [entry for entry in kept[p] if entry[0] >= floor[p]]
-        ts, ps = np.nonzero(take)
-        for p, value, key in zip(ps.tolist(), vals[ts, ps].tolist(), _keys(net, rows[ts])):
+        for c in np.flatnonzero(running[-1] > running[0]):
+            p = live[c]
+            kept[p] = [entry for entry in kept[p] if entry[0] >= floor[c]]
+        ts, cs = np.nonzero(take)
+        for p, value, key in zip(live[cs].tolist(), vals[ts, cs].tolist(), _keys(net, rows[ts])):
             kept[p].append((value, key))
-        # a copy: a view would keep the whole running array alive in reports
-        best = running[-1].copy()
+        best[live] = running[-1]
     if not valid:
         raise NoValidSet("no independent binding set exists for this network")
     return best, kept, valid
@@ -231,7 +247,7 @@ def worst_case_siso(net: Network, gen: int, load: int) -> tuple[float, BindingSe
     """
     _check_pair(net, gen, load)
     best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]))
-    return float(best[0]), BindingSet(*kept[0][0][1])
+    return float(best[0]), _binding_set(*kept[0][0][1])
 
 
 def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float, BindingSet]:
@@ -247,14 +263,14 @@ def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float
     if not 0 <= gen < net.n_gen:
         raise IndexError(f"generator index {gen} out of range")
     best, kept, _ = _fold(net, loads, lambda jac: np.linalg.norm(jac[:, gen], axis=1)[:, None])
-    return float(best[0]), BindingSet(*kept[0][0][1])
+    return float(best[0]), _binding_set(*kept[0][0][1])
 
 
 def worst_case_all(net: Network) -> SensitivityReport:
     """Worst cases for every pair in one enumeration pass."""
     n_l = net.n_load
     best, kept, valid = _fold(net, range(n_l), lambda jac: np.abs(jac).reshape(len(jac), -1))
-    argmax = [BindingSet(*entries[0][1]) for entries in kept]
+    argmax = [_binding_set(*entries[0][1]) for entries in kept]
     return SensitivityReport(
         cwc=best.reshape(net.n_gen, n_l),
         argmax=tuple(tuple(argmax[i * n_l : (i + 1) * n_l]) for i in range(net.n_gen)),
@@ -272,7 +288,7 @@ def tied_argmax_sets(net: Network, gen: int, load: int) -> tuple[float, BindingS
     """
     _check_pair(net, gen, load)
     best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]), all_ties=True)
-    ties = [BindingSet(*key) for _, key in kept[0]]
+    ties = [_binding_set(*key) for _, key in kept[0]]
     return float(best[0]), ties[0], ties
 
 

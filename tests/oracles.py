@@ -3,8 +3,9 @@ from the package: the doubled-inequality standard form of the dispatch LP,
 the candidate order built with ``itertools``, graph components from
 ``scipy.sparse.csgraph``, and the full
 ``n_bus x n_bus`` constraint stack with the independence test and Jacobian
-that the package's reduced ``k x k`` kernel replaces, and the row-major
-stacked LU that the package's batch-last kernel must reproduce bit for bit."""
+that the package's reduced ``k x k`` kernel replaces, the row-major stacked
+LU and the gathers and Jacobian assembly that the package's batch-last kernel
+must reproduce bit for bit, and the tie rule applied one record at a time."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from opfsens import linalg
 from opfsens.dcopf import check_load
 from opfsens.errors import DimensionMismatch
 from opfsens.jacobian import BindingSet
@@ -215,3 +217,48 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     scale = np.maximum(pivots.max(axis=1, initial=0.0), 1.0)
     independent = pivots.min(axis=1, initial=np.inf) > RANK_REL_TOL * scale
     return lu.reshape(a.shape), piv.reshape(a.shape[:-1]), independent.reshape(a.shape[:-2])
+
+
+def reduced_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`opfsens.jacobian.reduced_solve` as it was before it gathered
+    with ``take`` and wrote the Jacobian in place: the row-major LU above of
+    each set's ``S N`` from a fancy-indexed gather, the package's solve of the
+    passed sets, and the Jacobian assembled by ``concatenate`` with row 0 as
+    ``np.subtract.reduce`` of ones over ``y``."""
+    basis = net.ptdf_basis
+    loads = np.asarray(loads, dtype=np.intp)
+    lu, piv, ok = lu_factor_checked(basis.pool_n[rows])
+    passed = np.flatnonzero(ok)
+    if not (passed.size and loads.size):
+        return ok, np.zeros((passed.size, net.n_gen, loads.size))
+    factors = lu[passed].transpose(1, 2, 0), piv[passed].T
+    rhs = basis.pool_p[rows[passed, :, None], loads].transpose(1, 2, 0)
+    y = linalg.lu_solve_factored(factors, rhs)
+    jac = np.concatenate([np.ones((1,) + y.shape[1:]), y])
+    jac[0] = np.subtract.reduce(jac)
+    return ok, np.ascontiguousarray(jac.transpose(2, 0, 1))
+
+
+def fold(records, tie_tol: float, all_ties: bool):
+    """The tie rule one record at a time over ``(values, key)`` records in
+    scan order: a value above an entry's maximum raises it, drops the kept
+    records more than ``tie_tol`` below the new maximum and is kept; with
+    ``all_ties`` a value within ``tie_tol`` of the maximum is kept too.
+    Returns the maxima, the kept ``(value, key)`` lists and the record
+    count."""
+    best: list[float] = []
+    kept: list[list] = []
+    count = 0
+    for values, key in records:
+        if not count:
+            best = [-math.inf] * len(values)
+            kept = [[] for _ in values]
+        count += 1
+        for p, value in enumerate(values):
+            if value > best[p]:
+                best[p] = value
+                kept[p] = [entry for entry in kept[p] if entry[0] >= value - tie_tol]
+                kept[p].append((value, key))
+            elif all_ties and value >= best[p] - tie_tol:
+                kept[p].append((value, key))
+    return best, kept, count

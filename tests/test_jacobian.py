@@ -4,13 +4,17 @@ constraint stack, and the finite-difference cross-check."""
 from __future__ import annotations
 
 import itertools
+import math
 import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opfsens as ops
+from opfsens import sensitivity
 from opfsens.errors import CardinalityViolation, DependentBindings, RegionBoundary
 from opfsens.jacobian import BindingSet, pool_rows, reduced_solve
 from opfsens.network import assemble_network
@@ -285,6 +289,36 @@ def test_load_columns_solve_bit_for_bit(chain18):
     for t in np.flatnonzero(ok)[::25]:
         jac = ops.jacobian_from_binding(net, BindingSet(*keys[t])).jac
         assert np.array_equal(jac, full[np.count_nonzero(ok[:t])])
+
+
+@st.composite
+def _solve_cases(draw):
+    """A random connected network, a random draw of its candidate rows in
+    random order, and a random ordered subset of its load columns."""
+    n_bus = draw(st.integers(3, 10))
+    n_gen = draw(st.integers(1, min(4, n_bus - 1)))
+    extra = draw(st.integers(0, min(4, math.comb(n_bus, 2) - (n_bus - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = _random_network(rng, n_bus, n_gen, extra)
+    cands = np.concatenate(list(sensitivity._candidate_rows(net.n_gen, net.n_edge)))
+    rows = cands[rng.integers(len(cands), size=draw(st.integers(1, 300)))]
+    loads = rng.permutation(net.n_load)[: draw(st.integers(0, net.n_load))]
+    return net, rows, loads
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_solve_cases())
+def test_reduced_solve_matches_oracle_pipeline(case):
+    """Verdicts and Jacobians are bit for bit those of the row-major LU of a
+    fancy-indexed gather, the solve, and the concatenate and subtract.reduce
+    assembly."""
+    net, rows, loads = case
+    ok, jac = reduced_solve(net, rows, loads)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_ok, want = oracles.reduced_solve(net, rows, loads)
+    assert np.array_equal(ok, want_ok)
+    assert jac.shape == want.shape
+    assert np.array_equal(jac.view(np.uint8), want.view(np.uint8))
 
 
 def _compare_full_stack(net, keys, jac_tol):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -309,6 +311,69 @@ def test_report_holds_no_scan_buffer(chain18):
     running-maximum array it was read from."""
     cwc = ops.worst_case_all(chain18[0]).cwc
     assert (cwc if cwc.base is None else cwc.base).nbytes == cwc.nbytes
+
+
+def _planted_stream(seed, length=64, width=3):
+    """Score rows on the plateaus 1, 2 and 3, each lowered by nothing or by
+    exactly, just under or just over ``TIE_TOL``, by half of it (a record
+    the plateau raises within the tolerance) or by twice it (one it raises
+    past it); with 64 rows, ties fall on both sides of the chunk boundaries
+    at 7."""
+    rng = np.random.default_rng(seed)
+    plateaus = rng.integers(1, 4, (length, width)).astype(float)
+    offsets = -TIE_TOL * np.array([0.0, 1.0, 0.999, 1.001, 0.5, 2.0])
+    return plateaus + rng.choice(offsets, (length, width))
+
+
+@pytest.mark.parametrize("all_ties", [False, True])
+def test_fold_matches_one_record_tie_rule(monkeypatch, all_ties):
+    """The chunked fold, live columns only, keeps exactly the records of the
+    tie rule applied one record at a time, whatever the chunking: ties at
+    exactly and just inside TIE_TOL of the maximum, some straddling chunk
+    boundaries."""
+    net = SimpleNamespace(n_gen=1)  # pool row 1 + t is the key ((), (t,))
+    at_tol = 0
+    for seed in range(12):
+        vals = _planted_stream(seed)
+        rows = 1 + np.arange(len(vals))[:, None]
+        want_best, want_kept, want_valid = oracles.fold(
+            zip(vals.tolist(), sensitivity._keys(net, rows)), TIE_TOL, all_ties)
+        at_tol += sum(value == best - TIE_TOL for kept, best in zip(want_kept, want_best)
+                      for value, _ in kept)
+        for chunk in (1, 7, sensitivity.CHUNK):
+            monkeypatch.setattr(sensitivity, "_scan", lambda net, loads: (
+                (rows[i : i + chunk], vals[i : i + chunk]) for i in range(0, len(vals), chunk)))
+            best, kept, valid = sensitivity._fold(net, (), lambda jac: jac, all_ties)
+            assert best.tolist() == want_best
+            assert kept == want_kept
+            assert valid == want_valid == len(vals)
+    assert at_tol  # some kept records sit exactly TIE_TOL below their maximum
+
+
+def test_reports_share_interned_sets(net9, chain18):
+    """Reports hold one object per distinct argmax set, across reports and
+    tie lists too, and 20 kept reports of the 18-bus chain retain at most
+    3 KB each."""
+    net = chain18[0]
+    first = ops.worst_case_all(net)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [ops.worst_case_all(net) for _ in range(20)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 20 * 3 * 1024
+    shared = {}
+    for rep in [first, *reports]:
+        assert rep.argmax == first.argmax
+        for bset in itertools.chain.from_iterable(rep.argmax):
+            assert shared.setdefault(bset, bset) is bset
+    assert len(shared) < 72 == net.n_gen * net.n_load
+    _, argmax, ties = ops.tied_argmax_sets(net9, 0, 3)
+    again = ops.tied_argmax_sets(net9, 0, 3)[2]
+    assert len(ties) > 1 and all(a is b for a, b in zip(ties, again, strict=True))
+    assert ops.worst_case_siso(net9, 0, 3)[1] is argmax is ties[0]
 
 
 def test_tied_argmax_contains_gen_branch_equivalents(net9):
