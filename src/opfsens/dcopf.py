@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,7 +53,30 @@ def check_load(net: Network, load: np.ndarray) -> np.ndarray:
     return load
 
 
-@dataclass(frozen=True)
+#: the constructor's arguments of :class:`OpfSolution`, in order
+_SOLUTION_FIELDS = (
+    "gen", "theta", "flows", "objective", "dual_eq", "dual_gen_upper",
+    "dual_gen_lower", "dual_flow_upper", "dual_flow_lower",
+    "min_basic_value", "min_nonbasic_rc",
+)
+
+
+@lru_cache(maxsize=64)
+def _vector_slices(sizes: tuple[int, ...]) -> tuple[slice, ...]:
+    """Slices of vectors of ``sizes`` laid end to end after the three
+    scalars, shared by every solution of one shape."""
+    ends = tuple(accumulate(sizes, initial=3))
+    return tuple(map(slice, ends[:-1], ends[1:]))
+
+
+def _scalar(k: int) -> property:
+    return property(lambda self: float(self._buf[k]))
+
+
+def _vector(k: int) -> property:
+    return property(lambda self: self._buf[self._slices[k]])
+
+
 class OpfSolution:
     """Primal/dual solution of one dispatch LP.
 
@@ -59,19 +84,42 @@ class OpfSolution:
     ``n_bus``) followed by the reference-angle row, matching the KKT
     convention in which the angle-gradient condition reads
     ``[L; e_1'] ' tau + C B (mu_up - mu_lo) = 0``.
+
+    Every value lives in one owned float buffer: the three scalars, then
+    the eight vectors in the constructor's order. The vectors are served as
+    views of it, so a kept solution holds that buffer alone, no vector of
+    the LP. Attributes are read-only.
     """
 
-    gen: np.ndarray
-    theta: np.ndarray
-    flows: np.ndarray
-    objective: float
-    dual_eq: np.ndarray
-    dual_gen_upper: np.ndarray
-    dual_gen_lower: np.ndarray
-    dual_flow_upper: np.ndarray
-    dual_flow_lower: np.ndarray
-    min_basic_value: float
-    min_nonbasic_rc: float
+    __slots__ = ("_buf", "_slices")
+
+    objective = _scalar(0)
+    min_basic_value = _scalar(1)
+    min_nonbasic_rc = _scalar(2)
+    gen = _vector(0)
+    theta = _vector(1)
+    flows = _vector(2)
+    dual_eq = _vector(3)
+    dual_gen_upper = _vector(4)
+    dual_gen_lower = _vector(5)
+    dual_flow_upper = _vector(6)
+    dual_flow_lower = _vector(7)
+
+    def __init__(
+        self, gen, theta, flows, objective, dual_eq, dual_gen_upper,
+        dual_gen_lower, dual_flow_upper, dual_flow_lower,
+        min_basic_value, min_nonbasic_rc,
+    ) -> None:
+        vectors = (gen, theta, flows, dual_eq, dual_gen_upper, dual_gen_lower,
+                   dual_flow_upper, dual_flow_lower)
+        self._buf = np.concatenate(
+            ([objective, min_basic_value, min_nonbasic_rc], *vectors), dtype=float
+        )
+        self._slices = _vector_slices(tuple(map(len, vectors)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SOLUTION_FIELDS)
+        return f"OpfSolution({fields})"
 
 
 def _equality_form(net: Network, params: OpfParams, load: np.ndarray):
@@ -149,8 +197,8 @@ def solve_opf(net: Network, params: OpfParams, load: np.ndarray) -> OpfSolution:
     a, b, c, sl = _equality_form(net, params, load)
     lp = solve_lp(c, a, b)
 
-    # copies, not views: a kept solution must not hold the LP's whole vectors
-    gen = lp.x[:n_g].copy()
+    # views of the LP's vectors: OpfSolution copies them into its one buffer
+    gen = lp.x[:n_g]
     theta = np.concatenate([[0.0], lp.x[sl["tp"]] - lp.x[sl["tm"]]])
     flows = net.flow_matrix @ theta
 
@@ -164,7 +212,7 @@ def solve_opf(net: Network, params: OpfParams, load: np.ndarray) -> OpfSolution:
     lam_up = -y_gu
     lam_lo = y_gl + lp.reduced_costs[:n_g]
     mu_up = -y_fu
-    mu_lo = y_fl.copy()
+    mu_lo = y_fl
     # the eliminated reference-angle multiplier, recovered from stationarity
     tau_bal = -y_bal
     tau_ref = -(net.laplacian[:, 0] @ tau_bal + net.incidence[0] @ (
@@ -173,7 +221,7 @@ def solve_opf(net: Network, params: OpfParams, load: np.ndarray) -> OpfSolution:
     dual_eq = np.concatenate([tau_bal, [tau_ref]])
 
     # uniqueness diagnostics: ignore split-angle twins (pure representation)
-    rc = lp.reduced_costs.copy()
+    rc = lp.reduced_costs
     nonbasic = np.ones(rc.shape[0], dtype=bool)
     nonbasic[lp.basis] = False
     nonbasic[sl["tp"]] = False
@@ -298,7 +346,7 @@ def extract_binding_set(sol: OpfSolution, net: Network, params: OpfParams) -> _j
             f"{count} binding inequalities, expected {net.n_gen - 1} "
             f"(gens {gens}, branches {branches})"
         )
-    bset = _jac.BindingSet(gens=gens, branches=branches)
+    bset = _jac.interned_binding_set(gens, branches)
     _jac.require_independent(net, bset)
     return bset
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -75,6 +76,15 @@ class BindingSet:
             "generators": [net.vertex_order[i] for i in self.gens],
             "branches": [list(net.edge_label(e)) for e in self.branches],
         }
+
+
+@lru_cache(maxsize=4096)
+def interned_binding_set(gens: tuple[int, ...], branches: tuple[int, ...]) -> BindingSet:
+    """The shared :class:`BindingSet` of ``(gens, branches)``: argmax
+    entries, tie lists and extracted dispatch sets hold one validated object
+    per distinct set, kept while it is among the 4096 most recently asked
+    for."""
+    return BindingSet(gens, branches)
 
 
 def _check_cardinality(net: Network, bset: BindingSet) -> None:

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DegeneratePoint, DependentBindings, EmptyLoadSet, NoValidSet
-from .jacobian import BindingSet, jacobian_from_binding, reduced_solve
+from .jacobian import BindingSet, interned_binding_set, jacobian_from_binding, reduced_solve
 from .network import Network, _adjacency, _components
 
 #: two candidate values within this of each other count as a tie
@@ -102,14 +102,6 @@ def _keys(net: Network, rows: np.ndarray) -> list[Key]:
     n_gens = is_gen.sum(axis=1).tolist()
     rows = np.where(is_gen, rows, rows - net.n_gen).tolist()
     return [(tuple(row[:c]), tuple(row[c:])) for row, c in zip(rows, n_gens)]
-
-
-@lru_cache(maxsize=4096)
-def _binding_set(gens: tuple[int, ...], branches: tuple[int, ...]) -> BindingSet:
-    """The shared :class:`BindingSet` of a reported key: argmax entries and
-    tie lists hold one validated object per distinct set, kept while it is
-    among the 4096 most recently reported."""
-    return BindingSet(gens, branches)
 
 
 def candidate_count(net: Network) -> int:
@@ -247,7 +239,7 @@ def worst_case_siso(net: Network, gen: int, load: int) -> tuple[float, BindingSe
     """
     _check_pair(net, gen, load)
     best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]))
-    return float(best[0]), _binding_set(*kept[0][0][1])
+    return float(best[0]), interned_binding_set(*kept[0][0][1])
 
 
 def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float, BindingSet]:
@@ -263,14 +255,14 @@ def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float
     if not 0 <= gen < net.n_gen:
         raise IndexError(f"generator index {gen} out of range")
     best, kept, _ = _fold(net, loads, lambda jac: np.linalg.norm(jac[:, gen], axis=1)[:, None])
-    return float(best[0]), _binding_set(*kept[0][0][1])
+    return float(best[0]), interned_binding_set(*kept[0][0][1])
 
 
 def worst_case_all(net: Network) -> SensitivityReport:
     """Worst cases for every pair in one enumeration pass."""
     n_l = net.n_load
     best, kept, valid = _fold(net, range(n_l), lambda jac: np.abs(jac).reshape(len(jac), -1))
-    argmax = [_binding_set(*entries[0][1]) for entries in kept]
+    argmax = [interned_binding_set(*entries[0][1]) for entries in kept]
     return SensitivityReport(
         cwc=best.reshape(net.n_gen, n_l),
         argmax=tuple(tuple(argmax[i * n_l : (i + 1) * n_l]) for i in range(net.n_gen)),
@@ -288,7 +280,7 @@ def tied_argmax_sets(net: Network, gen: int, load: int) -> tuple[float, BindingS
     """
     _check_pair(net, gen, load)
     best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]), all_ties=True)
-    ties = [_binding_set(*key) for _, key in kept[0]]
+    ties = [interned_binding_set(*key) for _, key in kept[0]]
     return float(best[0]), ties[0], ties
 
 

@@ -3,7 +3,10 @@
 Solves ``min c'x  s.t.  A x = b, x >= 0`` with Bland's anti-cycling rule and
 a Phase-1 auxiliary problem, so the pivot sequence (and hence the returned
 basis, duals and reduced costs) is fully deterministic. Dimensions here are
-desk-scale; a dense tableau is the simplest correct tool.
+desk-scale; a dense tableau is the simplest correct tool. A pivot updates
+only the rows with a nonzero pivot-column entry, and phase 2 runs without
+the artificial columns; the results are those of the plain dense update on
+the full tableau, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +36,21 @@ class LpSolution:
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
+    """Pivot on ``tab[row, col]``, subtracting the scaled pivot row only from
+    the rows whose pivot-column entry is nonzero.
+
+    A dense update ``tab -= outer(factors, pivot row)`` leaves a skipped row
+    unchanged, except that it turns some -0.0 entries into +0.0. A signed
+    zero only ever yields signed zeros and sign-blind comparisons, and
+    :func:`solve_lp` clips ``x`` at +0.0, so every result is the same bit
+    for bit.
+    """
+    pivot_row = tab[row]
+    pivot_row /= pivot_row[col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    rows = factors.nonzero()[0]
+    tab[rows] -= factors[rows, None] * pivot_row
     basis[row] = col
 
 
@@ -53,25 +67,22 @@ def _run_simplex(
     column has no positive entry.
     """
     m = tab.shape[0] - 1
+    rhs = tab[:m, -1]
     for it in range(max_iter):
-        rc = tab[-1, :allowed]
-        entering = -1
-        for j in range(allowed):
-            if rc[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        # Bland: the first improving column enters
+        improving = tab[-1, :allowed] < -PIVOT_TOL
+        entering = int(improving.argmax())
+        if not improving[entering]:
             return it
         col = tab[:m, entering]
-        ratios = np.full(m, np.inf)
         positive = col > PIVOT_TOL
-        ratios[positive] = tab[:m, -1][positive] / col[positive]
+        ratios = np.divide(rhs, col, out=np.full(m, np.inf), where=positive)
         best = ratios.min()
         if not np.isfinite(best):
             raise Unbounded(f"unbounded direction along variable {entering}")
         # Bland: among minimal ratios, leave the smallest basis index
-        candidates = np.flatnonzero(ratios <= best + PIVOT_TOL * (1.0 + abs(best)))
-        leaving = int(min(candidates, key=lambda r: basis[r]))
+        candidates = (ratios <= best + PIVOT_TOL * (1.0 + abs(best))).nonzero()[0]
+        leaving = int(candidates[basis[candidates].argmin()])
         _pivot(tab, basis, leaving, entering)
     raise NumericalFailure(f"simplex did not terminate in {max_iter} iterations")
 
@@ -107,27 +118,25 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
     if tab[-1, -1] < -FEAS_TOL:
         raise Infeasible(f"phase-1 optimum {-tab[-1, -1]:.3e} > 0")
 
+    # Phase 2 bars the artificial columns from entering, so drop them now:
+    # row operations act on each column separately, which leaves the other
+    # columns bit for bit as the full tableau would hold them
+    tab = tab[:, np.r_[:n, n + m]]
     # drive remaining artificials out of the basis; a zero row is redundant
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n:
-            row = tab[i, :n]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > PIVOT_TOL:
-                _pivot(tab, basis, i, j)
-            else:
-                keep[i] = False
-    if not keep.all():
-        rows = np.flatnonzero(~keep)
-        tab = np.delete(tab, rows, axis=0)
-        basis = np.delete(basis, rows)
-        m_eff = len(basis)
-    else:
-        m_eff = m
+    keep = basis < n
+    for i in np.flatnonzero(~keep):
+        row = tab[i, :n]
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) > PIVOT_TOL:
+            _pivot(tab, basis, i, j)
+            keep[i] = True
+    tab = tab[np.append(np.flatnonzero(keep), m)]
+    basis = basis[keep]
+    m_eff = len(basis)
 
-    # Phase 2: original objective, artificial columns barred from entering
-    tab[-1, :] = 0.0
+    # Phase 2: original objective
     tab[-1, :n] = c
+    tab[-1, -1] = 0.0
     for i in range(m_eff):
         if tab[-1, basis[i]] != 0.0:
             tab[-1] -= tab[-1, basis[i]] * tab[i]
@@ -155,7 +164,7 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
     return LpSolution(
         x=x,
         objective=float(c @ x),
-        basis=basis.copy(),
+        basis=basis,
         duals=duals,
         reduced_costs=reduced,
         iterations=iters,

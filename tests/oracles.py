@@ -5,7 +5,9 @@ the candidate order built with ``itertools``, graph components from
 ``n_bus x n_bus`` constraint stack with the independence test and Jacobian
 that the package's reduced ``k x k`` kernel replaces, the row-major stacked
 LU and the gathers and Jacobian assembly that the package's batch-last kernel
-must reproduce bit for bit, and the tie rule applied one record at a time."""
+must reproduce bit for bit, the tie rule applied one record at a time, and
+the dense-tableau simplex whose results the package's LP must reproduce
+byte for byte."""
 
 from __future__ import annotations
 
@@ -23,7 +25,9 @@ from opfsens.dcopf import check_load
 from opfsens.errors import DimensionMismatch
 from opfsens.jacobian import BindingSet
 from opfsens.linalg import RANK_REL_TOL
+from opfsens.errors import Infeasible, NumericalFailure, Unbounded
 from opfsens.network import Network, OpfParams
+from opfsens.simplex import FEAS_TOL, PIVOT_TOL, LpSolution
 
 
 @dataclass(frozen=True)
@@ -262,3 +266,116 @@ def fold(records, tie_tol: float, all_ties: bool):
             elif all_ties and value >= best[p] - tie_tol:
                 kept[p].append((value, key))
     return best, kept, count
+
+
+# The package's simplex as it was before its pivots skipped zero
+# multipliers, verbatim: every pivot subtracts a dense outer product from the
+# whole tableau, phase 2 keeps the artificial columns, and Bland's entering
+# pick is a Python loop.
+def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    basis[row] = col
+
+
+def _run_simplex(tab: np.ndarray, basis: np.ndarray, allowed: int, max_iter: int) -> int:
+    m = tab.shape[0] - 1
+    for it in range(max_iter):
+        rc = tab[-1, :allowed]
+        entering = -1
+        for j in range(allowed):
+            if rc[j] < -PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return it
+        col = tab[:m, entering]
+        ratios = np.full(m, np.inf)
+        positive = col > PIVOT_TOL
+        ratios[positive] = tab[:m, -1][positive] / col[positive]
+        best = ratios.min()
+        if not np.isfinite(best):
+            raise Unbounded(f"unbounded direction along variable {entering}")
+        candidates = np.flatnonzero(ratios <= best + PIVOT_TOL * (1.0 + abs(best)))
+        leaving = int(min(candidates, key=lambda r: basis[r]))
+        _pivot(tab, basis, leaving, entering)
+    raise NumericalFailure(f"simplex did not terminate in {max_iter} iterations")
+
+
+def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
+    """Minimize ``c'x`` over ``a x = b, x >= 0`` on the dense tableau."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float).copy()
+    c = np.asarray(c, dtype=float)
+    m, n = a.shape
+
+    flip = b < 0
+    a = np.where(flip[:, None], -a, a)
+    b = np.abs(b)
+
+    max_iter = 2000 + 200 * (m + n)
+
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = b
+    basis = np.arange(n, n + m)
+    tab[-1, n : n + m] = 1.0
+    tab[-1] -= tab[:m].sum(axis=0)
+
+    iters = _run_simplex(tab, basis, n + m, max_iter)
+    if tab[-1, -1] < -FEAS_TOL:
+        raise Infeasible(f"phase-1 optimum {-tab[-1, -1]:.3e} > 0")
+
+    keep = np.ones(m, dtype=bool)
+    for i in range(m):
+        if basis[i] >= n:
+            row = tab[i, :n]
+            j = int(np.argmax(np.abs(row)))
+            if abs(row[j]) > PIVOT_TOL:
+                _pivot(tab, basis, i, j)
+            else:
+                keep[i] = False
+    if not keep.all():
+        rows = np.flatnonzero(~keep)
+        tab = np.delete(tab, rows, axis=0)
+        basis = np.delete(basis, rows)
+        m_eff = len(basis)
+    else:
+        m_eff = m
+
+    tab[-1, :] = 0.0
+    tab[-1, :n] = c
+    for i in range(m_eff):
+        if tab[-1, basis[i]] != 0.0:
+            tab[-1] -= tab[-1, basis[i]] * tab[i]
+    iters += _run_simplex(tab, basis, n, max_iter)
+
+    x = np.zeros(n)
+    x[basis] = tab[:m_eff, -1]
+    if (x < -FEAS_TOL).any():
+        raise NumericalFailure(f"negative basic value {x.min():.3e}")
+    np.clip(x, 0.0, None, out=x)
+
+    a_kept = a[keep] if not keep.all() else a
+    b_cols = a_kept[:, basis]
+    try:
+        y_kept = np.linalg.solve(b_cols.T, c[basis])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure("singular final basis") from exc
+    duals = np.zeros(m)
+    duals[keep] = y_kept
+    duals[flip] = -duals[flip]
+    reduced = c - a_kept.T @ y_kept
+    reduced[np.abs(reduced) < 1e-13] = 0.0
+
+    return LpSolution(
+        x=x,
+        objective=float(c @ x),
+        basis=basis.copy(),
+        duals=duals,
+        reduced_costs=reduced,
+        iterations=iters,
+    )

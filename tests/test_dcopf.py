@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize as sopt
@@ -85,12 +88,56 @@ def test_solve_deterministic(net9, params9, loads9):
     assert s1.objective == s2.objective
 
 
-def test_solution_arrays_own_their_data(net9, params9, loads9):
-    """A kept solution holds no view of the LP's whole primal or dual vector."""
+SOLUTION_VECTORS = ("gen", "theta", "flows", "dual_eq", "dual_gen_upper",
+                    "dual_gen_lower", "dual_flow_upper", "dual_flow_lower")
+
+
+def test_solution_is_one_owned_buffer(net9, params9, loads9):
+    """A kept solution holds one owned float buffer of exactly its values,
+    the scalars then the eight vectors as views, and no view of the LP's
+    whole primal or dual vector."""
     sol = ops.solve_opf(net9, params9, loads9)
-    arrays = [v for v in vars(sol).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8
-    assert all(v.flags.owndata for v in arrays)
+    vectors = [getattr(sol, name) for name in SOLUTION_VECTORS]
+    buf = sol.gen.base
+    assert buf.flags.owndata and buf.dtype == np.float64
+    assert all(v.base is buf for v in vectors)
+    scalars = [sol.objective, sol.min_basic_value, sol.min_nonbasic_rc]
+    assert buf.tobytes() == np.concatenate([scalars, *vectors]).tobytes()
+    assert [r for r in gc.get_referents(sol) if isinstance(r, np.ndarray)] == [buf]
+    assert not hasattr(sol, "__dict__")
+
+
+def test_kept_solutions_are_small(net9, params9):
+    """Bytes kept per solution under tracemalloc: its values plus at most
+    600 bytes (measured: 419, against 1166 with one owned array per vector
+    and a ``__dict__``)."""
+    rng = np.random.default_rng(8)
+    loads = [rng.uniform(0.1, 0.5, net9.n_load) for _ in range(21)]
+    first = ops.solve_opf(net9, params9, loads[0])
+    values = 8 * (3 + sum(getattr(first, name).size for name in SOLUTION_VECTORS))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [ops.solve_opf(net9, params9, load) for load in loads[1:]]
+        per_solution = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_solution <= values + 600
+
+
+def test_solution_keyword_constructor_and_read_only(net9, params9, loads9):
+    sol = ops.solve_opf(net9, params9, loads9)
+    fields = {name: getattr(sol, name) for name in SOLUTION_VECTORS}
+    fields.update(objective=sol.objective, min_basic_value=sol.min_basic_value,
+                  min_nonbasic_rc=sol.min_nonbasic_rc)
+    again = ops.OpfSolution(**fields)
+    for name, value in fields.items():
+        assert np.asarray(getattr(again, name)).tobytes() == np.asarray(value).tobytes()
+    assert type(again.objective) is float
+    with pytest.raises(AttributeError):
+        again.objective = 0.0
+    with pytest.raises(AttributeError):
+        again.gen = np.zeros(3)
 
 
 def test_lossless_balance_over_random_instances(net9, params9):
@@ -151,6 +198,17 @@ def test_binding_set_regular_point(net9, params9):
     sol = ops.solve_opf(net9, params, load)
     bset = ops.extract_binding_set(sol, net9, params)
     assert bset.size == net9.n_gen - 1 == 2
+
+
+def test_extracted_sets_are_shared(net9, params9):
+    """Two dispatch points in the same region report the same object."""
+    rng = np.random.default_rng(2)
+    params = random_regular_params(params9, rng)
+    load = rng.uniform(0.1, 0.5, 6)
+    first = ops.extract_binding_set(ops.solve_opf(net9, params, load), net9, params)
+    second = ops.extract_binding_set(ops.solve_opf(net9, params, load * 1.001), net9, params)
+    assert first == second
+    assert first is second
 
 
 def test_degenerate_point_detected(net9, params9):
