@@ -16,16 +16,19 @@ determine the angles, hence all generations. The map is independent of which
 side (upper or lower) each constraint binds, because a bound value only
 shifts the affine offset, never the coefficient row.
 
-The package never factors that stack. Its load rows and reference row fix
-the angles up to the span of ``N``, the angles that injections at
-generators 2..n_gen produce (:class:`~opfsens.network.PtdfBasis`). So with
-``S`` the binding rows, ``G`` the generator rows of ``L`` and ``theta_p``
-the angles that load injections produce, the stack is invertible exactly
-when the ``k x k`` matrix ``S N`` is (``k = n_gen - 1``), and::
+The package never factors that stack. Its load rows and reference row leave
+the generator outputs free subject to their sum, so take the lowest free
+generator ``r`` as the reference and the transfers from the other
+generators to ``r`` as unknowns (:class:`~opfsens.network.PtdfBasis`). A
+binding generator fixes its own transfer at zero, which deletes that
+unknown exactly. What remains is the ``t x t`` block ``B`` of the binding
+branches' transfer PTDFs on the free generators other than ``r``,
+``t = n_gen - 1 - |gens|``. The stack is invertible exactly when ``B`` is,
+and with ``P`` the branches' PTDFs of a transfer from each load to ``r``::
 
-    J = -(G theta_p - G N (S N)^-1 S theta_p)
+    y = B^-1 P,   J[free g] = y[g],   J[binding g] = 0,   J[r] = 1 - sum(y)
 
-The independence test is the pivot ratio of ``S N``
+The independence test is the pivot ratio of ``B``
 (:func:`linalg.lu_factor_checked`). The set scan, :func:`independence_check`
 and :func:`jacobian_from_binding` all test and solve through
 :func:`reduced_solve`, the one owner of the factors, so they agree by
@@ -105,61 +108,147 @@ def pool_rows(net: Network, bset: BindingSet) -> np.ndarray:
     return np.array(bset.gens + tuple(net.n_gen + e for e in bset.branches), dtype=np.intp)
 
 
+#: a run of candidate rows that all bind the generator subset ``gens``
+Part = tuple[tuple[int, ...], np.ndarray]
+
+
+@dataclass(frozen=True, slots=True)
+class SetBatch:
+    """Candidate sets laid out for :func:`reduced_solve`, for one network
+    shape.
+
+    ``rows`` holds the :func:`pool_rows` of one set per row, ``(count,
+    n_gen - 1)``. Each set's block is ``n x n``: its branch rows and the
+    free generators other than its reference first, then, when the batch
+    spans generator subsets, unit rows of some of its binding generators on
+    the diagonal, to pad it to the batch's largest block. ``ref`` holds each
+    set's reference generator, ``(count,)``, and ``cols[c]`` the generator
+    of each set's block column ``c``, ``(n, count)``; when every set binds
+    the same generators they hold one set's, ``(1,)`` and ``(n, 1)``. In the
+    :class:`~opfsens.network.PtdfBasis` table flattened past its bus axis,
+    ``at[i, s]`` is the offset of block row ``i`` of set ``s``, its
+    reference times the pool size plus its pool row, ``(n, count)``; a batch
+    that spans generator subsets also has ``index[i, c, s]``, the offset in
+    the whole flattened table of that row's entry in column ``c``, ``(n, n,
+    count)``, and ``None`` otherwise.
+    """
+
+    rows: np.ndarray
+    ref: np.ndarray
+    cols: np.ndarray
+    at: np.ndarray
+    index: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
+    """The :class:`SetBatch` of candidate sets on networks with ``n_gen``
+    generators and ``n_edge`` branches, given as ``parts``: runs of
+    :func:`pool_rows` rows that each bind the generators ``gens``. A batch of
+    one part is unpadded, each block its set's own ``t x t`` one."""
+    k, n_pool = n_gen - 1, n_gen + n_edge
+    if len(parts) == 1:
+        (gens, rows), = parts
+        r, *others = (g for g in range(n_gen) if g not in gens)
+        at = np.add(rows[:, len(gens) :].T, r * n_pool, order="C")
+        return SetBatch(rows=rows, ref=np.array([r]), cols=np.array(others, np.intp)[:, None],
+                        at=at, index=None)
+    width = k - min(len(gens) for gens, _ in parts)
+    rows = np.concatenate([part for _, part in parts])
+    at = np.empty((width, len(rows)), np.intp)
+    cols = np.empty_like(at)
+    ref = np.empty(len(rows), np.intp)
+    start = 0
+    for gens, part in parts:
+        stop = start + len(part)
+        r, *others = (g for g in range(n_gen) if g not in gens)
+        t = len(others)
+        pads = gens[: width - t]
+        np.add(part[:, len(gens) :].T, r * n_pool, out=at[:t, start:stop])
+        at[t:, start:stop] = np.array(pads, np.intp)[:, None] + r * n_pool
+        cols[:, start:stop] = np.array(others + list(pads), np.intp)[:, None]
+        ref[start:stop] = r
+        start = stop
+    index = at[:, None, :] + cols[None] * (n_gen * n_pool)
+    return SetBatch(rows=rows, ref=ref, cols=cols, at=at, index=index)
+
+
 def reduced_solve(
-    net: Network, rows: np.ndarray, loads: Sequence[int]
+    net: Network, batch: SetBatch, loads: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Test and solve a stack of candidate sets, ``rows`` holding the pool
-    indices of one set per row.
+    """Test and solve a :class:`SetBatch` of candidate sets.
 
     Returns ``(ok, jac)``: the verdict of :func:`linalg.lu_factor_checked` on
-    each set's ``S N``, and the signed Jacobians of the sets that pass,
+    each set's block ``B``, and the signed Jacobians of the sets that pass,
     ``(ok.sum(), n_gen, len(loads))``, for the load columns ``loads`` only;
-    with no loads nothing is solved. The solve ``y = (S N)^-1 S theta_p``
-    reuses the factors the test judged. The generator rows of the pool are
-    exact (:class:`~opfsens.network.PtdfBasis`: ``G N`` is a row of minus
-    ones over the identity, ``G theta_p`` a row of minus ones over zeros),
-    so row ``g > 0`` of the Jacobian is row ``g - 1`` of ``y`` and row 0 is
-    ``1 - y_0 - y_1 - ...``, subtracted left to right; both are written
-    straight into the returned array. Each column is computed on its own: a
-    subset of ``loads`` gives the same columns bit for bit.
+    with no loads nothing is solved. The solve ``y = B^-1 P`` reuses the
+    factors the test judged. The padding rows are unit rows whose columns
+    the block's rows do not reach: they take pivots of exactly 1 and
+    multipliers of zero, and their solution entries are exactly zero, so
+    every set gets the pivots and solution of its own ``t x t`` block,
+    whatever the batch, up to the sign of a zero. Row ``r`` of the Jacobian
+    is ``1 - y_0 - y_1 - ...``, subtracted left to right, binding rows are
+    zero, and all rows are written straight into the returned array. Each
+    column is computed on its own: a subset of ``loads`` gives the same
+    columns bit for bit.
     """
-    basis = net.ptdf_basis
+    transfers = net.ptdf_basis.transfers
+    n_gen = net.n_gen
     loads = np.asarray(loads, dtype=np.intp)
-    lu, piv, ok = linalg.lu_factor_checked(basis.pool_n.take(rows, axis=0).transpose(1, 2, 0))
+    by_bus = transfers.reshape(net.n_bus, -1)
+    shared = batch.index is None  # one generator subset: the sets share their columns
+    if shared:  # gathered (column, row, set), factored from a transposed view
+        blocks = by_bus.take(batch.cols[:, 0], axis=0).take(batch.at, axis=1).transpose(1, 0, 2)
+    else:
+        blocks = transfers.take(batch.index)
+    lu, piv, ok = linalg.lu_factor_checked(blocks)
     passed = np.flatnonzero(ok)
-    jac = np.zeros((passed.size, net.n_gen, loads.size))
+    jac = np.zeros((passed.size, n_gen, loads.size))
     if not (passed.size and loads.size):
         return ok, jac
     # take keeps the batch axis last in memory; a boolean mask would not
     factors = lu.take(passed, axis=2), piv.take(passed, axis=1)
-    rhs = basis.pool_p.take(loads, axis=1).take(rows[passed], axis=0).transpose(1, 2, 0)
-    y = linalg.lu_solve_factored(factors, rhs)  # (k, loads, sets)
-    jac[:, 1:] = y.transpose(2, 0, 1)
-    np.subtract.reduce(y, axis=0, initial=1.0, out=jac[:, 0].T)
+    rhs = by_bus.take(n_gen + loads, axis=0).take(batch.at.take(passed, axis=1), axis=1)
+    y = linalg.lu_solve_factored(factors, rhs.transpose(1, 0, 2))  # (n, loads, sets)
+    if shared:
+        jac[:, batch.cols[:, 0]] = y.transpose(2, 0, 1)
+        np.subtract.reduce(y, axis=0, initial=1.0, out=jac[:, batch.ref[0]].T)
+    else:
+        out = jac.reshape(-1, loads.size)
+        first = n_gen * np.arange(passed.size)
+        out[batch.cols.take(passed, axis=1) + first] = y.transpose(0, 2, 1)
+        out[batch.ref.take(passed) + first] = np.subtract.reduce(y, axis=0, initial=1.0).T
     return ok, jac
 
 
+def _batch_of(net: Network, bset: BindingSet) -> SetBatch:
+    return set_batch(net.n_gen, net.n_edge, [(bset.gens, pool_rows(net, bset)[None])])
+
+
 def _solve_one(net: Network, bset: BindingSet, loads: Sequence[int]) -> np.ndarray:
-    """The set's Jacobian for ``loads`` from :func:`reduced_solve`;
-    :class:`DependentBindings` unless it passes the independence test."""
-    ok, jac = reduced_solve(net, pool_rows(net, bset)[None], loads)
+    """The set's Jacobian for ``loads`` from :func:`reduced_solve`, as an
+    array that owns its data; :class:`DependentBindings` unless it passes the
+    independence test."""
+    ok, jac = reduced_solve(net, _batch_of(net, bset), loads)
     if not ok[0]:
         raise DependentBindings(
             f"binding set gens={bset.gens} branches={bset.branches} is dependent: "
-            "S N fails the independence test"
+            "its reduced block fails the independence test"
         )
-    return jac[0]
+    return jac[0].copy()
 
 
 def independence_check(net: Network, bset: BindingSet) -> bool:
-    """True when ``S N`` passes the project independence test, the one the
-    set scan applies.
+    """True when the set's reduced block passes the project independence
+    test, the one the set scan applies.
 
     Because the full stack always contains the (always-binding) equality
     rows, invertibility coincides with row-independence of the binding rows
     in the doubled-inequality standard form.
     """
-    return bool(reduced_solve(net, pool_rows(net, bset)[None], ())[0][0])
+    return bool(reduced_solve(net, _batch_of(net, bset), ())[0][0])
 
 
 def require_independent(net: Network, bset: BindingSet) -> None:
@@ -180,10 +269,10 @@ class JacobianResult:
 
 
 def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
-    """Closed-form Jacobian of optimal generation w.r.t. loads for one set:
-    ``-(G theta_p - G N (S N)^-1 S theta_p)``, the load-column block of
-    ``-G`` times the stack inverse. Raises :class:`DependentBindings` when
-    ``S N`` fails the independence test.
+    """Closed-form Jacobian of optimal generation w.r.t. loads for one set,
+    the load-column block of ``-G`` times the stack inverse, from the set's
+    reduced block (module docstring). Raises :class:`DependentBindings` when
+    the block fails the independence test.
     """
     return JacobianResult(jac=_solve_one(net, bset, range(net.n_load)))
 

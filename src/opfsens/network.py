@@ -43,20 +43,23 @@ Label = int | str
 
 @dataclass(frozen=True)
 class PtdfBasis:
-    """The rows a binding set picks from, in a PTDF basis.
+    """The rows a binding set picks from, in a PTDF basis referenced at each
+    generator.
 
-    ``X`` is the inverse Laplacian grounded at bus 0 (zero row and column
-    0). ``N = X[:, 1:n_gen]`` holds the angles that unit injections at
-    generators 2..n_gen produce, a basis of the angles that keep every load
-    bus balanced and the reference angle at zero; ``theta_p = X[:, n_gen:]``
-    holds the angles of unit injections at the load buses. The pool is the
-    generator rows of the Laplacian followed by the flow matrix, so a
-    binding generator's row of ``pool_n`` is a unit row (generator 1: all
-    minus ones) and a binding branch's row is a row of PTDFs.
+    The pool is the generator rows of the Laplacian followed by the flow
+    matrix; ``X`` is the inverse Laplacian grounded at bus 0 (zero row and
+    column 0). A unit transfer from bus ``v`` to generator ``r`` produces the
+    angles ``X[:, v] - X[:, r]`` and keeps every other bus balanced;
+    ``transfers[v, r]`` is the pool times those angles. The generator rows
+    are exact: referenced at ``r``, generator ``g != r``'s row is one at
+    ``v = g`` and zero at every other bus, and generator ``r``'s row is minus
+    one at every bus but ``r``. So a binding generator ``g`` fixes the
+    transfer from ``g`` at zero, and a binding branch's row is a row of
+    transfer PTDFs, each of magnitude at most 1. At ``r = 0`` the table is
+    the pool times ``X`` itself.
     """
 
-    pool_n: np.ndarray   # pool @ N, (n_gen + n_edge) x (n_gen - 1)
-    pool_p: np.ndarray   # pool @ theta_p, (n_gen + n_edge) x n_load
+    transfers: np.ndarray   # (n_bus, n_gen, n_gen + n_edge): [v, r, pool row]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,18 +120,22 @@ class Network:
     def ptdf_basis(self) -> PtdfBasis:
         """The network's :class:`PtdfBasis`, computed on first use.
 
-        The generator rows of ``L @ X`` are exact: row 0 is all minus ones
-        (the Laplacian's columns sum to zero) and row ``g > 0`` is the unit
-        row ``g - 1``. The branch rows solve with the grounded Laplacian.
+        The generator rows of the pool times ``X`` are exact: row 0 is minus
+        ones off bus 0 (the Laplacian's columns sum to zero) and row
+        ``g > 0`` is the unit row ``g``. The branch rows solve with the
+        grounded Laplacian. Referencing at ``r`` subtracts column ``r``,
+        which keeps the generator rows exact and leaves ``r = 0`` unchanged
+        bit for bit: column 0 is zero.
         """
-        n, k = self.n_bus, self.n_gen - 1
-        gen_rows = np.vstack([-np.ones((1, n - 1)), np.eye(k, n - 1)])
-        ptdf = np.linalg.solve(self.laplacian[1:, 1:], self.flow_matrix[:, 1:].T).T
-        pool = np.vstack([gen_rows, ptdf])
-        pool_n, pool_p = np.ascontiguousarray(pool[:, :k]), np.ascontiguousarray(pool[:, k:])
-        for arr in (pool_n, pool_p):
-            arr.setflags(write=False)
-        return PtdfBasis(pool_n=pool_n, pool_p=pool_p)
+        n_gen, n = self.n_gen, self.n_bus
+        pool_x = np.zeros((n_gen + self.n_edge, n))
+        pool_x[0, 1:] = -1.0
+        pool_x[1:n_gen, 1:n_gen] = np.eye(n_gen - 1)
+        pool_x[n_gen:, 1:] = np.linalg.solve(self.laplacian[1:, 1:], self.flow_matrix[:, 1:].T).T
+        by_bus = np.ascontiguousarray(pool_x.T)
+        transfers = by_bus[:, None, :] - by_bus[None, :n_gen, :]
+        transfers.setflags(write=False)
+        return PtdfBasis(transfers=transfers)
 
 
 @dataclass(frozen=True)

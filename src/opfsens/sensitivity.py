@@ -5,8 +5,10 @@ of ``|J[i, j]|`` over every binding set (generator subset plus branch subset
 totalling ``n_gen - 1`` members) whose constraint stack is independent.
 Enumeration is exhaustive (the problem is discrete and non-convex). One scan
 walks the candidate sets in lexicographic order, a chunk at a time, and every
-query here reduces over it. A chunk is an array of pool row indices, built
-with numpy from tables of branch combinations; it is tested and solved by
+query here reduces over it. A chunk is a
+:class:`~opfsens.jacobian.SetBatch` of pool row indices, built with numpy
+from tables of branch combinations, with the layout of each set's reduced
+block; it is tested and solved by
 :func:`~opfsens.jacobian.reduced_solve` for only the load columns the query
 reads: one for a single pair and its ties, the load set for MISO, every load
 for the whole table, none for enumeration. Index rows become
@@ -26,12 +28,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegeneratePoint, DependentBindings, EmptyLoadSet, NoValidSet
-from .jacobian import BindingSet, interned_binding_set, jacobian_from_binding, reduced_solve
+from .jacobian import (
+    BindingSet,
+    Part,
+    SetBatch,
+    interned_binding_set,
+    jacobian_from_binding,
+    reduced_solve,
+    set_batch,
+)
 from .network import Network, _adjacency, _components
 
 #: two candidate values within this of each other count as a tie
@@ -39,7 +49,8 @@ TIE_TOL = 1e-9
 
 #: candidate sets factored together. Against 1024, scan time is about 10%
 #: higher at 512 on the 18-bus chain and the 27-bus stages, and 0-16% lower
-#: at 2048 and 4096; 1024 matrices S N of the 18-bus chain (k = 5) take 0.2 MB
+#: at 2048 and 4096; 1024 of the 18-bus chain's full 5 x 5 blocks take 0.2 MB,
+#: and the Jacobians of 1024 sets for all its loads 0.6 MB
 CHUNK = 1024
 
 #: most rows of one precomputed branch-combination table; longer combination
@@ -65,35 +76,48 @@ def _combinations(m: int, r: int) -> np.ndarray:
     return rows
 
 
-def _candidate_rows(n_gen: int, n_edge: int) -> Iterator[np.ndarray]:
-    """Every generator/branch set of ``n_gen - 1`` members, in lexicographic
-    order (generator subset first, then branch subset), as blocks of
+def _gen_subsets(n_gen: int) -> list[tuple[int, ...]]:
+    """The generator subsets of candidate sets, each before its extensions."""
+    return sorted(chain.from_iterable(combinations(range(n_gen), k) for k in range(n_gen)))
+
+
+def _subset_rows(gens: tuple[int, ...], n_gen: int, n_edge: int) -> Iterator[np.ndarray]:
+    """The candidate sets that bind the generators ``gens``, in
+    lexicographic order of their branches, as blocks of
     :func:`~opfsens.jacobian.pool_rows` rows.
 
-    The ``need`` branches of a generator subset come from a table of all
-    ``q``-subsets, ``q`` as large as keeps it within :data:`COMBO_ROWS`
-    rows. Each block is one prefix, the generator subset and ``need - q``
-    branches from ``itertools.combinations``, followed by every suffix from
-    the table whose first entry lies past the prefix: a contiguous tail of
-    the table, the whole table when ``q = need``.
+    The ``need`` branches come from a table of all ``q``-subsets, ``q`` as
+    large as keeps it within :data:`COMBO_ROWS` rows. Each block is one
+    prefix, the generator subset and ``need - q`` branches from
+    ``itertools.combinations``, followed by every suffix from the table
+    whose first entry lies past the prefix: a contiguous tail of the table,
+    the whole table when ``q = need``.
     """
     size = n_gen - 1
-    for sg in sorted(chain.from_iterable(combinations(range(n_gen), k) for k in range(n_gen))):
-        need = size - len(sg)
-        q = need
-        while math.comb(n_edge, q) > COMBO_ROWS:
-            q -= 1
-        table = _combinations(n_edge, q)
-        if q < need:  # first[v]: the first table row that starts at v or later
-            first = (np.searchsorted(table[:, 0], np.arange(n_edge + 1)) if q
-                     else np.zeros(n_edge + 1, np.intp))
-        for branches in combinations(range(n_edge), need - q):
-            tail = table[first[branches[-1] + 1] :] if branches else table
-            if len(tail):
-                rows = np.empty((len(tail), size), dtype=np.intp)
-                rows[:, : size - q] = sg + tuple(n_gen + b for b in branches)
-                rows[:, size - q :] = n_gen + tail
-                yield rows
+    need = size - len(gens)
+    q = need
+    while math.comb(n_edge, q) > COMBO_ROWS:
+        q -= 1
+    table = _combinations(n_edge, q)
+    if q < need:  # first[v]: the first table row that starts at v or later
+        first = (np.searchsorted(table[:, 0], np.arange(n_edge + 1)) if q
+                 else np.zeros(n_edge + 1, np.intp))
+    for branches in combinations(range(n_edge), need - q):
+        tail = table[first[branches[-1] + 1] :] if branches else table
+        if len(tail):
+            rows = np.empty((len(tail), size), dtype=np.intp)
+            rows[:, : size - q] = gens + tuple(n_gen + b for b in branches)
+            rows[:, size - q :] = n_gen + tail
+            yield rows
+
+
+def _candidate_rows(n_gen: int, n_edge: int) -> Iterator[Part]:
+    """Every generator/branch set of ``n_gen - 1`` members, in lexicographic
+    order (generator subset first, then branch subset), as the blocks of
+    :func:`_subset_rows`, each with its generator subset."""
+    for gens in _gen_subsets(n_gen):
+        for rows in _subset_rows(gens, n_gen, n_edge):
+            yield gens, rows
 
 
 def _keys(net: Network, rows: np.ndarray) -> list[Key]:
@@ -110,49 +134,73 @@ def candidate_count(net: Network) -> int:
     return math.comb(net.n_gen + net.n_edge, net.n_gen - 1) if net.n_gen else 0
 
 
-def _chunks(blocks: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """Regroup row blocks into arrays of ``size`` rows (the last may be short)."""
-    pending: list[np.ndarray] = []
+def _chunks(parts: Iterable[Part], size: int) -> Iterator[list[Part]]:
+    """Regroup row blocks into lists of parts of ``size`` rows in all (the
+    last may be short)."""
+    pending: list[Part] = []
     have = 0
-    for block in blocks:
+    for gens, block in parts:
         while len(block):
             part, block = block[: size - have], block[size - have :]
-            pending.append(part)
+            pending.append((gens, part))
             have += len(part)
             if have == size:
-                yield np.concatenate(pending)
+                yield pending
                 pending, have = [], 0
     if pending:
-        yield np.concatenate(pending)
+        yield pending
 
 
 @lru_cache(maxsize=16)
-def _cached_chunks(n_gen: int, n_edge: int, size: int) -> tuple[np.ndarray, ...]:
+def _cached_chunks(n_gen: int, n_edge: int, size: int) -> tuple[SetBatch, ...]:
     """The chunks of ``size`` rows of :func:`_candidate_rows` for one
-    network shape (read-only: they are shared by every network of that
-    shape)."""
-    chunks = tuple(_chunks(_candidate_rows(n_gen, n_edge), size))
-    for rows in chunks:
-        rows.setflags(write=False)
-    return chunks
+    network shape, each a :class:`~opfsens.jacobian.SetBatch` padded to its
+    largest block (shared by every network of that shape)."""
+    return tuple(set_batch(n_gen, n_edge, parts)
+                 for parts in _chunks(_candidate_rows(n_gen, n_edge), size))
+
+
+def _streamed_chunks(n_gen: int, n_edge: int) -> Iterator[SetBatch]:
+    """The candidate sets, at most ``CHUNK`` at a time. A generator subset
+    with more is factored alone, a chunk at a time, each block at its own
+    ``t x t`` size; consecutive smaller subsets share a chunk, padded to the
+    largest block among them."""
+    pending: list[Part] = []
+    have = 0
+    for gens in _gen_subsets(n_gen):
+        count = math.comb(n_edge, n_gen - 1 - len(gens))
+        parts = ((gens, rows) for rows in _subset_rows(gens, n_gen, n_edge))
+        if pending and have + count > CHUNK:
+            yield set_batch(n_gen, n_edge, pending)
+            pending, have = [], 0
+        if count > CHUNK:
+            for chunk in _chunks(parts, CHUNK):
+                yield set_batch(n_gen, n_edge, chunk)
+        else:
+            pending.extend(parts)
+            have += count
+    if pending:
+        yield set_batch(n_gen, n_edge, pending)
 
 
 def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The one pass over the candidate sets, ``CHUNK`` at a time in
-    lexicographic order: yields the pool rows of each chunk's independent
-    sets and their signed Jacobians for the load columns ``loads``, shape
-    ``(len(rows), n_gen, len(loads))``, from :func:`reduced_solve`; with no
-    ``loads`` nothing is solved. Chunks span generator subsets, so a small
-    network is one kernel call, and up to :data:`CACHED_CANDIDATES` they are
-    built once per shape and ``CHUNK``."""
+    """The one pass over the candidate sets in lexicographic order: yields
+    the pool rows of each chunk's independent sets and their signed
+    Jacobians for the load columns ``loads``, shape ``(len(rows), n_gen,
+    len(loads))``, from :func:`reduced_solve`; with no ``loads`` nothing is
+    solved. Up to :data:`CACHED_CANDIDATES` candidates, chunks of ``CHUNK``
+    sets span generator subsets, so a small network is one kernel call, and
+    are built once per shape and ``CHUNK``; larger networks stream them one
+    generator subset at a time (:func:`_streamed_chunks`). Each set gets the
+    numbers of its own block, so no result depends on the chunking."""
     if candidate_count(net) <= CACHED_CANDIDATES:
         chunks = _cached_chunks(net.n_gen, net.n_edge, CHUNK)
     else:
-        chunks = _chunks(_candidate_rows(net.n_gen, net.n_edge), CHUNK)
-    for rows in chunks:
-        ok, jac = reduced_solve(net, rows, loads)
+        chunks = _streamed_chunks(net.n_gen, net.n_edge)
+    for batch in chunks:
+        ok, jac = reduced_solve(net, batch, loads)
         if ok.any():
-            yield rows[ok], jac
+            yield batch.rows[ok], jac
 
 
 def _fold(

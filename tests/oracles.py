@@ -3,11 +3,12 @@ from the package: the doubled-inequality standard form of the dispatch LP,
 the candidate order built with ``itertools``, graph components from
 ``scipy.sparse.csgraph``, and the full
 ``n_bus x n_bus`` constraint stack with the independence test and Jacobian
-that the package's reduced ``k x k`` kernel replaces, the row-major stacked
-LU and the gathers and Jacobian assembly that the package's batch-last kernel
-must reproduce bit for bit, the tie rule applied one record at a time, and
-the dense-tableau simplex whose results the package's LP must reproduce
-byte for byte."""
+that the package's reduced kernel replaces, the row-major stacked LU, the
+reduced block of each set solved one set at a time that the package's
+batch-last kernel must reproduce bit for bit, the earlier ``k x k``
+``S N`` pipeline it must agree with, the tie rule applied one record at a
+time, and the dense-tableau simplex whose results the package's LP must
+reproduce byte for byte."""
 
 from __future__ import annotations
 
@@ -223,24 +224,73 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return lu.reshape(a.shape), piv.reshape(a.shape[:-1]), independent.reshape(a.shape[:-2])
 
 
-def reduced_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`opfsens.jacobian.reduced_solve` as it was before it gathered
-    with ``take`` and wrote the Jacobian in place: the row-major LU above of
-    each set's ``S N`` from a fancy-indexed gather, the package's solve of the
-    passed sets, and the Jacobian assembled by ``concatenate`` with row 0 as
-    ``np.subtract.reduce`` of ones over ``y``."""
-    basis = net.ptdf_basis
+def sn_basis(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """``(pool_n, pool_p)``: the PTDF pool of the generator rows of the
+    Laplacian and the flow matrix, times the angles of unit injections at
+    generators 2..n_gen and at the load buses, referenced at bus 0, computed
+    as the package computed them before it referenced each set at its lowest
+    free generator."""
+    n, k = net.n_bus, net.n_gen - 1
+    gen_rows = np.vstack([-np.ones((1, n - 1)), np.eye(k, n - 1)])
+    ptdf = np.linalg.solve(net.laplacian[1:, 1:], net.flow_matrix[:, 1:].T).T
+    pool = np.vstack([gen_rows, ptdf])
+    return np.ascontiguousarray(pool[:, :k]), np.ascontiguousarray(pool[:, k:])
+
+
+def sn_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.ndarray]:
+    """The package's test and solve as they were before it factored each
+    set's reduced block: the row-major LU above of each set's full ``k x k``
+    matrix ``S N``, rows of pool indices gathered from :func:`sn_basis`, the
+    package's solve of the passed sets, and the Jacobian assembled with row 0
+    as ``np.subtract.reduce`` of ones over ``y``."""
+    pool_n, pool_p = sn_basis(net)
     loads = np.asarray(loads, dtype=np.intp)
-    lu, piv, ok = lu_factor_checked(basis.pool_n[rows])
+    lu, piv, ok = lu_factor_checked(pool_n[rows])
     passed = np.flatnonzero(ok)
     if not (passed.size and loads.size):
         return ok, np.zeros((passed.size, net.n_gen, loads.size))
     factors = lu[passed].transpose(1, 2, 0), piv[passed].T
-    rhs = basis.pool_p[rows[passed, :, None], loads].transpose(1, 2, 0)
+    rhs = pool_p[rows[passed, :, None], loads].transpose(1, 2, 0)
     y = linalg.lu_solve_factored(factors, rhs)
     jac = np.concatenate([np.ones((1,) + y.shape[1:]), y])
     jac[0] = np.subtract.reduce(jac)
     return ok, np.ascontiguousarray(jac.transpose(2, 0, 1))
+
+
+def block_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced-block test and solve one set at a time, row-major: the
+    set's lowest free generator ``r`` as reference, its ``t x t`` block of
+    branch rows on the other free generators from the PTDF transfer table,
+    the row-major LU above, a row-major forward and back substitution, and
+    the Jacobian with the free rows ``y``, the binding rows zero and row
+    ``r`` one minus each row of ``y`` in turn."""
+    table = net.ptdf_basis.transfers
+    loads = np.asarray(loads, dtype=np.intp)
+    oks, jacs = [], []
+    for row in np.asarray(rows).tolist():
+        gens = {v for v in row if v < net.n_gen}
+        ref, *others = [g for g in range(net.n_gen) if g not in gens]
+        branches = [v for v in row if v >= net.n_gen]
+        block = table[np.ix_(others, [ref], branches)][:, 0].T
+        lu, piv, ok = (v[0] for v in lu_factor_checked(block[None]))
+        oks.append(bool(ok))
+        if not ok:
+            continue
+        y = table[np.ix_(net.n_gen + loads, [ref], branches)][:, 0].T.copy()
+        for j, p in enumerate(piv):
+            y[[j, p]] = y[[p, j]]
+        for j in range(len(y)):
+            y[j + 1 :] -= lu[j + 1 :, j, None] * y[j]
+        for j in reversed(range(len(y))):
+            y[j] /= lu[j, j]
+            y[:j] -= lu[:j, j, None] * y[j]
+        jac = np.zeros((net.n_gen, loads.size))
+        jac[others] = y
+        jac[ref] = 1.0
+        for yj in y:
+            jac[ref] -= yj
+        jacs.append(jac)
+    return np.array(oks, dtype=bool), np.array(jacs).reshape(len(jacs), net.n_gen, loads.size)
 
 
 def fold(records, tie_tol: float, all_ties: bool):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import opfsens as ops
 from opfsens import sensitivity
 from opfsens.errors import CardinalityViolation, DependentBindings, RegionBoundary
-from opfsens.jacobian import BindingSet, pool_rows, reduced_solve
+from opfsens.jacobian import BindingSet, pool_rows, reduced_solve, set_batch
 from opfsens.network import assemble_network
 
 import oracles
@@ -257,68 +257,141 @@ def test_independence_agrees_across_entry_points():
 
 
 def test_ptdf_basis_against_grounded_inverse(net9, chain18):
-    """The cached basis is the pool times the inverse Laplacian grounded at
-    bus 0, with exact unit generator rows."""
+    """The cached table is the pool times the angles of a unit transfer from
+    each bus to each generator, from the inverse Laplacian grounded at bus
+    0, with exact generator rows; referenced at generator 0 it is the
+    earlier S N basis."""
     for net in (net9, chain18[0]):
         n_g = net.n_gen
         x = np.zeros((net.n_bus, net.n_bus))
         x[1:, 1:] = np.linalg.inv(net.laplacian[1:, 1:])
         pool = np.vstack([net.laplacian[:n_g], net.flow_matrix])
-        basis = net.ptdf_basis
-        assert np.abs(basis.pool_n - pool @ x[:, 1:n_g]).max() < 1e-12
-        assert np.abs(basis.pool_p - pool @ x[:, n_g:]).max() < 1e-12
-        assert (basis.pool_n[0] == -1.0).all() and (basis.pool_p[0] == -1.0).all()
-        assert np.array_equal(basis.pool_n[1:n_g], np.eye(n_g - 1))
-        assert not basis.pool_p[1:n_g].any()
+        table = net.ptdf_basis.transfers
+        assert table.shape == (net.n_bus, n_g, n_g + net.n_edge)
+        for r in range(n_g):
+            want = pool @ (x - x[:, [r]])
+            assert np.abs(table[:, r].T - want).max() < 1e-12
+            gen_rows = np.zeros((n_g, net.n_bus))
+            gen_rows[:, :n_g] = np.eye(n_g)
+            gen_rows[r] = -1.0
+            gen_rows[r, r] = 0.0
+            assert np.array_equal(table[:, r, :n_g].T, gen_rows)
+        # referenced at generator 0, the table is the S N basis, bit for bit
+        pool_n, pool_p = oracles.sn_basis(net)
+        assert np.array_equal(table[1:n_g, 0].T, pool_n)
+        assert np.array_equal(table[n_g:, 0].T, pool_p)
+
+
+def _batch(net, rows):
+    """A SetBatch of candidate rows in any order: each run of rows that
+    binds the same generators is one part."""
+    rows = np.asarray(rows, dtype=np.intp)
+    gens = [tuple(v for v in row if v < net.n_gen) for row in rows.tolist()]
+    starts = [i for i in range(len(rows)) if i == 0 or gens[i] != gens[i - 1]]
+    return set_batch(net.n_gen, net.n_edge, [
+        (gens[i], rows[i:j]) for i, j in zip(starts, starts[1:] + [len(rows)])])
 
 
 def test_load_columns_solve_bit_for_bit(chain18):
     """Solving a chunk's accepted sets for a subset of load columns gives
     those columns of the all-column solve bit for bit, and a set's
-    jacobian_from_binding is its row of the chunk, also bit for bit."""
+    jacobian_from_binding is its row of the chunk, also bit for bit but for
+    the sign of a zero."""
     net = chain18[0]
     keys = oracles.lex_candidates(net)[0:20000:40]
-    rows = np.array([pool_rows(net, BindingSet(*key)) for key in keys])
-    ok, full = reduced_solve(net, rows, np.arange(net.n_load))
+    batch = _batch(net, [pool_rows(net, BindingSet(*key)) for key in keys])
+    ok, full = reduced_solve(net, batch, np.arange(net.n_load))
     assert full.shape == (np.count_nonzero(ok), net.n_gen, net.n_load)
     for loads in ([3], [0, 4, 8], [8, 1]):
-        part_ok, part = reduced_solve(net, rows, np.array(loads))
+        part_ok, part = reduced_solve(net, batch, np.array(loads))
         assert np.array_equal(part_ok, ok) and np.array_equal(part, full[:, :, loads])
-    empty_ok, empty = reduced_solve(net, rows, np.array([], int))
+    empty_ok, empty = reduced_solve(net, batch, np.array([], int))
     assert np.array_equal(empty_ok, ok) and np.array_equal(empty, full[:, :, :0])
     for t in np.flatnonzero(ok)[::25]:
         jac = ops.jacobian_from_binding(net, BindingSet(*keys[t])).jac
-        assert np.array_equal(jac, full[np.count_nonzero(ok[:t])])
+        assert _same_bits(jac, full[np.count_nonzero(ok[:t])])
+
+
+def _same_bits(a, b):
+    """Bitwise equality, but for the sign of a zero."""
+    return a.shape == b.shape and np.array_equal((a + 0.0).view(np.uint8), (b + 0.0).view(np.uint8))
 
 
 @st.composite
 def _solve_cases(draw):
     """A random connected network, a random draw of its candidate rows in
-    random order, and a random ordered subset of its load columns."""
+    random order, or of the rows of one generator subset, and a random
+    ordered subset of its load columns."""
     n_bus = draw(st.integers(3, 10))
     n_gen = draw(st.integers(1, min(4, n_bus - 1)))
     extra = draw(st.integers(0, min(4, math.comb(n_bus, 2) - (n_bus - 1))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = _random_network(rng, n_bus, n_gen, extra)
-    cands = np.concatenate(list(sensitivity._candidate_rows(net.n_gen, net.n_edge)))
+    parts = list(sensitivity._candidate_rows(net.n_gen, net.n_edge))
+    if draw(st.booleans()):
+        _, cands = parts[rng.integers(len(parts))]
+    else:
+        cands = np.concatenate([rows for _, rows in parts])
     rows = cands[rng.integers(len(cands), size=draw(st.integers(1, 300)))]
     loads = rng.permutation(net.n_load)[: draw(st.integers(0, net.n_load))]
     return net, rows, loads
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_solve_cases())
 def test_reduced_solve_matches_oracle_pipeline(case):
-    """Verdicts and Jacobians are bit for bit those of the row-major LU of a
-    fancy-indexed gather, the solve, and the concatenate and subtract.reduce
-    assembly."""
+    """Verdicts and Jacobians are bit for bit, but for the sign of a zero,
+    those of each set's own reduced block factored and solved one set at a
+    time, whether the batch holds one generator subset (each block at its
+    own size) or spans several (blocks padded to the largest)."""
     net, rows, loads = case
-    ok, jac = reduced_solve(net, rows, loads)
+    batch = _batch(net, rows)
+    ok, jac = reduced_solve(net, batch, loads)
     with np.errstate(divide="ignore", invalid="ignore"):
-        want_ok, want = oracles.reduced_solve(net, rows, loads)
+        want_ok, want = oracles.block_solve(net, rows, loads)
     assert np.array_equal(ok, want_ok)
-    assert jac.shape == want.shape
-    assert np.array_equal(jac.view(np.uint8), want.view(np.uint8))
+    assert _same_bits(jac, want)
+
+
+def _sn_agreement(net):
+    """The scan's verdict on every candidate is the S N pipeline's, and
+    every accepted Jacobian is within 1e-12 of it, relative to its largest
+    entry. Returns the number of accepted sets."""
+    rows = np.concatenate([rows for _, rows in sensitivity._candidate_rows(net.n_gen, net.n_edge)])
+    loads = np.arange(net.n_load)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_ok, want = oracles.sn_solve(net, rows, loads)
+    scanned = list(sensitivity._scan(net, loads))
+    got_rows = np.concatenate([r for r, _ in scanned])
+    got = np.concatenate([jac for _, jac in scanned])
+    assert np.array_equal(got_rows, rows[want_ok])
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert err.max() <= 1e-12
+    return len(got_rows)
+
+
+def test_reduced_block_matches_sn_pipeline(net9, chain18):
+    """Against the earlier S N kernel: every candidate of case9 and of the
+    18-bus chain, and of the random networks of
+    test_independence_agrees_across_entry_points and of the decomposition
+    tests."""
+    from test_decompose import RANDOM_SEEDS, _random_bridge_network
+
+    assert _sn_agreement(net9) == 60
+    assert _sn_agreement(chain18[0]) == 17640
+    rng = np.random.default_rng(7)
+    assert sum(_sn_agreement(_random_network(rng)) for _ in range(30)) > 1000
+    assert sum(_sn_agreement(_random_bridge_network(seed)) for seed in RANDOM_SEEDS) > 100
+
+
+def test_kept_jacobian_owns_its_data(net9, chain27):
+    """A kept Jacobian is one array that owns its memory, not a view of the
+    batch it was solved in."""
+    for net in (net9, chain27[0]):
+        bset = next(ops.enumerate_binding_sets(net))
+        jac = ops.jacobian_from_binding(net, bset).jac
+        assert jac.base is None and jac.flags.owndata
+        assert jac.shape == (net.n_gen, net.n_load)
 
 
 def _compare_full_stack(net, keys, jac_tol):
