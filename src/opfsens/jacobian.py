@@ -40,6 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -118,26 +119,23 @@ class SetBatch:
     shape.
 
     ``rows`` holds the :func:`pool_rows` of one set per row, ``(count,
-    n_gen - 1)``. Each set's block is ``n x n``: its branch rows and the
-    free generators other than its reference first, then, when the batch
-    spans generator subsets, unit rows of some of its binding generators on
-    the diagonal, to pad it to the batch's largest block. ``ref`` holds each
-    set's reference generator, ``(count,)``, and ``cols[c]`` the generator
-    of each set's block column ``c``, ``(n, count)``; when every set binds
-    the same generators they hold one set's, ``(1,)`` and ``(n, 1)``. In the
-    :class:`~opfsens.network.PtdfBasis` table flattened past its bus axis,
-    ``at[i, s]`` is the offset of block row ``i`` of set ``s``, its
-    reference times the pool size plus its pool row, ``(n, count)``; a batch
-    that spans generator subsets also has ``index[i, c, s]``, the offset in
-    the whole flattened table of that row's entry in column ``c``, ``(n, n,
-    count)``, and ``None`` otherwise.
+    n_gen - 1)``. The sets come in groups, runs that bind the same
+    generators. Every set's block is ``n x n``, ``n`` the largest ``t`` in
+    the batch: its branch rows and the free generators other than its
+    reference first, then, for a set with a smaller ``t``, unit rows of some
+    of its binding generators on the diagonal. ``cols[g]`` holds the
+    generators of group ``g``'s block columns, then its reference, ``(groups,
+    n + 1)``, and ``jac_rows[:, s]`` the same for set ``s``, the Jacobian
+    rows its solution fills, ``(n + 1, count)``. ``at[i, s]`` is the offset
+    of block row ``i`` of set ``s`` in a table of ``n_gen + n_edge`` pool
+    rows per group: the group times the pool size plus the row's pool row,
+    ``(n, count)``.
     """
 
     rows: np.ndarray
-    ref: np.ndarray
     cols: np.ndarray
+    jac_rows: np.ndarray
     at: np.ndarray
-    index: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -146,33 +144,26 @@ class SetBatch:
 def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
     """The :class:`SetBatch` of candidate sets on networks with ``n_gen``
     generators and ``n_edge`` branches, given as ``parts``: runs of
-    :func:`pool_rows` rows that each bind the generators ``gens``. A batch of
-    one part is unpadded, each block its set's own ``t x t`` one."""
-    k, n_pool = n_gen - 1, n_gen + n_edge
-    if len(parts) == 1:
-        (gens, rows), = parts
-        r, *others = (g for g in range(n_gen) if g not in gens)
-        at = np.add(rows[:, len(gens) :].T, r * n_pool, order="C")
-        return SetBatch(rows=rows, ref=np.array([r]), cols=np.array(others, np.intp)[:, None],
-                        at=at, index=None)
-    width = k - min(len(gens) for gens, _ in parts)
+    :func:`pool_rows` rows that each bind the generators ``gens``. A batch
+    of one group is unpadded, each block its set's own ``t x t`` one."""
+    n_pool = n_gen + n_edge
+    width = n_gen - 1 - min(len(gens) for gens, _ in parts)
     rows = np.concatenate([part for _, part in parts])
+    groups = [(gens, sum(len(part) for _, part in run))
+              for gens, run in groupby(parts, key=operator.itemgetter(0))]
+    cols = np.empty((len(groups), width + 1), np.intp)
     at = np.empty((width, len(rows)), np.intp)
-    cols = np.empty_like(at)
-    ref = np.empty(len(rows), np.intp)
     start = 0
-    for gens, part in parts:
-        stop = start + len(part)
-        r, *others = (g for g in range(n_gen) if g not in gens)
-        t = len(others)
-        pads = gens[: width - t]
-        np.add(part[:, len(gens) :].T, r * n_pool, out=at[:t, start:stop])
-        at[t:, start:stop] = np.array(pads, np.intp)[:, None] + r * n_pool
-        cols[:, start:stop] = np.array(others + list(pads), np.intp)[:, None]
-        ref[start:stop] = r
+    for g, (gens, count) in enumerate(groups):
+        stop = start + count
+        r, *others = (v for v in range(n_gen) if v not in gens)
+        pads = gens[: width - len(others)]
+        cols[g] = others + list(pads) + [r]
+        np.add(rows[start:stop, len(gens) :].T, g * n_pool, out=at[: len(others), start:stop])
+        at[len(others) :, start:stop] = np.add(pads, g * n_pool)[:, None]
         start = stop
-    index = at[:, None, :] + cols[None] * (n_gen * n_pool)
-    return SetBatch(rows=rows, ref=ref, cols=cols, at=at, index=index)
+    jac_rows = np.repeat(cols.T, [count for _, count in groups], axis=1)
+    return SetBatch(rows=rows, cols=cols, jac_rows=jac_rows, at=at)
 
 
 def reduced_solve(
@@ -183,26 +174,33 @@ def reduced_solve(
     Returns ``(ok, jac)``: the verdict of :func:`linalg.lu_factor_checked` on
     each set's block ``B``, and the signed Jacobians of the sets that pass,
     ``(ok.sum(), n_gen, len(loads))``, for the load columns ``loads`` only;
-    with no loads nothing is solved. The solve ``y = B^-1 P`` reuses the
-    factors the test judged. The padding rows are unit rows whose columns
-    the block's rows do not reach: they take pivots of exactly 1 and
-    multipliers of zero, and their solution entries are exactly zero, so
-    every set gets the pivots and solution of its own ``t x t`` block,
+    with no loads nothing is solved. A group's transfer PTDFs are the
+    :class:`~opfsens.network.PtdfBasis` at its block columns' buses, or at
+    the load buses, minus that at its reference: each group's are computed
+    once per call, and every set's ``B`` and ``P`` are gathered from them.
+    The solve ``y = B^-1 P`` reuses the factors the test judged. The padding
+    rows are zero in the block's own columns and one on the diagonal, so the
+    padded matrix is block upper triangular: they take multipliers of zero
+    and pivots of 1, and their right-hand sides and solution entries are
+    zero. Every set gets the pivots and solution of its own ``t x t`` block,
     whatever the batch, up to the sign of a zero. Row ``r`` of the Jacobian
     is ``1 - y_0 - y_1 - ...``, subtracted left to right, binding rows are
     zero, and all rows are written straight into the returned array. Each
     column is computed on its own: a subset of ``loads`` gives the same
     columns bit for bit.
     """
-    transfers = net.ptdf_basis.transfers
-    n_gen = net.n_gen
+    by_bus = net.ptdf_basis.by_bus
+    n_gen, n = net.n_gen, len(batch.at)
     loads = np.asarray(loads, dtype=np.intp)
-    by_bus = transfers.reshape(net.n_bus, -1)
-    shared = batch.index is None  # one generator subset: the sets share their columns
-    if shared:  # gathered (column, row, set), factored from a transposed view
-        blocks = by_bus.take(batch.cols[:, 0], axis=0).take(batch.at, axis=1).transpose(1, 0, 2)
-    else:
-        blocks = transfers.take(batch.index)
+    ref = by_bus.take(batch.cols[:, n], axis=0)[:, None]
+
+    def gathered(buses: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """``[bus, i, s]``: each set's group table at ``buses`` and its rows."""
+        table = by_bus.take(buses, axis=0) - ref  # (groups, buses, n_pool)
+        return table.transpose(1, 0, 2).reshape(table.shape[1], ref.size).take(at, axis=1)
+
+    # gathered (column, row, set), factored from a transposed view
+    blocks = gathered(batch.cols[:, :n], batch.at).transpose(1, 0, 2)
     lu, piv, ok = linalg.lu_factor_checked(blocks)
     passed = np.flatnonzero(ok)
     jac = np.zeros((passed.size, n_gen, loads.size))
@@ -210,16 +208,12 @@ def reduced_solve(
         return ok, jac
     # take keeps the batch axis last in memory; a boolean mask would not
     factors = lu.take(passed, axis=2), piv.take(passed, axis=1)
-    rhs = by_bus.take(n_gen + loads, axis=0).take(batch.at.take(passed, axis=1), axis=1)
+    rhs = gathered(n_gen + loads, batch.at.take(passed, axis=1))
     y = linalg.lu_solve_factored(factors, rhs.transpose(1, 0, 2))  # (n, loads, sets)
-    if shared:
-        jac[:, batch.cols[:, 0]] = y.transpose(2, 0, 1)
-        np.subtract.reduce(y, axis=0, initial=1.0, out=jac[:, batch.ref[0]].T)
-    else:
-        out = jac.reshape(-1, loads.size)
-        first = n_gen * np.arange(passed.size)
-        out[batch.cols.take(passed, axis=1) + first] = y.transpose(0, 2, 1)
-        out[batch.ref.take(passed) + first] = np.subtract.reduce(y, axis=0, initial=1.0).T
+    out = jac.reshape(-1, loads.size)
+    rows = batch.jac_rows.take(passed, axis=1) + n_gen * np.arange(passed.size)
+    out[rows[:n]] = y.transpose(0, 2, 1)
+    out[rows[n]] = np.subtract.reduce(y, axis=0, initial=1.0).T
     return ok, jac
 
 

@@ -29,19 +29,6 @@ def _swap_rows(w: np.ndarray, j: int, at: np.ndarray) -> np.ndarray:
     return row
 
 
-def _first_largest(col: np.ndarray) -> np.ndarray:
-    """Index of the first largest entry of each column of ``col``, as
-    ``argmax(axis=0)`` gives it for finite entries; comparing rows is several
-    times faster than numpy's argmax along a short leading axis."""
-    top = np.zeros(col.shape[1], dtype=np.intp)
-    best = col[0]
-    for i in range(1, len(col)):
-        larger = col[i] > best
-        best = np.maximum(best, col[i])
-        np.putmask(top, larger, i)
-    return top
-
-
 def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LU-factor a stack ``(n, n, count)`` of square matrices with partial
     pivoting, and apply the project's one independence test.
@@ -58,11 +45,11 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     would take a block whose smallest pivot exceeds 1 and whose largest
     exceeds ``1 / RANK_REL_TOL``, and partial pivoting grows entries of
     magnitude 1 at most ``2^(n - 1)``-fold. Returns ``(lu, piv,
-    independent)``: the unit-lower and upper factors packed in one C-ordered ``(n, n, count)``
-    array, the row swapped with row ``j`` at step ``j`` as ``(n, count)``,
-    and the verdict of each matrix, ``(count,)``. Each matrix is factored
-    exactly as it would be alone; the factors of a dependent one are not
-    for solving.
+    independent)``: the unit-lower and upper factors packed in one
+    C-ordered ``(n, n, count)`` array, the row swapped with row ``j`` at
+    step ``j`` as ``(n, count)``, and the verdict of each matrix,
+    ``(count,)``. Each matrix is factored exactly as it would be alone; the
+    factors of a dependent one are not for solving.
     """
     # a C-ordered copy: row swaps go through flat offsets of w
     w = np.array(a, dtype=float, order="C")
@@ -75,7 +62,7 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     # follow only reach matrices the test rejects anyway
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(n - 1):
-            p = piv[j] = _first_largest(np.abs(w[j:, j])) + j
+            p = piv[j] = np.abs(w[j:, j]).argmax(axis=0) + j
             row = _swap_rows(w, j, p * (n * count) + cells)
             below = w[j + 1 :, j]
             below /= row[j]

@@ -43,23 +43,24 @@ Label = int | str
 
 @dataclass(frozen=True)
 class PtdfBasis:
-    """The rows a binding set picks from, in a PTDF basis referenced at each
-    generator.
+    """The rows a binding set picks from, in a PTDF basis.
 
     The pool is the generator rows of the Laplacian followed by the flow
     matrix; ``X`` is the inverse Laplacian grounded at bus 0 (zero row and
-    column 0). A unit transfer from bus ``v`` to generator ``r`` produces the
-    angles ``X[:, v] - X[:, r]`` and keeps every other bus balanced;
-    ``transfers[v, r]`` is the pool times those angles. The generator rows
-    are exact: referenced at ``r``, generator ``g != r``'s row is one at
-    ``v = g`` and zero at every other bus, and generator ``r``'s row is minus
-    one at every bus but ``r``. So a binding generator ``g`` fixes the
-    transfer from ``g`` at zero, and a binding branch's row is a row of
-    transfer PTDFs, each of magnitude at most 1. At ``r = 0`` the table is
-    the pool times ``X`` itself.
+    column 0). ``by_bus[v]`` is the pool times ``X[:, v]``, the angles of a
+    unit injection at bus ``v``. A unit transfer from bus ``v`` to generator
+    ``r`` produces the angles ``X[:, v] - X[:, r]`` and keeps every other bus
+    balanced, so the pool times them is ``by_bus[v] - by_bus[r]``; callers
+    take that difference when they gather. The generator rows are exact:
+    referenced at ``r``, generator ``g != r``'s row is one at ``v = g`` and
+    zero at every other bus, and generator ``r``'s row is minus one at every
+    bus but ``r``. So a binding generator ``g`` fixes the transfer from ``g``
+    at zero, and a binding branch's row is a row of transfer PTDFs, each of
+    magnitude at most 1. ``by_bus[0]`` is zero, so at ``r = 0`` the
+    difference is ``by_bus[v]`` itself, bit for bit.
     """
 
-    transfers: np.ndarray   # (n_bus, n_gen, n_gen + n_edge): [v, r, pool row]
+    by_bus: np.ndarray   # (n_bus, n_gen + n_edge): [v, pool row]
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +124,7 @@ class Network:
         The generator rows of the pool times ``X`` are exact: row 0 is minus
         ones off bus 0 (the Laplacian's columns sum to zero) and row
         ``g > 0`` is the unit row ``g``. The branch rows solve with the
-        grounded Laplacian. Referencing at ``r`` subtracts column ``r``,
-        which keeps the generator rows exact and leaves ``r = 0`` unchanged
-        bit for bit: column 0 is zero.
+        grounded Laplacian.
         """
         n_gen, n = self.n_gen, self.n_bus
         pool_x = np.zeros((n_gen + self.n_edge, n))
@@ -133,9 +132,8 @@ class Network:
         pool_x[1:n_gen, 1:n_gen] = np.eye(n_gen - 1)
         pool_x[n_gen:, 1:] = np.linalg.solve(self.laplacian[1:, 1:], self.flow_matrix[:, 1:].T).T
         by_bus = np.ascontiguousarray(pool_x.T)
-        transfers = by_bus[:, None, :] - by_bus[None, :n_gen, :]
-        transfers.setflags(write=False)
-        return PtdfBasis(transfers=transfers)
+        by_bus.setflags(write=False)
+        return PtdfBasis(by_bus=by_bus)
 
 
 @dataclass(frozen=True)

@@ -260,23 +260,24 @@ def sn_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.ndar
 def block_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.ndarray]:
     """The reduced-block test and solve one set at a time, row-major: the
     set's lowest free generator ``r`` as reference, its ``t x t`` block of
-    branch rows on the other free generators from the PTDF transfer table,
-    the row-major LU above, a row-major forward and back substitution, and
-    the Jacobian with the free rows ``y``, the binding rows zero and row
-    ``r`` one minus each row of ``y`` in turn."""
-    table = net.ptdf_basis.transfers
+    branch rows on the other free generators, each entry the PTDF basis at
+    the generator's bus minus that at ``r``, the row-major LU above, a
+    row-major forward and back substitution, and the Jacobian with the free
+    rows ``y``, the binding rows zero and row ``r`` one minus each row of
+    ``y`` in turn."""
+    by_bus = net.ptdf_basis.by_bus
     loads = np.asarray(loads, dtype=np.intp)
     oks, jacs = [], []
     for row in np.asarray(rows).tolist():
         gens = {v for v in row if v < net.n_gen}
         ref, *others = [g for g in range(net.n_gen) if g not in gens]
         branches = [v for v in row if v >= net.n_gen]
-        block = table[np.ix_(others, [ref], branches)][:, 0].T
+        block = (by_bus[np.ix_(others, branches)] - by_bus[ref, branches]).T
         lu, piv, ok = (v[0] for v in lu_factor_checked(block[None]))
         oks.append(bool(ok))
         if not ok:
             continue
-        y = table[np.ix_(net.n_gen + loads, [ref], branches)][:, 0].T.copy()
+        y = (by_bus[np.ix_(net.n_gen + loads, branches)] - by_bus[ref, branches]).T.copy()
         for j, p in enumerate(piv):
             y[[j, p]] = y[[p, j]]
         for j in range(len(y)):

@@ -236,12 +236,12 @@ def test_report_table_without_loads(capsys, tmp_path):
 
 def test_large_scan_note_gives_a_time(capsys, monkeypatch):
     """Above the threshold the note gives the scan's rough time at about
-    0.92 us per candidate, in seconds and, from 100 s, in minutes."""
+    1.05 us per candidate, in seconds and, from 100 s, in minutes."""
     monkeypatch.setattr(cli, "SCAN_WARN_CANDIDATES", 10)
     code, _, err = run_cli(capsys, "report", "--case", CASE)
     assert code == 0
-    assert "note: exhaustive scan over 66 candidate sets, roughly 6.1e-05 s;" in err
-    for count, eta in ((48_903_492, "45 s"), (10**9, "15 min")):
+    assert "note: exhaustive scan over 66 candidate sets, roughly 6.9e-05 s;" in err
+    for count, eta in ((48_903_492, "51 s"), (10**9, "18 min")):
         monkeypatch.setattr(cli, "candidate_count", lambda net: count)
         cli._warn_if_large_scan(None)
         assert f"over {count} candidate sets, roughly {eta};" in capsys.readouterr().err

@@ -257,29 +257,29 @@ def test_independence_agrees_across_entry_points():
 
 
 def test_ptdf_basis_against_grounded_inverse(net9, chain18):
-    """The cached table is the pool times the angles of a unit transfer from
-    each bus to each generator, from the inverse Laplacian grounded at bus
-    0, with exact generator rows; referenced at generator 0 it is the
-    earlier S N basis."""
+    """The cached basis is the pool times the inverse Laplacian grounded at
+    bus 0; referenced at each generator it gives the angles of a unit
+    transfer to that generator, with exact generator rows; at generator 0
+    it is the earlier S N basis."""
     for net in (net9, chain18[0]):
         n_g = net.n_gen
         x = np.zeros((net.n_bus, net.n_bus))
         x[1:, 1:] = np.linalg.inv(net.laplacian[1:, 1:])
         pool = np.vstack([net.laplacian[:n_g], net.flow_matrix])
-        table = net.ptdf_basis.transfers
-        assert table.shape == (net.n_bus, n_g, n_g + net.n_edge)
+        by_bus = net.ptdf_basis.by_bus
+        assert by_bus.shape == (net.n_bus, n_g + net.n_edge)
         for r in range(n_g):
-            want = pool @ (x - x[:, [r]])
-            assert np.abs(table[:, r].T - want).max() < 1e-12
+            table = by_bus - by_bus[r]
+            assert np.abs(table.T - pool @ (x - x[:, [r]])).max() < 1e-12
             gen_rows = np.zeros((n_g, net.n_bus))
             gen_rows[:, :n_g] = np.eye(n_g)
             gen_rows[r] = -1.0
             gen_rows[r, r] = 0.0
-            assert np.array_equal(table[:, r, :n_g].T, gen_rows)
-        # referenced at generator 0, the table is the S N basis, bit for bit
+            assert np.array_equal(table[:, :n_g].T, gen_rows)
+        # referenced at generator 0, the basis is the S N one, bit for bit
         pool_n, pool_p = oracles.sn_basis(net)
-        assert np.array_equal(table[1:n_g, 0].T, pool_n)
-        assert np.array_equal(table[n_g:, 0].T, pool_p)
+        assert np.array_equal(by_bus[1:n_g].T, pool_n)
+        assert np.array_equal(by_bus[n_g:].T, pool_p)
 
 
 def _batch(net, rows):
