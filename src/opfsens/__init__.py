@@ -16,7 +16,6 @@ from .dcopf import (
     extract_binding_set,
     kkt_residuals,
     solve_opf,
-    solve_opf_regular,
 )
 from .decompose import (
     ChainDecomposition,
@@ -41,14 +40,12 @@ from .network import (
     build_network,
     load_chain_config,
     nominal_loads,
-    offline_generator,
 )
 from .sensitivity import (
     SensitivityReport,
     enumerate_binding_sets,
     local_sensitivity,
     sample_lower_bound,
-    structural_check,
     tied_argmax_sets,
     worst_case_all,
     worst_case_miso,
@@ -62,13 +59,12 @@ __all__ = [
     "MatpowerCase", "parse_matpower", "read_case",
     "Network", "OpfParams", "TieLine",
     "build_network", "build_chain", "load_chain_config", "nominal_loads",
-    "offline_generator",
     "OpfSolution", "solve_opf",
-    "solve_opf_regular", "kkt_residuals", "extract_binding_set", "check_regularity",
+    "kkt_residuals", "extract_binding_set", "check_regularity",
     "BindingSet", "JacobianResult", "jacobian_from_binding",
     "jacobian_finite_diff", "independence_check",
     "SensitivityReport", "enumerate_binding_sets", "worst_case_siso",
-    "worst_case_all", "worst_case_miso", "local_sensitivity", "structural_check",
+    "worst_case_all", "worst_case_miso", "local_sensitivity",
     "tied_argmax_sets", "sample_lower_bound",
     "ChainDecomposition", "DecomposedResult", "find_bridges",
     "chain_partition", "worst_case_decomposed",

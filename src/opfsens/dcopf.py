@@ -17,7 +17,6 @@ against, is built by the test suite's oracles alone.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -28,8 +27,6 @@ from . import jacobian as _jac
 from .errors import DegeneratePoint, DimensionMismatch, InvalidLoad
 from .network import Network, OpfParams
 from .simplex import solve_lp
-
-logger = logging.getLogger(__name__)
 
 #: absolute tolerance (per-unit) for calling a constraint binding
 BINDING_TOL = 1e-7
@@ -384,27 +381,3 @@ def check_regularity(sol: OpfSolution) -> RegularityReport:
         unique=unique,
         degenerate_vertex=degenerate,
     )
-
-
-def solve_opf_regular(
-    net: Network, params: OpfParams, load: np.ndarray
-) -> tuple[OpfSolution, OpfParams]:
-    """Solve, and if the optimum is detectably non-unique, retry once with a
-    small deterministic cost perturbation (magnitude ``1e-6 * ||f||_inf``).
-
-    Returns the solution together with the cost vector actually used.
-    """
-    sol = solve_opf(net, params, load)
-    if check_regularity(sol).unique:
-        return sol, params
-    rng = np.random.default_rng(0)
-    scale = 1e-6 * max(float(np.abs(params.cost).max()), 1.0)
-    perturbed = OpfParams(
-        cost=params.cost + rng.uniform(0.0, scale, size=net.n_gen),
-        gen_upper=params.gen_upper,
-        gen_lower=params.gen_lower,
-        flow_upper=params.flow_upper,
-        flow_lower=params.flow_lower,
-    )
-    logger.info("cost vector perturbed by uniform noise <= %.3e to restore uniqueness", scale)
-    return solve_opf(net, perturbed, load), perturbed

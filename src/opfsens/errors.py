@@ -33,6 +33,10 @@ class ZeroReactance(OpfSensError):
     """A branch has zero (or negative) reactance; susceptance is undefined."""
 
 
+class SelfLoop(OpfSensError):
+    """A branch or tie line joins a bus to itself."""
+
+
 class DuplicateGeneratorBus(OpfSensError):
     """Two generators are attached to the same bus (unsupported)."""
 

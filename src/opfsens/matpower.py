@@ -17,8 +17,8 @@ from .errors import DanglingReference, MalformedMatrix, MissingTable
 
 # column positions in the standard MATPOWER format
 _BUS_I, _BUS_TYPE, _BUS_PD = 0, 1, 2
-_GEN_BUS, _GEN_PMAX, _GEN_PMIN = 0, 8, 9
-_BR_FROM, _BR_TO, _BR_X, _BR_RATE_A = 0, 1, 3, 5
+_GEN_BUS, _GEN_STATUS, _GEN_PMAX, _GEN_PMIN = 0, 7, 8, 9
+_BR_FROM, _BR_TO, _BR_X, _BR_RATE_A, _BR_STATUS = 0, 1, 3, 5, 10
 _COST_MODEL, _COST_NCOEF = 0, 3
 
 # the fixed columns this package reads from each table: every row needs them,
@@ -128,6 +128,8 @@ def _parse_matrix(name: str, body: str) -> list[list[float]]:
         raise MalformedMatrix(f"table '{name}' is empty")
     width = len(rows[0])
     read = _READ_COLUMNS[name]
+    # the in-service column; a branch row too short to hold it is in service
+    status = {"gen": _GEN_STATUS, "branch": _BR_STATUS}.get(name, width)
     if width <= max(read):
         raise MalformedMatrix(
             f"table '{name}' has {width} columns, expected at least {max(read) + 1}"
@@ -141,6 +143,10 @@ def _parse_matrix(name: str, body: str) -> list[list[float]]:
             raise MalformedMatrix(f"table '{name}': row {i} has a non-finite cell")
         if not all(row[c].is_integer() for c in _ID_COLUMNS.get(name, ())):
             raise MalformedMatrix(f"table '{name}': row {i} has a non-integral bus id")
+        if status < width and not row[status] > 0:
+            raise MalformedMatrix(
+                f"table '{name}': row {i} is out of service (status {row[status]:g}), "
+                "which is not modelled")
     return rows
 
 
@@ -152,7 +158,7 @@ def parse_matpower(text: str) -> MatpowerCase:
     MalformedMatrix
         Unbalanced brackets, non-numeric cells, ragged rows, too few columns,
         a non-finite cell in a column this package reads, a non-integral bus
-        id, bad baseMVA.
+        id, a generator or branch out of service (status 0), bad baseMVA.
     MissingTable
         A required table (or baseMVA) is absent.
     DanglingReference

@@ -26,6 +26,7 @@ from .errors import (
     DuplicateGeneratorBus,
     InvalidLimits,
     InvalidTie,
+    SelfLoop,
     ZeroReactance,
 )
 from .matpower import MatpowerCase
@@ -34,9 +35,6 @@ logger = logging.getLogger(__name__)
 
 # per-unit stand-in for MATPOWER's rate_a = 0 ("unlimited") convention
 UNLIMITED_FLOW_PU = 10.0
-
-# per-unit upper limit of an offline generator's output window
-OFFLINE_WINDOW_PU = 1e-5
 
 Label = int | str
 
@@ -180,11 +178,9 @@ def _adjacency(
     return adj
 
 
-def _components(
-    adj: list[list[tuple[int, int]]], removed: set[int] | frozenset[int] = frozenset()
-) -> list[list[int]]:
-    """The vertices of each connected component of the graph once the edges
-    ``removed`` are taken out, components in order of their least vertex."""
+def _components(adj: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """The vertices of each connected component of the graph, components in
+    order of their least vertex."""
     seen = [False] * len(adj)
     components = []
     for s in range(len(adj)):
@@ -193,8 +189,8 @@ def _components(
         seen[s] = True
         comp, stack = [s], [s]
         while stack:
-            for w, e in adj[stack.pop()]:
-                if not seen[w] and e not in removed:
+            for w, _ in adj[stack.pop()]:
+                if not seen[w]:
                     seen[w] = True
                     comp.append(w)
                     stack.append(w)
@@ -212,8 +208,9 @@ def assemble_network(
     """Build a :class:`Network` from labeled vertices and edges.
 
     ``edges`` entries are ``(label_u, label_v, susceptance)``. Raises
-    :class:`DisconnectedGraph` when the graph is not connected and
-    :class:`ZeroReactance` for a susceptance that is not finite and positive.
+    :class:`DisconnectedGraph` when the graph is not connected,
+    :class:`ZeroReactance` for a susceptance that is not finite and positive
+    and :class:`SelfLoop` for an edge from a bus to itself.
     """
     gens = sorted(gen_labels) if sort_labels else list(gen_labels)
     loads = sorted(load_labels) if sort_labels else list(load_labels)
@@ -231,6 +228,8 @@ def assemble_network(
             raise ZeroReactance(
                 f"edge ({lu!r},{lv!r}) has susceptance {be}, not finite and positive")
         u, v = pos[lu], pos[lv]
+        if u == v:
+            raise SelfLoop(f"edge ({lu!r},{lv!r}) joins a bus to itself")
         incidence[u, e] = 1.0
         incidence[v, e] = -1.0
         b[e] = be
@@ -325,27 +324,6 @@ def nominal_loads(case: MatpowerCase, net: Network) -> np.ndarray:
     return np.array(
         [case.bus_demand_mw(net.vertex_order[net.n_gen + j]) / case.base_mva
          for j in range(net.n_load)]
-    )
-
-
-def offline_generator(params: OpfParams, gen: int) -> OpfParams:
-    """Limits for a scenario where generator ``gen`` drops offline.
-
-    The output window collapses to ``[0, OFFLINE_WINDOW_PU]`` rather than
-    exactly zero: a zero-width window makes the upper and lower bound rows
-    coincide, which breaks the independence assumptions behind the
-    sensitivity machinery.
-    """
-    upper = params.gen_upper.copy()
-    lower = params.gen_lower.copy()
-    upper[gen] = OFFLINE_WINDOW_PU
-    lower[gen] = 0.0
-    return OpfParams(
-        cost=params.cost,
-        gen_upper=upper,
-        gen_lower=lower,
-        flow_upper=params.flow_upper,
-        flow_lower=params.flow_lower,
     )
 
 

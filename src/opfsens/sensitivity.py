@@ -42,7 +42,7 @@ from .jacobian import (
     reduced_solve,
     set_batch,
 )
-from .network import Network, _adjacency, _components
+from .network import Network
 
 #: two candidate values within this of each other count as a tie
 TIE_TOL = 1e-9
@@ -57,9 +57,10 @@ CHUNK = 1024
 #: lists are built a fixed prefix at a time from one table's tails
 COMBO_ROWS = 1 << 16
 
-#: networks with at most this many candidate sets scan chunks built once per
-#: shape and ``CHUNK`` (the 27-bus stages have 78 to 1820); larger ones, such
-#: as the 18-bus chain with 53130 (2.1 MB of rows), stream them
+#: networks with at most this many candidate sets keep their chunks, built
+#: once per shape and ``CHUNK`` (the 27-bus stages have 78 to 1820); larger
+#: ones, such as the 18-bus chain with 53130 (2.1 MB of rows), build them
+#: as they scan
 CACHED_CANDIDATES = 4096
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -111,15 +112,6 @@ def _subset_rows(gens: tuple[int, ...], n_gen: int, n_edge: int) -> Iterator[np.
             yield rows
 
 
-def _candidate_rows(n_gen: int, n_edge: int) -> Iterator[Part]:
-    """Every generator/branch set of ``n_gen - 1`` members, in lexicographic
-    order (generator subset first, then branch subset), as the blocks of
-    :func:`_subset_rows`, each with its generator subset."""
-    for gens in _gen_subsets(n_gen):
-        for rows in _subset_rows(gens, n_gen, n_edge):
-            yield gens, rows
-
-
 def _keys(net: Network, rows: np.ndarray) -> list[Key]:
     """The ``(gens, branches)`` keys of rows of pool indices, in order."""
     is_gen = rows < net.n_gen
@@ -134,7 +126,7 @@ def candidate_count(net: Network) -> int:
     return math.comb(net.n_gen + net.n_edge, net.n_gen - 1) if net.n_gen else 0
 
 
-def _chunks(parts: Iterable[Part], size: int) -> Iterator[list[Part]]:
+def _regroup(parts: Iterable[Part], size: int) -> Iterator[list[Part]]:
     """Regroup row blocks into lists of parts of ``size`` rows in all (the
     last may be short)."""
     pending: list[Part] = []
@@ -151,30 +143,21 @@ def _chunks(parts: Iterable[Part], size: int) -> Iterator[list[Part]]:
         yield pending
 
 
-@lru_cache(maxsize=16)
-def _cached_chunks(n_gen: int, n_edge: int, size: int) -> tuple[SetBatch, ...]:
-    """The chunks of ``size`` rows of :func:`_candidate_rows` for one
-    network shape, each a :class:`~opfsens.jacobian.SetBatch` padded to its
-    largest block (shared by every network of that shape)."""
-    return tuple(set_batch(n_gen, n_edge, parts)
-                 for parts in _chunks(_candidate_rows(n_gen, n_edge), size))
-
-
-def _streamed_chunks(n_gen: int, n_edge: int) -> Iterator[SetBatch]:
-    """The candidate sets, at most ``CHUNK`` at a time. A generator subset
-    with more is factored alone, a chunk at a time, each block at its own
-    ``t x t`` size; consecutive smaller subsets share a chunk, padded to the
-    largest block among them."""
+def _chunks(n_gen: int, n_edge: int, size: int) -> Iterator[SetBatch]:
+    """The candidate sets in lexicographic order, at most ``size`` at a
+    time. A generator subset with more is factored alone, a chunk at a time,
+    each block at its own ``t x t`` size; consecutive smaller subsets share
+    a chunk, padded to the largest block among them."""
     pending: list[Part] = []
     have = 0
     for gens in _gen_subsets(n_gen):
         count = math.comb(n_edge, n_gen - 1 - len(gens))
         parts = ((gens, rows) for rows in _subset_rows(gens, n_gen, n_edge))
-        if pending and have + count > CHUNK:
+        if pending and have + count > size:
             yield set_batch(n_gen, n_edge, pending)
             pending, have = [], 0
-        if count > CHUNK:
-            for chunk in _chunks(parts, CHUNK):
+        if count > size:
+            for chunk in _regroup(parts, size):
                 yield set_batch(n_gen, n_edge, chunk)
         else:
             pending.extend(parts)
@@ -183,20 +166,25 @@ def _streamed_chunks(n_gen: int, n_edge: int) -> Iterator[SetBatch]:
         yield set_batch(n_gen, n_edge, pending)
 
 
+@lru_cache(maxsize=16)
+def _cached_chunks(n_gen: int, n_edge: int, size: int) -> tuple[SetBatch, ...]:
+    """The :func:`_chunks` of one network shape and ``size``, built once
+    (shared by every network of that shape)."""
+    return tuple(_chunks(n_gen, n_edge, size))
+
+
 def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one pass over the candidate sets in lexicographic order: yields
     the pool rows of each chunk's independent sets and their signed
     Jacobians for the load columns ``loads``, shape ``(len(rows), n_gen,
     len(loads))``, from :func:`reduced_solve`; with no ``loads`` nothing is
-    solved. Up to :data:`CACHED_CANDIDATES` candidates, chunks of ``CHUNK``
-    sets span generator subsets, so a small network is one kernel call, and
-    are built once per shape and ``CHUNK``; larger networks stream them one
-    generator subset at a time (:func:`_streamed_chunks`). Each set gets the
+    solved. The chunks are :func:`_chunks` of ``CHUNK`` sets, kept per
+    shape up to :data:`CACHED_CANDIDATES` candidates. Each set gets the
     numbers of its own block, so no result depends on the chunking."""
     if candidate_count(net) <= CACHED_CANDIDATES:
         chunks = _cached_chunks(net.n_gen, net.n_edge, CHUNK)
     else:
-        chunks = _streamed_chunks(net.n_gen, net.n_edge)
+        chunks = _chunks(net.n_gen, net.n_edge, CHUNK)
     for batch in chunks:
         ok, jac = reduced_solve(net, batch, loads)
         if ok.any():
@@ -348,36 +336,6 @@ def local_sensitivity(
     bset = extract_binding_set(sol, net, params)
     jac = jacobian_from_binding(net, bset).jac
     return abs(float(jac[gen, load_idx]))
-
-
-@dataclass(frozen=True)
-class StructuralCheck:
-    """Cut-structure diagnostic for one binding set.
-
-    When removing the binding branches disconnects the graph, every component
-    must keep at least one non-binding generator; ``passed`` records that, and
-    the check is vacuous (single component) when the set is not a cut."""
-
-    components: tuple[tuple[int, ...], ...]
-    passed: bool
-    vacuous: bool
-
-
-def structural_check(net: Network, bset: BindingSet) -> StructuralCheck:
-    """Verify the free-generator-per-component property of a binding set."""
-    components = [
-        tuple(sorted(comp))
-        for comp in _components(_adjacency(net.n_bus, net.edges), set(bset.branches))
-    ]
-    binding = set(bset.gens)
-    passed = all(
-        any(v < net.n_gen and v not in binding for v in comp) for comp in components
-    )
-    return StructuralCheck(
-        components=tuple(components),
-        passed=passed,
-        vacuous=len(components) == 1,
-    )
 
 
 @dataclass(frozen=True)

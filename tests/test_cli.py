@@ -200,6 +200,26 @@ def _write(path, text):
     return str(path)
 
 
+_SELF_LOOP_TIE = '{"from": {"copy": 1, "bus": 5}, "to": {"copy": 1, "bus": 5}}'
+
+
+@pytest.mark.parametrize("source", ["case", "chain"])
+def test_self_loop_exit_1(capsys, tmp_path, source):
+    """A branch or a chain tie from a bus to itself is a domain error with a
+    JSON message, not a shunt to ground in a table that exits 0."""
+    case, chain = CASE, []
+    if source == "case":
+        loop = "\t5\t5\t0\t0.085\t0\t250\t250\t250\t0\t0\t1\t-360\t360;\n"
+        text = Path(CASE).read_text().replace("mpc.branch = [\n", "mpc.branch = [\n" + loop)
+        case = _write(tmp_path / "loop.m", text)
+    else:
+        config = _CHAIN2.replace("}]}", "}, " + _SELF_LOOP_TIE + "]}")
+        chain = ["--chain", _write(tmp_path / "chain.json", config)]
+    code, out, err = run_cli(capsys, "report", "--case", case, *chain)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "SelfLoop"
+
+
 # two generator buses and one line: a network with no load bus
 _NO_LOAD_CASE = """function mpc = noload
 mpc.version = '2';

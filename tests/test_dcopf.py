@@ -273,17 +273,6 @@ def test_regularity_symmetric_costs():
     assert not ops.check_regularity(sol).unique
 
 
-def test_solve_opf_regular_perturbs_once(net9, params9, loads9):
-    free = ops.OpfParams(
-        cost=np.zeros(3),
-        gen_upper=params9.gen_upper, gen_lower=params9.gen_lower,
-        flow_upper=params9.flow_upper, flow_lower=params9.flow_lower,
-    )
-    sol, used = ops.solve_opf_regular(net9, free, np.full(6, 0.3))
-    assert used is not free  # a perturbed copy was used
-    assert np.abs(used.cost).max() <= 1e-6 * 1.0 + 1e-12
-
-
 def test_chain_scale_solve(chain27, case9, net9):
     """A 27-bus solve (104-row LP) stays clean: balance, KKT, determinism."""
     net, params = chain27
@@ -293,16 +282,6 @@ def test_chain_scale_solve(chain27, case9, net9):
     assert np.array_equal(s1.gen, s2.gen)
     assert s1.gen.sum() == pytest.approx(loads.sum(), abs=1e-8)
     assert ops.kkt_residuals(s1, net, params, loads).max_residual <= 1e-8
-
-
-def test_offline_generator_scenario(net9, params9, loads9):
-    """An outage modeled by a near-zero output window: the unit contributes
-    (almost) nothing and the instance still solves with clean duals."""
-    out = ops.offline_generator(params9, 2)  # cheapest unit offline
-    sol = ops.solve_opf(net9, out, loads9)
-    assert sol.gen[2] <= 1e-5 + 1e-12
-    assert sol.gen.sum() == pytest.approx(loads9.sum(), abs=1e-8)
-    assert ops.kkt_residuals(sol, net9, out, loads9).max_residual <= 1e-8
 
 
 def test_binding_set_density(net9, params9):

@@ -317,6 +317,13 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal((a + 0.0).view(np.uint8), (b + 0.0).view(np.uint8))
 
 
+def _parts(net):
+    """The candidate sets in scan order: each block of rows of
+    ``_subset_rows`` with the generator subset it binds."""
+    return [(gens, rows) for gens in sensitivity._gen_subsets(net.n_gen)
+            for rows in sensitivity._subset_rows(gens, net.n_gen, net.n_edge)]
+
+
 @st.composite
 def _solve_cases(draw):
     """A random connected network, a random draw of its candidate rows in
@@ -327,7 +334,7 @@ def _solve_cases(draw):
     extra = draw(st.integers(0, min(4, math.comb(n_bus, 2) - (n_bus - 1))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = _random_network(rng, n_bus, n_gen, extra)
-    parts = list(sensitivity._candidate_rows(net.n_gen, net.n_edge))
+    parts = _parts(net)
     if draw(st.booleans()):
         _, cands = parts[rng.integers(len(parts))]
     else:
@@ -357,7 +364,7 @@ def _sn_agreement(net):
     """The scan's verdict on every candidate is the S N pipeline's, and
     every accepted Jacobian is within 1e-12 of it, relative to its largest
     entry. Returns the number of accepted sets."""
-    rows = np.concatenate([rows for _, rows in sensitivity._candidate_rows(net.n_gen, net.n_edge)])
+    rows = np.concatenate([rows for _, rows in _parts(net)])
     loads = np.arange(net.n_load)
     with np.errstate(divide="ignore", invalid="ignore"):
         want_ok, want = oracles.sn_solve(net, rows, loads)

@@ -202,6 +202,29 @@ def test_fractional_bus_id_exit_1(case9_text, tmp_path, capsys, table, cells, ba
     assert f"table '{table}'" in err["message"]
 
 
+@pytest.mark.parametrize("table, cells, bad, row", [
+    ("gen", "\t3\t85\t-10.95\t300\t-300\t1.025\t100\t1\t",
+     "\t3\t85\t-10.95\t300\t-300\t1.025\t100\t0\t", 2),
+    ("branch", "\t9\t4\t0.01\t0.085\t0.592\t250\t250\t250\t0\t0\t1\t",
+     "\t9\t4\t0.01\t0.085\t0.592\t250\t250\t250\t0\t0\t0\t", 8),
+])
+def test_out_of_service_row_exit_1(case9_text, tmp_path, capsys, table, cells, bad, row):
+    """A generator or branch with status 0 is a malformed table naming the
+    row, not modelled as in service."""
+    assert case9_text.count(cells) == 1
+    path = tmp_path / "outage.m"
+    path.write_text(case9_text.replace(cells, bad))
+    assert main(["report", "--case", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+    assert err["type"] == "MalformedMatrix"
+    assert f"table '{table}': row {row} is out of service" in err["message"]
+
+
+def test_branch_rows_without_status_are_in_service(case9_text):
+    net, _ = ops.build_network(ops.parse_matpower(_cut_rows(case9_text, "branch", 10)))
+    assert net.n_edge == 9
+
+
 def test_inverted_limits_are_domain_errors():
     case = ops.parse_matpower(MINI_CASE.replace("200 0 0 0", "-5 0 0 0"))
     with pytest.raises(InvalidLimits):

@@ -196,7 +196,8 @@ def test_components_match_csgraph():
     rng = np.random.default_rng(41)
     for n, edges in _random_graphs(40):
         removed = {e for e in range(len(edges)) if rng.random() < 0.3}
-        comps = _components(_adjacency(n, edges), removed)
+        kept = [edge for e, edge in enumerate(edges) if e not in removed]
+        comps = _components(_adjacency(n, kept))
         assert [tuple(sorted(c)) for c in comps] == oracles.csgraph_components(n, edges, removed)
 
 

@@ -1,7 +1,8 @@
-"""Worst-case search: enumeration, SISO/MISO maxima, structural checks."""
+"""Worst-case search: enumeration, SISO/MISO maxima, chunking, tie rule."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import pytest
 import opfsens as ops
 from opfsens import sensitivity
 from opfsens.errors import EmptyLoadSet, NoValidSet
-from opfsens.jacobian import BindingSet, reduced_solve
+from opfsens.jacobian import BindingSet, SetBatch, reduced_solve
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count
 
@@ -67,7 +68,8 @@ def test_candidate_order_matches_itertools(net9, chain18, two_bus, monkeypatch, 
     monkeypatch.setattr(sensitivity, "COMBO_ROWS", combo_rows)
     star = assemble_network([1, 2], [3], [(1, 3, 5.0), (2, 3, 7.0)])
     for net in (net9, chain18[0], two_bus[0], star):
-        keys = [key for gens, rows in sensitivity._candidate_rows(net.n_gen, net.n_edge)
+        keys = [key for gens in sensitivity._gen_subsets(net.n_gen)
+                for rows in sensitivity._subset_rows(gens, net.n_gen, net.n_edge)
                 for key in sensitivity._keys(net, rows) if key[0] == gens]
         assert keys == oracles.lex_candidates(net)
 
@@ -226,47 +228,6 @@ def test_local_below_worst_case(net9, params9):
         assert local <= wc + 1e-9
 
 
-def test_structural_check_over_enumeration(net9):
-    """Every independent set whose branches form a cut leaves a non-binding
-    generator in each component; non-cut sets pass vacuously."""
-    saw_cut = False
-    for bset in ops.enumerate_binding_sets(net9):
-        res = ops.structural_check(net9, bset)
-        assert res.passed
-        if not res.vacuous:
-            saw_cut = True
-            assert len(res.components) > 1
-    assert saw_cut
-
-
-def test_structural_check_violating_set(net9):
-    """The spur-cut construction: independence already rejects it, and the
-    structural check marks the same defect."""
-    bad = BindingSet(gens=(0,), branches=(0,))
-    assert not ops.independence_check(net9, bad)
-    res = ops.structural_check(net9, bad)
-    assert not res.passed
-
-
-def test_structural_check_non_cut(net9):
-    res = ops.structural_check(net9, BindingSet(gens=(0,), branches=(1,)))
-    assert res.vacuous and res.passed and len(res.components) == 1
-
-
-def test_structural_check_matches_csgraph(net9):
-    """On every one of case9's 66 candidate sets: the components of the
-    graph less the binding branches are scipy's, ``passed`` says that each
-    keeps a non-binding generator, and ``vacuous`` that there is one."""
-    candidates = oracles.lex_candidates(net9)
-    assert len(candidates) == 66
-    for gens, branches in candidates:
-        res = ops.structural_check(net9, BindingSet(gens, branches))
-        comps = oracles.csgraph_components(net9.n_bus, net9.edges, branches)
-        assert res.components == tuple(comps)
-        assert res.passed == all(any(v < net9.n_gen and v not in gens for v in c) for c in comps)
-        assert res.vacuous == (len(comps) == 1)
-
-
 def test_chunk_size_invariance(net9, monkeypatch):
     base = ops.worst_case_all(net9)
     base_siso = ops.worst_case_siso(net9, 2, 5)
@@ -288,8 +249,10 @@ def test_chunk_size_invariance(net9, monkeypatch):
 def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
     """Candidate chunks cached per network shape are cached per ``CHUNK``
     too, so the chunk-invariance tests scan each chunking for real: case9's
-    66 candidates take 66 kernel calls at ``CHUNK`` 1, 10 at 7 and one at
-    the default, whichever ran first."""
+    66 candidates take 66 kernel calls at ``CHUNK`` 1, 14 at 7 (its 36, 9,
+    9 and 9 sets of four generator subsets are chunked alone, the single
+    sets of (0, 1) and (0, 2) share one) and one at the default, whichever
+    ran first."""
     calls = []
 
     def counting(net, rows, loads):
@@ -299,12 +262,47 @@ def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
     monkeypatch.setattr(sensitivity, "reduced_solve", counting)
     assert candidate_count(net9) == 66 <= sensitivity.CACHED_CANDIDATES
     default = sensitivity.CHUNK
-    for chunk, want in ((default, 1), (1, 66), (7, 10), (default, 1)):
+    for chunk, want in ((default, 1), (1, 66), (7, 14), (default, 1)):
         monkeypatch.setattr(sensitivity, "CHUNK", chunk)
         calls.clear()
         ops.worst_case_all(net9)
         assert len(calls) == want
         assert sum(calls) == 66
+
+
+def test_cached_chunks_are_the_packed_chunks(net9, chain18, chain27, monkeypatch):
+    """One packer: on case9, the four shapes of the 27-bus stages and the
+    18-bus chain, the per-shape cache holds the batches the scan otherwise
+    builds as it goes, field by field, and the scan yields ``==`` rows and
+    Jacobians whether the cache is used or bypassed."""
+    net27 = chain27[0]
+    stages = {}
+    for i in range(net27.n_gen):
+        for j in range(net27.n_load):
+            for s in ops.chain_partition(net27, i, j).stages:
+                stages.setdefault((s.network.n_gen, s.network.n_edge), s.network)
+    nets = [net9, *stages.values(), chain18[0]]
+    assert sorted(map(candidate_count, nets)) == [66, 78, 364, 455, 1820, 53130]
+    try:
+        for net in nets:
+            shape = (net.n_gen, net.n_edge, sensitivity.CHUNK)
+            cached = sensitivity._cached_chunks(*shape)
+            built = list(sensitivity._chunks(*shape))
+            assert len(cached) == len(built)
+            for a, b in zip(cached, built):
+                for field in dataclasses.fields(SetBatch):
+                    assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+            scans = []
+            for limit in (candidate_count(net), -1):
+                monkeypatch.setattr(sensitivity, "CACHED_CANDIDATES", limit)
+                scans.append(list(sensitivity._scan(net, range(net.n_load))))
+            used, bypassed = scans
+            assert len(used) == len(bypassed)
+            for (rows, jac), (want_rows, want) in zip(used, bypassed):
+                assert np.array_equal(rows, want_rows)
+                assert np.array_equal(jac, want)
+    finally:
+        sensitivity._cached_chunks.cache_clear()
 
 
 def test_report_holds_no_scan_buffer(chain18):
