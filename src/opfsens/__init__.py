@@ -14,7 +14,10 @@ from .dcopf import (
     OpfSolution,
     check_regularity,
     extract_binding_set,
+    jacobian_finite_diff,
     kkt_residuals,
+    local_sensitivity,
+    sample_lower_bound,
     solve_opf,
 )
 from .decompose import (
@@ -28,7 +31,6 @@ from .jacobian import (
     BindingSet,
     JacobianResult,
     independence_check,
-    jacobian_finite_diff,
     jacobian_from_binding,
 )
 from .matpower import MatpowerCase, parse_matpower, read_case
@@ -44,8 +46,6 @@ from .network import (
 from .sensitivity import (
     SensitivityReport,
     enumerate_binding_sets,
-    local_sensitivity,
-    sample_lower_bound,
     tied_argmax_sets,
     worst_case_all,
     worst_case_miso,

@@ -27,19 +27,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dcopf import check_regularity, kkt_residuals, solve_opf
+from .dcopf import check_regularity, kkt_residuals, local_sensitivity, solve_opf
 from .errors import OpfSensError
 from .jacobian import BindingSet
 from .matpower import read_case
 from .network import Network, build_chain, build_network, copy_label, load_chain_config, nominal_loads
 from .decompose import worst_case_decomposed
-from .sensitivity import (
-    candidate_count,
-    local_sensitivity,
-    worst_case_all,
-    worst_case_miso,
-    worst_case_siso,
-)
+from .sensitivity import candidate_count, worst_case_all, worst_case_miso, worst_case_siso
 
 #: above this many candidate sets the CLI notes the scan's rough duration and
 #: suggests the bridge path

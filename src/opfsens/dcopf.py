@@ -1,5 +1,6 @@
 """DC optimal power flow: solve the dispatch LP, expose dual multipliers,
-and extract validated binding-constraint sets.
+extract validated binding-constraint sets, and analyse operating points
+(local sensitivities, sampled lower bounds, finite-difference Jacobians).
 
 The problem in network terms::
 
@@ -24,7 +25,9 @@ from itertools import accumulate
 import numpy as np
 
 from . import jacobian as _jac
-from .errors import DegeneratePoint, DimensionMismatch, InvalidLoad
+from .errors import (
+    DegeneratePoint, DependentBindings, DimensionMismatch, InvalidLoad, RegionBoundary,
+)
 from .network import Network, OpfParams
 from .simplex import solve_lp
 
@@ -381,3 +384,98 @@ def check_regularity(sol: OpfSolution) -> RegularityReport:
         unique=unique,
         degenerate_vertex=degenerate,
     )
+
+
+def local_sensitivity(
+    net: Network,
+    params: OpfParams,
+    load: np.ndarray,
+    gen: int,
+    load_idx: int,
+) -> float:
+    """|J_ij| at the binding set realized by this load: the local Lipschitz
+    constant of generator ``gen`` w.r.t. load ``load_idx`` inside the
+    active-set region containing ``load``."""
+    net.check_pair(gen, load_idx)
+    sol = solve_opf(net, params, load)
+    bset = extract_binding_set(sol, net, params)
+    jac = _jac.jacobian_from_binding(net, bset).jac
+    return abs(float(jac[gen, load_idx]))
+
+
+@dataclass(frozen=True)
+class SampledBound:
+    """Monte-Carlo lower bound for the fixed-parameter sensitivity supremum."""
+
+    value: float
+    samples_used: int
+    samples_degenerate: int
+
+
+def sample_lower_bound(
+    net: Network,
+    params: OpfParams,
+    gen: int,
+    load_idx: int,
+    box_low: np.ndarray,
+    box_high: np.ndarray,
+    samples: int = 100,
+    seed: int = 0,
+) -> SampledBound:
+    """Sample loads uniformly from a box and take the best local sensitivity.
+
+    This is explicitly a lower bound on the supremum over the load domain at
+    fixed cost and limits; no exact algorithm for that supremum is offered.
+    Samples whose binding count is irregular are skipped and counted.
+    """
+    net.check_pair(gen, load_idx)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    used = degenerate = 0
+    for _ in range(samples):
+        load = rng.uniform(box_low, box_high)
+        try:
+            value = local_sensitivity(net, params, load, gen, load_idx)
+        except (DegeneratePoint, DependentBindings):
+            degenerate += 1
+            continue
+        used += 1
+        best = max(best, value)
+    return SampledBound(value=best, samples_used=used, samples_degenerate=degenerate)
+
+
+def jacobian_finite_diff(
+    net: Network,
+    params: OpfParams,
+    load: np.ndarray,
+    step: float = 1e-4,
+) -> np.ndarray:
+    """Finite-difference Jacobian of the dispatch operator at ``load``.
+
+    Perturbs one load at a time by ``+/- step`` and differences the optimal
+    generation vectors; a load below ``step`` takes the forward difference,
+    since loads cannot go negative. Every stencil point must sit in the same
+    active-set region as the center; otherwise :class:`RegionBoundary` is
+    raised.
+    """
+    load = np.asarray(load, dtype=float)
+    center = solve_opf(net, params, load)
+    center_set = extract_binding_set(center, net, params)
+
+    jac = np.empty((net.n_gen, net.n_load))
+    for j in range(net.n_load):
+        probe = load.copy()
+        probe[j] = load[j] + step
+        hi = solve_opf(net, params, probe)
+        lo, width = center, step
+        if load[j] >= step:
+            probe[j] = load[j] - step
+            lo, width = solve_opf(net, params, probe), 2.0 * step
+        for side, sol in (("+", hi), ("-", lo)):
+            if extract_binding_set(sol, net, params) != center_set:
+                raise RegionBoundary(
+                    f"binding set changed at load {j} ({side}{step:g}); "
+                    "the stencil straddles an active-set region boundary"
+                )
+        jac[:, j] = (hi.gen - lo.gen) / width
+    return jac

@@ -21,51 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobian import BindingSet
-from .network import Label, Network, _adjacency, assemble_network
+from .network import Label, Network, _adjacency, _bridges, assemble_network
 from .sensitivity import tied_argmax_sets, worst_case_siso
-
-
-def _bridges(adj: list[list[tuple[int, int]]]) -> tuple[int, ...]:
-    """Bridge edge indices via one iterative DFS low-link pass, ascending.
-
-    Parallel edges are handled per edge index: only the exact edge used to
-    enter a vertex is skipped, so a doubled edge is never reported.
-    """
-    n = len(adj)
-    disc = [-1] * n
-    low = [0] * n
-    bridges: list[int] = []
-    timer = 0
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int]] = [(root, -1)]
-        iters = {root: iter(adj[root])}
-        while stack:
-            v, entry_edge = stack[-1]
-            step = next(iters[v], None)
-            if step is None:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        bridges.append(entry_edge)
-                continue
-            w, e = step
-            if e == entry_edge:
-                continue
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, e))
-                iters[w] = iter(adj[w])
-            else:
-                low[v] = min(low[v], disc[w])
-    return tuple(sorted(bridges))
 
 
 @dataclass(frozen=True)
@@ -150,6 +107,7 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
     original one in the first stage) with its load (the original one in the
     last stage). With nothing to split or collapse the one stage is ``net``.
     """
+    net.check_pair(gen, load)
     n_gen, labels = net.n_gen, net.vertex_order
     load_bus = n_gen + load
     shared = _structure(net)
@@ -240,7 +198,7 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
         else:
             key = (tuple(gen_labels), tuple(load_labels), tuple(edges))
             if key not in shared.stages:
-                shared.stages[key] = assemble_network(*key, sort_labels=False)
+                shared.stages[key] = assemble_network(*key)
             sub = shared.stages[key]
         stages.append(StageProblem(
             network=sub,
@@ -294,11 +252,6 @@ def worst_case_decomposed(
     also reports all binding sets that achieve its maximum within the tie
     tolerance.
     """
-    if not 0 <= gen < net.n_gen:
-        raise IndexError(f"generator index {gen} out of range")
-    if not 0 <= load < net.n_load:
-        raise IndexError(f"load index {load} out of range")
-
     decomp = chain_partition(net, gen, load)
 
     def run_stage(stage: StageProblem) -> StageResult:

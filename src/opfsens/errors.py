@@ -37,6 +37,10 @@ class SelfLoop(OpfSensError):
     """A branch or tie line joins a bus to itself."""
 
 
+class InvalidIndex(OpfSensError, IndexError):
+    """A generator or load index lies outside the network's index space."""
+
+
 class DuplicateGeneratorBus(OpfSensError):
     """Two generators are attached to the same bus (unsupported)."""
 

@@ -19,12 +19,13 @@ shifts the affine offset, never the coefficient row.
 The package never factors that stack. Its load rows and reference row leave
 the generator outputs free subject to their sum, so take the lowest free
 generator ``r`` as the reference and the transfers from the other
-generators to ``r`` as unknowns (:class:`~opfsens.network.PtdfBasis`). A
-binding generator fixes its own transfer at zero, which deletes that
-unknown exactly. What remains is the ``t x t`` block ``B`` of the binding
-branches' transfer PTDFs on the free generators other than ``r``,
-``t = n_gen - 1 - |gens|``. The stack is invertible exactly when ``B`` is,
-and with ``P`` the branches' PTDFs of a transfer from each load to ``r``::
+generators to ``r`` as unknowns
+(:attr:`~opfsens.network.Network.ptdf_basis`). A binding generator fixes
+its own transfer at zero, which deletes that unknown exactly. What remains
+is the ``t x t`` block ``B`` of the binding branches' transfer PTDFs on the
+free generators other than ``r``, ``t = n_gen - 1 - |gens|``. The stack is
+invertible exactly when ``B`` is, and with ``P`` the branches' PTDFs of a
+transfer from each load to ``r``::
 
     y = B^-1 P,   J[free g] = y[g],   J[binding g] = 0,   J[r] = 1 - sum(y)
 
@@ -46,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import CardinalityViolation, DependentBindings, RegionBoundary
+from .errors import CardinalityViolation, DependentBindings
 from .network import Network
 
 
@@ -174,10 +175,11 @@ def reduced_solve(
     Returns ``(ok, jac)``: the verdict of :func:`linalg.lu_factor_checked` on
     each set's block ``B``, and the signed Jacobians of the sets that pass,
     ``(ok.sum(), n_gen, len(loads))``, for the load columns ``loads`` only;
-    with no loads nothing is solved. A group's transfer PTDFs are the
-    :class:`~opfsens.network.PtdfBasis` at its block columns' buses, or at
-    the load buses, minus that at its reference: each group's are computed
-    once per call, and every set's ``B`` and ``P`` are gathered from them.
+    with no loads nothing is solved. A group's transfer PTDFs are the rows of
+    :attr:`~opfsens.network.Network.ptdf_basis` at its block columns' buses,
+    or at the load buses, minus the row at its reference: each group's are
+    computed once per call, and every set's ``B`` and ``P`` are gathered
+    from them.
     The solve ``y = B^-1 P`` reuses the factors the test judged. The padding
     rows are zero in the block's own columns and one on the diagonal, so the
     padded matrix is block upper triangular: they take multipliers of zero
@@ -189,7 +191,7 @@ def reduced_solve(
     column is computed on its own: a subset of ``loads`` gives the same
     columns bit for bit.
     """
-    by_bus = net.ptdf_basis.by_bus
+    by_bus = net.ptdf_basis
     n_gen, n = net.n_gen, len(batch.at)
     loads = np.asarray(loads, dtype=np.intp)
     ref = by_bus.take(batch.cols[:, n], axis=0)[:, None]
@@ -269,42 +271,3 @@ def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
     the block fails the independence test.
     """
     return JacobianResult(jac=_solve_one(net, bset, range(net.n_load)))
-
-
-def jacobian_finite_diff(
-    net: Network,
-    params,
-    load: np.ndarray,
-    step: float = 1e-4,
-) -> np.ndarray:
-    """Finite-difference Jacobian of the dispatch operator at ``load``.
-
-    Perturbs one load at a time by ``+/- step`` and differences the optimal
-    generation vectors; a load below ``step`` takes the forward difference,
-    since loads cannot go negative. Every stencil point must sit in the same
-    active-set region as the center; otherwise :class:`RegionBoundary` is
-    raised.
-    """
-    from .dcopf import extract_binding_set, solve_opf
-
-    load = np.asarray(load, dtype=float)
-    center = solve_opf(net, params, load)
-    center_set = extract_binding_set(center, net, params)
-
-    jac = np.empty((net.n_gen, net.n_load))
-    for j in range(net.n_load):
-        probe = load.copy()
-        probe[j] = load[j] + step
-        hi = solve_opf(net, params, probe)
-        lo, width = center, step
-        if load[j] >= step:
-            probe[j] = load[j] - step
-            lo, width = solve_opf(net, params, probe), 2.0 * step
-        for side, sol in (("+", hi), ("-", lo)):
-            if extract_binding_set(sol, net, params) != center_set:
-                raise RegionBoundary(
-                    f"binding set changed at load {j} ({side}{step:g}); "
-                    "the stencil straddles an active-set region boundary"
-                )
-        jac[:, j] = (hi.gen - lo.gen) / width
-    return jac

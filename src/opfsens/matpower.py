@@ -147,6 +147,10 @@ def _parse_matrix(name: str, body: str) -> list[list[float]]:
             raise MalformedMatrix(
                 f"table '{name}': row {i} is out of service (status {row[status]:g}), "
                 "which is not modelled")
+        if name == "bus" and row[_BUS_TYPE] == 4:  # MATPOWER's isolated bus
+            raise MalformedMatrix(
+                f"table 'bus': row {i} is out of service (type 4, isolated), "
+                "which is not modelled")
     return rows
 
 
@@ -158,7 +162,8 @@ def parse_matpower(text: str) -> MatpowerCase:
     MalformedMatrix
         Unbalanced brackets, non-numeric cells, ragged rows, too few columns,
         a non-finite cell in a column this package reads, a non-integral bus
-        id, a generator or branch out of service (status 0), bad baseMVA.
+        id, a generator or branch out of service (status 0), an isolated
+        bus (type 4), bad baseMVA.
     MissingTable
         A required table (or baseMVA) is absent.
     DanglingReference

@@ -24,6 +24,7 @@ from .errors import (
     DisconnectedChain,
     DisconnectedGraph,
     DuplicateGeneratorBus,
+    InvalidIndex,
     InvalidLimits,
     InvalidTie,
     SelfLoop,
@@ -37,28 +38,6 @@ logger = logging.getLogger(__name__)
 UNLIMITED_FLOW_PU = 10.0
 
 Label = int | str
-
-
-@dataclass(frozen=True)
-class PtdfBasis:
-    """The rows a binding set picks from, in a PTDF basis.
-
-    The pool is the generator rows of the Laplacian followed by the flow
-    matrix; ``X`` is the inverse Laplacian grounded at bus 0 (zero row and
-    column 0). ``by_bus[v]`` is the pool times ``X[:, v]``, the angles of a
-    unit injection at bus ``v``. A unit transfer from bus ``v`` to generator
-    ``r`` produces the angles ``X[:, v] - X[:, r]`` and keeps every other bus
-    balanced, so the pool times them is ``by_bus[v] - by_bus[r]``; callers
-    take that difference when they gather. The generator rows are exact:
-    referenced at ``r``, generator ``g != r``'s row is one at ``v = g`` and
-    zero at every other bus, and generator ``r``'s row is minus one at every
-    bus but ``r``. So a binding generator ``g`` fixes the transfer from ``g``
-    at zero, and a binding branch's row is a row of transfer PTDFs, each of
-    magnitude at most 1. ``by_bus[0]`` is zero, so at ``r = 0`` the
-    difference is ``by_bus[v]`` itself, bit for bit.
-    """
-
-    by_bus: np.ndarray   # (n_bus, n_gen + n_edge): [v, pool row]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,13 +94,31 @@ class Network:
         u, v, _ = self.edges[e]
         return self.vertex_order[u], self.vertex_order[v]
 
-    @cached_property
-    def ptdf_basis(self) -> PtdfBasis:
-        """The network's :class:`PtdfBasis`, computed on first use.
+    def check_pair(self, gen: int, load: int) -> None:
+        """Raise :class:`InvalidIndex` unless ``gen`` is a generator index
+        and ``load`` a load index (load ``j`` is bus ``n_gen + j``)."""
+        if not 0 <= gen < self.n_gen:
+            raise InvalidIndex(f"generator index {gen} out of range")
+        if not 0 <= load < self.n_load:
+            raise InvalidIndex(f"load index {load} out of range")
 
-        The generator rows of the pool times ``X`` are exact: row 0 is minus
-        ones off bus 0 (the Laplacian's columns sum to zero) and row
-        ``g > 0`` is the unit row ``g``. The branch rows solve with the
+    @cached_property
+    def ptdf_basis(self) -> np.ndarray:
+        """The rows a binding set picks from, in a PTDF basis, computed on
+        first use: ``(n_bus, n_gen + n_edge)``, read-only.
+
+        The pool is the generator rows of the Laplacian followed by the flow
+        matrix, and ``X`` the inverse Laplacian grounded at bus 0. Row ``v``
+        is the pool times ``X[:, v]``, the angles of a unit injection at bus
+        ``v``; a unit transfer from ``v`` to generator ``r`` keeps every other
+        bus balanced, so its pool rows are row ``v`` minus row ``r``, a
+        difference callers take when they gather. Row 0 is zero, so at
+        ``r = 0`` that is row ``v`` itself, bit for bit. The generator
+        columns are exact (generator 0's is minus one off bus 0, as the
+        Laplacian's columns sum to zero; generator ``g > 0``'s is the unit
+        vector at ``g``), so referenced at ``r`` a binding generator fixes
+        its own transfer at zero, and a binding branch's row holds transfer
+        PTDFs of magnitude at most 1. The branch columns solve with the
         grounded Laplacian.
         """
         n_gen, n = self.n_gen, self.n_bus
@@ -131,7 +128,7 @@ class Network:
         pool_x[n_gen:, 1:] = np.linalg.solve(self.laplacian[1:, 1:], self.flow_matrix[:, 1:].T).T
         by_bus = np.ascontiguousarray(pool_x.T)
         by_bus.setflags(write=False)
-        return PtdfBasis(by_bus=by_bus)
+        return by_bus
 
 
 @dataclass(frozen=True)
@@ -178,43 +175,60 @@ def _adjacency(
     return adj
 
 
-def _components(adj: list[list[tuple[int, int]]]) -> list[list[int]]:
-    """The vertices of each connected component of the graph, components in
-    order of their least vertex."""
-    seen = [False] * len(adj)
-    components = []
-    for s in range(len(adj)):
-        if seen[s]:
+def _bridges(adj: list[list[tuple[int, int]]]) -> tuple[int, ...]:
+    """Bridge edge indices, ascending, from one iterative DFS low-link pass
+    from bus 0; :class:`DisconnectedGraph` when the pass misses a bus.
+
+    Parallel edges are handled per edge index: only the exact edge used to
+    enter a vertex is skipped, so a doubled edge is never reported.
+    """
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    iters = [iter(nbrs) for nbrs in adj]
+    bridges: list[int] = []
+    stack: list[tuple[int, int]] = [(0, -1)] if adj else []
+    timer = 0
+    while stack:
+        v, entry_edge = stack[-1]
+        if disc[v] == -1:  # first visit
+            disc[v] = low[v] = timer
+            timer += 1
+        step = next(iters[v], None)
+        if step is None:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if low[v] > disc[parent]:
+                    bridges.append(entry_edge)
             continue
-        seen[s] = True
-        comp, stack = [s], [s]
-        while stack:
-            for w, _ in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        components.append(comp)
-    return components
+        w, e = step
+        if e == entry_edge:
+            continue
+        if disc[w] == -1:
+            stack.append((w, e))
+        else:
+            low[v] = min(low[v], disc[w])
+    if -1 in disc:
+        raise DisconnectedGraph("network graph is not connected")
+    return tuple(sorted(bridges))
 
 
 def assemble_network(
     gen_labels: Sequence[Label],
     load_labels: Sequence[Label],
     edges: Sequence[tuple[Label, Label, float]],
-    *,
-    sort_labels: bool = True,
 ) -> Network:
-    """Build a :class:`Network` from labeled vertices and edges.
+    """Build a :class:`Network` from labeled vertices and edges, generators
+    then loads in the order given.
 
     ``edges`` entries are ``(label_u, label_v, susceptance)``. Raises
     :class:`DisconnectedGraph` when the graph is not connected,
     :class:`ZeroReactance` for a susceptance that is not finite and positive
     and :class:`SelfLoop` for an edge from a bus to itself.
     """
-    gens = sorted(gen_labels) if sort_labels else list(gen_labels)
-    loads = sorted(load_labels) if sort_labels else list(load_labels)
-    order: tuple[Label, ...] = tuple(gens) + tuple(loads)
+    gens, loads = tuple(gen_labels), tuple(load_labels)
+    order = gens + loads
     if len(set(order)) != len(order):
         raise DuplicateGeneratorBus(f"duplicate vertex labels in {order!r}")
     pos = {lab: i for i, lab in enumerate(order)}
@@ -235,8 +249,7 @@ def assemble_network(
         b[e] = be
         idx_edges.append((u, v, float(be)))
 
-    if len(_components(_adjacency(n, idx_edges))) > 1:
-        raise DisconnectedGraph("network graph is not connected")
+    _bridges(_adjacency(n, idx_edges))  # raises DisconnectedGraph
 
     flow_matrix = b[:, None] * incidence.T
     laplacian = incidence @ flow_matrix
@@ -284,7 +297,7 @@ def build_network(case: MatpowerCase) -> tuple[Network, OpfParams]:
         else:
             flow_up[e] = rate / case.base_mva
 
-    net = assemble_network(gen_buses, load_buses, edges)
+    net = assemble_network(sorted(gen_buses), sorted(load_buses), edges)
 
     n_g = net.n_gen
     cost = np.empty(n_g)
@@ -399,7 +412,7 @@ def build_chain(
         tie_limits.append(limit)
 
     try:
-        net = assemble_network(gen_labels, load_labels, edges, sort_labels=False)
+        net = assemble_network(gen_labels, load_labels, edges)
     except DisconnectedGraph as exc:
         raise DisconnectedChain(str(exc)) from exc
 

@@ -32,13 +32,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePoint, DependentBindings, EmptyLoadSet, NoValidSet
+from .errors import EmptyLoadSet, NoValidSet
 from .jacobian import (
     BindingSet,
     Part,
     SetBatch,
     interned_binding_set,
-    jacobian_from_binding,
     reduced_solve,
     set_batch,
 )
@@ -260,20 +259,13 @@ class SensitivityReport:
     candidates_valid: int
 
 
-def _check_pair(net: Network, gen: int, load: int) -> None:
-    if not 0 <= gen < net.n_gen:
-        raise IndexError(f"generator index {gen} out of range")
-    if not 0 <= load < net.n_load:
-        raise IndexError(f"load index {load} out of range")
-
-
 def worst_case_siso(net: Network, gen: int, load: int) -> tuple[float, BindingSet]:
     """Worst-case sensitivity of one generator-load pair and its argmax.
 
     ``gen`` and ``load`` are zero-based internal indices (load ``j`` is bus
     ``n_gen + j``).
     """
-    _check_pair(net, gen, load)
+    net.check_pair(gen, load)
     best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]))
     return float(best[0]), interned_binding_set(*kept[0][0][1])
 
@@ -286,10 +278,8 @@ def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float
     loads = sorted(set(int(j) for j in loads))
     if not loads:
         raise EmptyLoadSet("MISO sensitivity needs at least one load index")
-    if loads[0] < 0 or loads[-1] >= net.n_load:
-        raise IndexError(f"load indices {loads} out of range")
-    if not 0 <= gen < net.n_gen:
-        raise IndexError(f"generator index {gen} out of range")
+    net.check_pair(gen, loads[0])
+    net.check_pair(gen, loads[-1])
     best, kept, _ = _fold(net, loads, lambda jac: np.linalg.norm(jac[:, gen], axis=1)[:, None])
     return float(best[0]), interned_binding_set(*kept[0][0][1])
 
@@ -314,71 +304,7 @@ def tied_argmax_sets(net: Network, gen: int, load: int) -> tuple[float, BindingS
     Degenerate maxima are common (a binding leaf branch is indistinguishable
     from binding the generator behind it), so reports list all of them.
     """
-    _check_pair(net, gen, load)
+    net.check_pair(gen, load)
     best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]), all_ties=True)
     ties = [interned_binding_set(*key) for _, key in kept[0]]
     return float(best[0]), ties[0], ties
-
-
-def local_sensitivity(
-    net: Network,
-    params,
-    load: np.ndarray,
-    gen: int,
-    load_idx: int,
-) -> float:
-    """|J_ij| at the binding set realized by this load: the local Lipschitz
-    constant of generator ``gen`` w.r.t. load ``load_idx`` inside the
-    active-set region containing ``load``."""
-    from .dcopf import extract_binding_set, solve_opf
-
-    sol = solve_opf(net, params, load)
-    bset = extract_binding_set(sol, net, params)
-    jac = jacobian_from_binding(net, bset).jac
-    return abs(float(jac[gen, load_idx]))
-
-
-@dataclass(frozen=True)
-class SampledBound:
-    """Monte-Carlo lower bound for the fixed-parameter sensitivity supremum."""
-
-    value: float
-    samples_used: int
-    samples_degenerate: int
-
-
-def sample_lower_bound(
-    net: Network,
-    params,
-    gen: int,
-    load_idx: int,
-    box_low: np.ndarray,
-    box_high: np.ndarray,
-    samples: int = 100,
-    seed: int = 0,
-) -> SampledBound:
-    """Sample loads uniformly from a box and take the best local sensitivity.
-
-    This is explicitly a lower bound on the supremum over the load domain at
-    fixed cost and limits; no exact algorithm for that supremum is offered.
-    Samples whose binding count is irregular are skipped and counted.
-    """
-    from .dcopf import extract_binding_set, solve_opf
-
-    rng = np.random.default_rng(seed)
-    box_low = np.asarray(box_low, dtype=float)
-    box_high = np.asarray(box_high, dtype=float)
-    best = 0.0
-    used = degenerate = 0
-    for _ in range(samples):
-        load = rng.uniform(box_low, box_high)
-        try:
-            sol = solve_opf(net, params, load)
-            bset = extract_binding_set(sol, net, params)
-        except (DegeneratePoint, DependentBindings):
-            degenerate += 1
-            continue
-        used += 1
-        jac = jacobian_from_binding(net, bset).jac
-        best = max(best, abs(float(jac[gen, load_idx])))
-    return SampledBound(value=best, samples_used=used, samples_degenerate=degenerate)

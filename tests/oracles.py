@@ -265,7 +265,7 @@ def block_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.n
     row-major forward and back substitution, and the Jacobian with the free
     rows ``y``, the binding rows zero and row ``r`` one minus each row of
     ``y`` in turn."""
-    by_bus = net.ptdf_basis.by_bus
+    by_bus = net.ptdf_basis
     loads = np.asarray(loads, dtype=np.intp)
     oks, jacs = [], []
     for row in np.asarray(rows).tolist():

@@ -266,7 +266,7 @@ def test_ptdf_basis_against_grounded_inverse(net9, chain18):
         x = np.zeros((net.n_bus, net.n_bus))
         x[1:, 1:] = np.linalg.inv(net.laplacian[1:, 1:])
         pool = np.vstack([net.laplacian[:n_g], net.flow_matrix])
-        by_bus = net.ptdf_basis.by_bus
+        by_bus = net.ptdf_basis
         assert by_bus.shape == (net.n_bus, n_g + net.n_edge)
         for r in range(n_g):
             table = by_bus - by_bus[r]

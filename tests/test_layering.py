@@ -1,0 +1,52 @@
+"""The package's layering, checked on its source: no module imports inside a
+function, and the graph, linear-algebra, Jacobian, scan and decomposition
+layers never import the LP (``dcopf``, ``simplex``)."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import opfsens
+
+SRC = Path(opfsens.__file__).resolve().parent
+
+#: modules below the LP, and the LP modules they may not import
+BELOW_LP = ("network", "linalg", "jacobian", "sensitivity", "decompose")
+LP = {"dcopf", "simplex"}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _imported(node: ast.Import | ast.ImportFrom) -> set[str]:
+    """The dotted-name parts an import statement reaches."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    return {part for name in names for part in name.split(".")}
+
+
+def test_no_import_inside_a_function():
+    nested = [
+        f"{module}.{func.name}"
+        for module, tree in _trees().items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
+def test_lower_layers_never_import_the_lp():
+    trees = _trees()
+    reached = {
+        module: sorted(LP & set().union(*(
+            _imported(node) for node in ast.walk(trees[module])
+            if isinstance(node, (ast.Import, ast.ImportFrom)))))
+        for module in BELOW_LP
+    }
+    assert reached == {module: [] for module in BELOW_LP}

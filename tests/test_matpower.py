@@ -203,14 +203,15 @@ def test_fractional_bus_id_exit_1(case9_text, tmp_path, capsys, table, cells, ba
 
 
 @pytest.mark.parametrize("table, cells, bad, row", [
+    ("bus", "\t5\t1\t90\t", "\t5\t4\t90\t", 4),
     ("gen", "\t3\t85\t-10.95\t300\t-300\t1.025\t100\t1\t",
      "\t3\t85\t-10.95\t300\t-300\t1.025\t100\t0\t", 2),
     ("branch", "\t9\t4\t0.01\t0.085\t0.592\t250\t250\t250\t0\t0\t1\t",
      "\t9\t4\t0.01\t0.085\t0.592\t250\t250\t250\t0\t0\t0\t", 8),
 ])
 def test_out_of_service_row_exit_1(case9_text, tmp_path, capsys, table, cells, bad, row):
-    """A generator or branch with status 0 is a malformed table naming the
-    row, not modelled as in service."""
+    """A generator or branch with status 0, or an isolated bus (type 4), is
+    a malformed table naming the row, not modelled as in service."""
     assert case9_text.count(cells) == 1
     path = tmp_path / "outage.m"
     path.write_text(case9_text.replace(cells, bad))

@@ -9,11 +9,11 @@ import pytest
 
 import opfsens as ops
 from opfsens.errors import (
-    DisconnectedChain, DisconnectedGraph, DuplicateGeneratorBus, InvalidLimits, InvalidTie,
-    ZeroReactance,
+    DisconnectedChain, DisconnectedGraph, DuplicateGeneratorBus, InvalidIndex, InvalidLimits,
+    InvalidTie, OpfSensError, ZeroReactance,
 )
 from opfsens.linalg import numerical_rank
-from opfsens.network import UNLIMITED_FLOW_PU, _adjacency, _components, assemble_network
+from opfsens.network import UNLIMITED_FLOW_PU, assemble_network
 
 import oracles
 
@@ -190,17 +190,6 @@ def _random_graphs(seed: int, count: int = 200):
         yield n, [(u, v, float(rng.uniform(0.5, 2.0))) for u, v in pairs if u != v]
 
 
-def test_components_match_csgraph():
-    """The components walk, with random edges removed, gives scipy's
-    partition, components in order of their least vertex."""
-    rng = np.random.default_rng(41)
-    for n, edges in _random_graphs(40):
-        removed = {e for e in range(len(edges)) if rng.random() < 0.3}
-        kept = [edge for e, edge in enumerate(edges) if e not in removed]
-        comps = _components(_adjacency(n, kept))
-        assert [tuple(sorted(c)) for c in comps] == oracles.csgraph_components(n, edges, removed)
-
-
 def test_assemble_rejects_exactly_the_disconnected_graphs():
     """``assemble_network`` raises :class:`DisconnectedGraph` exactly when
     scipy finds more than one component."""
@@ -216,3 +205,27 @@ def test_assemble_rejects_exactly_the_disconnected_graphs():
             with pytest.raises(DisconnectedGraph):
                 assemble_network(range(1, n_gen + 1), range(n_gen + 1, n + 1), labeled)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("query", [
+    "worst_case_siso", "tied_argmax_sets", "worst_case_miso", "chain_partition",
+    "worst_case_decomposed", "local_sensitivity", "sample_lower_bound",
+])
+def test_pair_queries_reject_out_of_range_indices(query, net9, params9, loads9):
+    """Every public query of one generator-load pair raises
+    :class:`InvalidIndex` for a generator or load index of -1 or n, which
+    callers catch as an :class:`OpfSensError` or an ``IndexError``."""
+    call = {
+        "worst_case_siso": lambda g, l: ops.worst_case_siso(net9, g, l),
+        "tied_argmax_sets": lambda g, l: ops.tied_argmax_sets(net9, g, l),
+        "worst_case_miso": lambda g, l: ops.worst_case_miso(net9, g, [0, l]),
+        "chain_partition": lambda g, l: ops.chain_partition(net9, g, l),
+        "worst_case_decomposed": lambda g, l: ops.worst_case_decomposed(net9, g, l),
+        "local_sensitivity": lambda g, l: ops.local_sensitivity(net9, params9, loads9, g, l),
+        "sample_lower_bound": lambda g, l: ops.sample_lower_bound(
+            net9, params9, g, l, loads9, loads9 + 0.1, samples=1),
+    }[query]
+    assert issubclass(InvalidIndex, OpfSensError) and issubclass(InvalidIndex, IndexError)
+    for gen, load in ((-1, 0), (net9.n_gen, 0), (0, -1), (0, net9.n_load)):
+        with pytest.raises(InvalidIndex):
+            call(gen, load)
