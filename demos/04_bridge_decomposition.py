@@ -24,7 +24,7 @@ net, params = ops.build_chain(base_net, base_params, copies, ties)
 print(f"chained network: {net.n_bus} buses, {net.n_gen} generators, "
       f"{net.n_edge} branches")
 
-bridges = ops.find_bridges(net)
+bridges = net.bridges
 print("bridges:", [f"{u}-{v}" for u, v in (net.edge_label(e) for e in bridges)])
 
 # Far pair: generator 1 (first copy) against load 7'' (last copy)

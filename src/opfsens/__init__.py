@@ -24,7 +24,6 @@ from .decompose import (
     ChainDecomposition,
     DecomposedResult,
     chain_partition,
-    find_bridges,
     worst_case_decomposed,
 )
 from .jacobian import (
@@ -66,7 +65,7 @@ __all__ = [
     "SensitivityReport", "enumerate_binding_sets", "worst_case_siso",
     "worst_case_all", "worst_case_miso", "local_sensitivity",
     "tied_argmax_sets", "sample_lower_bound",
-    "ChainDecomposition", "DecomposedResult", "find_bridges",
+    "ChainDecomposition", "DecomposedResult",
     "chain_partition", "worst_case_decomposed",
     "bundled_case_path", "bundled_chain_config_path",
 ]

@@ -8,9 +8,9 @@ subgraph is completed with an auxiliary generator/load pair at the bridge
 attachment points, and the pair's worst case is the product of the
 per-subgraph worst cases.
 
-What does not depend on the pair is built once per network: its adjacency,
-its bridges, and every stage network, which is reused, with its cached PTDF
-basis, by each later pair that yields the same stage.
+What does not depend on the pair is built once per network: the network
+caches its adjacency and bridges, and every stage network is kept here and
+reused, with its cached PTDF basis, by each later pair that yields it.
 """
 
 from __future__ import annotations
@@ -21,38 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobian import BindingSet
-from .network import Label, Network, _adjacency, _bridges, assemble_network
+from .network import Label, Network, assemble_network
 from .sensitivity import tied_argmax_sets, worst_case_siso
 
 
-@dataclass(frozen=True)
-class _Structure:
-    """What the decompositions of every pair of one network share: its
-    adjacency, its bridges, and the stage networks built so far, keyed by
-    their exact :func:`assemble_network` arguments, so a stage that recurs
-    is one object with one cached PTDF basis."""
-
-    adj: list[list[tuple[int, int]]]
-    bridges: tuple[int, ...]
-    stages: dict[tuple, Network]
-
-
-#: one entry per network decomposed so far, dropped with the network
-_STRUCTURES: weakref.WeakKeyDictionary[Network, _Structure] = weakref.WeakKeyDictionary()
-
-
-def _structure(net: Network) -> _Structure:
-    found = _STRUCTURES.get(net)
-    if found is None:
-        adj = _adjacency(net.n_bus, net.edges)
-        found = _STRUCTURES[net] = _Structure(adj=adj, bridges=_bridges(adj), stages={})
-    return found
-
-
-def find_bridges(net: Network) -> list[int]:
-    """Bridge edge indices, ascending: a fresh list of the ones
-    :func:`_bridges` found once for ``net``."""
-    return list(_structure(net).bridges)
+#: the stage networks built so far for each network decomposed, dropped with
+#: it, keyed by their exact :func:`assemble_network` arguments, so a stage
+#: that recurs is one object with one cached PTDF basis
+_STAGES: weakref.WeakKeyDictionary[Network, dict[tuple, Network]] = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -62,7 +38,6 @@ class PrunedSubgraph:
     bridge: tuple[Label, Label]
     replaced: tuple[Label, ...]
     kind: str           # "generator" | "load"
-    new_label: str
 
 
 @dataclass(frozen=True)
@@ -78,11 +53,10 @@ class StageProblem:
 
 @dataclass(frozen=True)
 class ChainDecomposition:
-    """Bridges along the path, the chain subgraphs, and augmentation records."""
+    """Bridges along the path, the chain subgraphs, and collapse records."""
 
     bridges: tuple[int, ...]                       # edge indices of the network, in path order
     stages: tuple[StageProblem, ...]
-    augmented: tuple[tuple[str, str], ...]         # (p_l, q_l) label pairs per bridge
     pruned: tuple[PrunedSubgraph, ...]             # one per collapsed off-path side
 
 
@@ -110,8 +84,7 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
     net.check_pair(gen, load)
     n_gen, labels = net.n_gen, net.vertex_order
     load_bus = n_gen + load
-    shared = _structure(net)
-    cut = {e for e in shared.bridges if min(net.edges[e][:2]) >= n_gen}
+    cut = {e for e in net.bridges if min(net.edges[e][:2]) >= n_gen}
 
     # one DFS from the generator labels every bus with its block; block b > 0
     # is entered from block parent[b] < b through the bridge entry[b] = (x, y, e)
@@ -119,7 +92,7 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
     block[gen] = 0
     parent: list[int] = [-1]
     entry: list[tuple[int, int, int]] = [(-1, -1, -1)]
-    adj = shared.adj
+    adj = net.adjacency
     stack = [gen]
     while stack:
         u = stack.pop()
@@ -168,10 +141,10 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
             bridge=net.edge_label(e),
             replaced=tuple(labels[v] for v in side),
             kind=kind,
-            new_label=new_label,
         ))
         pendants[l].append((labels[x], new_label, net.edges[e][2]))
 
+    built = _STAGES.setdefault(net, {})
     stages: list[StageProblem] = []
     for l in range(m):
         kept = [v for v in range(net.n_bus) if home[v] == l]
@@ -197,9 +170,9 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
             sub = net
         else:
             key = (tuple(gen_labels), tuple(load_labels), tuple(edges))
-            if key not in shared.stages:
-                shared.stages[key] = assemble_network(*key)
-            sub = shared.stages[key]
+            if key not in built:
+                built[key] = assemble_network(*key)
+            sub = built[key]
         stages.append(StageProblem(
             network=sub,
             gen_index=sub.index_of(stage_gen_label),
@@ -211,7 +184,6 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
     return ChainDecomposition(
         bridges=tuple(e for _, _, e in oriented),
         stages=tuple(stages),
-        augmented=tuple((f"p{l}", f"q{l}") for l in range(1, m)),
         pruned=tuple(records),
     )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DanglingReference,
     DimensionMismatch,
     DisconnectedChain,
     DisconnectedGraph,
@@ -96,11 +98,65 @@ class Network:
 
     def check_pair(self, gen: int, load: int) -> None:
         """Raise :class:`InvalidIndex` unless ``gen`` is a generator index
-        and ``load`` a load index (load ``j`` is bus ``n_gen + j``)."""
-        if not 0 <= gen < self.n_gen:
-            raise InvalidIndex(f"generator index {gen} out of range")
-        if not 0 <= load < self.n_load:
-            raise InvalidIndex(f"load index {load} out of range")
+        and ``load`` a load index (load ``j`` is bus ``n_gen + j``), each an
+        integer that :func:`operator.index` accepts."""
+        for what, i, n in (("generator", gen, self.n_gen), ("load", load, self.n_load)):
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise InvalidIndex(f"{what} index {i!r} is not an integer") from None
+            if not 0 <= i < n:
+                raise InvalidIndex(f"{what} index {i} out of range")
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The ``(neighbor, edge index)`` pairs of each bus, in edge order."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_bus)]
+        for e, (u, v, _) in enumerate(self.edges):
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def bridges(self) -> tuple[int, ...]:
+        """Bridge edge indices, ascending, from one iterative DFS low-link
+        pass from bus 0; :class:`DisconnectedGraph` when the pass misses a
+        bus.
+
+        Parallel edges are handled per edge index: only the exact edge used
+        to enter a vertex is skipped, so a doubled edge is never reported.
+        """
+        adj = self.adjacency
+        disc = [-1] * len(adj)
+        low = [0] * len(adj)
+        iters = [iter(nbrs) for nbrs in adj]
+        bridges: list[int] = []
+        stack: list[tuple[int, int]] = [(0, -1)] if adj else []
+        timer = 0
+        while stack:
+            v, entry_edge = stack[-1]
+            if disc[v] == -1:  # first visit
+                disc[v] = low[v] = timer
+                timer += 1
+            step = next(iters[v], None)
+            if step is None:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > disc[parent]:
+                        bridges.append(entry_edge)
+                continue
+            w, e = step
+            if e == entry_edge:
+                continue
+            if disc[w] == -1:
+                stack.append((w, e))
+            else:
+                low[v] = min(low[v], disc[w])
+        if -1 in disc:
+            raise DisconnectedGraph("network graph is not connected")
+        return tuple(sorted(bridges))
 
     @cached_property
     def ptdf_basis(self) -> np.ndarray:
@@ -163,57 +219,6 @@ class OpfParams:
             raise InvalidLimits("costs must be nonnegative")
 
 
-def _adjacency(
-    n_bus: int, edges: Sequence[tuple[int, int, float]]
-) -> list[list[tuple[int, int]]]:
-    """The ``(neighbor, edge index)`` pairs of every vertex, from ``(u, v,
-    susceptance)`` edges over internal vertex indices."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_bus)]
-    for e, (u, v, _) in enumerate(edges):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    return adj
-
-
-def _bridges(adj: list[list[tuple[int, int]]]) -> tuple[int, ...]:
-    """Bridge edge indices, ascending, from one iterative DFS low-link pass
-    from bus 0; :class:`DisconnectedGraph` when the pass misses a bus.
-
-    Parallel edges are handled per edge index: only the exact edge used to
-    enter a vertex is skipped, so a doubled edge is never reported.
-    """
-    disc = [-1] * len(adj)
-    low = [0] * len(adj)
-    iters = [iter(nbrs) for nbrs in adj]
-    bridges: list[int] = []
-    stack: list[tuple[int, int]] = [(0, -1)] if adj else []
-    timer = 0
-    while stack:
-        v, entry_edge = stack[-1]
-        if disc[v] == -1:  # first visit
-            disc[v] = low[v] = timer
-            timer += 1
-        step = next(iters[v], None)
-        if step is None:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    bridges.append(entry_edge)
-            continue
-        w, e = step
-        if e == entry_edge:
-            continue
-        if disc[w] == -1:
-            stack.append((w, e))
-        else:
-            low[v] = min(low[v], disc[w])
-    if -1 in disc:
-        raise DisconnectedGraph("network graph is not connected")
-    return tuple(sorted(bridges))
-
-
 def assemble_network(
     gen_labels: Sequence[Label],
     load_labels: Sequence[Label],
@@ -223,9 +228,11 @@ def assemble_network(
     then loads in the order given.
 
     ``edges`` entries are ``(label_u, label_v, susceptance)``. Raises
-    :class:`DisconnectedGraph` when the graph is not connected,
-    :class:`ZeroReactance` for a susceptance that is not finite and positive
-    and :class:`SelfLoop` for an edge from a bus to itself.
+    :class:`DisconnectedGraph` when the graph is not connected (reading
+    :attr:`Network.bridges` checks it), :class:`ZeroReactance` for a
+    susceptance that is not finite and positive, :class:`DanglingReference`
+    for an endpoint that is not among the labels and :class:`SelfLoop` for an
+    edge from a bus to itself.
     """
     gens, loads = tuple(gen_labels), tuple(load_labels)
     order = gens + loads
@@ -241,7 +248,11 @@ def assemble_network(
         if not 0 < be < math.inf:
             raise ZeroReactance(
                 f"edge ({lu!r},{lv!r}) has susceptance {be}, not finite and positive")
-        u, v = pos[lu], pos[lv]
+        try:
+            u, v = pos[lu], pos[lv]
+        except KeyError as exc:
+            raise DanglingReference(
+                f"edge ({lu!r},{lv!r}) refers to unknown bus {exc.args[0]!r}") from None
         if u == v:
             raise SelfLoop(f"edge ({lu!r},{lv!r}) joins a bus to itself")
         incidence[u, e] = 1.0
@@ -249,13 +260,11 @@ def assemble_network(
         b[e] = be
         idx_edges.append((u, v, float(be)))
 
-    _bridges(_adjacency(n, idx_edges))  # raises DisconnectedGraph
-
     flow_matrix = b[:, None] * incidence.T
     laplacian = incidence @ flow_matrix
     for arr in (incidence, b, laplacian, flow_matrix):
         arr.setflags(write=False)
-    return Network(
+    net = Network(
         n_gen=len(gens),
         n_load=len(loads),
         vertex_order=order,
@@ -265,6 +274,8 @@ def assemble_network(
         laplacian=laplacian,
         flow_matrix=flow_matrix,
     )
+    net.bridges  # raises DisconnectedGraph
+    return net
 
 
 def build_network(case: MatpowerCase) -> tuple[Network, OpfParams]:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -125,42 +125,25 @@ def candidate_count(net: Network) -> int:
     return math.comb(net.n_gen + net.n_edge, net.n_gen - 1) if net.n_gen else 0
 
 
-def _regroup(parts: Iterable[Part], size: int) -> Iterator[list[Part]]:
-    """Regroup row blocks into lists of parts of ``size`` rows in all (the
-    last may be short)."""
-    pending: list[Part] = []
-    have = 0
-    for gens, block in parts:
-        while len(block):
-            part, block = block[: size - have], block[size - have :]
-            pending.append((gens, part))
-            have += len(part)
-            if have == size:
-                yield pending
-                pending, have = [], 0
-    if pending:
-        yield pending
-
-
 def _chunks(n_gen: int, n_edge: int, size: int) -> Iterator[SetBatch]:
     """The candidate sets in lexicographic order, at most ``size`` at a
-    time. A generator subset with more is factored alone, a chunk at a time,
-    each block at its own ``t x t`` size; consecutive smaller subsets share
-    a chunk, padded to the largest block among them."""
+    time. Consecutive sets share a chunk, padded to the largest block in it,
+    but a generator subset that does not fit in the open chunk starts a new
+    one, so only a subset of more than ``size`` sets is split."""
     pending: list[Part] = []
     have = 0
     for gens in _gen_subsets(n_gen):
-        count = math.comb(n_edge, n_gen - 1 - len(gens))
-        parts = ((gens, rows) for rows in _subset_rows(gens, n_gen, n_edge))
-        if pending and have + count > size:
+        if pending and have + math.comb(n_edge, n_gen - 1 - len(gens)) > size:
             yield set_batch(n_gen, n_edge, pending)
             pending, have = [], 0
-        if count > size:
-            for chunk in _regroup(parts, size):
-                yield set_batch(n_gen, n_edge, chunk)
-        else:
-            pending.extend(parts)
-            have += count
+        for block in _subset_rows(gens, n_gen, n_edge):
+            while len(block):
+                part, block = block[: size - have], block[size - have :]
+                pending.append((gens, part))
+                have += len(part)
+                if have == size:
+                    yield set_batch(n_gen, n_edge, pending)
+                    pending, have = [], 0
     if pending:
         yield set_batch(n_gen, n_edge, pending)
 
@@ -275,11 +258,12 @@ def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float
     load set: the Euclidean norm of the Jacobian row restricted to ``loads``,
     maximized over binding sets (the exact Lipschitz constant of the linear
     response under 2-norm perturbations confined to those loads)."""
-    loads = sorted(set(int(j) for j in loads))
-    if not loads:
+    chosen = set(loads)
+    if not chosen:
         raise EmptyLoadSet("MISO sensitivity needs at least one load index")
-    net.check_pair(gen, loads[0])
-    net.check_pair(gen, loads[-1])
+    for j in chosen:
+        net.check_pair(gen, j)
+    loads = sorted(chosen)
     best, kept, _ = _fold(net, loads, lambda jac: np.linalg.norm(jac[:, gen], axis=1)[:, None])
     return float(best[0]), interned_binding_set(*kept[0][0][1])
 

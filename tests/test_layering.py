@@ -1,6 +1,7 @@
 """The package's layering, checked on its source: no module imports inside a
-function, and the graph, linear-algebra, Jacobian, scan and decomposition
-layers never import the LP (``dcopf``, ``simplex``)."""
+function or takes a private name from another, and the graph,
+linear-algebra, Jacobian, scan and decomposition layers never import the LP
+(``dcopf``, ``simplex``)."""
 
 from __future__ import annotations
 
@@ -50,3 +51,17 @@ def test_lower_layers_never_import_the_lp():
         for module in BELOW_LP
     }
     assert reached == {module: [] for module in BELOW_LP}
+
+
+def test_no_private_name_crosses_a_module():
+    """No module imports a single-underscore name from another package
+    module; dunders such as ``__version__`` are public."""
+    crossing = [
+        f"{module}: {node.module}.{alias.name}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("opfsens"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert crossing == []

@@ -9,8 +9,8 @@ import pytest
 
 import opfsens as ops
 from opfsens.errors import (
-    DisconnectedChain, DisconnectedGraph, DuplicateGeneratorBus, InvalidIndex, InvalidLimits,
-    InvalidTie, OpfSensError, ZeroReactance,
+    DanglingReference, DisconnectedChain, DisconnectedGraph, DuplicateGeneratorBus, InvalidIndex,
+    InvalidLimits, InvalidTie, OpfSensError, ZeroReactance,
 )
 from opfsens.linalg import numerical_rank
 from opfsens.network import UNLIMITED_FLOW_PU, assemble_network
@@ -207,14 +207,23 @@ def test_assemble_rejects_exactly_the_disconnected_graphs():
     assert outcomes == {True, False}
 
 
+def test_assemble_rejects_an_unknown_endpoint():
+    """An edge endpoint that is not among the labels is a
+    :class:`DanglingReference` naming the edge and the label."""
+    for edges in ([(1, 3, 1.0)], [(3, 1, 1.0)], [(1, 2, 1.0), (2, "x", 1.0)]):
+        with pytest.raises(DanglingReference, match=r"edge \(.*unknown bus (3|'x')"):
+            assemble_network([1], [2], edges)
+
+
 @pytest.mark.parametrize("query", [
     "worst_case_siso", "tied_argmax_sets", "worst_case_miso", "chain_partition",
     "worst_case_decomposed", "local_sensitivity", "sample_lower_bound",
 ])
 def test_pair_queries_reject_out_of_range_indices(query, net9, params9, loads9):
     """Every public query of one generator-load pair raises
-    :class:`InvalidIndex` for a generator or load index of -1 or n, which
-    callers catch as an :class:`OpfSensError` or an ``IndexError``."""
+    :class:`InvalidIndex` for a generator or load index of -1 or n, or one
+    that is not an integer, which callers catch as an :class:`OpfSensError`
+    or an ``IndexError``."""
     call = {
         "worst_case_siso": lambda g, l: ops.worst_case_siso(net9, g, l),
         "tied_argmax_sets": lambda g, l: ops.tied_argmax_sets(net9, g, l),
@@ -226,6 +235,18 @@ def test_pair_queries_reject_out_of_range_indices(query, net9, params9, loads9):
             net9, params9, g, l, loads9, loads9 + 0.1, samples=1),
     }[query]
     assert issubclass(InvalidIndex, OpfSensError) and issubclass(InvalidIndex, IndexError)
-    for gen, load in ((-1, 0), (net9.n_gen, 0), (0, -1), (0, net9.n_load)):
+    for gen, load in ((-1, 0), (net9.n_gen, 0), (0, -1), (0, net9.n_load),
+                      (2.5, 1), (0.5, 1), (2, 4.7), (0, "1")):
         with pytest.raises(InvalidIndex):
             call(gen, load)
+    if query == "worst_case_miso":  # a lone load, once truncated to 4
+        with pytest.raises(InvalidIndex):
+            ops.worst_case_miso(net9, 2, [4.7])
+
+
+def test_pair_queries_accept_numpy_integers(net9):
+    """Numpy integers index as their Python values do."""
+    g, l = np.int64(2), np.intp(5)
+    assert ops.worst_case_siso(net9, g, l) == ops.worst_case_siso(net9, 2, 5)
+    assert ops.worst_case_miso(net9, g, [np.int32(1), l]) == ops.worst_case_miso(net9, 2, [1, 5])
+    assert ops.chain_partition(net9, g, l) == ops.chain_partition(net9, 2, 5)

@@ -249,10 +249,11 @@ def test_chunk_size_invariance(net9, monkeypatch):
 def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
     """Candidate chunks cached per network shape are cached per ``CHUNK``
     too, so the chunk-invariance tests scan each chunking for real: case9's
-    66 candidates take 66 kernel calls at ``CHUNK`` 1, 14 at 7 (its 36, 9,
-    9 and 9 sets of four generator subsets are chunked alone, the single
-    sets of (0, 1) and (0, 2) share one) and one at the default, whichever
-    ran first."""
+    66 candidates take 66 kernel calls at ``CHUNK`` 1, 12 at 7 (a generator
+    subset that does not fit in the open chunk starts a new one, so its 36,
+    9, 9 and 9 sets of four subsets take 6, 2, 2 and 2 chunks, and the
+    single sets of (0, 1), (0, 2) and (1, 2) join the open ones) and one at
+    the default, whichever ran first."""
     calls = []
 
     def counting(net, rows, loads):
@@ -262,7 +263,7 @@ def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
     monkeypatch.setattr(sensitivity, "reduced_solve", counting)
     assert candidate_count(net9) == 66 <= sensitivity.CACHED_CANDIDATES
     default = sensitivity.CHUNK
-    for chunk, want in ((default, 1), (1, 66), (7, 14), (default, 1)):
+    for chunk, want in ((default, 1), (1, 66), (7, 12), (default, 1)):
         monkeypatch.setattr(sensitivity, "CHUNK", chunk)
         calls.clear()
         ops.worst_case_all(net9)
