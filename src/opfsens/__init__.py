@@ -7,6 +7,7 @@ over independent binding-constraint sets. Bridges in the network let that
 search decompose into per-subgraph problems whose worst cases multiply.
 """
 
+import logging
 from importlib import resources
 
 from . import errors
@@ -52,6 +53,10 @@ from .sensitivity import (
 )
 
 __version__ = "0.1.0"
+
+# the package's warnings (cost terms dropped, limits clamped) reach only the
+# handlers an application configures; the CLI installs one on stderr
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "errors",

@@ -33,7 +33,11 @@ The independence test is the pivot ratio of ``B``
 (:func:`linalg.lu_factor_checked`). The set scan, :func:`independence_check`
 and :func:`jacobian_from_binding` all test and solve through
 :func:`reduced_solve`, the one owner of the factors, so they agree by
-construction.
+construction. It gathers each passed set's ``P`` rows in the pivot order of
+its factors and returns ``y`` as solved, with the reference row and a map
+from generators to rows of ``y`` (:class:`Solved`), not assembled
+Jacobians: the scan reads its maxima off ``y``, and
+:meth:`Solved.jacobian_rows` assembles ``J`` where a caller needs it.
 """
 
 from __future__ import annotations
@@ -121,21 +125,25 @@ class SetBatch:
 
     ``rows`` holds the :func:`pool_rows` of one set per row, ``(count,
     n_gen - 1)``. The sets come in groups, runs that bind the same
-    generators. Every set's block is ``n x n``, ``n`` the largest ``t`` in
-    the batch: its branch rows and the free generators other than its
-    reference first, then, for a set with a smaller ``t``, unit rows of some
-    of its binding generators on the diagonal. ``cols[g]`` holds the
-    generators of group ``g``'s block columns, then its reference, ``(groups,
-    n + 1)``, and ``jac_rows[:, s]`` the same for set ``s``, the Jacobian
-    rows its solution fills, ``(n + 1, count)``. ``at[i, s]`` is the offset
-    of block row ``i`` of set ``s`` in a table of ``n_gen + n_edge`` pool
-    rows per group: the group times the pool size plus the row's pool row,
-    ``(n, count)``.
+    generators; group ``g`` holds sets ``bounds[g]`` to ``bounds[g + 1]``
+    (exclusive), ``(groups + 1,)``. Every set's block is
+    ``n x n``, ``n`` the largest ``t`` in the batch: its branch rows and the
+    free generators other than its reference first, then, for a set with a
+    smaller ``t``, unit rows of some of its binding generators on the
+    diagonal. ``cols[g]`` holds the generators of group ``g``'s block
+    columns, then its reference, ``(groups, n + 1)``, and ``slots[g, v]``
+    the row of the solution (:class:`Solved`) that holds generator ``v``'s
+    Jacobian row: ``i`` for ``cols[g, i]``, ``n + 1``, the zero row, for any
+    other generator, ``(groups, n_gen)``. ``at[i, s]`` is the offset of
+    block row ``i`` of set ``s`` in a table of ``n_gen + n_edge`` pool rows
+    per group: the group times the pool size plus the row's pool row, ``(n,
+    count)``.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    jac_rows: np.ndarray
+    slots: np.ndarray
+    bounds: np.ndarray
     at: np.ndarray
 
     def __len__(self) -> int:
@@ -153,6 +161,7 @@ def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
     groups = [(gens, sum(len(part) for _, part in run))
               for gens, run in groupby(parts, key=operator.itemgetter(0))]
     cols = np.empty((len(groups), width + 1), np.intp)
+    bounds = np.empty(len(groups) + 1, np.intp)
     at = np.empty((width, len(rows)), np.intp)
     start = 0
     for g, (gens, count) in enumerate(groups):
@@ -160,34 +169,67 @@ def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
         r, *others = (v for v in range(n_gen) if v not in gens)
         pads = gens[: width - len(others)]
         cols[g] = others + list(pads) + [r]
+        bounds[g] = start
         np.add(rows[start:stop, len(gens) :].T, g * n_pool, out=at[: len(others), start:stop])
         at[len(others) :, start:stop] = np.add(pads, g * n_pool)[:, None]
         start = stop
-    jac_rows = np.repeat(cols.T, [count for _, count in groups], axis=1)
-    return SetBatch(rows=rows, cols=cols, jac_rows=jac_rows, at=at)
+    bounds[-1] = start
+    slots = np.full((len(groups), n_gen), width + 1, np.intp)
+    slots[np.arange(len(groups))[:, None], cols] = np.arange(width + 1)
+    return SetBatch(rows=rows, cols=cols, slots=slots, bounds=bounds, at=at)
 
 
-def reduced_solve(
-    net: Network, batch: SetBatch, loads: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, slots=True)
+class Solved:
+    """The solutions :func:`reduced_solve` gives for the sets of a batch
+    that pass the test, in batch order.
+
+    ``y`` is ``(n + 2, loads, sets)``: the solutions of the ``n`` block
+    rows, then the reference row ``1 - y_0 - y_1 - ...``, then a row of
+    zeros. The sets come in the batch's groups, runs that bind the same
+    generators: run ``k`` holds sets ``bounds[k]`` to ``bounds[k + 1]``
+    (exclusive, and empty where no set of the group passed), and ``slots[k,
+    v]`` is the row of ``y`` that holds row ``v`` of its sets' Jacobians,
+    ``(runs, n_gen)``.
+    """
+
+    y: np.ndarray
+    slots: np.ndarray
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return self.y.shape[2]
+
+    def set_slots(self, gens: Sequence[int]) -> np.ndarray:
+        """The rows of ``y`` that hold the Jacobian rows ``gens`` of each
+        set, ``(sets, len(gens))``."""
+        return np.repeat(self.slots[:, gens], self.bounds[1:] - self.bounds[:-1], axis=0)
+
+    def jacobian_rows(self, gens: Sequence[int]) -> np.ndarray:
+        """Rows ``gens`` of every set's Jacobian, ``(sets, len(gens),
+        loads)``: the one place Jacobians are assembled from ``y``."""
+        return self.y.transpose(2, 0, 1)[np.arange(len(self))[:, None], self.set_slots(gens)]
+
+
+def reduced_solve(net: Network, batch: SetBatch, loads: Sequence[int]) -> tuple[np.ndarray, Solved]:
     """Test and solve a :class:`SetBatch` of candidate sets.
 
-    Returns ``(ok, jac)``: the verdict of :func:`linalg.lu_factor_checked` on
-    each set's block ``B``, and the signed Jacobians of the sets that pass,
-    ``(ok.sum(), n_gen, len(loads))``, for the load columns ``loads`` only;
-    with no loads nothing is solved. A group's transfer PTDFs are the rows of
+    Returns ``(ok, solved)``: the verdict of :func:`linalg.lu_factor_checked`
+    on each set's block ``B``, and the :class:`Solved` solutions of the sets
+    that pass, for the load columns ``loads`` only; with no loads nothing is
+    solved. A group's transfer PTDFs are the rows of
     :attr:`~opfsens.network.Network.ptdf_basis` at its block columns' buses,
     or at the load buses, minus the row at its reference: each group's are
     computed once per call, and every set's ``B`` and ``P`` are gathered
-    from them.
-    The solve ``y = B^-1 P`` reuses the factors the test judged. The padding
-    rows are zero in the block's own columns and one on the diagonal, so the
-    padded matrix is block upper triangular: they take multipliers of zero
-    and pivots of 1, and their right-hand sides and solution entries are
-    zero. Every set gets the pivots and solution of its own ``t x t`` block,
-    whatever the batch, up to the sign of a zero. Row ``r`` of the Jacobian
-    is ``1 - y_0 - y_1 - ...``, subtracted left to right, binding rows are
-    zero, and all rows are written straight into the returned array. Each
+    from them. The solve ``y = B^-1 P`` reuses the factors the test judged:
+    each passed set's row swaps are composed into its gather index
+    (:func:`linalg.apply_pivots`), so ``P`` arrives in pivot order. The
+    padding rows are zero in the block's own columns and one on the
+    diagonal, so the padded matrix is block upper triangular: they take
+    multipliers of zero and pivots of 1, and their right-hand sides and
+    solution entries are zero. Every set gets the pivots and solution of its
+    own ``t x t`` block, whatever the batch, up to the sign of a zero. The
+    reference row is ``1 - y_0 - y_1 - ...``, subtracted left to right. Each
     column is computed on its own: a subset of ``loads`` gives the same
     columns bit for bit.
     """
@@ -205,18 +247,17 @@ def reduced_solve(
     blocks = gathered(batch.cols[:, :n], batch.at).transpose(1, 0, 2)
     lu, piv, ok = linalg.lu_factor_checked(blocks)
     passed = np.flatnonzero(ok)
-    jac = np.zeros((passed.size, n_gen, loads.size))
+    y = np.empty((n + 2, loads.size, passed.size))
+    y[n + 1] = 0.0
+    solved = Solved(y=y, slots=batch.slots, bounds=passed.searchsorted(batch.bounds))
     if not (passed.size and loads.size):
-        return ok, jac
+        return ok, solved
     # take keeps the batch axis last in memory; a boolean mask would not
-    factors = lu.take(passed, axis=2), piv.take(passed, axis=1)
-    rhs = gathered(n_gen + loads, batch.at.take(passed, axis=1))
-    y = linalg.lu_solve_factored(factors, rhs.transpose(1, 0, 2))  # (n, loads, sets)
-    out = jac.reshape(-1, loads.size)
-    rows = batch.jac_rows.take(passed, axis=1) + n_gen * np.arange(passed.size)
-    out[rows[:n]] = y.transpose(0, 2, 1)
-    out[rows[n]] = np.subtract.reduce(y, axis=0, initial=1.0).T
-    return ok, jac
+    at = linalg.apply_pivots(batch.at.take(passed, axis=1), piv.take(passed, axis=1))
+    y[:n] = gathered(n_gen + loads, at).transpose(1, 0, 2)
+    linalg.lu_solve_factored(lu.take(passed, axis=2), y[:n])
+    np.subtract.reduce(y[:n], axis=0, initial=1.0, out=y[n])
+    return ok, solved
 
 
 def _batch_of(net: Network, bset: BindingSet) -> SetBatch:
@@ -227,13 +268,13 @@ def _solve_one(net: Network, bset: BindingSet, loads: Sequence[int]) -> np.ndarr
     """The set's Jacobian for ``loads`` from :func:`reduced_solve`, as an
     array that owns its data; :class:`DependentBindings` unless it passes the
     independence test."""
-    ok, jac = reduced_solve(net, _batch_of(net, bset), loads)
+    ok, solved = reduced_solve(net, _batch_of(net, bset), loads)
     if not ok[0]:
         raise DependentBindings(
             f"binding set gens={bset.gens} branches={bset.branches} is dependent: "
             "its reduced block fails the independence test"
         )
-    return jac[0].copy()
+    return solved.jacobian_rows(range(net.n_gen))[0].copy()
 
 
 def independence_check(net: Network, bset: BindingSet) -> bool:

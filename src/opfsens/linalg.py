@@ -4,11 +4,16 @@ solves, numerical rank.
 Factorization and solves take one batch-last stack, ``(n, n, count)``
 matrices and ``(n, m, count)`` right-hand sides, and run as one sequence of
 whole-stack numpy operations, ``n`` column steps with no call per matrix;
-each step reads and writes contiguous rows of every matrix at once. The
-independence tolerance is fixed project-wide at :data:`RANK_REL_TOL`.
+each step reads and writes contiguous rows of every matrix at once. A solve
+takes its right-hand sides already in pivot order: the caller applies the
+factorization's row swaps with :func:`apply_pivots`, to the right-hand
+sides or, cheaper, to the index it gathers them with. The independence
+tolerance is fixed project-wide at :data:`RANK_REL_TOL`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -75,22 +80,32 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return w, piv, independent
 
 
-def lu_solve_factored(factors: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """Solve with factors ``(lu, piv)`` from :func:`lu_factor_checked`.
-
-    ``rhs`` holds one right-hand side per factored matrix, batch-last
-    ``(n, m, count)``, and the solution has the same shape. Each column of
-    the solution is computed on its own, so solving a subset of columns
-    gives those columns bit for bit.
-    """
-    lu, piv = factors
-    n, _, count = lu.shape
-    x = np.array(rhs, dtype=float, order="C")
-    if x.ndim != 3 or (x.shape[0], x.shape[2]) != (n, count):
-        raise DimensionMismatch(f"rhs has shape {x.shape}, factors have {lu.shape}")
-    cells = np.arange(x.shape[1] * count).reshape(x.shape[1:])
-    for j in range(n - 1):
+def apply_pivots(x: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """Apply the row swaps ``piv`` of :func:`lu_factor_checked`, ``(n,
+    count)``, in order, to a C-ordered batch-last stack ``x``, ``(n, ...,
+    count)``, in place; returns ``x``. Row ``i`` then holds the row the
+    factorization moved to position ``i``."""
+    if x.shape[0] != piv.shape[0] or x.shape[-1] != piv.shape[-1] or not x.flags.c_contiguous:
+        raise DimensionMismatch(f"C-ordered rows of shape {x.shape}, pivots of shape {piv.shape}")
+    cells = np.arange(math.prod(x.shape[1:])).reshape(x.shape[1:])
+    for j in range(len(piv) - 1):
         _swap_rows(x, j, piv[j] * cells.size + cells)
+    return x
+
+
+def lu_solve_factored(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve in place with the factors ``lu`` of :func:`lu_factor_checked`.
+
+    ``x`` holds one right-hand side per factored matrix, batch-last ``(n,
+    m, count)``, with its rows already in pivot order (:func:`apply_pivots`);
+    it is overwritten with the solution and returned. Each column of the
+    solution is computed on its own, so solving a subset of columns gives
+    those columns bit for bit.
+    """
+    n, _, count = lu.shape
+    if x.ndim != 3 or (x.shape[0], x.shape[2]) != (n, count) or x.dtype != float:
+        raise DimensionMismatch(f"rhs has shape {x.shape} and dtype {x.dtype}, "
+                                f"factors have {lu.shape}")
     for j in range(n - 1):
         rest = x[j + 1 :]
         rest -= lu[j + 1 :, j, None] * x[j]

@@ -5,16 +5,21 @@ of ``|J[i, j]|`` over every binding set (generator subset plus branch subset
 totalling ``n_gen - 1`` members) whose constraint stack is independent.
 Enumeration is exhaustive (the problem is discrete and non-convex). One scan
 walks the candidate sets in lexicographic order, a chunk at a time, and every
-query here reduces over it. A chunk is a
+query here reduces over it. It skips, per generator subset, the sets that
+bind a dead branch, one whose transfer PTDFs among the free generators are
+all exact zeros: their blocks have a zero row and fail the test anyway
+(:func:`_live_branches`). A chunk is a
 :class:`~opfsens.jacobian.SetBatch` of pool row indices, built with numpy
 from tables of branch combinations, with the layout of each set's reduced
 block; it is tested and solved by
 :func:`~opfsens.jacobian.reduced_solve` for only the load columns the query
 reads: one for a single pair and its ties, the load set for MISO, every load
-for the whole table, none for enumeration. Index rows become
-``(gens, branches)`` keys only for the records a query keeps, in one
-conversion per chunk, and reported sets are shared objects, one per
-distinct set.
+for the whole table, none for enumeration. The fold reads each chunk's
+maxima of ``|J|`` off the solutions ``y`` run by run, and per-set values
+only for the entries that chunk can change; the Jacobians are never
+assembled. Index rows become ``(gens, branches)`` keys only for the records
+a query keeps, in one conversion per chunk, and reported sets are shared
+objects, one per distinct set.
 
 Tie rule: the reported value is the maximum, and the reported set is the
 first independent set in lexicographic order whose value is at least the
@@ -25,10 +30,11 @@ rule depends on values and order only, so results do not depend on chunking.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from .jacobian import (
     BindingSet,
     Part,
     SetBatch,
+    Solved,
     interned_binding_set,
     reduced_solve,
     set_batch,
@@ -57,12 +64,16 @@ CHUNK = 1024
 COMBO_ROWS = 1 << 16
 
 #: networks with at most this many candidate sets keep their chunks, built
-#: once per shape and ``CHUNK`` (the 27-bus stages have 78 to 1820); larger
-#: ones, such as the 18-bus chain with 53130 (2.1 MB of rows), build them
-#: as they scan
+#: once per shape, live-branch lists and ``CHUNK`` (the 27-bus stages have
+#: 78 to 1820 candidates and 7 distinct keys); larger ones, such as the
+#: 18-bus chain with 53130 (44485 live, 1.8 MB of rows), build them as they
+#: scan
 CACHED_CANDIDATES = 4096
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
+
+#: the live-branch lists of each network scanned, dropped with it
+_LIVE: weakref.WeakKeyDictionary[Network, tuple[tuple[int, ...], ...]] = weakref.WeakKeyDictionary()
 
 
 @lru_cache(maxsize=64)
@@ -81,33 +92,59 @@ def _gen_subsets(n_gen: int) -> list[tuple[int, ...]]:
     return sorted(chain.from_iterable(combinations(range(n_gen), k) for k in range(n_gen)))
 
 
-def _subset_rows(gens: tuple[int, ...], n_gen: int, n_edge: int) -> Iterator[np.ndarray]:
-    """The candidate sets that bind the generators ``gens``, in
-    lexicographic order of their branches, as blocks of
+def _live_branches(net: Network) -> tuple[tuple[int, ...], ...]:
+    """For each generator subset of :func:`_gen_subsets`, in order, its live
+    branches, computed once per network.
+
+    Branch ``e`` is dead for a subset when its transfer PTDF from every free
+    generator ``f`` to the reference ``r`` is an exact zero,
+    ``ptdf_basis[f, n_gen + e] - ptdf_basis[r, n_gen + e] == 0.0``, the very
+    subtraction that :func:`~opfsens.jacobian.reduced_solve` gathers: every
+    set that binds it has a zero block row, which elimination keeps zero, so
+    a zero (or NaN) pivot rejects the set. The scan walks live branches
+    only.
+    """
+    live = _LIVE.get(net)
+    if live is None:
+        live = _LIVE[net] = tuple(_live_of(net, gens) for gens in _gen_subsets(net.n_gen))
+    return live
+
+
+def _live_of(net: Network, gens: tuple[int, ...]) -> tuple[int, ...]:
+    """The live branches of the generator subset ``gens``, ascending."""
+    branch_cols = net.ptdf_basis[:, net.n_gen :]
+    r, *others = (v for v in range(net.n_gen) if v not in gens)
+    return tuple(np.flatnonzero((branch_cols[others] - branch_cols[r]).any(axis=0)).tolist())
+
+
+def _subset_rows(gens: tuple[int, ...], live: Sequence[int], n_gen: int) -> Iterator[np.ndarray]:
+    """The candidate sets that bind the generators ``gens`` and branches
+    from ``live``, in lexicographic order of their branches, as blocks of
     :func:`~opfsens.jacobian.pool_rows` rows.
 
-    The ``need`` branches come from a table of all ``q``-subsets, ``q`` as
-    large as keeps it within :data:`COMBO_ROWS` rows. Each block is one
-    prefix, the generator subset and ``need - q`` branches from
-    ``itertools.combinations``, followed by every suffix from the table
-    whose first entry lies past the prefix: a contiguous tail of the table,
-    the whole table when ``q = need``.
+    The ``need`` branches come from a table of all ``q``-subsets of the
+    positions in ``live``, ``q`` as large as keeps it within
+    :data:`COMBO_ROWS` rows. Each block is one prefix, the generator subset
+    and ``need - q`` branches from ``itertools.combinations``, followed by
+    every suffix from the table whose first entry lies past the prefix: a
+    contiguous tail of the table, the whole table when ``q = need``.
     """
     size = n_gen - 1
     need = size - len(gens)
+    pool = n_gen + np.array(live, dtype=np.intp)
     q = need
-    while math.comb(n_edge, q) > COMBO_ROWS:
+    while math.comb(len(pool), q) > COMBO_ROWS:
         q -= 1
-    table = _combinations(n_edge, q)
+    table = _combinations(len(pool), q)
     if q < need:  # first[v]: the first table row that starts at v or later
-        first = (np.searchsorted(table[:, 0], np.arange(n_edge + 1)) if q
-                 else np.zeros(n_edge + 1, np.intp))
-    for branches in combinations(range(n_edge), need - q):
+        first = (np.searchsorted(table[:, 0], np.arange(len(pool) + 1)) if q
+                 else np.zeros(len(pool) + 1, np.intp))
+    for branches in combinations(range(len(pool)), need - q):
         tail = table[first[branches[-1] + 1] :] if branches else table
         if len(tail):
             rows = np.empty((len(tail), size), dtype=np.intp)
-            rows[:, : size - q] = gens + tuple(n_gen + b for b in branches)
-            rows[:, size - q :] = n_gen + tail
+            rows[:, : size - q] = gens + tuple(pool[list(branches)])
+            rows[:, size - q :] = pool.take(tail)
             yield rows
 
 
@@ -125,18 +162,19 @@ def candidate_count(net: Network) -> int:
     return math.comb(net.n_gen + net.n_edge, net.n_gen - 1) if net.n_gen else 0
 
 
-def _chunks(n_gen: int, n_edge: int, size: int) -> Iterator[SetBatch]:
-    """The candidate sets in lexicographic order, at most ``size`` at a
-    time. Consecutive sets share a chunk, padded to the largest block in it,
-    but a generator subset that does not fit in the open chunk starts a new
-    one, so only a subset of more than ``size`` sets is split."""
+def _chunks(n_gen: int, n_edge: int, live: Sequence[Sequence[int]], size: int) -> Iterator[SetBatch]:
+    """The candidate sets on the live branches ``live`` of each generator
+    subset (:func:`_live_branches`) in lexicographic order, at most ``size``
+    at a time. Consecutive sets share a chunk, padded to the largest block
+    in it, but a generator subset that does not fit in the open chunk starts
+    a new one, so only a subset of more than ``size`` sets is split."""
     pending: list[Part] = []
     have = 0
-    for gens in _gen_subsets(n_gen):
-        if pending and have + math.comb(n_edge, n_gen - 1 - len(gens)) > size:
+    for gens, branches in zip(_gen_subsets(n_gen), live):
+        if pending and have + math.comb(len(branches), n_gen - 1 - len(gens)) > size:
             yield set_batch(n_gen, n_edge, pending)
             pending, have = [], 0
-        for block in _subset_rows(gens, n_gen, n_edge):
+        for block in _subset_rows(gens, branches, n_gen):
             while len(block):
                 part, block = block[: size - have], block[size - have :]
                 pending.append((gens, part))
@@ -149,61 +187,106 @@ def _chunks(n_gen: int, n_edge: int, size: int) -> Iterator[SetBatch]:
 
 
 @lru_cache(maxsize=16)
-def _cached_chunks(n_gen: int, n_edge: int, size: int) -> tuple[SetBatch, ...]:
-    """The :func:`_chunks` of one network shape and ``size``, built once
-    (shared by every network of that shape)."""
-    return tuple(_chunks(n_gen, n_edge, size))
+def _cached_chunks(
+    n_gen: int, n_edge: int, live: tuple[tuple[int, ...], ...], size: int
+) -> tuple[SetBatch, ...]:
+    """The :func:`_chunks` of one network shape, live-branch lists and
+    ``size``, built once: the chunks hold nothing else, so networks with
+    equal lists share them."""
+    return tuple(_chunks(n_gen, n_edge, live, size))
 
 
-def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, Solved]]:
     """The one pass over the candidate sets in lexicographic order: yields
-    the pool rows of each chunk's independent sets and their signed
-    Jacobians for the load columns ``loads``, shape ``(len(rows), n_gen,
-    len(loads))``, from :func:`reduced_solve`; with no ``loads`` nothing is
-    solved. The chunks are :func:`_chunks` of ``CHUNK`` sets, kept per
-    shape up to :data:`CACHED_CANDIDATES` candidates. Each set gets the
-    numbers of its own block, so no result depends on the chunking."""
+    the pool rows of each chunk's independent sets and their
+    :class:`~opfsens.jacobian.Solved` solutions for the load columns
+    ``loads``, from :func:`reduced_solve`; with no ``loads`` nothing is
+    solved. The chunks are :func:`_chunks` of ``CHUNK`` sets over the live
+    branches, kept per shape and live-branch lists up to
+    :data:`CACHED_CANDIDATES` candidates. Each set gets the numbers of its
+    own block, so no result depends on the chunking."""
+    live = _live_branches(net)
     if candidate_count(net) <= CACHED_CANDIDATES:
-        chunks = _cached_chunks(net.n_gen, net.n_edge, CHUNK)
+        chunks = _cached_chunks(net.n_gen, net.n_edge, live, CHUNK)
     else:
-        chunks = _chunks(net.n_gen, net.n_edge, CHUNK)
+        chunks = _chunks(net.n_gen, net.n_edge, live, CHUNK)
     for batch in chunks:
-        ok, jac = reduced_solve(net, batch, loads)
+        ok, solved = reduced_solve(net, batch, loads)
         if ok.any():
-            yield batch.rows[ok], jac
+            yield batch.rows[ok], solved
+
+
+def _abs_max(solved: Solved, gens: Sequence[int]) -> np.ndarray:
+    """The largest ``|J[v, l]|`` of the chunk for each ``v`` in ``gens`` and
+    each load column ``l``, ``(len(gens), loads)``, from the largest and
+    smallest ``y`` of each run: the Jacobians are not assembled."""
+    y, bounds = solved.y, solved.bounds
+    runs = np.flatnonzero(bounds[1:] - bounds[:-1])  # reduceat needs no empty run
+    top = np.maximum.reduceat(y, bounds[runs], axis=2)
+    low = np.minimum.reduceat(y, bounds[runs], axis=2)
+    np.maximum(top, np.negative(low, out=low), out=top)  # (n + 2, loads, runs)
+    cells = np.arange(len(runs))[:, None], solved.slots[runs[:, None], gens]
+    return top.transpose(2, 0, 1)[cells].max(axis=0)
+
+
+def _values(solved: Solved, gens: np.ndarray, loads: np.ndarray | None) -> np.ndarray:
+    """Each set's value of the entries on Jacobian rows ``gens``,
+    ``(sets, len(gens))``: ``|J[gens[c], loads[c]]|`` of entry ``c``, or
+    with no ``loads`` the Euclidean norm of row ``gens[c]``."""
+    if loads is None:
+        return np.linalg.norm(solved.jacobian_rows(gens), axis=2)
+    return np.abs(solved.y[solved.set_slots(gens), loads, np.arange(len(solved))[:, None]])
 
 
 def _fold(
     net: Network,
     loads: Sequence[int],
-    score: Callable[[np.ndarray], np.ndarray],
+    gens: Sequence[int],
+    norm: bool = False,
     all_ties: bool = False,
 ) -> tuple[np.ndarray, list[list[tuple[float, Key]]], int]:
     """Reduce the scan under the tie rule.
 
-    ``score`` maps a chunk of Jacobians, restricted to the load columns
-    ``loads``, to values ``(k, m)``, one column per reported entry. Returns
-    the maxima ``(m,)``, the kept ``(value, key)`` list of each entry, whose
-    first key is the argmax, and the number of independent sets. The argmax
-    beats every set before it, so only such records within :data:`TIE_TOL`
-    of the running maximum are kept; with ``all_ties`` every set within
-    :data:`TIE_TOL` of it is. A chunk is folded only into its live columns,
-    those whose chunk maximum can set a record: above ``best``, or with
-    ``all_ties`` within :data:`TIE_TOL` of it.
+    The reported entries are the Jacobian rows ``gens`` restricted to the
+    load columns ``loads``: ``|J[v, l]|`` for each ``v`` in ``gens`` and
+    each column, row-major, or with ``norm`` the Euclidean norm of each
+    row. Returns the maxima ``(m,)``, the kept ``(value, key)`` list of each
+    entry, whose first key is the argmax, and the number of independent
+    sets. The argmax beats every set before it, so only such records within
+    :data:`TIE_TOL` of the running maximum are kept; with ``all_ties`` every
+    set within :data:`TIE_TOL` of it is. A chunk is folded only into its
+    live columns, those whose chunk maximum can set a record: above
+    ``best``, or with ``all_ties`` within :data:`TIE_TOL` of it. With many
+    ``|J|`` entries (the table), the chunk maxima come from ``y`` run by run
+    (:func:`_abs_max`) and per-set values are gathered for live columns
+    only. A single entry (a pair, its ties) or a norm is read for every
+    set: on the one- or two-chunk stage scans of a decomposition it is live
+    in most chunks, so run maxima would add numpy calls and save none.
     """
-    best = kept = None
+    gens = np.asarray(gens, dtype=np.intp)
+    if norm:
+        entry_gens, entry_loads = gens, None
+    else:  # row-major: entry i * len(loads) + l is generator gens[i], load column l
+        entry_gens = np.repeat(gens, len(loads))
+        entry_loads = np.tile(np.arange(len(loads)), len(gens))
+    best = np.full(len(entry_gens), -np.inf)
+    kept: list[list[tuple[float, Key]]] = [[] for _ in best]
+    by_run = not norm and len(best) > 1
     valid = 0
-    for rows, jac in _scan(net, loads):
-        vals = score(jac)
-        if best is None:
-            best = np.full(vals.shape[1], -np.inf)
-            kept = [[] for _ in range(vals.shape[1])]
+    for rows, solved in _scan(net, loads):
         valid += len(rows)
-        top = vals.max(axis=0)
+        if by_run:
+            top = _abs_max(solved, gens).reshape(-1)
+        else:
+            vals = _values(solved, entry_gens, entry_loads)
+            top = vals.max(axis=0)
         live = np.flatnonzero(top >= best - TIE_TOL if all_ties else top > best)
         if not live.size:
             continue
-        vals = vals[:, live]
+        if by_run:
+            vals = _values(solved, entry_gens[live], entry_loads[live])
+        else:
+            vals = vals[:, live]
         running = np.maximum.accumulate(np.vstack([best[live], vals]))
         floor = running[-1] - TIE_TOL
         take = vals >= floor
@@ -249,7 +332,7 @@ def worst_case_siso(net: Network, gen: int, load: int) -> tuple[float, BindingSe
     ``n_gen + j``).
     """
     net.check_pair(gen, load)
-    best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]))
+    best, kept, _ = _fold(net, [load], [gen])
     return float(best[0]), interned_binding_set(*kept[0][0][1])
 
 
@@ -264,14 +347,14 @@ def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float
     for j in chosen:
         net.check_pair(gen, j)
     loads = sorted(chosen)
-    best, kept, _ = _fold(net, loads, lambda jac: np.linalg.norm(jac[:, gen], axis=1)[:, None])
+    best, kept, _ = _fold(net, loads, [gen], norm=True)
     return float(best[0]), interned_binding_set(*kept[0][0][1])
 
 
 def worst_case_all(net: Network) -> SensitivityReport:
     """Worst cases for every pair in one enumeration pass."""
     n_l = net.n_load
-    best, kept, valid = _fold(net, range(n_l), lambda jac: np.abs(jac).reshape(len(jac), -1))
+    best, kept, valid = _fold(net, range(n_l), range(net.n_gen))
     argmax = [interned_binding_set(*entries[0][1]) for entries in kept]
     return SensitivityReport(
         cwc=best.reshape(net.n_gen, n_l),
@@ -289,6 +372,6 @@ def tied_argmax_sets(net: Network, gen: int, load: int) -> tuple[float, BindingS
     from binding the generator behind it), so reports list all of them.
     """
     net.check_pair(gen, load)
-    best, kept, _ = _fold(net, [load], lambda jac: np.abs(jac[:, gen]), all_ties=True)
+    best, kept, _ = _fold(net, [load], [gen], all_ties=True)
     ties = [interned_binding_set(*key) for _, key in kept[0]]
     return float(best[0]), ties[0], ties

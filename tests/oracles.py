@@ -162,6 +162,23 @@ def lex_candidates(net: Network) -> list[tuple[tuple[int, ...], tuple[int, ...]]
             for sb in combinations(range(net.n_edge), need - len(sg))]
 
 
+def dead_branches(net: Network, gens) -> set[int]:
+    """The branches whose transfer PTDFs from every generator free of
+    ``gens`` to the lowest such one are exact zeros in the network's PTDF
+    basis."""
+    by_bus = net.ptdf_basis
+    free = [g for g in range(net.n_gen) if g not in gens]
+    return {e for e in range(net.n_edge)
+            if all(by_bus[f, net.n_gen + e] - by_bus[free[0], net.n_gen + e] == 0.0 for f in free)}
+
+
+def binds_dead_branch(net: Network, key) -> bool:
+    """Whether the candidate ``(gens, branches)`` binds one of the
+    :func:`dead_branches` of its generator subset."""
+    gens, branches = key
+    return not dead_branches(net, gens).isdisjoint(branches)
+
+
 def csgraph_components(n_bus: int, edges, removed=()) -> list[tuple[int, ...]]:
     """The connected components of the graph on ``range(n_bus)`` with edges
     ``(u, v, ...)`` less the edge indices ``removed``, from
@@ -249,9 +266,9 @@ def sn_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.ndar
     passed = np.flatnonzero(ok)
     if not (passed.size and loads.size):
         return ok, np.zeros((passed.size, net.n_gen, loads.size))
-    factors = lu[passed].transpose(1, 2, 0), piv[passed].T
-    rhs = pool_p[rows[passed, :, None], loads].transpose(1, 2, 0)
-    y = linalg.lu_solve_factored(factors, rhs)
+    rhs = np.ascontiguousarray(pool_p[rows[passed, :, None], loads].transpose(1, 2, 0))
+    rhs = linalg.apply_pivots(rhs, piv[passed].T)
+    y = linalg.lu_solve_factored(lu[passed].transpose(1, 2, 0), rhs)
     jac = np.concatenate([np.ones((1,) + y.shape[1:]), y])
     jac[0] = np.subtract.reduce(jac)
     return ok, np.ascontiguousarray(jac.transpose(2, 0, 1))

@@ -169,7 +169,7 @@ def test_criterion_6_27bus_reconstruction(chain27, table27):
 @pytest.mark.slow
 def test_27bus_table_by_direct_enumeration(chain27, table27):
     """The published 27-bus table by the direct scan of all 48,903,492
-    candidate sets, with no decomposition (about a minute), and every one
+    candidate sets, with no decomposition (under a minute), and every one
     of the 162 decomposed worst cases against it. The scan builds its
     candidates a branch prefix at a time: C(29, 8) exceeds ``COMBO_ROWS``."""
     net, _ = chain27

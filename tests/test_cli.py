@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -21,10 +22,19 @@ CASE = str(ops.bundled_case_path())
 CHAIN = str(ops.bundled_chain_config_path())
 
 
+#: what reading the bundled case logs: its quadratic cost terms are dropped
+CASE9_WARNINGS = "".join(
+    f"generator {g}: dropping nonlinear cost terms [{c}] (linear model only)\n"
+    for g, c in enumerate(("0.11", "0.085", "0.1225")))
+
+
 def run_cli(capsys, *argv):
+    """Exit code, stdout and stderr of one in-process run; stderr less the
+    bundled case's warnings, which ``test_cli_prints_case_warnings_once``
+    checks on their own."""
     code = main(list(argv))
     out = capsys.readouterr()
-    return code, out.out, out.err
+    return code, out.out, out.err.removeprefix(CASE9_WARNINGS)
 
 
 def test_report_csv_matches_published(capsys, table9):
@@ -256,12 +266,12 @@ def test_report_table_without_loads(capsys, tmp_path):
 
 def test_large_scan_note_gives_a_time(capsys, monkeypatch):
     """Above the threshold the note gives the scan's rough time at about
-    1.05 us per candidate, in seconds and, from 100 s, in minutes."""
+    0.75 us per candidate, in seconds and, from 100 s, in minutes."""
     monkeypatch.setattr(cli, "SCAN_WARN_CANDIDATES", 10)
     code, _, err = run_cli(capsys, "report", "--case", CASE)
     assert code == 0
-    assert "note: exhaustive scan over 66 candidate sets, roughly 6.9e-05 s;" in err
-    for count, eta in ((48_903_492, "51 s"), (10**9, "18 min")):
+    assert "note: exhaustive scan over 66 candidate sets, roughly 5e-05 s;" in err
+    for count, eta in ((48_903_492, "37 s"), (10**9, "12 min")):
         monkeypatch.setattr(cli, "candidate_count", lambda net: count)
         cli._warn_if_large_scan(None)
         assert f"over {count} candidate sets, roughly {eta};" in capsys.readouterr().err
@@ -314,6 +324,39 @@ def test_unread_flags_are_usage_errors(capsys, command, flag):
     assert capsys.readouterr().out == ""
 
 
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(ops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_library_logs_to_no_handler_by_default():
+    """A library caller that configures no logging gets nothing on stderr:
+    the package's logger has a NullHandler, so Python's last-resort handler
+    stays quiet; a configured root handler still receives the warnings."""
+    read = f"import opfsens as ops; ops.build_network(ops.read_case({CASE!r}))"
+    assert _python(read).stderr == ""
+    configured = _python(f"import logging; logging.basicConfig(format='%(name)s %(message)s'); {read}")
+    assert configured.stderr == "".join(
+        f"opfsens.network {line}\n" for line in CASE9_WARNINGS.splitlines())
+
+
+def test_cli_prints_case_warnings_once(capsys):
+    """The CLI prints the package's warnings on stderr as bare messages,
+    byte for byte what Python printed with no handler configured, through
+    one handler however often main runs in a process."""
+    proc = _python(f"from opfsens import cli; cli.main(['report', '--case', {CASE!r}])")
+    assert proc.returncode == 0 and proc.stderr == CASE9_WARNINGS
+    for _ in range(2):
+        assert main(["report", "--case", CASE]) == 0
+        assert capsys.readouterr().err == CASE9_WARNINGS
+    handlers = logging.getLogger("opfsens").handlers
+    assert sum(isinstance(h, cli._StderrHandler) for h in handlers) == 1
+    assert sum(isinstance(h, logging.NullHandler) for h in handlers) == 1
+
+
 def test_report_loads_no_scipy():
     """The package runs on numpy alone: a fresh process that imports it and
     prints the case9 report has no scipy module loaded."""
@@ -326,8 +369,5 @@ def test_report_loads_no_scipy():
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
-    src = str(Path(ops.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr

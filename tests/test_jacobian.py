@@ -292,6 +292,13 @@ def _batch(net, rows):
         (gens[i], rows[i:j]) for i, j in zip(starts, starts[1:] + [len(rows)])])
 
 
+def _solve(net, batch, loads):
+    """``reduced_solve``'s verdicts and the Jacobians of the passed sets,
+    assembled by ``Solved.jacobian_rows``."""
+    ok, solved = reduced_solve(net, batch, loads)
+    return ok, solved.jacobian_rows(range(net.n_gen))
+
+
 def test_load_columns_solve_bit_for_bit(chain18):
     """Solving a chunk's accepted sets for a subset of load columns gives
     those columns of the all-column solve bit for bit, and a set's
@@ -300,12 +307,12 @@ def test_load_columns_solve_bit_for_bit(chain18):
     net = chain18[0]
     keys = oracles.lex_candidates(net)[0:20000:40]
     batch = _batch(net, [pool_rows(net, BindingSet(*key)) for key in keys])
-    ok, full = reduced_solve(net, batch, np.arange(net.n_load))
+    ok, full = _solve(net, batch, np.arange(net.n_load))
     assert full.shape == (np.count_nonzero(ok), net.n_gen, net.n_load)
     for loads in ([3], [0, 4, 8], [8, 1]):
-        part_ok, part = reduced_solve(net, batch, np.array(loads))
+        part_ok, part = _solve(net, batch, np.array(loads))
         assert np.array_equal(part_ok, ok) and np.array_equal(part, full[:, :, loads])
-    empty_ok, empty = reduced_solve(net, batch, np.array([], int))
+    empty_ok, empty = _solve(net, batch, np.array([], int))
     assert np.array_equal(empty_ok, ok) and np.array_equal(empty, full[:, :, :0])
     for t in np.flatnonzero(ok)[::25]:
         jac = ops.jacobian_from_binding(net, BindingSet(*keys[t])).jac
@@ -318,10 +325,11 @@ def _same_bits(a, b):
 
 
 def _parts(net):
-    """The candidate sets in scan order: each block of rows of
-    ``_subset_rows`` with the generator subset it binds."""
+    """Every candidate set in lexicographic order, dead branches included:
+    each block of rows of ``_subset_rows`` over all branches with the
+    generator subset it binds."""
     return [(gens, rows) for gens in sensitivity._gen_subsets(net.n_gen)
-            for rows in sensitivity._subset_rows(gens, net.n_gen, net.n_edge)]
+            for rows in sensitivity._subset_rows(gens, range(net.n_edge), net.n_gen)]
 
 
 @st.composite
@@ -353,7 +361,7 @@ def test_reduced_solve_matches_oracle_pipeline(case):
     own size) or spans several (blocks padded to the largest)."""
     net, rows, loads = case
     batch = _batch(net, rows)
-    ok, jac = reduced_solve(net, batch, loads)
+    ok, jac = _solve(net, batch, loads)
     with np.errstate(divide="ignore", invalid="ignore"):
         want_ok, want = oracles.block_solve(net, rows, loads)
     assert np.array_equal(ok, want_ok)
@@ -370,7 +378,7 @@ def _sn_agreement(net):
         want_ok, want = oracles.sn_solve(net, rows, loads)
     scanned = list(sensitivity._scan(net, loads))
     got_rows = np.concatenate([r for r, _ in scanned])
-    got = np.concatenate([jac for _, jac in scanned])
+    got = np.concatenate([solved.jacobian_rows(range(net.n_gen)) for _, solved in scanned])
     assert np.array_equal(got_rows, rows[want_ok])
     err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
     assert err.max() <= 1e-12

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import opfsens as ops
 from opfsens.errors import DimensionMismatch
 from opfsens.jacobian import BindingSet
-from opfsens.linalg import lu_factor_checked, lu_solve_factored, numerical_rank, rcond_estimate
+from opfsens.linalg import (
+    apply_pivots, lu_factor_checked, lu_solve_factored, numerical_rank, rcond_estimate)
 
 import oracles
 
@@ -25,9 +26,15 @@ def _independent(*mats):
     return lu_factor_checked(_stack(*mats))[2].tolist()
 
 
+def _solve_factored(lu, piv, rhs):
+    """Solve with the factors for a batch-last ``rhs`` in natural row order:
+    a C-ordered copy, put in pivot order first."""
+    return lu_solve_factored(lu, apply_pivots(np.array(rhs, dtype=float, order="C"), piv))
+
+
 def _solve(a, rhs):
     """Solve one matrix for the columns of ``rhs`` as a stack of one."""
-    return lu_solve_factored(lu_factor_checked(a[..., None])[:2], rhs[..., None])[..., 0]
+    return _solve_factored(*lu_factor_checked(a[..., None])[:2], rhs[..., None])[..., 0]
 
 
 def test_identity_solve():
@@ -70,7 +77,7 @@ def test_stack_marks_dependent_members():
     assert independent.tolist() == [True, False, True]
     passed = np.flatnonzero(independent)
     rhs = np.broadcast_to(np.array([[2.0], [8.0]])[..., None], (2, 1, 2))
-    x = lu_solve_factored((lu.take(passed, axis=2), piv.take(passed, axis=1)), rhs)
+    x = _solve_factored(lu.take(passed, axis=2), piv.take(passed, axis=1), rhs)
     assert x[:, 0].T.tolist() == [[2.0, 8.0], [1.0, 2.0]]
     assert np.array_equal(x[..., 1], _solve(stack[..., 2], rhs[..., 0]))
 
@@ -88,7 +95,7 @@ def test_empty_matrices_are_independent():
     lu, piv, independent = lu_factor_checked(np.zeros((0, 0, 3)))
     assert lu.shape == (0, 0, 3) and piv.shape == (0, 3)
     assert independent.tolist() == [True, True, True]
-    assert lu_solve_factored((lu, piv), np.zeros((0, 2, 3))).shape == (0, 2, 3)
+    assert _solve_factored(lu, piv, np.zeros((0, 2, 3))).shape == (0, 2, 3)
 
 
 def test_zero_pivot_member_factors_apart():
@@ -152,8 +159,8 @@ def test_batch_last_kernel_matches_row_major_oracle(a):
 
     rhs = np.random.default_rng(len(a)).standard_normal(a.shape[:2] + (3,))
     passed = np.flatnonzero(ok)
-    factors = lu.take(passed, axis=2), piv.take(passed, axis=1)
-    x = lu_solve_factored(factors, rhs[passed].transpose(1, 2, 0))
+    x = _solve_factored(lu.take(passed, axis=2), piv.take(passed, axis=1),
+                        rhs[passed].transpose(1, 2, 0))
     assert x.shape == (a.shape[1], 3, len(passed))
     if a.shape[-1]:  # cond is undefined for 0 x 0
         eps = np.finfo(float).eps
@@ -164,15 +171,19 @@ def test_batch_last_kernel_matches_row_major_oracle(a):
 
 
 def test_per_matrix_rhs_shape_checked():
-    """A solve takes one batch-last right-hand side per factored matrix, and
-    factors a batch-last stack of square matrices only."""
-    factors = lu_factor_checked(_stack(np.eye(2), 2.0 * np.eye(2)))[:2]
+    """A solve takes one batch-last float right-hand side per factored
+    matrix, and factors a batch-last stack of square matrices only; row
+    swaps take C-ordered rows and pivots of matching shape."""
+    lu, piv = lu_factor_checked(_stack(np.eye(2), 2.0 * np.eye(2)))[:2]
     rhs = np.broadcast_to(np.array([[2.0], [4.0]])[..., None], (2, 1, 2))
-    x = lu_solve_factored(factors, rhs)
+    x = _solve_factored(lu, piv, rhs)
     assert x[:, 0].T.tolist() == [[2.0, 4.0], [1.0, 2.0]]
-    for bad in (np.ones((2, 1, 3)), np.ones((3, 1, 2)), np.ones((2, 1))):
+    for bad in (np.ones((2, 1, 3)), np.ones((3, 1, 2)), np.ones((2, 1)), np.ones((2, 1, 2), int)):
         with pytest.raises(DimensionMismatch):
-            lu_solve_factored(factors, bad)
+            lu_solve_factored(lu, bad)
+    for bad in (np.ones((3, 2), int), np.ones((2, 3), int), np.ones((2, 2), int).T):
+        with pytest.raises(DimensionMismatch):
+            apply_pivots(bad, piv)
     for bad in (np.eye(2), np.ones((2, 3, 4)), np.ones((1, 2, 2, 2))):
         with pytest.raises(DimensionMismatch):
             lu_factor_checked(bad)
@@ -182,10 +193,30 @@ def test_invert_round_trip():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((20, 20, 10)) + 20.0 * np.eye(20)[..., None]  # well conditioned
     eye = np.broadcast_to(np.eye(20)[..., None], a.shape)
-    x = lu_solve_factored(lu_factor_checked(a)[:2], eye)
+    x = _solve_factored(*lu_factor_checked(a)[:2], eye)
     for k in range(a.shape[-1]):
         err = np.abs(a[..., k] @ x[..., k] - np.eye(20)).max()
         assert err < 1e-9 * np.linalg.cond(a[..., k])
+
+
+def test_pivoted_index_gathers_pivot_order():
+    """Row swaps applied to a gather index give, once gathered, the rows the
+    swaps give applied to the gathered right-hand sides, bit for bit, and
+    the solve takes them as they come: it runs no swap pass of its own."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5, 40))
+    lu, piv, _ = lu_factor_checked(a)
+    assert (piv[:-1] != np.arange(4)[:, None]).any()
+    table = rng.standard_normal((30, 2))
+    at = rng.integers(len(table), size=(5, 40))
+    gathered = table[at].transpose(0, 2, 1)  # (n, m, count)
+    swapped = apply_pivots(np.ascontiguousarray(gathered), piv)
+    assert np.array_equal(swapped, table[apply_pivots(at.copy(), piv)].transpose(0, 2, 1))
+    x = lu_solve_factored(lu, swapped.copy())
+    for k in range(40):
+        assert np.allclose(a[..., k] @ x[..., k], gathered[..., k], rtol=0, atol=1e-9)
+    unswapped = lu_solve_factored(lu, np.ascontiguousarray(gathered))
+    assert not np.allclose(unswapped, x)
 
 
 def test_rank_identity():

@@ -9,16 +9,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opfsens as ops
 from opfsens import sensitivity
-from opfsens.errors import EmptyLoadSet, NoValidSet
-from opfsens.jacobian import BindingSet, SetBatch, reduced_solve
+from opfsens.errors import DependentBindings, EmptyLoadSet, NoValidSet
+from opfsens.jacobian import BindingSet, SetBatch, Solved, reduced_solve, set_batch
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count
 
 import oracles
 from conftest import random_regular_params
+from test_decompose import RANDOM_SEEDS, _random_bridge_network
+from test_jacobian import _random_network
 
 
 def test_candidate_count_case9(net9):
@@ -59,19 +63,105 @@ def test_enumeration_star_two_generators():
     ]
 
 
+def _walked(net, live):
+    """The keys of the candidate rows over the branch lists ``live``, one
+    per generator subset, each kept only if it binds its block's subset."""
+    return [key for gens, branches in zip(sensitivity._gen_subsets(net.n_gen), live)
+            for rows in sensitivity._subset_rows(gens, branches, net.n_gen)
+            for key in sensitivity._keys(net, rows) if key[0] == gens]
+
+
 @pytest.mark.parametrize("combo_rows", [sensitivity.COMBO_ROWS, 40, 1])
 def test_candidate_order_matches_itertools(net9, chain18, two_bus, monkeypatch, combo_rows):
     """The numpy-built candidate rows list every set once, in the
     lexicographic order itertools gives, each block with the generator
     subset its rows bind, also when long combination lists are built a
-    prefix at a time from a short table."""
+    prefix at a time from a short table. Over each subset's live branches
+    they list exactly the candidates without a dead branch, in that order."""
     monkeypatch.setattr(sensitivity, "COMBO_ROWS", combo_rows)
     star = assemble_network([1, 2], [3], [(1, 3, 5.0), (2, 3, 7.0)])
     for net in (net9, chain18[0], two_bus[0], star):
-        keys = [key for gens in sensitivity._gen_subsets(net.n_gen)
-                for rows in sensitivity._subset_rows(gens, net.n_gen, net.n_edge)
-                for key in sensitivity._keys(net, rows) if key[0] == gens]
-        assert keys == oracles.lex_candidates(net)
+        every = [range(net.n_edge)] * (2**net.n_gen - 1)
+        assert _walked(net, every) == oracles.lex_candidates(net)
+        dead = {gens: oracles.dead_branches(net, gens) for gens in sensitivity._gen_subsets(net.n_gen)}
+        assert _walked(net, sensitivity._live_branches(net)) == [
+            (gens, branches) for gens, branches in oracles.lex_candidates(net)
+            if dead[gens].isdisjoint(branches)]
+
+
+def _excluded(net):
+    """The candidates the scan does not walk, in lexicographic order."""
+    walked = set(_walked(net, sensitivity._live_branches(net)))
+    return [key for key in oracles.lex_candidates(net) if key not in walked]
+
+
+def _assert_rejected(net, keys):
+    """Each set is rejected by both public entry points."""
+    for key in keys:
+        bset = BindingSet(*key)
+        assert not ops.independence_check(net, bset), key
+        with pytest.raises(DependentBindings):
+            ops.jacobian_from_binding(net, bset)
+
+
+def test_dead_branch_exclusion_is_exact(net9, chain18):
+    """Every candidate the scan skips binds a dead branch, and is rejected
+    by independence_check and jacobian_from_binding: all of case9's, of the
+    30 random networks of test_independence_agrees_across_entry_points and
+    of the 21 random bridge networks of the decomposition tests. The 18-bus
+    chain's 8645 are checked with one batched reduced_solve per generator
+    subset here, whose verdicts are each set's own (the oracle-pipeline
+    property), and through both entry points under ``-m slow``."""
+    rng = np.random.default_rng(7)
+    groups = [[net9], [_random_network(rng) for _ in range(30)],
+              [_random_bridge_network(seed) for seed in RANDOM_SEEDS]]
+    counts = []
+    for nets in groups:
+        excluded = [(net, _excluded(net)) for net in nets]
+        for net, keys in excluded:
+            assert all(oracles.binds_dead_branch(net, key) for key in keys)
+            _assert_rejected(net, keys)
+        counts.append(sum(len(keys) for _, keys in excluded))
+    assert counts == [3, 359, 940]
+    net = chain18[0]
+    keys = _excluded(net)
+    chunks = sensitivity._chunks(net.n_gen, net.n_edge, sensitivity._live_branches(net),
+                                 sensitivity.CHUNK)
+    assert len(keys) == 8645 == candidate_count(net) - sum(map(len, chunks))
+    for gens, run in itertools.groupby(keys, key=lambda key: key[0]):
+        rows = np.array([gens + tuple(net.n_gen + e for e in branches) for _, branches in run])
+        ok, _ = reduced_solve(net, set_batch(net.n_gen, net.n_edge, [(gens, rows)]), ())
+        assert not ok.any()
+
+
+@pytest.mark.slow
+def test_dead_branch_exclusion_is_exact_chain18(chain18):
+    """The 18-bus chain's 8645 skipped candidates, each through both entry
+    points."""
+    net = chain18[0]
+    keys = _excluded(net)
+    assert len(keys) == 8645
+    _assert_rejected(net, keys)
+
+
+@st.composite
+def _networks(draw):
+    """A random connected network with log-uniform susceptances."""
+    n_bus = draw(st.integers(2, 9))
+    n_gen = draw(st.integers(1, min(5, n_bus - 1)))
+    extra = draw(st.integers(0, min(4, n_bus * (n_bus - 1) // 2 - (n_bus - 1))))
+    return _random_network(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                           n_bus, n_gen, extra)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_networks())
+def test_skipped_candidates_are_rejected(net):
+    """On random connected networks, the scan skips exactly the candidates
+    that bind a dead branch, and both entry points reject each of them."""
+    keys = _excluded(net)
+    assert keys == [key for key in oracles.lex_candidates(net) if oracles.binds_dead_branch(net, key)]
+    _assert_rejected(net, keys)
 
 
 def test_worst_case_siso_published(net9, table9):
@@ -247,13 +337,14 @@ def test_chunk_size_invariance(net9, monkeypatch):
 
 
 def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
-    """Candidate chunks cached per network shape are cached per ``CHUNK``
-    too, so the chunk-invariance tests scan each chunking for real: case9's
-    66 candidates take 66 kernel calls at ``CHUNK`` 1, 12 at 7 (a generator
-    subset that does not fit in the open chunk starts a new one, so its 36,
-    9, 9 and 9 sets of four subsets take 6, 2, 2 and 2 chunks, and the
-    single sets of (0, 1), (0, 2) and (1, 2) join the open ones) and one at
-    the default, whichever ran first."""
+    """Candidate chunks cached per network shape and live branches are
+    cached per ``CHUNK`` too, so the chunk-invariance tests scan each
+    chunking for real: case9's 63 live candidates (66 less the 3 that bind
+    a dead branch) take 63 kernel calls at ``CHUNK`` 1, 12 at 7 (a
+    generator subset that does not fit in the open chunk starts a new one,
+    so its 36, 8, 8 and 8 sets of four subsets take 6, 2, 2 and 2 chunks,
+    and the single sets of (0, 1), (0, 2) and (1, 2) join the open ones)
+    and one at the default, whichever ran first."""
     calls = []
 
     def counting(net, rows, loads):
@@ -263,30 +354,34 @@ def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
     monkeypatch.setattr(sensitivity, "reduced_solve", counting)
     assert candidate_count(net9) == 66 <= sensitivity.CACHED_CANDIDATES
     default = sensitivity.CHUNK
-    for chunk, want in ((default, 1), (1, 66), (7, 12), (default, 1)):
+    for chunk, want in ((default, 1), (1, 63), (7, 12), (default, 1)):
         monkeypatch.setattr(sensitivity, "CHUNK", chunk)
         calls.clear()
         ops.worst_case_all(net9)
         assert len(calls) == want
-        assert sum(calls) == 66
+        assert sum(calls) == 63
 
 
 def test_cached_chunks_are_the_packed_chunks(net9, chain18, chain27, monkeypatch):
-    """One packer: on case9, the four shapes of the 27-bus stages and the
-    18-bus chain, the per-shape cache holds the batches the scan otherwise
-    builds as it goes, field by field, and the scan yields ``==`` rows and
-    Jacobians whether the cache is used or bypassed."""
+    """One packer: on case9, every stage network of the 27-bus chain and the
+    18-bus chain, the cache keyed by shape and live branches holds the
+    batches the scan otherwise builds as it goes, field by field, and the
+    scan yields ``==`` rows and solutions whether the cache is used or
+    bypassed. The 15 stages have 4 shapes but 7 distinct live-branch lists,
+    so a stage never scans chunks built for other lists."""
     net27 = chain27[0]
     stages = {}
     for i in range(net27.n_gen):
         for j in range(net27.n_load):
             for s in ops.chain_partition(net27, i, j).stages:
-                stages.setdefault((s.network.n_gen, s.network.n_edge), s.network)
+                stages.setdefault(id(s.network), s.network)
+    keys = {(n.n_gen, n.n_edge, sensitivity._live_branches(n)) for n in stages.values()}
+    assert (len(stages), len({key[:2] for key in keys}), len(keys)) == (15, 4, 7)
     nets = [net9, *stages.values(), chain18[0]]
-    assert sorted(map(candidate_count, nets)) == [66, 78, 364, 455, 1820, 53130]
+    assert sorted(set(map(candidate_count, nets))) == [66, 78, 364, 455, 1820, 53130]
     try:
         for net in nets:
-            shape = (net.n_gen, net.n_edge, sensitivity.CHUNK)
+            shape = (net.n_gen, net.n_edge, sensitivity._live_branches(net), sensitivity.CHUNK)
             cached = sensitivity._cached_chunks(*shape)
             built = list(sensitivity._chunks(*shape))
             assert len(cached) == len(built)
@@ -299,9 +394,10 @@ def test_cached_chunks_are_the_packed_chunks(net9, chain18, chain27, monkeypatch
                 scans.append(list(sensitivity._scan(net, range(net.n_load))))
             used, bypassed = scans
             assert len(used) == len(bypassed)
-            for (rows, jac), (want_rows, want) in zip(used, bypassed):
+            for (rows, solved), (want_rows, want) in zip(used, bypassed):
                 assert np.array_equal(rows, want_rows)
-                assert np.array_equal(jac, want)
+                for field in dataclasses.fields(Solved):
+                    assert np.array_equal(getattr(solved, field.name), getattr(want, field.name))
     finally:
         sensitivity._cached_chunks.cache_clear()
 
@@ -325,29 +421,124 @@ def _planted_stream(seed, length=64, width=3):
     return plateaus + rng.choice(offsets, (length, width))
 
 
+def _planted_chunks(rows, vals, chunk):
+    """``vals``, one column per load, as the solutions of a one-generator
+    network in chunks of ``chunk`` sets: the reference row holds them."""
+    for i in range(0, len(vals), chunk):
+        y = vals[i : i + chunk].T[None]
+        yield rows[i : i + chunk], Solved(y=y, slots=np.zeros((1, 1), int),
+                                          bounds=np.array([0, y.shape[2]]))
+
+
 @pytest.mark.parametrize("all_ties", [False, True])
 def test_fold_matches_one_record_tie_rule(monkeypatch, all_ties):
     """The chunked fold, live columns only, keeps exactly the records of the
     tie rule applied one record at a time, whatever the chunking: ties at
     exactly and just inside TIE_TOL of the maximum, some straddling chunk
-    boundaries."""
+    boundaries. The planted values are one generator's Jacobian row, read
+    set by set for one load column and from run maxima for three."""
     net = SimpleNamespace(n_gen=1)  # pool row 1 + t is the key ((), (t,))
     at_tol = 0
-    for seed in range(12):
-        vals = _planted_stream(seed)
+    for seed, width in itertools.product(range(12), (1, 3)):
+        vals = _planted_stream(seed, width=width)
         rows = 1 + np.arange(len(vals))[:, None]
         want_best, want_kept, want_valid = oracles.fold(
             zip(vals.tolist(), sensitivity._keys(net, rows)), TIE_TOL, all_ties)
         at_tol += sum(value == best - TIE_TOL for kept, best in zip(want_kept, want_best)
                       for value, _ in kept)
         for chunk in (1, 7, sensitivity.CHUNK):
-            monkeypatch.setattr(sensitivity, "_scan", lambda net, loads: (
-                (rows[i : i + chunk], vals[i : i + chunk]) for i in range(0, len(vals), chunk)))
-            best, kept, valid = sensitivity._fold(net, (), lambda jac: jac, all_ties)
+            monkeypatch.setattr(sensitivity, "_scan",
+                                lambda net, loads: _planted_chunks(rows, vals, chunk))
+            best, kept, valid = sensitivity._fold(net, range(width), [0], all_ties=all_ties)
             assert best.tolist() == want_best
             assert kept == want_kept
             assert valid == want_valid == len(vals)
     assert at_tol  # some kept records sit exactly TIE_TOL below their maximum
+
+
+def _materialized(net, loads, score, all_ties=False):
+    """The fold as it was: each chunk's Jacobians assembled in full by
+    ``Solved.jacobian_rows``, scored per set by ``score`` and folded one
+    record at a time by ``oracles.fold``."""
+    records = []
+    for rows, solved in sensitivity._scan(net, loads):
+        vals = score(solved.jacobian_rows(range(net.n_gen)))
+        records += zip(vals.tolist(), sensitivity._keys(net, rows))
+    best, kept, valid = oracles.fold(records, TIE_TOL, all_ties)
+    return np.array(best), kept, [key for _, key in records]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _fold_queries(net):
+    """Reference answers of the table, SISO, ties, MISO and enumeration
+    queries on a few pairs, from :func:`_materialized`, and a function that
+    asks the package the same and compares: values byte for byte, sets,
+    ties, valid counts and key order ``==``."""
+    n_g, n_l = net.n_gen, net.n_load
+    pairs = sorted({(0, 0), (n_g - 1, n_l - 1), (n_g // 2, n_l // 2)})
+    load_sets = [sorted({0, n_l - 1}), list(range(n_l))]
+    best, kept, keys = _materialized(net, range(n_l), lambda jac: np.abs(jac).reshape(len(jac), -1))
+    want = {"all": (_bits(best.reshape(n_g, n_l)), [BindingSet(*k[0][1]) for k in kept], len(keys)),
+            "sets": [BindingSet(*key) for key in keys]}
+    for g, l in pairs:
+        for all_ties in (False, True):
+            best, kept, _ = _materialized(net, [l], lambda jac: np.abs(jac[:, g]), all_ties)
+            want[g, l, all_ties] = (_bits(best[0]), [BindingSet(*key) for _, key in kept[0]])
+    for g, loads in itertools.product((0, n_g - 1), load_sets):
+        best, kept, _ = _materialized(
+            net, loads, lambda jac: np.linalg.norm(jac[:, g], axis=1)[:, None])
+        want[g, tuple(loads)] = (_bits(best[0]), BindingSet(*kept[0][0][1]))
+
+    def check():
+        rep = ops.worst_case_all(net)
+        argmax = [bset for row in rep.argmax for bset in row]
+        assert (_bits(rep.cwc), argmax, rep.candidates_valid) == want["all"]
+        assert list(ops.enumerate_binding_sets(net)) == want["sets"]
+        for g, l in pairs:
+            val, bset = ops.worst_case_siso(net, g, l)
+            assert (_bits(val), [bset]) == (want[g, l, False][0], want[g, l, False][1][:1])
+            val, argmax, ties = ops.tied_argmax_sets(net, g, l)
+            assert (_bits(val), ties) == want[g, l, True] and argmax == ties[0]
+        for g, loads in itertools.product((0, n_g - 1), load_sets):
+            val, bset = ops.worst_case_miso(net, g, loads)
+            assert (_bits(val), bset) == want[g, tuple(loads)]
+
+    return check
+
+
+def _small_random_networks():
+    rng = np.random.default_rng(19)
+    return [_random_network(rng, 7, n_gen, 3) for n_gen in (2, 3, 3, 4)]
+
+
+def test_fold_from_solutions_matches_materialized_fold(net9, monkeypatch):
+    """The fold reads chunk maxima and live values off the solutions: on
+    case9 and seeded random networks, at ``CHUNK`` 1, 7 and the default,
+    every query answers as the fold over fully assembled Jacobians does."""
+    for net in (net9, *_small_random_networks()):
+        check = _fold_queries(net)
+        for chunk in (1, 7, sensitivity.CHUNK):
+            monkeypatch.setattr(sensitivity, "CHUNK", chunk)
+            check()
+
+
+def test_fold_from_solutions_matches_materialized_fold_chain18(chain18):
+    """The same on the 18-bus chain at the default ``CHUNK``; criterion 8
+    carries its table to ``CHUNK`` 1 and 7, and ``-m slow`` every query."""
+    _fold_queries(chain18[0])()
+
+
+@pytest.mark.slow
+def test_fold_from_solutions_matches_materialized_fold_chain18_chunks(chain18, monkeypatch):
+    """Every query of :func:`_fold_queries` on the 18-bus chain at ``CHUNK``
+    1 and 7."""
+    check = _fold_queries(chain18[0])
+    for chunk in (1, 7):
+        monkeypatch.setattr(sensitivity, "CHUNK", chunk)
+        check()
 
 
 def test_reports_share_interned_sets(net9, chain18):
