@@ -426,9 +426,14 @@ def sample_lower_bound(
 
     This is explicitly a lower bound on the supremum over the load domain at
     fixed cost and limits; no exact algorithm for that supremum is offered.
-    Samples whose binding count is irregular are skipped and counted.
+    Samples whose binding count is irregular are skipped and counted. Each
+    corner of the box must be a valid load (:func:`check_load`), and
+    ``box_low`` at most ``box_high``: :class:`InvalidLoad` otherwise.
     """
     net.check_pair(gen, load_idx)
+    box_low, box_high = check_load(net, box_low), check_load(net, box_high)
+    if np.any(box_low > box_high):
+        raise InvalidLoad(f"box_low exceeds box_high at load {int(np.argmax(box_low > box_high))}")
     rng = np.random.default_rng(seed)
     best = 0.0
     used = degenerate = 0
@@ -456,8 +461,10 @@ def jacobian_finite_diff(
     generation vectors; a load below ``step`` takes the forward difference,
     since loads cannot go negative. Every stencil point must sit in the same
     active-set region as the center; otherwise :class:`RegionBoundary` is
-    raised.
+    raised, and a ``step`` not finite and positive is :class:`InvalidLoad`.
     """
+    if not 0.0 < step < np.inf:
+        raise InvalidLoad(f"finite-difference step must be finite and positive, got {step}")
     load = np.asarray(load, dtype=float)
     center = solve_opf(net, params, load)
     center_set = extract_binding_set(center, net, params)

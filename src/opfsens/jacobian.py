@@ -33,11 +33,12 @@ The independence test is the pivot ratio of ``B``
 (:func:`linalg.lu_factor_checked`). The set scan, :func:`independence_check`
 and :func:`jacobian_from_binding` all test and solve through
 :func:`reduced_solve`, the one owner of the factors, so they agree by
-construction. It gathers each passed set's ``P`` rows in the pivot order of
-its factors and returns ``y`` as solved, with the reference row and a map
-from generators to rows of ``y`` (:class:`Solved`), not assembled
-Jacobians: the scan reads its maxima off ``y``, and
-:meth:`Solved.jacobian_rows` assembles ``J`` where a caller needs it.
+construction. It gathers each passed set's ``P`` rows in the row order of
+its factors and returns a :class:`Solved` of the sets that pass: their pool
+rows and ``y`` as solved, with a map from generators to rows of ``y``, not
+assembled Jacobians. Its layout stays in this module: the scan reads
+maxima, values and keys through its methods, and
+:meth:`Solved.jacobian_rows` assembles ``J``.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ def _check_cardinality(net: Network, bset: BindingSet) -> None:
         raise CardinalityViolation(
             f"binding set has {bset.size} members, expected n_gen - 1 = {net.n_gen - 1}"
         )
-    if bset.gens and bset.gens[-1] >= net.n_gen:
-        raise CardinalityViolation(f"generator index {bset.gens[-1]} out of range")
-    if bset.branches and bset.branches[-1] >= net.n_edge:
-        raise CardinalityViolation(f"branch index {bset.branches[-1]} out of range")
+    for what, members, size in (("generator", bset.gens, net.n_gen),
+                                ("branch", bset.branches, net.n_edge)):
+        if members and not (members[0] >= 0 and members[-1] < size):
+            raise CardinalityViolation(f"{what} indices {members} not all in range({size})")
 
 
 def pool_rows(net: Network, bset: BindingSet) -> np.ndarray:
@@ -179,26 +180,37 @@ def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
     return SetBatch(rows=rows, cols=cols, slots=slots, bounds=bounds, at=at)
 
 
+Key = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass(frozen=True, slots=True)
 class Solved:
-    """The solutions :func:`reduced_solve` gives for the sets of a batch
-    that pass the test, in batch order.
-
-    ``y`` is ``(n + 2, loads, sets)``: the solutions of the ``n`` block
-    rows, then the reference row ``1 - y_0 - y_1 - ...``, then a row of
-    zeros. The sets come in the batch's groups, runs that bind the same
-    generators: run ``k`` holds sets ``bounds[k]`` to ``bounds[k + 1]``
-    (exclusive, and empty where no set of the group passed), and ``slots[k,
-    v]`` is the row of ``y`` that holds row ``v`` of its sets' Jacobians,
-    ``(runs, n_gen)``.
+    """The sets of a batch that pass :func:`reduced_solve`, in batch order:
+    their :func:`pool_rows`, ``rows``, ``(sets, n_gen - 1)``, and ``y``,
+    ``(n + 2, loads, sets)``, the solutions of the ``n`` block rows, then
+    the reference row ``1 - y_0 - y_1 - ...``, then a row of zeros. The
+    sets come in the batch's groups, runs that bind the same generators:
+    run ``k`` holds sets ``bounds[k]`` to ``bounds[k + 1]`` (exclusive, and
+    empty where no set of the group passed), and ``slots[k, v]`` is the row
+    of ``y`` that holds row ``v`` of its sets' Jacobians, ``(runs, n_gen)``.
     """
 
+    rows: np.ndarray
     y: np.ndarray
     slots: np.ndarray
     bounds: np.ndarray
 
     def __len__(self) -> int:
-        return self.y.shape[2]
+        return len(self.rows)
+
+    def keys(self, sets: np.ndarray | slice = slice(None)) -> list[Key]:
+        """The ``(gens, branches)`` keys of the sets ``sets``, in order, in
+        one conversion: the inverse of :func:`pool_rows`."""
+        rows, n_gen = self.rows[sets], self.slots.shape[1]
+        is_gen = rows < n_gen
+        n_gens = is_gen.sum(axis=1).tolist()
+        rows = np.where(is_gen, rows, rows - n_gen).tolist()
+        return [(tuple(row[:c]), tuple(row[c:])) for row, c in zip(rows, n_gens)]
 
     def set_slots(self, gens: Sequence[int]) -> np.ndarray:
         """The rows of ``y`` that hold the Jacobian rows ``gens`` of each
@@ -210,21 +222,39 @@ class Solved:
         loads)``: the one place Jacobians are assembled from ``y``."""
         return self.y.transpose(2, 0, 1)[np.arange(len(self))[:, None], self.set_slots(gens)]
 
+    def abs_max(self, gens: Sequence[int]) -> np.ndarray:
+        """The largest ``|J[v, l]|`` of the sets for each ``v`` in ``gens``
+        and each load column ``l``, ``(len(gens), loads)``, from the largest
+        and smallest ``y`` of each run: the Jacobians are not assembled."""
+        runs = np.flatnonzero(np.diff(self.bounds))  # reduceat needs no empty run
+        top = np.maximum.reduceat(self.y, self.bounds[runs], axis=2)
+        low = np.minimum.reduceat(self.y, self.bounds[runs], axis=2)
+        np.maximum(top, np.negative(low, out=low), out=top)  # (n + 2, loads, runs)
+        cells = np.arange(len(runs))[:, None], self.slots[runs[:, None], gens]
+        return top.transpose(2, 0, 1)[cells].max(axis=0)
 
-def reduced_solve(net: Network, batch: SetBatch, loads: Sequence[int]) -> tuple[np.ndarray, Solved]:
-    """Test and solve a :class:`SetBatch` of candidate sets.
+    def values(self, gens: np.ndarray, loads: np.ndarray | None) -> np.ndarray:
+        """Each set's value of the entries on Jacobian rows ``gens``,
+        ``(sets, len(gens))``: ``|J[gens[c], loads[c]]|`` of entry ``c``, or
+        with no ``loads`` the Euclidean norm of row ``gens[c]``."""
+        if loads is None:
+            return np.linalg.norm(self.jacobian_rows(gens), axis=2)
+        return np.abs(self.y[self.set_slots(gens), loads, np.arange(len(self))[:, None]])
 
-    Returns ``(ok, solved)``: the verdict of :func:`linalg.lu_factor_checked`
-    on each set's block ``B``, and the :class:`Solved` solutions of the sets
-    that pass, for the load columns ``loads`` only; with no loads nothing is
-    solved. A group's transfer PTDFs are the rows of
+
+def reduced_solve(net: Network, batch: SetBatch, loads: Sequence[int]) -> Solved:
+    """Test a :class:`SetBatch` of candidate sets and solve those that pass.
+
+    Returns the :class:`Solved` of the sets whose block ``B`` passes
+    :func:`linalg.lu_factor_checked`: their pool rows, and their solutions
+    for the load columns ``loads`` only; with no loads nothing is solved. A
+    group's transfer PTDFs are the rows of
     :attr:`~opfsens.network.Network.ptdf_basis` at its block columns' buses,
     or at the load buses, minus the row at its reference: each group's are
     computed once per call, and every set's ``B`` and ``P`` are gathered
     from them. The solve ``y = B^-1 P`` reuses the factors the test judged:
-    each passed set's row swaps are composed into its gather index
-    (:func:`linalg.apply_pivots`), so ``P`` arrives in pivot order. The
-    padding rows are zero in the block's own columns and one on the
+    each set's gather index is put in the row order of its factors, so ``P``
+    arrives in pivot order. The padding rows are zero in the block's own columns and one on the
     diagonal, so the padded matrix is block upper triangular: they take
     multipliers of zero and pivots of 1, and their right-hand sides and
     solution entries are zero. Every set gets the pivots and solution of its
@@ -245,19 +275,20 @@ def reduced_solve(net: Network, batch: SetBatch, loads: Sequence[int]) -> tuple[
 
     # gathered (column, row, set), factored from a transposed view
     blocks = gathered(batch.cols[:, :n], batch.at).transpose(1, 0, 2)
-    lu, piv, ok = linalg.lu_factor_checked(blocks)
+    lu, order, ok = linalg.lu_factor_checked(blocks)
     passed = np.flatnonzero(ok)
     y = np.empty((n + 2, loads.size, passed.size))
     y[n + 1] = 0.0
-    solved = Solved(y=y, slots=batch.slots, bounds=passed.searchsorted(batch.bounds))
+    solved = Solved(rows=batch.rows.take(passed, axis=0), y=y, slots=batch.slots,
+                    bounds=passed.searchsorted(batch.bounds))
     if not (passed.size and loads.size):
-        return ok, solved
+        return solved
     # take keeps the batch axis last in memory; a boolean mask would not
-    at = linalg.apply_pivots(batch.at.take(passed, axis=1), piv.take(passed, axis=1))
+    at = np.take_along_axis(batch.at, order, axis=0).take(passed, axis=1)
     y[:n] = gathered(n_gen + loads, at).transpose(1, 0, 2)
     linalg.lu_solve_factored(lu.take(passed, axis=2), y[:n])
     np.subtract.reduce(y[:n], axis=0, initial=1.0, out=y[n])
-    return ok, solved
+    return solved
 
 
 def _batch_of(net: Network, bset: BindingSet) -> SetBatch:
@@ -268,8 +299,8 @@ def _solve_one(net: Network, bset: BindingSet, loads: Sequence[int]) -> np.ndarr
     """The set's Jacobian for ``loads`` from :func:`reduced_solve`, as an
     array that owns its data; :class:`DependentBindings` unless it passes the
     independence test."""
-    ok, solved = reduced_solve(net, _batch_of(net, bset), loads)
-    if not ok[0]:
+    solved = reduced_solve(net, _batch_of(net, bset), loads)
+    if not len(solved):
         raise DependentBindings(
             f"binding set gens={bset.gens} branches={bset.branches} is dependent: "
             "its reduced block fails the independence test"
@@ -285,7 +316,7 @@ def independence_check(net: Network, bset: BindingSet) -> bool:
     rows, invertibility coincides with row-independence of the binding rows
     in the doubled-inequality standard form.
     """
-    return bool(reduced_solve(net, _batch_of(net, bset), ())[0][0])
+    return len(reduced_solve(net, _batch_of(net, bset), ())) == 1
 
 
 def require_independent(net: Network, bset: BindingSet) -> None:

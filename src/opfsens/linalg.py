@@ -4,16 +4,14 @@ solves, numerical rank.
 Factorization and solves take one batch-last stack, ``(n, n, count)``
 matrices and ``(n, m, count)`` right-hand sides, and run as one sequence of
 whole-stack numpy operations, ``n`` column steps with no call per matrix;
-each step reads and writes contiguous rows of every matrix at once. A solve
-takes its right-hand sides already in pivot order: the caller applies the
-factorization's row swaps with :func:`apply_pivots`, to the right-hand
-sides or, cheaper, to the index it gathers them with. The independence
-tolerance is fixed project-wide at :data:`RANK_REL_TOL`.
+each step reads and writes contiguous rows of every matrix at once. The
+factorization returns each matrix's row order, and a solve takes its
+right-hand sides already in that order: the caller gathers them, or the
+index it gathers them with, through it. The independence tolerance is fixed
+project-wide at :data:`RANK_REL_TOL`.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -49,58 +47,47 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     exactly 1, which move neither the floored scale nor the verdict; that
     would take a block whose smallest pivot exceeds 1 and whose largest
     exceeds ``1 / RANK_REL_TOL``, and partial pivoting grows entries of
-    magnitude 1 at most ``2^(n - 1)``-fold. Returns ``(lu, piv,
+    magnitude 1 at most ``2^(n - 1)``-fold. Returns ``(lu, order,
     independent)``: the unit-lower and upper factors packed in one
-    C-ordered ``(n, n, count)`` array, the row swapped with row ``j`` at
-    step ``j`` as ``(n, count)``, and the verdict of each matrix,
-    ``(count,)``. Each matrix is factored exactly as it would be alone; the
-    factors of a dependent one are not for solving.
+    C-ordered ``(n, n, count)`` array, the row order, ``order[i, s]`` the
+    input row at pivot position ``i`` of matrix ``s``, ``(n, count)``, and
+    the verdict of each matrix, ``(count,)``. Each matrix is factored
+    exactly as it would be alone; the factors of a dependent one are not
+    for solving.
     """
     # a C-ordered copy: row swaps go through flat offsets of w
     w = np.array(a, dtype=float, order="C")
     if w.ndim != 3 or w.shape[0] != w.shape[1]:
         raise DimensionMismatch(f"expected a stack (n, n, count), got shape {w.shape}")
     n, _, count = w.shape
-    piv = np.empty((n, count), dtype=np.intp)
     cells = np.arange(n * count).reshape(n, count)
+    order = np.arange(n, dtype=np.intp)[:, None].repeat(count, axis=1)
     # an exact zero pivot divides zeros by zero: the NaN multipliers that
     # follow only reach matrices the test rejects anyway
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(n - 1):
-            p = piv[j] = np.abs(w[j:, j]).argmax(axis=0) + j
+            p = np.abs(w[j:, j]).argmax(axis=0) + j
             row = _swap_rows(w, j, p * (n * count) + cells)
+            _swap_rows(order, j, p * count + cells[0])
             below = w[j + 1 :, j]
             below /= row[j]
             rest = w[j + 1 :, j + 1 :]
             rest -= below[:, None] * row[j + 1 :]
-    piv[n - 1 :] = n - 1
     pivots = np.abs(w.diagonal().T)
     scale = pivots.max(axis=0, initial=1.0)
     independent = pivots.min(axis=0, initial=np.inf) > RANK_REL_TOL * scale
-    return w, piv, independent
-
-
-def apply_pivots(x: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    """Apply the row swaps ``piv`` of :func:`lu_factor_checked`, ``(n,
-    count)``, in order, to a C-ordered batch-last stack ``x``, ``(n, ...,
-    count)``, in place; returns ``x``. Row ``i`` then holds the row the
-    factorization moved to position ``i``."""
-    if x.shape[0] != piv.shape[0] or x.shape[-1] != piv.shape[-1] or not x.flags.c_contiguous:
-        raise DimensionMismatch(f"C-ordered rows of shape {x.shape}, pivots of shape {piv.shape}")
-    cells = np.arange(math.prod(x.shape[1:])).reshape(x.shape[1:])
-    for j in range(len(piv) - 1):
-        _swap_rows(x, j, piv[j] * cells.size + cells)
-    return x
+    return w, order, independent
 
 
 def lu_solve_factored(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Solve in place with the factors ``lu`` of :func:`lu_factor_checked`.
 
     ``x`` holds one right-hand side per factored matrix, batch-last ``(n,
-    m, count)``, with its rows already in pivot order (:func:`apply_pivots`);
-    it is overwritten with the solution and returned. Each column of the
-    solution is computed on its own, so solving a subset of columns gives
-    those columns bit for bit.
+    m, count)``, its rows already in pivot order: row ``i`` of matrix ``s``
+    holds input row ``order[i, s]`` (:func:`lu_factor_checked`), as
+    ``np.take_along_axis`` over axis 0 gathers it. It is overwritten with
+    the solution and returned. Each column of the solution is computed on
+    its own, so solving a subset of columns gives those columns bit for bit.
     """
     n, _, count = lu.shape
     if x.ndim != 3 or (x.shape[0], x.shape[2]) != (n, count) or x.dtype != float:

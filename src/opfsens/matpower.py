@@ -163,7 +163,7 @@ def parse_matpower(text: str) -> MatpowerCase:
         Unbalanced brackets, non-numeric cells, ragged rows, too few columns,
         a non-finite cell in a column this package reads, a non-integral bus
         id, a generator or branch out of service (status 0), an isolated
-        bus (type 4), bad baseMVA.
+        bus (type 4), demand at a generator bus, bad baseMVA.
     MissingTable
         A required table (or baseMVA) is absent.
     DanglingReference
@@ -211,6 +211,11 @@ def parse_matpower(text: str) -> MatpowerCase:
     for e, (u, v) in enumerate(case.branch_endpoints):
         if u not in known or v not in known:
             raise DanglingReference(f"branch {e} endpoint ({u},{v}) refers to unknown bus")
+    gen_buses = set(case.gen_buses)
+    for i, row in enumerate(case.bus):
+        if row[_BUS_PD] != 0 and int(row[_BUS_I]) in gen_buses:
+            raise MalformedMatrix(f"table 'bus': row {i} puts {row[_BUS_PD]:g} MW of demand on "
+                                  f"generator bus {int(row[_BUS_I])}, which is not modelled")
     if len(case.gencost) < case.n_gen:
         raise MissingTable(
             f"gencost has {len(case.gencost)} rows for {case.n_gen} generators"

@@ -14,12 +14,12 @@ from tables of branch combinations, with the layout of each set's reduced
 block; it is tested and solved by
 :func:`~opfsens.jacobian.reduced_solve` for only the load columns the query
 reads: one for a single pair and its ties, the load set for MISO, every load
-for the whole table, none for enumeration. The fold reads each chunk's
-maxima of ``|J|`` off the solutions ``y`` run by run, and per-set values
-only for the entries that chunk can change; the Jacobians are never
-assembled. Index rows become ``(gens, branches)`` keys only for the records
-a query keeps, in one conversion per chunk, and reported sets are shared
-objects, one per distinct set.
+for the whole table, none for enumeration. The fold reads its one result,
+a :class:`~opfsens.jacobian.Solved` of the sets that pass, through three
+methods: each chunk's maxima of ``|J|`` run by run (``abs_max``), per-set
+values only for the entries the chunk can change (``values``), and, in one
+conversion per chunk, the keys of the records a query keeps (``keys``). No
+Jacobian is assembled, and reported sets are shared, one per distinct set.
 
 Tie rule: the reported value is the maximum, and the reported set is the
 first independent set in lexicographic order whose value is at least the
@@ -41,6 +41,7 @@ import numpy as np
 from .errors import EmptyLoadSet, NoValidSet
 from .jacobian import (
     BindingSet,
+    Key,
     Part,
     SetBatch,
     Solved,
@@ -69,8 +70,6 @@ COMBO_ROWS = 1 << 16
 #: 18-bus chain with 53130 (44485 live, 1.8 MB of rows), build them as they
 #: scan
 CACHED_CANDIDATES = 4096
-
-Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 #: the live-branch lists of each network scanned, dropped with it
 _LIVE: weakref.WeakKeyDictionary[Network, tuple[tuple[int, ...], ...]] = weakref.WeakKeyDictionary()
@@ -148,14 +147,6 @@ def _subset_rows(gens: tuple[int, ...], live: Sequence[int], n_gen: int) -> Iter
             yield rows
 
 
-def _keys(net: Network, rows: np.ndarray) -> list[Key]:
-    """The ``(gens, branches)`` keys of rows of pool indices, in order."""
-    is_gen = rows < net.n_gen
-    n_gens = is_gen.sum(axis=1).tolist()
-    rows = np.where(is_gen, rows, rows - net.n_gen).tolist()
-    return [(tuple(row[:c]), tuple(row[c:])) for row, c in zip(rows, n_gens)]
-
-
 def candidate_count(net: Network) -> int:
     """Number of cardinality-feasible sets, before the independence filter:
     ``n_gen - 1`` of the ``n_gen + n_edge`` pool rows."""
@@ -196,13 +187,12 @@ def _cached_chunks(
     return tuple(_chunks(n_gen, n_edge, live, size))
 
 
-def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, Solved]]:
+def _scan(net: Network, loads: Sequence[int]) -> Iterator[Solved]:
     """The one pass over the candidate sets in lexicographic order: yields
-    the pool rows of each chunk's independent sets and their
-    :class:`~opfsens.jacobian.Solved` solutions for the load columns
-    ``loads``, from :func:`reduced_solve`; with no ``loads`` nothing is
-    solved. The chunks are :func:`_chunks` of ``CHUNK`` sets over the live
-    branches, kept per shape and live-branch lists up to
+    each chunk's independent sets, solved for the load columns ``loads``, as
+    the :class:`~opfsens.jacobian.Solved` of :func:`reduced_solve`; with no
+    ``loads`` nothing is solved. The chunks are :func:`_chunks` of ``CHUNK``
+    sets over the live branches, kept per shape and live-branch lists up to
     :data:`CACHED_CANDIDATES` candidates. Each set gets the numbers of its
     own block, so no result depends on the chunking."""
     live = _live_branches(net)
@@ -211,31 +201,9 @@ def _scan(net: Network, loads: Sequence[int]) -> Iterator[tuple[np.ndarray, Solv
     else:
         chunks = _chunks(net.n_gen, net.n_edge, live, CHUNK)
     for batch in chunks:
-        ok, solved = reduced_solve(net, batch, loads)
-        if ok.any():
-            yield batch.rows[ok], solved
-
-
-def _abs_max(solved: Solved, gens: Sequence[int]) -> np.ndarray:
-    """The largest ``|J[v, l]|`` of the chunk for each ``v`` in ``gens`` and
-    each load column ``l``, ``(len(gens), loads)``, from the largest and
-    smallest ``y`` of each run: the Jacobians are not assembled."""
-    y, bounds = solved.y, solved.bounds
-    runs = np.flatnonzero(bounds[1:] - bounds[:-1])  # reduceat needs no empty run
-    top = np.maximum.reduceat(y, bounds[runs], axis=2)
-    low = np.minimum.reduceat(y, bounds[runs], axis=2)
-    np.maximum(top, np.negative(low, out=low), out=top)  # (n + 2, loads, runs)
-    cells = np.arange(len(runs))[:, None], solved.slots[runs[:, None], gens]
-    return top.transpose(2, 0, 1)[cells].max(axis=0)
-
-
-def _values(solved: Solved, gens: np.ndarray, loads: np.ndarray | None) -> np.ndarray:
-    """Each set's value of the entries on Jacobian rows ``gens``,
-    ``(sets, len(gens))``: ``|J[gens[c], loads[c]]|`` of entry ``c``, or
-    with no ``loads`` the Euclidean norm of row ``gens[c]``."""
-    if loads is None:
-        return np.linalg.norm(solved.jacobian_rows(gens), axis=2)
-    return np.abs(solved.y[solved.set_slots(gens), loads, np.arange(len(solved))[:, None]])
+        solved = reduced_solve(net, batch, loads)
+        if len(solved):
+            yield solved
 
 
 def _fold(
@@ -257,11 +225,11 @@ def _fold(
     set within :data:`TIE_TOL` of it is. A chunk is folded only into its
     live columns, those whose chunk maximum can set a record: above
     ``best``, or with ``all_ties`` within :data:`TIE_TOL` of it. With many
-    ``|J|`` entries (the table), the chunk maxima come from ``y`` run by run
-    (:func:`_abs_max`) and per-set values are gathered for live columns
-    only. A single entry (a pair, its ties) or a norm is read for every
-    set: on the one- or two-chunk stage scans of a decomposition it is live
-    in most chunks, so run maxima would add numpy calls and save none.
+    ``|J|`` entries (the table), the chunk maxima come run by run
+    (``Solved.abs_max``) and per-set values for live columns only. A single
+    entry (a pair, its ties) or a norm is read for every set: on the one- or
+    two-chunk stage scans of a decomposition it is live in most chunks, so
+    run maxima would add numpy calls and save none.
     """
     gens = np.asarray(gens, dtype=np.intp)
     if norm:
@@ -273,18 +241,18 @@ def _fold(
     kept: list[list[tuple[float, Key]]] = [[] for _ in best]
     by_run = not norm and len(best) > 1
     valid = 0
-    for rows, solved in _scan(net, loads):
-        valid += len(rows)
+    for solved in _scan(net, loads):
+        valid += len(solved)
         if by_run:
-            top = _abs_max(solved, gens).reshape(-1)
+            top = solved.abs_max(gens).reshape(-1)
         else:
-            vals = _values(solved, entry_gens, entry_loads)
+            vals = solved.values(entry_gens, entry_loads)
             top = vals.max(axis=0)
         live = np.flatnonzero(top >= best - TIE_TOL if all_ties else top > best)
         if not live.size:
             continue
         if by_run:
-            vals = _values(solved, entry_gens[live], entry_loads[live])
+            vals = solved.values(entry_gens[live], entry_loads[live])
         else:
             vals = vals[:, live]
         running = np.maximum.accumulate(np.vstack([best[live], vals]))
@@ -296,7 +264,7 @@ def _fold(
             p = live[c]
             kept[p] = [entry for entry in kept[p] if entry[0] >= floor[c]]
         ts, cs = np.nonzero(take)
-        for p, value, key in zip(live[cs].tolist(), vals[ts, cs].tolist(), _keys(net, rows[ts])):
+        for p, value, key in zip(live[cs].tolist(), vals[ts, cs].tolist(), solved.keys(ts)):
             kept[p].append((value, key))
         best[live] = running[-1]
     if not valid:
@@ -306,8 +274,8 @@ def _fold(
 
 def enumerate_binding_sets(net: Network) -> Iterator[BindingSet]:
     """Yield every independent binding set in lexicographic order."""
-    for rows, _ in _scan(net, ()):
-        for key in _keys(net, rows):
+    for solved in _scan(net, ()):
+        for key in solved.keys():
             yield BindingSet(*key)
 
 

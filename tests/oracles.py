@@ -162,6 +162,14 @@ def lex_candidates(net: Network) -> list[tuple[tuple[int, ...], tuple[int, ...]]
             for sb in combinations(range(net.n_edge), need - len(sg))]
 
 
+def row_keys(net: Network, rows) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The ``(gens, branches)`` key of each row of pool indices, one row at a
+    time: its generators, then its branch rows less ``n_gen``."""
+    n_gen = net.n_gen
+    return [(tuple(v for v in row if v < n_gen), tuple(v - n_gen for v in row if v >= n_gen))
+            for row in np.asarray(rows).tolist()]
+
+
 def dead_branches(net: Network, gens) -> set[int]:
     """The branches whose transfer PTDFs from every generator free of
     ``gens`` to the lowest such one are exact zeros in the network's PTDF
@@ -197,7 +205,8 @@ def csgraph_components(n_bus: int, edges, removed=()) -> list[tuple[int, ...]]:
 
 # The package's stacked LU as it was before its batch-last layout, verbatim
 # but for the single-matrix path, which raised an error the package no
-# longer has: one ``(batch, n, n)`` array, each column step a whole-stack
+# longer has, and for the row order it returns where it returned its row
+# swaps: one ``(batch, n, n)`` array, each column step a whole-stack
 # operation.
 def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LU-factor a square matrix, or a stack ``(..., n, n)`` of them, with
@@ -209,9 +218,9 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     The floor of 1 fits the matrices the package factors, ``S N`` of
     :mod:`~opfsens.jacobian`: dimensionless, with entries of magnitude at
     most 1, so a matrix whose rows are all rounding noise is dependent
-    rather than well scaled. Returns ``(lu, piv, independent)``: the
-    unit-lower and upper factors packed in one array, the row swapped with
-    row ``j`` at step ``j``, and the verdict of each matrix in the stack.
+    rather than well scaled. Returns ``(lu, order, independent)``: the
+    unit-lower and upper factors packed in one array, the input row at each
+    pivot position, and the verdict of each matrix in the stack.
     Each matrix is factored exactly as it would be alone; the factors of a
     dependent one are not for solving.
     """
@@ -220,25 +229,26 @@ def lu_factor_checked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     n = a.shape[-1]
     lu = a.reshape(math.prod(a.shape[:-2]), n, n).copy()
-    piv = np.empty(lu.shape[:2], dtype=np.intp)
+    order = np.tile(np.arange(n), (len(lu), 1))
     at = np.arange(len(lu))
     # an exact zero pivot divides zeros by zero: the NaN multipliers that
     # follow only reach matrices the test rejects anyway
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(n - 1):
             p = j + np.abs(lu[:, j:, j]).argmax(axis=1)
-            piv[:, j] = p
             row = lu[at, p]
             lu[at, p] = lu[:, j]
             lu[:, j] = row
+            moved = order[at, p]
+            order[at, p] = order[:, j]
+            order[:, j] = moved
             below = lu[:, j + 1 :, j]
             below /= row[:, j, None]
             lu[:, j + 1 :, j + 1 :] -= below[:, :, None] * row[:, None, j + 1 :]
-    piv[:, n - 1 :] = n - 1
     pivots = np.abs(lu.diagonal(axis1=1, axis2=2))
     scale = np.maximum(pivots.max(axis=1, initial=0.0), 1.0)
     independent = pivots.min(axis=1, initial=np.inf) > RANK_REL_TOL * scale
-    return lu.reshape(a.shape), piv.reshape(a.shape[:-1]), independent.reshape(a.shape[:-2])
+    return lu.reshape(a.shape), order.reshape(a.shape[:-1]), independent.reshape(a.shape[:-2])
 
 
 def sn_basis(net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -262,12 +272,12 @@ def sn_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.ndar
     as ``np.subtract.reduce`` of ones over ``y``."""
     pool_n, pool_p = sn_basis(net)
     loads = np.asarray(loads, dtype=np.intp)
-    lu, piv, ok = lu_factor_checked(pool_n[rows])
+    lu, order, ok = lu_factor_checked(pool_n[rows])
     passed = np.flatnonzero(ok)
     if not (passed.size and loads.size):
         return ok, np.zeros((passed.size, net.n_gen, loads.size))
-    rhs = np.ascontiguousarray(pool_p[rows[passed, :, None], loads].transpose(1, 2, 0))
-    rhs = linalg.apply_pivots(rhs, piv[passed].T)
+    in_order = np.take_along_axis(rows[passed], order[passed], axis=1)
+    rhs = np.ascontiguousarray(pool_p[in_order[:, :, None], loads].transpose(1, 2, 0))
     y = linalg.lu_solve_factored(lu[passed].transpose(1, 2, 0), rhs)
     jac = np.concatenate([np.ones((1,) + y.shape[1:]), y])
     jac[0] = np.subtract.reduce(jac)
@@ -290,13 +300,11 @@ def block_solve(net: Network, rows: np.ndarray, loads) -> tuple[np.ndarray, np.n
         ref, *others = [g for g in range(net.n_gen) if g not in gens]
         branches = [v for v in row if v >= net.n_gen]
         block = (by_bus[np.ix_(others, branches)] - by_bus[ref, branches]).T
-        lu, piv, ok = (v[0] for v in lu_factor_checked(block[None]))
+        lu, order, ok = (v[0] for v in lu_factor_checked(block[None]))
         oks.append(bool(ok))
         if not ok:
             continue
-        y = (by_bus[np.ix_(net.n_gen + loads, branches)] - by_bus[ref, branches]).T.copy()
-        for j, p in enumerate(piv):
-            y[[j, p]] = y[[p, j]]
+        y = (by_bus[np.ix_(net.n_gen + loads, branches)] - by_bus[ref, branches]).T[order]
         for j in range(len(y)):
             y[j + 1 :] -= lu[j + 1 :, j, None] * y[j]
         for j in reversed(range(len(y))):

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfsens as ops
-from opfsens import sensitivity
-from opfsens.errors import CardinalityViolation, DependentBindings, RegionBoundary
+from opfsens import dcopf, sensitivity
+from opfsens.errors import CardinalityViolation, DependentBindings, InvalidLoad, RegionBoundary
 from opfsens.jacobian import BindingSet, pool_rows, reduced_solve, set_batch
 from opfsens.network import assemble_network
 
@@ -93,6 +93,23 @@ def test_cardinality_enforced(net9):
         ops.jacobian_from_binding(net9, oversized)
 
 
+@pytest.mark.parametrize("gens, branches", [
+    ((0,), (-1,)),   # pool row n_gen - 1 would be generator 2
+    ((-1,), (3,)),
+    ((), (2, 9)),
+    ((1, 3), ()),
+])
+def test_member_indices_must_be_in_range(net9, gens, branches):
+    """A negative or too large generator or branch index is a
+    CardinalityViolation from both entry points, not another set's answer
+    or a numpy error."""
+    bset = BindingSet(gens, branches)
+    with pytest.raises(CardinalityViolation, match="not all in range"):
+        ops.independence_check(net9, bset)
+    with pytest.raises(CardinalityViolation, match="not all in range"):
+        ops.jacobian_from_binding(net9, bset)
+
+
 def test_two_bus_jacobian_is_one(two_bus):
     net, _ = two_bus
     res = ops.jacobian_from_binding(net, BindingSet((), ()))
@@ -167,6 +184,15 @@ def test_finite_diff_region_boundary(net9, params9):
     # the same point differentiates cleanly with a sane step
     jac = ops.jacobian_finite_diff(net9, params9, center, step=1e-4)
     assert jac.shape == (3, 6)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, np.nan, np.inf])
+def test_finite_diff_step_must_be_finite_and_positive(net9, params9, loads9, monkeypatch, step):
+    """A step that is zero, negative or not finite is an InvalidLoad raised
+    before any LP is solved, not an all-NaN Jacobian."""
+    monkeypatch.setattr(dcopf, "solve_opf", None)  # any LP solve would fail with a TypeError
+    with pytest.raises(InvalidLoad, match="step must be finite and positive"):
+        ops.jacobian_finite_diff(net9, params9, loads9, step=step)
 
 
 def test_independence_matches_rank_oracle(net9, params9, loads9):
@@ -293,10 +319,10 @@ def _batch(net, rows):
 
 
 def _solve(net, batch, loads):
-    """``reduced_solve``'s verdicts and the Jacobians of the passed sets,
-    assembled by ``Solved.jacobian_rows``."""
-    ok, solved = reduced_solve(net, batch, loads)
-    return ok, solved.jacobian_rows(range(net.n_gen))
+    """``reduced_solve``'s passed sets and their Jacobians, assembled by
+    ``Solved.jacobian_rows``."""
+    solved = reduced_solve(net, batch, loads)
+    return solved, solved.jacobian_rows(range(net.n_gen))
 
 
 def test_load_columns_solve_bit_for_bit(chain18):
@@ -307,16 +333,19 @@ def test_load_columns_solve_bit_for_bit(chain18):
     net = chain18[0]
     keys = oracles.lex_candidates(net)[0:20000:40]
     batch = _batch(net, [pool_rows(net, BindingSet(*key)) for key in keys])
-    ok, full = _solve(net, batch, np.arange(net.n_load))
-    assert full.shape == (np.count_nonzero(ok), net.n_gen, net.n_load)
+    solved, full = _solve(net, batch, np.arange(net.n_load))
+    assert full.shape == (len(solved), net.n_gen, net.n_load)
     for loads in ([3], [0, 4, 8], [8, 1]):
-        part_ok, part = _solve(net, batch, np.array(loads))
-        assert np.array_equal(part_ok, ok) and np.array_equal(part, full[:, :, loads])
-    empty_ok, empty = _solve(net, batch, np.array([], int))
-    assert np.array_equal(empty_ok, ok) and np.array_equal(empty, full[:, :, :0])
-    for t in np.flatnonzero(ok)[::25]:
-        jac = ops.jacobian_from_binding(net, BindingSet(*keys[t])).jac
-        assert _same_bits(jac, full[np.count_nonzero(ok[:t])])
+        part_solved, part = _solve(net, batch, np.array(loads))
+        assert np.array_equal(part_solved.rows, solved.rows)
+        assert np.array_equal(part, full[:, :, loads])
+    empty_solved, empty = _solve(net, batch, np.array([], int))
+    assert np.array_equal(empty_solved.rows, solved.rows) and np.array_equal(empty, full[:, :, :0])
+    passed = solved.keys()
+    assert passed == oracles.row_keys(net, solved.rows) and set(passed) <= set(keys)
+    for k in range(0, len(passed), 25):
+        jac = ops.jacobian_from_binding(net, BindingSet(*passed[k])).jac
+        assert _same_bits(jac, full[k])
 
 
 def _same_bits(a, b):
@@ -361,10 +390,10 @@ def test_reduced_solve_matches_oracle_pipeline(case):
     own size) or spans several (blocks padded to the largest)."""
     net, rows, loads = case
     batch = _batch(net, rows)
-    ok, jac = _solve(net, batch, loads)
+    solved, jac = _solve(net, batch, loads)
     with np.errstate(divide="ignore", invalid="ignore"):
         want_ok, want = oracles.block_solve(net, rows, loads)
-    assert np.array_equal(ok, want_ok)
+    assert np.array_equal(solved.rows, rows[want_ok])
     assert _same_bits(jac, want)
 
 
@@ -377,8 +406,8 @@ def _sn_agreement(net):
     with np.errstate(divide="ignore", invalid="ignore"):
         want_ok, want = oracles.sn_solve(net, rows, loads)
     scanned = list(sensitivity._scan(net, loads))
-    got_rows = np.concatenate([r for r, _ in scanned])
-    got = np.concatenate([solved.jacobian_rows(range(net.n_gen)) for _, solved in scanned])
+    got_rows = np.concatenate([solved.rows for solved in scanned])
+    got = np.concatenate([solved.jacobian_rows(range(net.n_gen)) for solved in scanned])
     assert np.array_equal(got_rows, rows[want_ok])
     err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
     assert err.max() <= 1e-12

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import opfsens as ops
 from opfsens.errors import DimensionMismatch
 from opfsens.jacobian import BindingSet
-from opfsens.linalg import (
-    apply_pivots, lu_factor_checked, lu_solve_factored, numerical_rank, rcond_estimate)
+from opfsens.linalg import lu_factor_checked, lu_solve_factored, numerical_rank, rcond_estimate
 
 import oracles
 
@@ -26,10 +25,16 @@ def _independent(*mats):
     return lu_factor_checked(_stack(*mats))[2].tolist()
 
 
-def _solve_factored(lu, piv, rhs):
-    """Solve with the factors for a batch-last ``rhs`` in natural row order:
-    a C-ordered copy, put in pivot order first."""
-    return lu_solve_factored(lu, apply_pivots(np.array(rhs, dtype=float, order="C"), piv))
+def _in_order(x, order):
+    """Batch-last rows ``x``, ``(n, m, count)``, gathered in the row order
+    ``order`` of the factors, ``(n, count)``."""
+    return np.take_along_axis(np.asarray(x, dtype=float), order[:, None], axis=0)
+
+
+def _solve_factored(lu, order, rhs):
+    """Solve with the factors for a batch-last ``rhs`` in natural row order,
+    gathered in pivot order first."""
+    return lu_solve_factored(lu, _in_order(rhs, order))
 
 
 def _solve(a, rhs):
@@ -73,11 +78,11 @@ def test_stack_marks_dependent_members():
     """A stack is factored matrix by matrix: dependent members are marked
     and the rest solve as they would alone."""
     stack = _stack(np.eye(2), [[1.0, 2.0], [2.0, 4.0]], [[2.0, 0.0], [0.0, 4.0]])
-    lu, piv, independent = lu_factor_checked(stack)
+    lu, order, independent = lu_factor_checked(stack)
     assert independent.tolist() == [True, False, True]
     passed = np.flatnonzero(independent)
     rhs = np.broadcast_to(np.array([[2.0], [8.0]])[..., None], (2, 1, 2))
-    x = _solve_factored(lu.take(passed, axis=2), piv.take(passed, axis=1), rhs)
+    x = _solve_factored(lu.take(passed, axis=2), order.take(passed, axis=1), rhs)
     assert x[:, 0].T.tolist() == [[2.0, 8.0], [1.0, 2.0]]
     assert np.array_equal(x[..., 1], _solve(stack[..., 2], rhs[..., 0]))
 
@@ -92,10 +97,10 @@ def test_reference_pivot_is_at_least_one():
 
 
 def test_empty_matrices_are_independent():
-    lu, piv, independent = lu_factor_checked(np.zeros((0, 0, 3)))
-    assert lu.shape == (0, 0, 3) and piv.shape == (0, 3)
+    lu, order, independent = lu_factor_checked(np.zeros((0, 0, 3)))
+    assert lu.shape == (0, 0, 3) and order.shape == (0, 3)
     assert independent.tolist() == [True, True, True]
-    assert _solve_factored(lu, piv, np.zeros((0, 2, 3))).shape == (0, 2, 3)
+    assert _solve_factored(lu, order, np.zeros((0, 2, 3))).shape == (0, 2, 3)
 
 
 def test_zero_pivot_member_factors_apart():
@@ -103,12 +108,12 @@ def test_zero_pivot_member_factors_apart():
     every other member factors bit for bit as it would alone."""
     good = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
     zero_column = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]])
-    lu, piv, independent = lu_factor_checked(_stack(good, zero_column, good.T))
+    lu, order, independent = lu_factor_checked(_stack(good, zero_column, good.T))
     assert independent.tolist() == [True, False, True]
     for k, a in ((0, good), (2, good.T)):
         alone = lu_factor_checked(a[..., None])
         assert np.array_equal(lu[..., k], alone[0][..., 0])
-        assert np.array_equal(piv[:, k], alone[1][:, 0])
+        assert np.array_equal(order[:, k], alone[1][:, 0])
 
 
 def _bits(arrays):
@@ -141,25 +146,25 @@ def _stacks(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_stacks())
 def test_batch_last_kernel_matches_row_major_oracle(a):
-    """Factors, pivots and verdicts are bitwise the row-major oracle's, moved
+    """Factors, row orders and verdicts are bitwise the row-major oracle's, moved
     batch-last, and each member's factored alone; a transposed gather, which
     is not C-contiguous, factors to the same bits as its C-ordered copy. One
     right-hand side per matrix solves within eps * cond of np.linalg.solve."""
     with np.errstate(divide="ignore", invalid="ignore"):
         want = oracles.lu_factor_checked(a)
     gather = a[np.arange(len(a))].transpose(1, 2, 0)
-    lu, piv, ok = got = lu_factor_checked(np.ascontiguousarray(gather))
+    lu, order, ok = got = lu_factor_checked(np.ascontiguousarray(gather))
     assert all(np.array_equal(x, y) for x, y in zip(_bits(got), _bits(lu_factor_checked(gather))))
-    batch_first = (lu.transpose(2, 0, 1), piv.T, ok)
+    batch_first = (lu.transpose(2, 0, 1), order.T, ok)
     assert all(np.array_equal(x, y) for x, y in zip(_bits(batch_first), _bits(want)))
     for k in range(len(a)):
         alone = [v[..., 0] for v in lu_factor_checked(a[k][..., None])]
-        mine = (lu[..., k], piv[:, k], ok[k])
+        mine = (lu[..., k], order[:, k], ok[k])
         assert all(np.array_equal(x, y) for x, y in zip(_bits(alone), _bits(mine)))
 
     rhs = np.random.default_rng(len(a)).standard_normal(a.shape[:2] + (3,))
     passed = np.flatnonzero(ok)
-    x = _solve_factored(lu.take(passed, axis=2), piv.take(passed, axis=1),
+    x = _solve_factored(lu.take(passed, axis=2), order.take(passed, axis=1),
                         rhs[passed].transpose(1, 2, 0))
     assert x.shape == (a.shape[1], 3, len(passed))
     if a.shape[-1]:  # cond is undefined for 0 x 0
@@ -172,18 +177,14 @@ def test_batch_last_kernel_matches_row_major_oracle(a):
 
 def test_per_matrix_rhs_shape_checked():
     """A solve takes one batch-last float right-hand side per factored
-    matrix, and factors a batch-last stack of square matrices only; row
-    swaps take C-ordered rows and pivots of matching shape."""
-    lu, piv = lu_factor_checked(_stack(np.eye(2), 2.0 * np.eye(2)))[:2]
+    matrix, and factors a batch-last stack of square matrices only."""
+    lu, order = lu_factor_checked(_stack(np.eye(2), 2.0 * np.eye(2)))[:2]
     rhs = np.broadcast_to(np.array([[2.0], [4.0]])[..., None], (2, 1, 2))
-    x = _solve_factored(lu, piv, rhs)
+    x = _solve_factored(lu, order, rhs)
     assert x[:, 0].T.tolist() == [[2.0, 4.0], [1.0, 2.0]]
     for bad in (np.ones((2, 1, 3)), np.ones((3, 1, 2)), np.ones((2, 1)), np.ones((2, 1, 2), int)):
         with pytest.raises(DimensionMismatch):
             lu_solve_factored(lu, bad)
-    for bad in (np.ones((3, 2), int), np.ones((2, 3), int), np.ones((2, 2), int).T):
-        with pytest.raises(DimensionMismatch):
-            apply_pivots(bad, piv)
     for bad in (np.eye(2), np.ones((2, 3, 4)), np.ones((1, 2, 2, 2))):
         with pytest.raises(DimensionMismatch):
             lu_factor_checked(bad)
@@ -200,19 +201,24 @@ def test_invert_round_trip():
 
 
 def test_pivoted_index_gathers_pivot_order():
-    """Row swaps applied to a gather index give, once gathered, the rows the
-    swaps give applied to the gathered right-hand sides, bit for bit, and
-    the solve takes them as they come: it runs no swap pass of its own."""
+    """The row order is each matrix's permutation ``P`` with ``P A = L U``;
+    gathering the index in it gives, once gathered, the gathered right-hand
+    sides in it, bit for bit, and the solve takes them as they come: it runs
+    no swap pass of its own."""
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 5, 40))
-    lu, piv, _ = lu_factor_checked(a)
-    assert (piv[:-1] != np.arange(4)[:, None]).any()
+    lu, order, _ = lu_factor_checked(a)
+    assert (order != np.arange(5)[:, None]).any()
+    assert np.array_equal(np.sort(order, axis=0), np.broadcast_to(np.arange(5)[:, None], (5, 40)))
+    for k in range(40):
+        lower = np.tril(lu[..., k], -1) + np.eye(5)
+        assert np.allclose(lower @ np.triu(lu[..., k]), a[order[:, k], :, k], rtol=0, atol=1e-12)
     table = rng.standard_normal((30, 2))
     at = rng.integers(len(table), size=(5, 40))
     gathered = table[at].transpose(0, 2, 1)  # (n, m, count)
-    swapped = apply_pivots(np.ascontiguousarray(gathered), piv)
-    assert np.array_equal(swapped, table[apply_pivots(at.copy(), piv)].transpose(0, 2, 1))
-    x = lu_solve_factored(lu, swapped.copy())
+    in_order = _in_order(gathered, order)
+    assert np.array_equal(in_order, table[np.take_along_axis(at, order, axis=0)].transpose(0, 2, 1))
+    x = lu_solve_factored(lu, in_order.copy())
     for k in range(40):
         assert np.allclose(a[..., k] @ x[..., k], gathered[..., k], rtol=0, atol=1e-9)
     unswapped = lu_solve_factored(lu, np.ascontiguousarray(gathered))

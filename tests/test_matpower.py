@@ -221,6 +221,24 @@ def test_out_of_service_row_exit_1(case9_text, tmp_path, capsys, table, cells, b
     assert f"table '{table}': row {row} is out of service" in err["message"]
 
 
+def test_generator_bus_demand_exit_1(case9_text, tmp_path, capsys):
+    """Demand at a generator bus is a malformed table naming the bus, not
+    dropped without a word: the network models only the load buses'
+    demand, so `solve` would print the stock dispatch."""
+    cells = "\t2\t2\t0\t0\t"
+    assert case9_text.count(cells) == 1
+    text = case9_text.replace(cells, "\t2\t2\t80\t0\t")
+    message = "table 'bus': row 1 puts 80 MW of demand on generator bus 2, which is not modelled"
+    with pytest.raises(MalformedMatrix, match=f"^{re.escape(message)}$"):
+        ops.parse_matpower(text)
+    path = tmp_path / "gen_demand.m"
+    path.write_text(text)
+    assert main(["solve", "--case", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == {"type": "MalformedMatrix", "message": message}
+
+
 def test_branch_rows_without_status_are_in_service(case9_text):
     net, _ = ops.build_network(ops.parse_matpower(_cut_rows(case9_text, "branch", 10)))
     assert net.n_edge == 9

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfsens as ops
-from opfsens import sensitivity
-from opfsens.errors import DependentBindings, EmptyLoadSet, NoValidSet
+from opfsens import dcopf, sensitivity
+from opfsens.errors import DependentBindings, DimensionMismatch, EmptyLoadSet, InvalidLoad, NoValidSet
 from opfsens.jacobian import BindingSet, SetBatch, Solved, reduced_solve, set_batch
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count
@@ -68,7 +68,7 @@ def _walked(net, live):
     per generator subset, each kept only if it binds its block's subset."""
     return [key for gens, branches in zip(sensitivity._gen_subsets(net.n_gen), live)
             for rows in sensitivity._subset_rows(gens, branches, net.n_gen)
-            for key in sensitivity._keys(net, rows) if key[0] == gens]
+            for key in oracles.row_keys(net, rows) if key[0] == gens]
 
 
 @pytest.mark.parametrize("combo_rows", [sensitivity.COMBO_ROWS, 40, 1])
@@ -130,8 +130,7 @@ def test_dead_branch_exclusion_is_exact(net9, chain18):
     assert len(keys) == 8645 == candidate_count(net) - sum(map(len, chunks))
     for gens, run in itertools.groupby(keys, key=lambda key: key[0]):
         rows = np.array([gens + tuple(net.n_gen + e for e in branches) for _, branches in run])
-        ok, _ = reduced_solve(net, set_batch(net.n_gen, net.n_edge, [(gens, rows)]), ())
-        assert not ok.any()
+        assert not len(reduced_solve(net, set_batch(net.n_gen, net.n_edge, [(gens, rows)]), ()))
 
 
 @pytest.mark.slow
@@ -394,8 +393,7 @@ def test_cached_chunks_are_the_packed_chunks(net9, chain18, chain27, monkeypatch
                 scans.append(list(sensitivity._scan(net, range(net.n_load))))
             used, bypassed = scans
             assert len(used) == len(bypassed)
-            for (rows, solved), (want_rows, want) in zip(used, bypassed):
-                assert np.array_equal(rows, want_rows)
+            for solved, want in zip(used, bypassed):
                 for field in dataclasses.fields(Solved):
                     assert np.array_equal(getattr(solved, field.name), getattr(want, field.name))
     finally:
@@ -426,8 +424,8 @@ def _planted_chunks(rows, vals, chunk):
     network in chunks of ``chunk`` sets: the reference row holds them."""
     for i in range(0, len(vals), chunk):
         y = vals[i : i + chunk].T[None]
-        yield rows[i : i + chunk], Solved(y=y, slots=np.zeros((1, 1), int),
-                                          bounds=np.array([0, y.shape[2]]))
+        yield Solved(rows=rows[i : i + chunk], y=y, slots=np.zeros((1, 1), int),
+                     bounds=np.array([0, y.shape[2]]))
 
 
 @pytest.mark.parametrize("all_ties", [False, True])
@@ -443,7 +441,7 @@ def test_fold_matches_one_record_tie_rule(monkeypatch, all_ties):
         vals = _planted_stream(seed, width=width)
         rows = 1 + np.arange(len(vals))[:, None]
         want_best, want_kept, want_valid = oracles.fold(
-            zip(vals.tolist(), sensitivity._keys(net, rows)), TIE_TOL, all_ties)
+            zip(vals.tolist(), oracles.row_keys(net, rows)), TIE_TOL, all_ties)
         at_tol += sum(value == best - TIE_TOL for kept, best in zip(want_kept, want_best)
                       for value, _ in kept)
         for chunk in (1, 7, sensitivity.CHUNK):
@@ -461,9 +459,9 @@ def _materialized(net, loads, score, all_ties=False):
     ``Solved.jacobian_rows``, scored per set by ``score`` and folded one
     record at a time by ``oracles.fold``."""
     records = []
-    for rows, solved in sensitivity._scan(net, loads):
+    for solved in sensitivity._scan(net, loads):
         vals = score(solved.jacobian_rows(range(net.n_gen)))
-        records += zip(vals.tolist(), sensitivity._keys(net, rows))
+        records += zip(vals.tolist(), oracles.row_keys(net, solved.rows))
     best, kept, valid = oracles.fold(records, TIE_TOL, all_ties)
     return np.array(best), kept, [key for _, key in records]
 
@@ -587,3 +585,16 @@ def test_sample_lower_bound(net9, params9):
     assert res.samples_used + res.samples_degenerate == 30
     assert res.samples_used > 0
     assert res.value <= wc + 1e-9
+
+
+def test_sample_box_must_be_ordered(net9, params9, monkeypatch):
+    """A box whose low corner exceeds its high corner anywhere, or whose
+    corners are not load vectors of the network, is a domain error raised
+    before any LP is solved, not a numpy error."""
+    monkeypatch.setattr(dcopf, "solve_opf", None)  # any LP solve would fail with a TypeError
+    low, high = np.full(6, 0.1), np.full(6, 0.5)
+    low[3] = 0.6
+    with pytest.raises(InvalidLoad, match="box_low exceeds box_high at load 3"):
+        ops.sample_lower_bound(net9, params9, 2, 5, box_low=low, box_high=high)
+    with pytest.raises(DimensionMismatch):
+        ops.sample_lower_bound(net9, params9, 2, 5, box_low=low[:5], box_high=high)
