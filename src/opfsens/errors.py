@@ -81,6 +81,11 @@ class NumericalFailure(OpfSensError):
     """The LP solver failed to converge to a clean basic solution."""
 
 
+class InvalidSampling(OpfSensError):
+    """A sampled bound's count is not a positive integer, or its seed not a
+    nonnegative integer."""
+
+
 class DegeneratePoint(OpfSensError):
     """The binding-inequality count differs from n_gen - 1 at this load."""
 

@@ -37,7 +37,7 @@ construction. It gathers each passed set's ``P`` rows in the row order of
 its factors and returns a :class:`Solved` of the sets that pass: their pool
 rows and ``y`` as solved, with a map from generators to rows of ``y``, not
 assembled Jacobians. Its layout stays in this module: the scan reads
-maxima, values and keys through its methods, and
+maxima, values and the sets it reports through its methods, and
 :meth:`Solved.jacobian_rows` assembles ``J``.
 """
 
@@ -90,10 +90,9 @@ class BindingSet:
 
 @lru_cache(maxsize=4096)
 def interned_binding_set(gens: tuple[int, ...], branches: tuple[int, ...]) -> BindingSet:
-    """The shared :class:`BindingSet` of ``(gens, branches)``: argmax
-    entries, tie lists and extracted dispatch sets hold one validated object
-    per distinct set, kept while it is among the 4096 most recently asked
-    for."""
+    """The shared :class:`BindingSet` of ``(gens, branches)``: each set the
+    package reports is one validated object per distinct set, kept while it
+    is among the 4096 most recently asked for."""
     return BindingSet(gens, branches)
 
 
@@ -104,7 +103,11 @@ def _check_cardinality(net: Network, bset: BindingSet) -> None:
         )
     for what, members, size in (("generator", bset.gens, net.n_gen),
                                 ("branch", bset.branches, net.n_edge)):
-        if members and not (members[0] >= 0 and members[-1] < size):
+        try:
+            indices = [operator.index(v) for v in members]
+        except TypeError:
+            raise CardinalityViolation(f"{what} indices {members} not all integers") from None
+        if indices and not (indices[0] >= 0 and indices[-1] < size):
             raise CardinalityViolation(f"{what} indices {members} not all in range({size})")
 
 
@@ -180,9 +183,6 @@ def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
     return SetBatch(rows=rows, cols=cols, slots=slots, bounds=bounds, at=at)
 
 
-Key = tuple[tuple[int, ...], tuple[int, ...]]
-
-
 @dataclass(frozen=True, slots=True)
 class Solved:
     """The sets of a batch that pass :func:`reduced_solve`, in batch order:
@@ -203,14 +203,14 @@ class Solved:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def keys(self, sets: np.ndarray | slice = slice(None)) -> list[Key]:
-        """The ``(gens, branches)`` keys of the sets ``sets``, in order, in
-        one conversion: the inverse of :func:`pool_rows`."""
-        rows, n_gen = self.rows[sets], self.slots.shape[1]
+    def sets(self, which: np.ndarray | slice = slice(None)) -> list[BindingSet]:
+        """The interned :class:`BindingSet` of each set ``which``, in order,
+        in one conversion: the inverse of :func:`pool_rows`."""
+        rows, n_gen = self.rows[which], self.slots.shape[1]
         is_gen = rows < n_gen
         n_gens = is_gen.sum(axis=1).tolist()
         rows = np.where(is_gen, rows, rows - n_gen).tolist()
-        return [(tuple(row[:c]), tuple(row[c:])) for row, c in zip(rows, n_gens)]
+        return [interned_binding_set(tuple(r[:c]), tuple(r[c:])) for r, c in zip(rows, n_gens)]
 
     def set_slots(self, gens: Sequence[int]) -> np.ndarray:
         """The rows of ``y`` that hold the Jacobian rows ``gens`` of each

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from .errors import DanglingReference, MalformedMatrix, MissingTable
 
 # column positions in the standard MATPOWER format
-_BUS_I, _BUS_TYPE, _BUS_PD = 0, 1, 2
+_BUS_I, _BUS_TYPE, _BUS_PD, _BUS_GS = 0, 1, 2, 4
 _GEN_BUS, _GEN_STATUS, _GEN_PMAX, _GEN_PMIN = 0, 7, 8, 9
-_BR_FROM, _BR_TO, _BR_X, _BR_RATE_A, _BR_STATUS = 0, 1, 3, 5, 10
+_BR_FROM, _BR_TO, _BR_X, _BR_RATE_A, _BR_TAP, _BR_SHIFT, _BR_STATUS = 0, 1, 3, 5, 8, 9, 10
 _COST_MODEL, _COST_NCOEF = 0, 3
 
 # the fixed columns this package reads from each table: every row needs them,
@@ -30,6 +30,14 @@ _READ_COLUMNS = {
     "gencost": (_COST_MODEL, _COST_NCOEF),
 }
 REQUIRED_TABLES = tuple(_READ_COLUMNS)
+
+# the columns the DC model has no term for, which must be 0 where present:
+# MATPOWER's DC model turns a phase shift into fixed injections and a shunt
+# conductance into demand
+_UNMODELLED = {
+    "bus": ((_BUS_GS, "shunt conductance GS"),),
+    "branch": ((_BR_SHIFT, "phase shift SHIFT"),),
+}
 
 # the columns that hold bus ids, which must be integers
 _ID_COLUMNS = {
@@ -87,6 +95,12 @@ class MatpowerCase:
     def branch_reactance(self, e: int) -> float:
         return float(self.branch[e][_BR_X])
 
+    def branch_tap_ratio(self, e: int) -> float:
+        """The transformer tap ratio of branch ``e``: MATPOWER's TAP, where 0,
+        or a row too short to hold it, means 1."""
+        row = self.branch[e]
+        return float(row[_BR_TAP]) if len(row) > _BR_TAP and row[_BR_TAP] else 1.0
+
     def branch_rate_a_mva(self, e: int) -> float:
         return float(self.branch[e][_BR_RATE_A])
 
@@ -143,6 +157,13 @@ def _parse_matrix(name: str, body: str) -> list[list[float]]:
             raise MalformedMatrix(f"table '{name}': row {i} has a non-finite cell")
         if not all(row[c].is_integer() for c in _ID_COLUMNS.get(name, ())):
             raise MalformedMatrix(f"table '{name}': row {i} has a non-integral bus id")
+        for c, what in _UNMODELLED.get(name, ()):
+            if c < width and row[c] != 0:
+                raise MalformedMatrix(
+                    f"table '{name}': row {i} has {what} {row[c]:g}, which is not modelled")
+        if name == "branch" and _BR_TAP < width and not 0 <= row[_BR_TAP] < math.inf:
+            raise MalformedMatrix(f"table 'branch': row {i} has tap ratio {row[_BR_TAP]:g}, "
+                                  "expected a finite nonnegative number (0 means 1)")
         if status < width and not row[status] > 0:
             raise MalformedMatrix(
                 f"table '{name}': row {i} is out of service (status {row[status]:g}), "
@@ -163,7 +184,9 @@ def parse_matpower(text: str) -> MatpowerCase:
         Unbalanced brackets, non-numeric cells, ragged rows, too few columns,
         a non-finite cell in a column this package reads, a non-integral bus
         id, a generator or branch out of service (status 0), an isolated
-        bus (type 4), demand at a generator bus, bad baseMVA.
+        bus (type 4), demand at a generator bus, a nonzero shunt
+        conductance (GS) or phase shift (SHIFT), a negative or non-finite
+        tap ratio, bad baseMVA.
     MissingTable
         A required table (or baseMVA) is absent.
     DanglingReference

@@ -281,7 +281,8 @@ def assemble_network(
 def build_network(case: MatpowerCase) -> tuple[Network, OpfParams]:
     """Convert a parsed MATPOWER case into per-unit network and limits.
 
-    Susceptance is ``1/x``; all powers are divided by baseMVA; generator
+    Susceptance is ``1/x`` divided by the branch's tap ratio, as in
+    MATPOWER's DC model; all powers are divided by baseMVA; generator
     vertices come first, stably ordered by original bus id. The linear cost
     coefficient is taken from the polynomial cost table (a nonzero quadratic
     term is reported and dropped). A ``rate_a`` of zero is MATPOWER for
@@ -298,7 +299,7 @@ def build_network(case: MatpowerCase) -> tuple[Network, OpfParams]:
         x = case.branch_reactance(e)
         if x <= 0:
             raise ZeroReactance(f"branch {e} ({u},{v}) has reactance {x}")
-        edges.append((u, v, 1.0 / x))
+        edges.append((u, v, 1.0 / x / case.branch_tap_ratio(e)))
         rate = case.branch_rate_a_mva(e)
         if rate == 0.0:
             logger.warning(

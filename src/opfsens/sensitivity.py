@@ -18,8 +18,8 @@ for the whole table, none for enumeration. The fold reads its one result,
 a :class:`~opfsens.jacobian.Solved` of the sets that pass, through three
 methods: each chunk's maxima of ``|J|`` run by run (``abs_max``), per-set
 values only for the entries the chunk can change (``values``), and, in one
-conversion per chunk, the keys of the records a query keeps (``keys``). No
-Jacobian is assembled, and reported sets are shared, one per distinct set.
+conversion per chunk, the shared binding sets of the records a query keeps
+(``sets``), one object per distinct set. No Jacobian is assembled.
 
 Tie rule: the reported value is the maximum, and the reported set is the
 first independent set in lexicographic order whose value is at least the
@@ -41,11 +41,9 @@ import numpy as np
 from .errors import EmptyLoadSet, NoValidSet
 from .jacobian import (
     BindingSet,
-    Key,
     Part,
     SetBatch,
     Solved,
-    interned_binding_set,
     reduced_solve,
     set_batch,
 )
@@ -212,14 +210,14 @@ def _fold(
     gens: Sequence[int],
     norm: bool = False,
     all_ties: bool = False,
-) -> tuple[np.ndarray, list[list[tuple[float, Key]]], int]:
+) -> tuple[np.ndarray, list[list[tuple[float, BindingSet]]], int]:
     """Reduce the scan under the tie rule.
 
     The reported entries are the Jacobian rows ``gens`` restricted to the
     load columns ``loads``: ``|J[v, l]|`` for each ``v`` in ``gens`` and
     each column, row-major, or with ``norm`` the Euclidean norm of each
-    row. Returns the maxima ``(m,)``, the kept ``(value, key)`` list of each
-    entry, whose first key is the argmax, and the number of independent
+    row. Returns the maxima ``(m,)``, the kept ``(value, set)`` list of each
+    entry, whose first set is the argmax, and the number of independent
     sets. The argmax beats every set before it, so only such records within
     :data:`TIE_TOL` of the running maximum are kept; with ``all_ties`` every
     set within :data:`TIE_TOL` of it is. A chunk is folded only into its
@@ -238,7 +236,7 @@ def _fold(
         entry_gens = np.repeat(gens, len(loads))
         entry_loads = np.tile(np.arange(len(loads)), len(gens))
     best = np.full(len(entry_gens), -np.inf)
-    kept: list[list[tuple[float, Key]]] = [[] for _ in best]
+    kept: list[list[tuple[float, BindingSet]]] = [[] for _ in best]
     by_run = not norm and len(best) > 1
     valid = 0
     for solved in _scan(net, loads):
@@ -264,8 +262,8 @@ def _fold(
             p = live[c]
             kept[p] = [entry for entry in kept[p] if entry[0] >= floor[c]]
         ts, cs = np.nonzero(take)
-        for p, value, key in zip(live[cs].tolist(), vals[ts, cs].tolist(), solved.keys(ts)):
-            kept[p].append((value, key))
+        for p, value, bset in zip(live[cs].tolist(), vals[ts, cs].tolist(), solved.sets(ts)):
+            kept[p].append((value, bset))
         best[live] = running[-1]
     if not valid:
         raise NoValidSet("no independent binding set exists for this network")
@@ -275,8 +273,7 @@ def _fold(
 def enumerate_binding_sets(net: Network) -> Iterator[BindingSet]:
     """Yield every independent binding set in lexicographic order."""
     for solved in _scan(net, ()):
-        for key in solved.keys():
-            yield BindingSet(*key)
+        yield from solved.sets()
 
 
 @dataclass(frozen=True)
@@ -301,7 +298,7 @@ def worst_case_siso(net: Network, gen: int, load: int) -> tuple[float, BindingSe
     """
     net.check_pair(gen, load)
     best, kept, _ = _fold(net, [load], [gen])
-    return float(best[0]), interned_binding_set(*kept[0][0][1])
+    return float(best[0]), kept[0][0][1]
 
 
 def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float, BindingSet]:
@@ -316,17 +313,16 @@ def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float
         net.check_pair(gen, j)
     loads = sorted(chosen)
     best, kept, _ = _fold(net, loads, [gen], norm=True)
-    return float(best[0]), interned_binding_set(*kept[0][0][1])
+    return float(best[0]), kept[0][0][1]
 
 
 def worst_case_all(net: Network) -> SensitivityReport:
     """Worst cases for every pair in one enumeration pass."""
     n_l = net.n_load
     best, kept, valid = _fold(net, range(n_l), range(net.n_gen))
-    argmax = [interned_binding_set(*entries[0][1]) for entries in kept]
     return SensitivityReport(
         cwc=best.reshape(net.n_gen, n_l),
-        argmax=tuple(tuple(argmax[i * n_l : (i + 1) * n_l]) for i in range(net.n_gen)),
+        argmax=tuple(tuple(kept[i * n_l + j][0][1] for j in range(n_l)) for i in range(net.n_gen)),
         candidates_total=candidate_count(net),
         candidates_valid=valid,
     )
@@ -341,5 +337,5 @@ def tied_argmax_sets(net: Network, gen: int, load: int) -> tuple[float, BindingS
     """
     net.check_pair(gen, load)
     best, kept, _ = _fold(net, [load], [gen], all_ties=True)
-    ties = [interned_binding_set(*key) for _, key in kept[0]]
+    ties = [bset for _, bset in kept[0]]
     return float(best[0]), ties[0], ties

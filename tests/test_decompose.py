@@ -267,6 +267,27 @@ def test_records_partition_original_buses(chain27):
     assert [len(rec.replaced) for rec in res.decomposition.pruned] == [18]
 
 
+def test_stages_without_ties_keep_the_first_tied_set(chain27):
+    """Every stage runs the tie query, with ``collect_ties`` or without: on
+    all 162 pairs of the 27-bus chain and every pair of the random
+    topologies, values, factors and stage argmax sets are ``==`` across the
+    flag, each stage's answer is the single-pair query's, its argmax is the
+    first of its ties, and without the flag no stage keeps a tie list."""
+    nets = [chain27[0]] + [_random_bridge_network(seed) for seed in RANDOM_SEEDS]
+    for net in nets:
+        for i in range(net.n_gen):
+            for j in range(net.n_load):
+                plain = ops.worst_case_decomposed(net, i, j)
+                tied = ops.worst_case_decomposed(net, i, j, collect_ties=True)
+                assert (plain.value, plain.factors) == (tied.value, tied.factors)
+                assert [s.argmax for s in plain.stages] == [s.argmax for s in tied.stages]
+                for s, t in zip(plain.stages, tied.stages):
+                    assert s.ties == () and t.ties[0] == t.argmax
+                    single = ops.worst_case_siso(s.stage.network, s.stage.gen_index,
+                                                 s.stage.load_index)
+                    assert single == (s.factor, s.argmax)
+
+
 def test_decomposed_chunk_invariance(chain27, monkeypatch):
     net, _ = chain27
     lj = net.index_of("7''") - net.n_gen

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -107,6 +108,21 @@ def test_member_indices_must_be_in_range(net9, gens, branches):
     with pytest.raises(CardinalityViolation, match="not all in range"):
         ops.independence_check(net9, bset)
     with pytest.raises(CardinalityViolation, match="not all in range"):
+        ops.jacobian_from_binding(net9, bset)
+
+
+@pytest.mark.parametrize("gens, branches", [
+    ((0,), (2.7,)),
+    ((0.5,), (3,)),
+    ((), (1, 2.0)),
+])
+def test_member_indices_must_be_integers(net9, gens, branches):
+    """A member that is not an integer is a CardinalityViolation from both
+    entry points, not truncated to another set's answer or a numpy error."""
+    bset = BindingSet(gens, branches)
+    with pytest.raises(CardinalityViolation, match="not all integers"):
+        ops.independence_check(net9, bset)
+    with pytest.raises(CardinalityViolation, match="not all integers"):
         ops.jacobian_from_binding(net9, bset)
 
 
@@ -341,10 +357,12 @@ def test_load_columns_solve_bit_for_bit(chain18):
         assert np.array_equal(part, full[:, :, loads])
     empty_solved, empty = _solve(net, batch, np.array([], int))
     assert np.array_equal(empty_solved.rows, solved.rows) and np.array_equal(empty, full[:, :, :0])
-    passed = solved.keys()
-    assert passed == oracles.row_keys(net, solved.rows) and set(passed) <= set(keys)
+    passed = solved.sets()
+    assert passed == [BindingSet(*key) for key in oracles.row_keys(net, solved.rows)]
+    assert set(passed) <= {BindingSet(*key) for key in keys}
+    assert all(map(operator.is_, solved.sets(), passed))  # interned: one object per set
     for k in range(0, len(passed), 25):
-        jac = ops.jacobian_from_binding(net, BindingSet(*passed[k])).jac
+        jac = ops.jacobian_from_binding(net, passed[k]).jac
         assert _same_bits(jac, full[k])
 
 

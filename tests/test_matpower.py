@@ -239,6 +239,62 @@ def test_generator_bus_demand_exit_1(case9_text, tmp_path, capsys):
     assert json.loads(err.splitlines()[-1])["error"] == {"type": "MalformedMatrix", "message": message}
 
 
+#: case9's branch 4-5, row 1 of the branch table, with TAP and SHIFT 0
+BRANCH_4_5 = "\t4\t5\t0.017\t0.092\t0.158\t250\t250\t250\t0\t0\t1"
+
+
+def _branch_4_5(text: str, x: str = "0.092", tap: str = "0", shift: str = "0") -> str:
+    assert text.count(BRANCH_4_5) == 1
+    return text.replace(BRANCH_4_5, f"\t4\t5\t0.017\t{x}\t0.158\t250\t250\t250\t{tap}\t{shift}\t1")
+
+
+def _solve_json(tmp_path, capsys, name: str, text: str) -> str:
+    path = tmp_path / f"{name}.m"
+    path.write_text(text)
+    assert main(["solve", "--case", str(path), "--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+def test_tap_ratio_divides_susceptance(case9_text, tmp_path, capsys):
+    """A branch's susceptance is ``1/x`` divided by its tap ratio, as in
+    MATPOWER's DC model, where TAP 0 means 1: TAP 0.5 on branch 4-5
+    dispatches exactly as its reactance halved, and not as the stock case."""
+    case = ops.parse_matpower(_branch_4_5(case9_text, tap="0.5"))
+    assert [case.branch_tap_ratio(e) for e in range(3)] == [1.0, 0.5, 1.0]
+    net, _ = ops.build_network(case)
+    assert net.edge_label(1) == (4, 5) and net.edges[1][2] == 1.0 / 0.092 / 0.5
+    tapped = _solve_json(tmp_path, capsys, "tap", _branch_4_5(case9_text, tap="0.5"))
+    halved = _solve_json(tmp_path, capsys, "halved", _branch_4_5(case9_text, x="0.046"))
+    assert tapped == halved != _solve_json(tmp_path, capsys, "stock", case9_text)
+    # a row too short to hold TAP has tap ratio 1
+    short = ops.parse_matpower(_cut_rows(case9_text, "branch", 8))
+    assert [short.branch_tap_ratio(e) for e in range(9)] == [1.0] * 9
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (BRANCH_4_5, _branch_4_5(BRANCH_4_5, shift="10"),
+     "table 'branch': row 1 has phase shift SHIFT 10, which is not modelled"),
+    ("\t5\t1\t90\t30\t0\t0\t", "\t5\t1\t90\t30\t40\t0\t",
+     "table 'bus': row 4 has shunt conductance GS 40, which is not modelled"),
+    (BRANCH_4_5, _branch_4_5(BRANCH_4_5, tap="-0.5"),
+     "table 'branch': row 1 has tap ratio -0.5, expected a finite nonnegative number (0 means 1)"),
+], ids=["shift", "gs", "negative-tap"])
+def test_unmodelled_columns_exit_1(case9_text, tmp_path, capsys, old, new, message):
+    """A phase shift or a shunt conductance would change the DC model, which
+    has no term for either, and a negative tap ratio makes no branch: each is
+    a malformed table naming its row, not ignored."""
+    assert case9_text.count(old) == 1
+    text = case9_text.replace(old, new)
+    with pytest.raises(MalformedMatrix, match=f"^{re.escape(message)}$"):
+        ops.parse_matpower(text)
+    path = tmp_path / "unmodelled.m"
+    path.write_text(text)
+    assert main(["solve", "--case", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == {"type": "MalformedMatrix", "message": message}
+
+
 def test_branch_rows_without_status_are_in_service(case9_text):
     net, _ = ops.build_network(ops.parse_matpower(_cut_rows(case9_text, "branch", 10)))
     assert net.n_edge == 9

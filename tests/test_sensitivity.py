@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import opfsens as ops
 from opfsens import dcopf, sensitivity
-from opfsens.errors import DependentBindings, DimensionMismatch, EmptyLoadSet, InvalidLoad, NoValidSet
+from opfsens.errors import (
+    DependentBindings, DimensionMismatch, EmptyLoadSet, InvalidLoad, InvalidSampling, NoValidSet,
+)
 from opfsens.jacobian import BindingSet, SetBatch, Solved, reduced_solve, set_batch
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count
@@ -440,8 +442,8 @@ def test_fold_matches_one_record_tie_rule(monkeypatch, all_ties):
     for seed, width in itertools.product(range(12), (1, 3)):
         vals = _planted_stream(seed, width=width)
         rows = 1 + np.arange(len(vals))[:, None]
-        want_best, want_kept, want_valid = oracles.fold(
-            zip(vals.tolist(), oracles.row_keys(net, rows)), TIE_TOL, all_ties)
+        sets = [BindingSet(*key) for key in oracles.row_keys(net, rows)]
+        want_best, want_kept, want_valid = oracles.fold(zip(vals.tolist(), sets), TIE_TOL, all_ties)
         at_tol += sum(value == best - TIE_TOL for kept, best in zip(want_kept, want_best)
                       for value, _ in kept)
         for chunk in (1, 7, sensitivity.CHUNK):
@@ -598,3 +600,16 @@ def test_sample_box_must_be_ordered(net9, params9, monkeypatch):
         ops.sample_lower_bound(net9, params9, 2, 5, box_low=low, box_high=high)
     with pytest.raises(DimensionMismatch):
         ops.sample_lower_bound(net9, params9, 2, 5, box_low=low[:5], box_high=high)
+
+
+@pytest.mark.parametrize("samples, seed", [
+    (2.5, 0), (0, 0), (-3, 0), (10, -1), (10, 1.5), ("10", 0), (10, None),
+])
+def test_sample_count_and_seed_checked(net9, params9, monkeypatch, samples, seed):
+    """A sample count that is not a positive integer, or a seed that is not
+    a nonnegative integer, is a domain error raised before any LP is solved,
+    not a bare TypeError, numpy's ValueError or an empty bound of 0."""
+    monkeypatch.setattr(dcopf, "solve_opf", None)  # any LP solve would fail with a TypeError
+    with pytest.raises(InvalidSampling):
+        ops.sample_lower_bound(net9, params9, 2, 5, box_low=np.full(6, 0.1),
+                               box_high=np.full(6, 0.5), samples=samples, seed=seed)
