@@ -55,7 +55,8 @@ from .sensitivity import (
 __version__ = "0.1.0"
 
 # the package's warnings (cost terms dropped, limits clamped) reach only the
-# handlers an application configures; the CLI installs one on stderr
+# handlers an application configures; each CLI command adds one on stderr
+# for its own run and removes it when the command ends
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [

@@ -14,6 +14,11 @@ distinguished by prime marks (``4'``, ``4''``); a bare id names the first
 copy for generators and the last copy for loads, so ``--pair 1 4`` on a
 3-copy chain means generator 1 against load ``4''``. Any copy can be named
 explicitly as ``bus@copy`` (``4@0`` is the first copy's bus 4).
+
+For the length of one ``main`` call the package's logger has a stderr
+handler, so its warnings and the large-scan note print as bare messages; the
+handler leaves with the call, so later library calls log only to the
+handlers the application configures.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ SCAN_WARN_CANDIDATES = 2_000_000
 
 
 def _warn_if_large_scan(net: Network) -> None:
+    """Log a warning with the direct scan's rough time when ``net`` has more
+    than ``SCAN_WARN_CANDIDATES`` candidate sets."""
     n = candidate_count(net)
     if n > SCAN_WARN_CANDIDATES:
         # about 0.75 us per candidate: the direct scan of the bundled 27-bus
@@ -49,10 +56,9 @@ def _warn_if_large_scan(net: Network) -> None:
         # dead branch, took 36-37 s on a 2-vCPU x86 machine
         seconds = n * 0.75e-6
         eta = f"{seconds:.2g} s" if seconds < 100 else f"{seconds / 60:.0f} min"
-        sys.stderr.write(
-            f"note: exhaustive scan over {n} candidate sets, roughly {eta}; the "
-            "decompose command is far cheaper when the network has bridges\n"
-        )
+        logging.getLogger(__name__).warning(
+            "note: exhaustive scan over %d candidate sets, roughly %s; the decompose "
+            "command is far cheaper when the network has bridges", n, eta)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,31 +325,15 @@ _COMMANDS = {
 }
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each message to the ``sys.stderr`` of the moment it is
-    logged, as Python's last-resort handler does."""
-
-    def __init__(self) -> None:
-        logging.Handler.__init__(self, logging.WARNING)
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-
-def _log_to_stderr() -> None:
-    """Give the package's logger one stderr handler per process: its
-    warnings print as bare messages, as without any handler at all."""
-    logger = logging.getLogger(__package__)
-    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
-        logger.addHandler(_StderrHandler())
-
-
 def main(argv: list[str] | None = None) -> int:
-    _log_to_stderr()
+    """Run one command and return its exit code. For that command alone the
+    package's warnings print on the call's ``sys.stderr`` as bare messages."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    logger, handler = logging.getLogger(__package__), logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    logger.addHandler(handler)
     try:
+        args = parser.parse_args(argv)
         net, params, loads, copies = _load_model(args)
         doc, text = _COMMANDS[args.command](args, net, params, loads, copies)
     except OpfSensError as exc:
@@ -355,6 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError, KeyError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    finally:
+        logger.removeHandler(handler)
     if args.format == "json":
         text = json.dumps({"network": _network_doc(net), **doc}, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)

@@ -18,7 +18,6 @@ against, is built by the test suite's oracles alone.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -30,7 +29,7 @@ from .errors import (
     DegeneratePoint, DependentBindings, DimensionMismatch, InvalidLoad, InvalidSampling,
     RegionBoundary,
 )
-from .network import Network, OpfParams
+from .network import Network, OpfParams, strict_index
 from .simplex import solve_lp
 
 #: absolute tolerance (per-unit) for calling a constraint binding
@@ -436,7 +435,7 @@ def sample_lower_bound(
     """
     net.check_pair(gen, load_idx)
     try:
-        samples, seed = operator.index(samples), operator.index(seed)
+        samples, seed = strict_index(samples), strict_index(seed)
     except TypeError:
         raise InvalidSampling(f"samples {samples!r} and seed {seed!r} must be integers") from None
     if samples < 1 or seed < 0:

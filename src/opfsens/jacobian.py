@@ -53,7 +53,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CardinalityViolation, DependentBindings
-from .network import Network
+from .network import Network, strict_index
 
 
 def _increasing(s: Sequence[int]) -> bool:
@@ -81,7 +81,9 @@ class BindingSet:
         return len(self.gens) + len(self.branches)
 
     def describe(self, net: Network) -> dict:
-        """Network-label view: generator bus labels and branch endpoint pairs."""
+        """Network-label view: generator bus labels and branch endpoint pairs.
+        Raises :class:`CardinalityViolation` unless the set fits ``net``."""
+        _check_cardinality(net, self)
         return {
             "generators": [net.vertex_order[i] for i in self.gens],
             "branches": [list(net.edge_label(e)) for e in self.branches],
@@ -104,7 +106,7 @@ def _check_cardinality(net: Network, bset: BindingSet) -> None:
     for what, members, size in (("generator", bset.gens, net.n_gen),
                                 ("branch", bset.branches, net.n_edge)):
         try:
-            indices = [operator.index(v) for v in members]
+            indices = [strict_index(v) for v in members]
         except TypeError:
             raise CardinalityViolation(f"{what} indices {members} not all integers") from None
         if indices and not (indices[0] >= 0 and indices[-1] < size):

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -40,6 +41,15 @@ logger = logging.getLogger(__name__)
 UNLIMITED_FLOW_PU = 10.0
 
 Label = int | str
+
+
+def strict_index(value) -> int:
+    """``value`` as an ``int`` when :func:`operator.index` accepts it and it
+    is not a bool, else ``TypeError``: the package's one reading of an
+    index, a count or a copy number."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +109,10 @@ class Network:
     def check_pair(self, gen: int, load: int) -> None:
         """Raise :class:`InvalidIndex` unless ``gen`` is a generator index
         and ``load`` a load index (load ``j`` is bus ``n_gen + j``), each an
-        integer that :func:`operator.index` accepts."""
+        integer that :func:`strict_index` accepts."""
         for what, i, n in (("generator", gen, self.n_gen), ("load", load, self.n_load)):
             try:
-                i = operator.index(i)
+                i = strict_index(i)
             except TypeError:
                 raise InvalidIndex(f"{what} index {i!r} is not an integer") from None
             if not 0 <= i < n:
@@ -189,13 +199,26 @@ class Network:
 
 @dataclass(frozen=True)
 class OpfParams:
-    """Generation cost vector and operating limits, all per-unit."""
+    """Generation cost vector and operating limits, all per-unit.
+
+    Each field is stored as a float array: a float array as the same object,
+    any other sequence of numbers as a copy. A field that numpy cannot read
+    as numbers raises :class:`InvalidLimits`.
+    """
 
     cost: np.ndarray
     gen_upper: np.ndarray
     gen_lower: np.ndarray
     flow_upper: np.ndarray
     flow_lower: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            try:
+                arr = np.asarray(getattr(self, f.name), dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidLimits(f"{f.name} is not an array of numbers: {exc}") from None
+            object.__setattr__(self, f.name, arr)
 
     def validate(self, net: Network) -> None:
         for name, arr, want in (
@@ -385,7 +408,13 @@ def build_chain(
     appended after every copy's edges. A tie's susceptance and flow limit,
     given or inherited from the base network's first branch, must be finite
     and positive.
+
+    Copies and copy indices are integers that :func:`strict_index` accepts,
+    tie buses such integers or strings, and susceptance and flow limit real
+    numbers or ``None``; a bool is none of these. Anything else raises
+    :class:`InvalidTie`, as do the range and value rules above.
     """
+    copies = _chain_value(copies, "copies")
     if copies < 2:
         raise InvalidTie(f"a chain needs at least 2 copies, got {copies}")
     if not ties:
@@ -409,18 +438,22 @@ def build_chain(
     tie_limits = []
     valid = set(base.vertex_order)
     for t in ties:
+        ends = []
         for copy, bus in ((t.from_copy, t.from_bus), (t.to_copy, t.to_bus)):
+            copy, bus = _chain_value(copy, "tie copy"), _chain_value(bus, "tie bus", label=True)
             if not 0 <= copy < copies:
                 raise InvalidTie(f"tie copy index {copy} outside 0..{copies - 1}")
             if bus not in valid:
                 raise InvalidTie(f"tie bus {bus!r} not in the base network")
-        b = t.susceptance if t.susceptance is not None else default_b
-        limit = t.flow_limit if t.flow_limit is not None else default_limit
+            ends.append(copy_label(bus, copy))
+        b = _chain_value(t.susceptance, "tie susceptance", number=True)
+        limit = _chain_value(t.flow_limit, "tie flow limit", number=True)
+        b = default_b if b is None else b
+        limit = default_limit if limit is None else limit
         if not (0 < b < math.inf and 0 < limit < math.inf):
             raise InvalidTie(
                 f"tie susceptance {b} and flow limit {limit} must be finite and positive")
-        edges.append((copy_label(t.from_bus, t.from_copy),
-                      copy_label(t.to_bus, t.to_copy), b))
+        edges.append((*ends, b))
         tie_limits.append(limit)
 
     try:
@@ -441,12 +474,24 @@ def build_chain(
     return net, params
 
 
-def _config_value(value, kinds: tuple[type, ...], what: str):
-    """``value`` when it is one of ``kinds`` and not a bool, else
-    :class:`InvalidTie`."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise InvalidTie(f"{what} has type {type(value).__name__}: {value!r}")
-    return value
+def _chain_value(value, what: str, label: bool = False, number: bool = False):
+    """``value`` under the chain rules, else :class:`InvalidTie`: an integer
+    that :func:`strict_index` accepts, returned as an ``int``; with ``label``
+    also a string; with ``number`` also ``None`` or a real, returned as a
+    ``float``. A bool is none of these."""
+    if not isinstance(value, bool):
+        if (label and isinstance(value, str)) or (number and value is None):
+            return value
+        if number and isinstance(value, numbers.Real):
+            try:
+                return float(value)
+            except OverflowError:
+                raise InvalidTie(f"{what} is too large for a float") from None
+        try:
+            return strict_index(value)
+        except TypeError:
+            pass
+    raise InvalidTie(f"{what} has type {type(value).__name__}: {value!r}")
 
 
 def load_chain_config(path) -> tuple[int, list[TieLine]]:
@@ -460,24 +505,17 @@ def load_chain_config(path) -> tuple[int, list[TieLine]]:
                    "susceptance": 17.4,      # optional
                    "flow_limit": 2.5}]}      # optional, per-unit
 
-    Copies are integers, buses integer or string labels, and susceptance and
-    flow limit numbers that :func:`build_chain` checks. A config that is not
-    such a document raises :class:`InvalidTie`.
+    The values are read as written; :func:`build_chain` applies the chain
+    rules to them. A file that is not such a document raises
+    :class:`InvalidTie`.
     """
-    number = (int, float, type(None))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        copies = _config_value(doc["copies"], (int,), "copies")
+        copies = doc["copies"]
         ties = [
-            TieLine(
-                from_copy=_config_value(t["from"]["copy"], (int,), "tie copy"),
-                from_bus=_config_value(t["from"]["bus"], (int, str), "tie bus"),
-                to_copy=_config_value(t["to"]["copy"], (int,), "tie copy"),
-                to_bus=_config_value(t["to"]["bus"], (int, str), "tie bus"),
-                susceptance=_config_value(t.get("susceptance"), number, "tie susceptance"),
-                flow_limit=_config_value(t.get("flow_limit"), number, "tie flow limit"),
-            )
+            TieLine(t["from"]["copy"], t["from"]["bus"], t["to"]["copy"], t["to"]["bus"],
+                    t.get("susceptance"), t.get("flow_limit"))
             for t in doc["ties"]
         ]
     except (ValueError, KeyError, TypeError) as exc:

@@ -264,17 +264,21 @@ def test_report_table_without_loads(capsys, tmp_path):
     assert rows["table"] == rows["csv"] == [["gen\\load"], ["1"], ["2"]]
 
 
-def test_large_scan_note_gives_a_time(capsys, monkeypatch):
+def test_large_scan_note_gives_a_time(capsys, caplog, monkeypatch):
     """Above the threshold the note gives the scan's rough time at about
-    0.75 us per candidate, in seconds and, from 100 s, in minutes."""
+    0.75 us per candidate, in seconds and, from 100 s, in minutes, as a
+    warning of the ``opfsens.cli`` logger."""
     monkeypatch.setattr(cli, "SCAN_WARN_CANDIDATES", 10)
     code, _, err = run_cli(capsys, "report", "--case", CASE)
     assert code == 0
     assert "note: exhaustive scan over 66 candidate sets, roughly 5e-05 s;" in err
     for count, eta in ((48_903_492, "37 s"), (10**9, "12 min")):
         monkeypatch.setattr(cli, "candidate_count", lambda net: count)
+        caplog.clear()
         cli._warn_if_large_scan(None)
-        assert f"over {count} candidate sets, roughly {eta};" in capsys.readouterr().err
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("opfsens.cli", logging.WARNING)
+        assert f"over {count} candidate sets, roughly {eta};" in record.getMessage()
 
 
 def test_missing_case_file_exit_2(capsys):
@@ -343,18 +347,43 @@ def test_library_logs_to_no_handler_by_default():
         f"opfsens.network {line}\n" for line in CASE9_WARNINGS.splitlines())
 
 
+def _only_null_handler():
+    return [type(h) for h in logging.getLogger("opfsens").handlers] == [logging.NullHandler]
+
+
 def test_cli_prints_case_warnings_once(capsys):
     """The CLI prints the package's warnings on stderr as bare messages,
     byte for byte what Python printed with no handler configured, through
-    one handler however often main runs in a process."""
+    one handler per call however often main runs in a process."""
     proc = _python(f"from opfsens import cli; cli.main(['report', '--case', {CASE!r}])")
     assert proc.returncode == 0 and proc.stderr == CASE9_WARNINGS
     for _ in range(2):
         assert main(["report", "--case", CASE]) == 0
         assert capsys.readouterr().err == CASE9_WARNINGS
-    handlers = logging.getLogger("opfsens").handlers
-    assert sum(isinstance(h, cli._StderrHandler) for h in handlers) == 1
-    assert sum(isinstance(h, logging.NullHandler) for h in handlers) == 1
+    assert _only_null_handler()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["report", "--case", CASE], 0),
+    (["report", "--case", CASE, "--chain", "/nonexistent/chain.json"], 2),
+    (["report"], 2),
+    (["sens-wcs", "--case", CASE, "--pair", "4", "9"], 2),
+    (["solve", "--case", CASE, "--loads", "0.2,0.3"], 1),
+], ids=["report", "missing-chain", "missing-case-flag", "not-a-generator", "short-loads"])
+def test_cli_handler_leaves_with_the_call(capsys, argv, code):
+    """The stderr handler lives for one command, whatever its exit: after
+    main returns or exits, a library call prints nothing on stderr and the
+    package's logger holds only its NullHandler."""
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == code
+    capsys.readouterr()
+    assert _only_null_handler()
+    ops.build_network(ops.read_case(CASE))
+    assert capsys.readouterr().err == ""
 
 
 def test_report_loads_no_scipy():

@@ -515,3 +515,27 @@ def test_reduced_test_on_random_networks():
     for t, key in flips:
         assert ops.independence_check(nets[t], BindingSet(*key))
         assert not oracles.exactly_singular(oracles.build_z_stack(nets[t], BindingSet(*key)))
+
+
+@pytest.mark.parametrize("gens, branches, match", [
+    ((-1,), (8,), "not all in range"),
+    ((0,), (9,), "not all in range"),
+    ((0,), (2.7,), "not all integers"),
+    ((True,), (3,), "not all integers"),
+    ((0,), (), "members"),
+], ids=["negative-gen", "branch-past-end", "float-branch", "bool-gen", "too-few"])
+def test_describe_checks_the_set(net9, gens, branches, match):
+    """``describe`` names only the buses and branches of a set that fits the
+    network: generator -1 is not load bus 9 by negative indexing."""
+    with pytest.raises(CardinalityViolation, match=match):
+        BindingSet(gens, branches).describe(net9)
+
+
+def test_bool_members_are_refused(net9):
+    """``True`` is no generator index: the set does not solve as generator
+    1's."""
+    bset = BindingSet((True,), (3,))
+    for call in (ops.independence_check, ops.jacobian_from_binding):
+        with pytest.raises(CardinalityViolation, match="not all integers"):
+            call(net9, bset)
+    assert BindingSet((1,), (3,)).describe(net9) == {"generators": [2], "branches": [[3, 6]]}

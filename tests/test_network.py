@@ -250,3 +250,81 @@ def test_pair_queries_accept_numpy_integers(net9):
     assert ops.worst_case_siso(net9, g, l) == ops.worst_case_siso(net9, 2, 5)
     assert ops.worst_case_miso(net9, g, [np.int32(1), l]) == ops.worst_case_miso(net9, 2, [1, 5])
     assert ops.chain_partition(net9, g, l) == ops.chain_partition(net9, 2, 5)
+
+
+def test_pair_indices_refuse_bools(net9, params9, loads9):
+    """A bool is no generator or load index, as in a chain config: ``True``
+    does not answer for index 1, and no query fails with numpy's bare
+    ``TypeError``."""
+    calls = (
+        lambda g, l: ops.worst_case_siso(net9, g, l),
+        lambda g, l: ops.worst_case_miso(net9, g, [l]),
+        lambda g, l: ops.local_sensitivity(net9, params9, loads9, g, l),
+        lambda g, l: ops.sample_lower_bound(net9, params9, g, l, loads9, loads9 + 0.1, samples=1),
+    )
+    for call in calls:
+        for gen, load in ((True, 1), (1, True), (np.False_, 1)):
+            with pytest.raises(InvalidIndex, match="not an integer"):
+                call(gen, load)
+
+
+def test_opf_params_accept_sequences(net9, params9, loads9):
+    """Lists solve case9 as the arrays they hold do; a float array is kept
+    as the same object, and a field that is not numbers is InvalidLimits."""
+    fields = {f.name: getattr(params9, f.name) for f in dataclasses.fields(params9)}
+    as_lists = ops.OpfParams(**{k: v.tolist() for k, v in fields.items()})
+    assert all(getattr(as_lists, k).dtype == float for k in fields)
+    sol, ref = ops.solve_opf(net9, as_lists, loads9), ops.solve_opf(net9, params9, loads9)
+    assert sol.objective == ref.objective
+    assert np.array_equal(sol.gen, ref.gen)
+    assert all(getattr(ops.OpfParams(**fields), k) is v for k, v in fields.items())
+    for bad in ("cheap", ["1", "x", "2"], [1.0, [2.0], 3.0], [10**400, 1.0, 1.0]):
+        with pytest.raises(InvalidLimits, match="cost"):
+            ops.OpfParams(**{**fields, "cost": bad})
+
+
+@pytest.mark.parametrize("copies, tie", [
+    (2.0, ops.TieLine(0, 7, 1, 4)),
+    ("2", ops.TieLine(0, 7, 1, 4)),
+    (2, ops.TieLine(0.0, 7, 1, 4)),
+    (2, ops.TieLine(0, 7, 1.0, 4)),
+    (2, ops.TieLine(False, 7, True, 4)),
+    (2, ops.TieLine(0, 7.0, 1, 4)),
+    (2, ops.TieLine(0, True, 1, 4)),
+    (2, ops.TieLine(0, [7], 1, 4)),
+    (2, ops.TieLine(0, 7, 1, 4, susceptance="1")),
+    (2, ops.TieLine(0, 7, 1, 4, susceptance=True)),
+    (2, ops.TieLine(0, 7, 1, 4, flow_limit=True)),
+    (2, ops.TieLine(0, 7, 1, 4, flow_limit=[2.5])),
+], ids=["float-copies", "str-copies", "float-from-copy", "float-to-copy", "bool-copies",
+        "float-bus", "bool-bus", "list-bus", "str-susceptance", "bool-susceptance",
+        "bool-limit", "list-limit"])
+def test_chain_rules_apply_to_library_calls(net9, params9, copies, tie):
+    """``build_chain`` applies the chain config's rules itself: a float,
+    string or bool copy, a float or bool bus and a non-real or bool
+    susceptance or limit are each InvalidTie, not a bare TypeError or a
+    dangling ``'7.0'`` label."""
+    with pytest.raises(InvalidTie, match="has type"):
+        ops.build_chain(net9, params9, copies, [tie])
+
+
+def test_chain_number_too_large_for_a_float(net9, params9):
+    """An integer susceptance or limit beyond float range, as JSON can
+    write one, is InvalidTie, not a bare OverflowError."""
+    for field in ("susceptance", "flow_limit"):
+        with pytest.raises(InvalidTie, match="too large for a float"):
+            ops.build_chain(net9, params9, 2, [ops.TieLine(0, 7, 1, 4, **{field: 10**400})])
+
+
+def test_chain_rules_accept_numpy_numbers(net9, params9, chain18):
+    """Numpy integers and floats pass the chain rules as their Python values
+    do."""
+    i = np.int64
+    net, params = ops.build_chain(
+        net9, params9, i(2), [ops.TieLine(i(0), i(7), i(1), np.int32(4),
+                                          susceptance=np.float64(net9.edges[0][2]),
+                                          flow_limit=np.float32(params9.flow_upper[0]))])
+    ref_net, ref_params = chain18
+    assert net.vertex_order == ref_net.vertex_order
+    assert np.array_equal(net.laplacian, ref_net.laplacian)
+    assert np.allclose(params.flow_upper, ref_params.flow_upper)

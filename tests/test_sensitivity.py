@@ -613,3 +613,13 @@ def test_sample_count_and_seed_checked(net9, params9, monkeypatch, samples, seed
     with pytest.raises(InvalidSampling):
         ops.sample_lower_bound(net9, params9, 2, 5, box_low=np.full(6, 0.1),
                                box_high=np.full(6, 0.5), samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("samples, seed", [(True, 0), (5, False)])
+def test_sample_count_and_seed_refuse_bools(net9, params9, monkeypatch, samples, seed):
+    """A bool is no sample count or seed, as it is no index: ``True`` does
+    not draw one sample."""
+    monkeypatch.setattr(dcopf, "solve_opf", None)  # any LP solve would fail with a TypeError
+    with pytest.raises(InvalidSampling, match="must be integers"):
+        ops.sample_lower_bound(net9, params9, 2, 5, box_low=np.full(6, 0.1),
+                               box_high=np.full(6, 0.5), samples=samples, seed=seed)
