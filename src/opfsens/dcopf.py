@@ -273,8 +273,10 @@ class KktReport:
 def kkt_residuals(
     sol: OpfSolution, net: Network, params: OpfParams, load: np.ndarray
 ) -> KktReport:
-    """Evaluate stationarity, feasibility, sign and complementarity residuals."""
+    """Evaluate stationarity, feasibility, sign and complementarity residuals.
+    The load, the limits and the solution must fit ``net``."""
     load = check_load(net, load)
+    _check_point(sol, net, params)
     n, n_g = net.n_bus, net.n_gen
     tau = sol.dual_eq
     mu_diff = sol.dual_flow_upper - sol.dual_flow_lower
@@ -325,6 +327,16 @@ def kkt_residuals(
     )
 
 
+def _check_point(sol: OpfSolution, net: Network, params: OpfParams) -> None:
+    """Raise unless ``params`` passes :meth:`OpfParams.validate` on ``net``
+    and the solution's ``gen``, ``theta`` and ``flows`` fit ``net``."""
+    params.validate(net)
+    for name, want in (("gen", net.n_gen), ("theta", net.n_bus), ("flows", net.n_edge)):
+        got = len(getattr(sol, name))
+        if got != want:
+            raise DimensionMismatch(f"solution {name} has length {got}, want {want}")
+
+
 def _at_limit(value: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> tuple[int, ...]:
     """Indices of the entries within :data:`BINDING_TOL` of either limit."""
     gap = np.minimum(np.abs(value - upper), np.abs(value - lower))
@@ -337,8 +349,11 @@ def extract_binding_set(sol: OpfSolution, net: Network, params: OpfParams) -> _j
 
     Raises :class:`DegeneratePoint` when the binding-inequality count is not
     ``n_gen - 1`` (the load sits outside the regular region) and
-    :class:`DependentBindings` when the set fails the independence test.
+    :class:`DependentBindings` when the set fails the independence test
+    (:func:`jacobian.independence_check`). The limits and the solution must
+    fit ``net``, as in :func:`kkt_residuals`.
     """
+    _check_point(sol, net, params)
     gens = _at_limit(sol.gen, params.gen_upper, params.gen_lower)
     branches = _at_limit(sol.flows, params.flow_upper, params.flow_lower)
     count = len(gens) + len(branches)
@@ -348,7 +363,9 @@ def extract_binding_set(sol: OpfSolution, net: Network, params: OpfParams) -> _j
             f"(gens {gens}, branches {branches})"
         )
     bset = _jac.interned_binding_set(gens, branches)
-    _jac.require_independent(net, bset)
+    if not _jac.independence_check(net, bset):
+        raise DependentBindings(f"binding set gens={gens} branches={branches} is dependent: "
+                                "its reduced block fails the independence test")
     return bset
 
 

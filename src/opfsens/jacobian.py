@@ -30,15 +30,15 @@ transfer from each load to ``r``::
     y = B^-1 P,   J[free g] = y[g],   J[binding g] = 0,   J[r] = 1 - sum(y)
 
 The independence test is the pivot ratio of ``B``
-(:func:`linalg.lu_factor_checked`). The set scan, :func:`independence_check`
-and :func:`jacobian_from_binding` all test and solve through
-:func:`reduced_solve`, the one owner of the factors, so they agree by
-construction. It gathers each passed set's ``P`` rows in the row order of
-its factors and returns a :class:`Solved` of the sets that pass: their pool
-rows and ``y`` as solved, with a map from generators to rows of ``y``, not
-assembled Jacobians. Its layout stays in this module: the scan reads
-maxima, values and the sets it reports through its methods, and
-:meth:`Solved.jacobian_rows` assembles ``J``.
+(:func:`linalg.lu_factor_checked`). The scan tests and solves batches of
+sets through :func:`reduced_solve`, the one owner of the factors, and
+:func:`independence_check` and :func:`jacobian_from_binding` one helper's
+batch of one set, so they agree by construction. It gathers each passed
+set's ``P`` rows in the row order of its factors and returns a
+:class:`Solved` of the sets that pass: their pool rows and ``y`` as
+solved, with a map from generators to rows of ``y``, not assembled
+Jacobians. The scan reads maxima, values and the sets it reports through
+its methods, and :meth:`Solved.jacobian_rows` assembles ``J``.
 """
 
 from __future__ import annotations
@@ -64,13 +64,22 @@ def _increasing(s: Sequence[int]) -> bool:
 class BindingSet:
     """Ordered index sets of binding generators and branches.
 
-    Slotted: reports and tie lists hold thousands of them.
+    Each member sequence is stored as a tuple, so a set built from lists
+    hashes and compares as one built from tuples; one that is not iterable
+    raises :class:`CardinalityViolation`. Slotted: reports and tie lists
+    hold thousands of them.
     """
 
     gens: tuple[int, ...]
     branches: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("gens", "branches"):
+            try:  # a tuple passes through as the same object
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise CardinalityViolation(
+                    f"{name} {getattr(self, name)!r} is not a sequence of indices") from None
         if not _increasing(self.gens):
             raise CardinalityViolation(f"generator set {self.gens} not strictly increasing")
         if not _increasing(self.branches):
@@ -293,21 +302,10 @@ def reduced_solve(net: Network, batch: SetBatch, loads: Sequence[int]) -> Solved
     return solved
 
 
-def _batch_of(net: Network, bset: BindingSet) -> SetBatch:
-    return set_batch(net.n_gen, net.n_edge, [(bset.gens, pool_rows(net, bset)[None])])
-
-
-def _solve_one(net: Network, bset: BindingSet, loads: Sequence[int]) -> np.ndarray:
-    """The set's Jacobian for ``loads`` from :func:`reduced_solve`, as an
-    array that owns its data; :class:`DependentBindings` unless it passes the
-    independence test."""
-    solved = reduced_solve(net, _batch_of(net, bset), loads)
-    if not len(solved):
-        raise DependentBindings(
-            f"binding set gens={bset.gens} branches={bset.branches} is dependent: "
-            "its reduced block fails the independence test"
-        )
-    return solved.jacobian_rows(range(net.n_gen))[0].copy()
+def _solve_set(net: Network, bset: BindingSet, loads: Sequence[int]) -> Solved:
+    """:func:`reduced_solve` of the one-set batch of ``bset``."""
+    batch = set_batch(net.n_gen, net.n_edge, [(bset.gens, pool_rows(net, bset)[None])])
+    return reduced_solve(net, batch, loads)
 
 
 def independence_check(net: Network, bset: BindingSet) -> bool:
@@ -318,12 +316,7 @@ def independence_check(net: Network, bset: BindingSet) -> bool:
     rows, invertibility coincides with row-independence of the binding rows
     in the doubled-inequality standard form.
     """
-    return len(reduced_solve(net, _batch_of(net, bset), ())) == 1
-
-
-def require_independent(net: Network, bset: BindingSet) -> None:
-    """Raise :class:`DependentBindings` unless the set passes independence."""
-    _solve_one(net, bset, ())
+    return len(_solve_set(net, bset, ())) == 1
 
 
 @dataclass(frozen=True)
@@ -344,4 +337,10 @@ def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
     reduced block (module docstring). Raises :class:`DependentBindings` when
     the block fails the independence test.
     """
-    return JacobianResult(jac=_solve_one(net, bset, range(net.n_load)))
+    solved = _solve_set(net, bset, range(net.n_load))
+    if not len(solved):
+        raise DependentBindings(
+            f"binding set gens={bset.gens} branches={bset.branches} is dependent: "
+            "its reduced block fails the independence test"
+        )
+    return JacobianResult(jac=solved.jacobian_rows(range(net.n_gen))[0].copy())

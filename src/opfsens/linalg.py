@@ -105,14 +105,12 @@ def lu_solve_factored(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def numerical_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+def numerical_rank(a: np.ndarray) -> int:
     """Numerical rank by row echelon reduction with partial pivoting.
 
-    The rank is the number of pivots whose magnitude exceeds
-    ``rel_tol * largest pivot``. An empty matrix has rank 0.
+    The rank counts the pivots larger than :data:`RANK_REL_TOL` (fixed; no
+    call overrides it) times the largest one. An empty matrix has rank 0.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     a = np.array(a, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {a.shape}")
@@ -140,7 +138,7 @@ def numerical_rank(a: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     if not pivots:
         return 0
     largest = max(pivots)
-    return int(sum(p > rel_tol * largest for p in pivots))
+    return int(sum(p > RANK_REL_TOL * largest for p in pivots))
 
 
 def rcond_estimate(a: np.ndarray) -> float:

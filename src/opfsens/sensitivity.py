@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyLoadSet, NoValidSet
+from .errors import EmptyLoadSet, InvalidIndex, NoValidSet
 from .jacobian import (
     BindingSet,
     Part,
@@ -305,14 +305,18 @@ def worst_case_miso(net: Network, gen: int, loads: Sequence[int]) -> tuple[float
     """Worst-case sensitivity of one generator to joint perturbations of a
     load set: the Euclidean norm of the Jacobian row restricted to ``loads``,
     maximized over binding sets (the exact Lipschitz constant of the linear
-    response under 2-norm perturbations confined to those loads)."""
-    chosen = set(loads)
-    if not chosen:
+    response under 2-norm perturbations confined to those loads). A
+    ``loads`` that is not iterable, or a member that is not a load index,
+    raises :class:`InvalidIndex`."""
+    try:
+        loads = tuple(loads)
+    except TypeError:
+        raise InvalidIndex(f"load set {loads!r} is not a collection of load indices") from None
+    if not loads:
         raise EmptyLoadSet("MISO sensitivity needs at least one load index")
-    for j in chosen:
+    for j in loads:
         net.check_pair(gen, j)
-    loads = sorted(chosen)
-    best, kept, _ = _fold(net, loads, [gen], norm=True)
+    best, kept, _ = _fold(net, sorted(set(loads)), [gen], norm=True)
     return float(best[0]), kept[0][0][1]
 
 

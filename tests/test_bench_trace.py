@@ -39,6 +39,7 @@ def test_traced_layers_are_recorded(monkeypatch, net9, params9, loads9):
         "sensitivity.tied_argmax_sets",
         "dcopf.extract_binding_set",
         "jacobian.jacobian_from_binding",
+        "jacobian.independence_check",
         "linalg.lu_factor_checked",
         "linalg.lu_solve_factored",
     ):

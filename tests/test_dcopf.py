@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 import scipy.optimize as sopt
 
 import opfsens as ops
+from opfsens import linalg
+from opfsens.cli import main
 from opfsens.dcopf import _equality_form
-from opfsens.errors import DegeneratePoint, DimensionMismatch, Infeasible
+from opfsens.errors import DegeneratePoint, DependentBindings, DimensionMismatch, Infeasible
 from opfsens.network import assemble_network
 
 import oracles
@@ -300,3 +303,46 @@ def test_binding_set_density(net9, params9):
         except ops.errors.OpfSensError:
             pass
     assert ok >= 0.9 * n
+
+
+@pytest.mark.parametrize("reader", ["kkt_residuals", "extract_binding_set"])
+@pytest.mark.parametrize("mismatch", ["params", "solution"])
+def test_point_readers_check_their_inputs(net9, params9, loads9, chain27, reader, mismatch):
+    """A dispatch point's readers refuse limits or a solution of another
+    network with DimensionMismatch, not a numpy broadcast error: the
+    27-bus chain's limits with a case9 point, and a case9 solution with
+    the 27-bus chain."""
+    net27, params27 = chain27
+    sol9 = ops.solve_opf(net9, params9, loads9)
+    net, params, load = {"params": (net9, params27, loads9),
+                         "solution": (net27, params27, np.tile(loads9, 3))}[mismatch]
+    args = (sol9, net, params, load)[: 4 if reader == "kkt_residuals" else 3]
+    with pytest.raises(DimensionMismatch, match="has shape" if mismatch == "params" else "solution"):
+        getattr(ops, reader)(*args)
+
+
+#: case9 loads at which branch 8-2 binds alongside generator 3
+BRANCH_BINDING_LOADS = "0.8,0.6,1.3,1.3,0.9,0.9"
+
+
+@pytest.mark.parametrize("via", ["library", "cli"])
+def test_dependent_point_raises(net9, params9, capsys, monkeypatch, via):
+    """A point whose binding set fails the independence test raises
+    DependentBindings from extract_binding_set, and the CLI exits 1 with it.
+    An LP vertex with n_gen - 1 binding inequalities is exactly independent,
+    so the test raises the tolerance to 1, where every block with a branch
+    row fails."""
+    load = np.array([float(v) for v in BRANCH_BINDING_LOADS.split(",")])
+    bset = ops.extract_binding_set(ops.solve_opf(net9, params9, load), net9, params9)
+    assert bset.branches
+    monkeypatch.setattr(linalg, "RANK_REL_TOL", 1.0)
+    if via == "library":
+        with pytest.raises(DependentBindings, match=r"^binding set gens=\(2,\) branches=\(6,\)"):
+            ops.extract_binding_set(ops.solve_opf(net9, params9, load), net9, params9)
+        return
+    capsys.readouterr()
+    code = main(["sens-local", "--case", str(ops.bundled_case_path()), "--pair", "3", "9",
+                 "--loads", BRANCH_BINDING_LOADS, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "DependentBindings"

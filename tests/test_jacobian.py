@@ -539,3 +539,19 @@ def test_bool_members_are_refused(net9):
         with pytest.raises(CardinalityViolation, match="not all integers"):
             call(net9, bset)
     assert BindingSet((1,), (3,)).describe(net9) == {"generators": [2], "branches": [[3, 6]]}
+
+
+def test_list_members_are_stored_as_tuples(net9):
+    """A set built from lists is the set built from tuples: it hashes, is
+    ``==`` and gives the same Jacobian bytes; a member that is not iterable
+    is refused."""
+    listed, tupled = BindingSet([0], [3]), BindingSet((0,), (3,))
+    assert listed.gens == (0,) and listed.branches == (3,)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert len({listed, tupled, BindingSet((0,), [3])}) == 1
+    assert (ops.jacobian_from_binding(net9, listed).jac.tobytes()
+            == ops.jacobian_from_binding(net9, tupled).jac.tobytes())
+    assert ops.independence_check(net9, BindingSet((0,), [3])) == ops.independence_check(net9, tupled)
+    for gens, branches in ((0, (3,)), ((0,), None)):
+        with pytest.raises(CardinalityViolation, match="is not a sequence of indices"):
+            BindingSet(gens, branches)

@@ -295,6 +295,41 @@ def test_unmodelled_columns_exit_1(case9_text, tmp_path, capsys, old, new, messa
     assert json.loads(err.splitlines()[-1])["error"] == {"type": "MalformedMatrix", "message": message}
 
 
+#: case9's gencost rows, whose removal leaves the table empty
+GENCOST_ROWS = "\t2\t1500\t0\t3\t0.11\t5\t150;\n\t2\t2000\t0\t3\t0.085\t1.2\t600;\n" \
+    "\t2\t3000\t0\t3\t0.1225\t1\t335;\n"
+
+
+@pytest.mark.parametrize("old, new, error, message", [
+    ("\t2\t1500\t0\t3\t", "\t1\t1500\t0\t3\t", "MalformedMatrix",
+     "generator 0: unsupported cost model 1 (only polynomial model 2)"),
+    ("\t2\t1500\t0\t3\t", "\t2\t1500\t0\t4\t", "MalformedMatrix",
+     "generator 0: gencost row shorter than n=4"),
+    (GENCOST_ROWS, "", "MalformedMatrix", "table 'gencost' is empty"),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = abc;", "MalformedMatrix", "baseMVA is not numeric: 'abc'"),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", "MalformedMatrix",
+     "baseMVA must be positive and finite, got 0.0"),
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = -100;", "MalformedMatrix",
+     "baseMVA must be positive and finite, got -100.0"),
+    ("\t5\t1\t90\t", "\t4\t1\t90\t", "MalformedMatrix", "duplicate bus ids in bus table"),
+    ("\t0.11\t5\t150;", "\t0.11\t-5\t150;", "InvalidLimits", "costs must be nonnegative"),
+    ("\t1\t4\t0\t0.0576\t0\t250\t", "\t1\t4\t0\t0.0576\t0\t-250\t", "InvalidLimits",
+     "flow lower limit exceeds upper limit"),
+], ids=["cost-model-1", "short-gencost-row", "empty-table", "non-numeric-base", "zero-base",
+        "negative-base", "duplicate-bus", "negative-cost", "negative-rate"])
+def test_case_errors_exit_1(case9_text, tmp_path, capsys, old, new, error, message):
+    """Each case file a user can write that the model does not accept is a
+    domain error: the CLI exits 1 with its JSON error and prints nothing on
+    stdout."""
+    assert case9_text.count(old) == 1
+    path = tmp_path / "case.m"
+    path.write_text(case9_text.replace(old, new))
+    assert main(["solve", "--case", str(path), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == {"type": error, "message": message}
+
+
 def test_branch_rows_without_status_are_in_service(case9_text):
     net, _ = ops.build_network(ops.parse_matpower(_cut_rows(case9_text, "branch", 10)))
     assert net.n_edge == 9

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
 
 import opfsens as ops
 from opfsens.errors import (
-    DanglingReference, DisconnectedChain, DisconnectedGraph, DuplicateGeneratorBus, InvalidIndex,
-    InvalidLimits, InvalidTie, OpfSensError, ZeroReactance,
+    DanglingReference, DimensionMismatch, DisconnectedChain, DisconnectedGraph,
+    DuplicateGeneratorBus, InvalidIndex, InvalidLimits, InvalidTie, OpfSensError, ZeroReactance,
 )
 from opfsens.linalg import numerical_rank
 from opfsens.network import UNLIMITED_FLOW_PU, assemble_network
@@ -36,7 +38,7 @@ def test_laplacian_row_sums(net9):
 
 
 def test_laplacian_rank(net9):
-    assert numerical_rank(net9.laplacian, 1e-9) == net9.n_bus - 1
+    assert numerical_rank(net9.laplacian) == net9.n_bus - 1
     # symmetric PSD with a single zero eigenvalue
     w = np.linalg.eigvalsh(net9.laplacian)
     assert w[0] == pytest.approx(0.0, abs=1e-9)
@@ -91,6 +93,40 @@ def test_non_finite_values_are_domain_errors():
             arr[1] = bad
             with pytest.raises(InvalidLimits, match=name):
                 dataclasses.replace(ok, **{name: arr}).validate(net)
+
+
+def _validate(**fields):
+    """Validate case9's limits with ``fields`` replaced."""
+    return lambda net9, params9: dataclasses.replace(params9, **fields).validate(net9)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_validate(cost=[1.0, 2.0]), DimensionMismatch, "cost has shape (2,), want (3,)"),
+    (_validate(gen_lower=[0.1, -0.1, 0.1]), InvalidLimits,
+     "generator lower limits must be nonnegative"),
+    (_validate(flow_upper=[-3.0] * 9), InvalidLimits, "flow lower limit exceeds upper limit"),
+    (_validate(cost=[1.0, 1.2, -1.0]), InvalidLimits, "costs must be nonnegative"),
+    (lambda net9, params9: assemble_network([1, 2], [2], [(1, 2, 1.0)]), DuplicateGeneratorBus,
+     "duplicate vertex labels in (1, 2, 2)"),
+], ids=["field-shape", "negative-gen-lower", "inverted-flow-limits", "negative-cost",
+        "duplicate-labels"])
+def test_network_domain_errors(net9, params9, call, error, message):
+    """Limits that do not fit the network, and a network with a bus label
+    twice, are domain errors with messages that name the fault."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(net9, params9)
+
+
+def test_negative_pmin_is_clamped_with_a_warning(case9_text, caplog):
+    """A negative Pmin (generator 0's, -10 MW) becomes a lower limit of 0,
+    and the clamp is logged."""
+    row = "\t1\t250\t10\t"  # status, Pmax and Pmin of generator 0
+    assert case9_text.count(row) == 1
+    case = ops.parse_matpower(case9_text.replace(row, "\t1\t250\t-10\t"))
+    with caplog.at_level(logging.WARNING, logger="opfsens"):
+        _, params = ops.build_network(case)
+    assert params.gen_lower.tolist() == [0.0, 0.1, 0.1]
+    assert "generator 0: clamping negative lower limit -0.1 to 0" in caplog.messages
 
 
 def test_duplicate_generator_bus(case9_text):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import opfsens as ops
 from opfsens import dcopf, sensitivity
 from opfsens.errors import (
-    DependentBindings, DimensionMismatch, EmptyLoadSet, InvalidLoad, InvalidSampling, NoValidSet,
+    DependentBindings, DimensionMismatch, EmptyLoadSet, InvalidIndex, InvalidLoad, InvalidSampling,
+    NoValidSet,
 )
 from opfsens.jacobian import BindingSet, SetBatch, Solved, reduced_solve, set_batch
 from opfsens.network import assemble_network
@@ -292,6 +293,18 @@ def test_miso_all_loads_dominates_row_max(net9, table9):
 def test_miso_validation(net9):
     with pytest.raises(EmptyLoadSet):
         ops.worst_case_miso(net9, 0, [])
+
+
+@pytest.mark.parametrize("loads, match", [
+    (5, "load set 5 is not"),
+    (None, "load set None is not"),
+    ([[1]], r"load index \[1\] is not an integer"),
+])
+def test_miso_load_set_must_hold_load_indices(net9, loads, match):
+    """A load set that is not a collection of indices is an InvalidIndex,
+    not the TypeError of building a set from it."""
+    with pytest.raises(InvalidIndex, match=match):
+        ops.worst_case_miso(net9, 0, loads)
 
 
 def test_local_sensitivity_two_bus(two_bus):
