@@ -329,9 +329,12 @@ def kkt_residuals(
 
 def _check_point(sol: OpfSolution, net: Network, params: OpfParams) -> None:
     """Raise unless ``params`` passes :meth:`OpfParams.validate` on ``net``
-    and the solution's ``gen``, ``theta`` and ``flows`` fit ``net``."""
+    and the solution's primal and dual vectors fit ``net``."""
     params.validate(net)
-    for name, want in (("gen", net.n_gen), ("theta", net.n_bus), ("flows", net.n_edge)):
+    for name, want in (("gen", net.n_gen), ("theta", net.n_bus), ("flows", net.n_edge),
+                       ("dual_eq", net.n_bus + 1), ("dual_gen_upper", net.n_gen),
+                       ("dual_gen_lower", net.n_gen), ("dual_flow_upper", net.n_edge),
+                       ("dual_flow_lower", net.n_edge)):
         got = len(getattr(sol, name))
         if got != want:
             raise DimensionMismatch(f"solution {name} has length {got}, want {want}")

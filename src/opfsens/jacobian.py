@@ -152,7 +152,10 @@ class SetBatch:
     other generator, ``(groups, n_gen)``. ``at[i, s]`` is the offset of
     block row ``i`` of set ``s`` in a table of ``n_gen + n_edge`` pool rows
     per group: the group times the pool size plus the row's pool row, ``(n,
-    count)``.
+    count)``. ``rows`` and ``at`` are each stored in the smallest integer
+    dtype that holds their largest value (``numpy.min_scalar_type``), often
+    ``uint8`` and ``uint16``, so a cached layout stays small; arithmetic
+    on them needs ``intp`` operands, or it keeps the small dtype and wraps.
     """
 
     rows: np.ndarray
@@ -172,7 +175,7 @@ def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
     of one group is unpadded, each block its set's own ``t x t`` one."""
     n_pool = n_gen + n_edge
     width = n_gen - 1 - min(len(gens) for gens, _ in parts)
-    rows = np.concatenate([part for _, part in parts])
+    rows = np.concatenate([part for _, part in parts], dtype=np.intp)
     groups = [(gens, sum(len(part) for _, part in run))
               for gens, run in groupby(parts, key=operator.itemgetter(0))]
     cols = np.empty((len(groups), width + 1), np.intp)
@@ -191,7 +194,13 @@ def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
     bounds[-1] = start
     slots = np.full((len(groups), n_gen), width + 1, np.intp)
     slots[np.arange(len(groups))[:, None], cols] = np.arange(width + 1)
-    return SetBatch(rows=rows, cols=cols, slots=slots, bounds=bounds, at=at)
+    return SetBatch(rows=_compact(rows), cols=cols, slots=slots, bounds=bounds, at=_compact(at))
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    """The nonnegative integers ``a`` in the smallest dtype that holds
+    their largest value."""
+    return a.astype(np.min_scalar_type(a.max(initial=0)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,7 +226,7 @@ class Solved:
     def sets(self, which: np.ndarray | slice = slice(None)) -> list[BindingSet]:
         """The interned :class:`BindingSet` of each set ``which``, in order,
         in one conversion: the inverse of :func:`pool_rows`."""
-        rows, n_gen = self.rows[which], self.slots.shape[1]
+        rows, n_gen = self.rows[which].astype(np.intp), self.slots.shape[1]
         is_gen = rows < n_gen
         n_gens = is_gen.sum(axis=1).tolist()
         rows = np.where(is_gen, rows, rows - n_gen).tolist()
@@ -236,11 +245,9 @@ class Solved:
     def abs_max(self, gens: Sequence[int]) -> np.ndarray:
         """The largest ``|J[v, l]|`` of the sets for each ``v`` in ``gens``
         and each load column ``l``, ``(len(gens), loads)``, from the largest
-        and smallest ``y`` of each run: the Jacobians are not assembled."""
+        ``|y|`` of each run: the Jacobians are not assembled."""
         runs = np.flatnonzero(np.diff(self.bounds))  # reduceat needs no empty run
-        top = np.maximum.reduceat(self.y, self.bounds[runs], axis=2)
-        low = np.minimum.reduceat(self.y, self.bounds[runs], axis=2)
-        np.maximum(top, np.negative(low, out=low), out=top)  # (n + 2, loads, runs)
+        top = np.maximum.reduceat(np.abs(self.y), self.bounds[runs], axis=2)  # (n + 2, loads, runs)
         cells = np.arange(len(runs))[:, None], self.slots[runs[:, None], gens]
         return top.transpose(2, 0, 1)[cells].max(axis=0)
 
@@ -294,8 +301,8 @@ def reduced_solve(net: Network, batch: SetBatch, loads: Sequence[int]) -> Solved
                     bounds=passed.searchsorted(batch.bounds))
     if not (passed.size and loads.size):
         return solved
-    # take keeps the batch axis last in memory; a boolean mask would not
-    at = np.take_along_axis(batch.at, order, axis=0).take(passed, axis=1)
+    # one flat take: at[order[i, s], s] for each passed set s, batch axis last
+    at = batch.at.reshape(-1).take(order[:, passed] * len(batch) + passed)
     y[:n] = gathered(n_gen + loads, at).transpose(1, 0, 2)
     linalg.lu_solve_factored(lu.take(passed, axis=2), y[:n])
     np.subtract.reduce(y[:n], axis=0, initial=1.0, out=y[n])

@@ -30,6 +30,7 @@ rule depends on values and order only, so results do not depend on chunking.
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,12 +63,15 @@ CHUNK = 1024
 #: lists are built a fixed prefix at a time from one table's tails
 COMBO_ROWS = 1 << 16
 
-#: networks with at most this many candidate sets keep their chunks, built
-#: once per shape, live-branch lists and ``CHUNK`` (the 27-bus stages have
-#: 78 to 1820 candidates and 7 distinct keys); larger ones, such as the
-#: 18-bus chain with 53130 (44485 live, 1.8 MB of rows), build them as they
-#: scan
-CACHED_CANDIDATES = 4096
+#: the chunks of a network are built once per shape, live-branch lists and
+#: ``CHUNK`` and kept while they hold at most this many bytes, each chunk
+#: and its arrays as ``sys.getsizeof`` counts them: the 27-bus stages, with
+#: 78 to 1820 candidates and 7 distinct keys, and the 18-bus chain's 48
+#: chunks of 44485 live candidates (0.44 MB, its pool rows ``uint8``) are
+#: kept; larger layouts, such as that chain's at ``CHUNK`` 1 (44485 one-set
+#: chunks, 36 MB) or 7 (5.5 MB) or the 34.6 M live candidates of the 27-bus
+#: chain, are built as the scan goes
+CACHED_BYTES = 1 << 20
 
 #: the live-branch lists of each network scanned, dropped with it
 _LIVE: weakref.WeakKeyDictionary[Network, tuple[tuple[int, ...], ...]] = weakref.WeakKeyDictionary()
@@ -178,11 +182,19 @@ def _chunks(n_gen: int, n_edge: int, live: Sequence[Sequence[int]], size: int) -
 @lru_cache(maxsize=16)
 def _cached_chunks(
     n_gen: int, n_edge: int, live: tuple[tuple[int, ...], ...], size: int
-) -> tuple[SetBatch, ...]:
+) -> tuple[SetBatch, ...] | None:
     """The :func:`_chunks` of one network shape, live-branch lists and
-    ``size``, built once: the chunks hold nothing else, so networks with
+    ``size``, built once, or None, also kept, once they hold more than
+    :data:`CACHED_BYTES`: the chunks hold nothing else, so networks with
     equal lists share them."""
-    return tuple(_chunks(n_gen, n_edge, live, size))
+    chunks, held = [], 0
+    for batch in _chunks(n_gen, n_edge, live, size):
+        held += sum(map(sys.getsizeof, (batch, batch.rows, batch.cols, batch.slots,
+                                        batch.bounds, batch.at)))
+        if held > CACHED_BYTES:
+            return None
+        chunks.append(batch)
+    return tuple(chunks)
 
 
 def _scan(net: Network, loads: Sequence[int]) -> Iterator[Solved]:
@@ -191,12 +203,11 @@ def _scan(net: Network, loads: Sequence[int]) -> Iterator[Solved]:
     the :class:`~opfsens.jacobian.Solved` of :func:`reduced_solve`; with no
     ``loads`` nothing is solved. The chunks are :func:`_chunks` of ``CHUNK``
     sets over the live branches, kept per shape and live-branch lists up to
-    :data:`CACHED_CANDIDATES` candidates. Each set gets the numbers of its
-    own block, so no result depends on the chunking."""
+    :data:`CACHED_BYTES`. Each set gets the numbers of its own block, so no
+    result depends on the chunking."""
     live = _live_branches(net)
-    if candidate_count(net) <= CACHED_CANDIDATES:
-        chunks = _cached_chunks(net.n_gen, net.n_edge, live, CHUNK)
-    else:
+    chunks = _cached_chunks(net.n_gen, net.n_edge, live, CHUNK)
+    if chunks is None:
         chunks = _chunks(net.n_gen, net.n_edge, live, CHUNK)
     for batch in chunks:
         solved = reduced_solve(net, batch, loads)

@@ -321,6 +321,22 @@ def test_point_readers_check_their_inputs(net9, params9, loads9, chain27, reader
         getattr(ops, reader)(*args)
 
 
+@pytest.mark.parametrize("dual", SOLUTION_VECTORS[3:])
+def test_point_readers_check_dual_lengths(net9, params9, loads9, dual):
+    """A hand-built case9 solution with one dual vector an entry short is
+    refused with DimensionMismatch, not a numpy matmul, broadcast or index
+    error, by both readers of a dispatch point."""
+    sol = ops.solve_opf(net9, params9, loads9)
+    fields = {name: getattr(sol, name) for name in SOLUTION_VECTORS}
+    fields[dual] = fields[dual][:-1]
+    short = ops.OpfSolution(**fields, objective=sol.objective, min_basic_value=sol.min_basic_value,
+                            min_nonbasic_rc=sol.min_nonbasic_rc)
+    with pytest.raises(DimensionMismatch, match=f"solution {dual} has length"):
+        ops.kkt_residuals(short, net9, params9, loads9)
+    with pytest.raises(DimensionMismatch, match=f"solution {dual} has length"):
+        ops.extract_binding_set(short, net9, params9)
+
+
 #: case9 loads at which branch 8-2 binds alongside generator 3
 BRANCH_BINDING_LOADS = "0.8,0.6,1.3,1.3,0.9,0.9"
 

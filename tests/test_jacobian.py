@@ -334,6 +334,33 @@ def _batch(net, rows):
         (gens[i], rows[i:j]) for i, j in zip(starts, starts[1:] + [len(rows)])])
 
 
+def _path_network(n_branches):
+    """Two generators at the ends of a path of ``n_branches`` branches, the
+    loads between them."""
+    buses = ["g0", *range(1, n_branches), "g1"]
+    edges = [(u, v, 1.0 + k % 7 / 8) for k, (u, v) in enumerate(zip(buses, buses[1:]))]
+    return assemble_network(["g0", "g1"], buses[1:-1], edges)
+
+
+def test_compact_offsets_do_not_wrap():
+    """A batch whose gather offsets pass 65535, the 16-bit dtypes: on a
+    path of 300 branches (302 pool rows), 690 sets whose generator subsets
+    alternate, so each set is a group of its own, solve bit for bit as each
+    set's own block does."""
+    net = _path_network(300)
+    rng = np.random.default_rng(5)
+    rows = np.array([[v] for k in range(230) for v in (0, 2 + rng.integers(300), 1)])
+    batch = _batch(net, rows)
+    assert len(batch.cols) == len(rows) and batch.at.max() > 65535
+    loads = rng.permutation(net.n_load)[:40]
+    solved, jac = _solve(net, batch, loads)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_ok, want = oracles.block_solve(net, rows, loads)
+    assert np.array_equal(solved.rows, rows[want_ok]) and want_ok.all()
+    assert solved.sets() == [BindingSet(*key) for key in oracles.row_keys(net, rows)]
+    assert _same_bits(jac, want)
+
+
 def _solve(net, batch, loads):
     """``reduced_solve``'s passed sets and their Jacobians, assembled by
     ``Solved.jacobian_rows``."""

@@ -18,14 +18,14 @@ from opfsens.errors import (
     DependentBindings, DimensionMismatch, EmptyLoadSet, InvalidIndex, InvalidLoad, InvalidSampling,
     NoValidSet,
 )
-from opfsens.jacobian import BindingSet, SetBatch, Solved, reduced_solve, set_batch
+from opfsens.jacobian import BindingSet, SetBatch, Solved, pool_rows, reduced_solve, set_batch
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count
 
 import oracles
 from conftest import random_regular_params
 from test_decompose import RANDOM_SEEDS, _random_bridge_network
-from test_jacobian import _random_network
+from test_jacobian import _path_network, _random_network, _same_bits
 
 
 def test_candidate_count_case9(net9):
@@ -366,14 +366,16 @@ def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
         return reduced_solve(net, rows, loads)
 
     monkeypatch.setattr(sensitivity, "reduced_solve", counting)
-    assert candidate_count(net9) == 66 <= sensitivity.CACHED_CANDIDATES
+    assert candidate_count(net9) == 66
     default = sensitivity.CHUNK
+    shape = (net9.n_gen, net9.n_edge, sensitivity._live_branches(net9))
     for chunk, want in ((default, 1), (1, 63), (7, 12), (default, 1)):
         monkeypatch.setattr(sensitivity, "CHUNK", chunk)
         calls.clear()
         ops.worst_case_all(net9)
         assert len(calls) == want
         assert sum(calls) == 63
+        assert len(sensitivity._cached_chunks(*shape, chunk)) == want
 
 
 def test_cached_chunks_are_the_packed_chunks(net9, chain18, chain27, monkeypatch):
@@ -393,26 +395,84 @@ def test_cached_chunks_are_the_packed_chunks(net9, chain18, chain27, monkeypatch
     assert (len(stages), len({key[:2] for key in keys}), len(keys)) == (15, 4, 7)
     nets = [net9, *stages.values(), chain18[0]]
     assert sorted(set(map(candidate_count, nets))) == [66, 78, 364, 455, 1820, 53130]
+    for net in nets:
+        _check_cache_agrees(net, range(net.n_load), monkeypatch)
+
+
+def _check_cache_agrees(net, loads, monkeypatch):
+    """The cached chunks of ``net`` are the :func:`_chunks` it packs, field
+    by field, and the scan yields ``==`` rows and solutions for ``loads``
+    whether it reads them from the cache or, with ``CACHED_BYTES`` below
+    any layout, builds them as it goes."""
+    shape = (net.n_gen, net.n_edge, sensitivity._live_branches(net), sensitivity.CHUNK)
+    sensitivity._cached_chunks.cache_clear()
     try:
-        for net in nets:
-            shape = (net.n_gen, net.n_edge, sensitivity._live_branches(net), sensitivity.CHUNK)
-            cached = sensitivity._cached_chunks(*shape)
-            built = list(sensitivity._chunks(*shape))
-            assert len(cached) == len(built)
-            for a, b in zip(cached, built):
-                for field in dataclasses.fields(SetBatch):
-                    assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
-            scans = []
-            for limit in (candidate_count(net), -1):
-                monkeypatch.setattr(sensitivity, "CACHED_CANDIDATES", limit)
-                scans.append(list(sensitivity._scan(net, range(net.n_load))))
-            used, bypassed = scans
-            assert len(used) == len(bypassed)
-            for solved, want in zip(used, bypassed):
-                for field in dataclasses.fields(Solved):
-                    assert np.array_equal(getattr(solved, field.name), getattr(want, field.name))
+        cached = sensitivity._cached_chunks(*shape)
+        built = list(sensitivity._chunks(*shape))
+        assert len(cached) == len(built)
+        for a, b in zip(cached, built):
+            for field in dataclasses.fields(SetBatch):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+        used = list(sensitivity._scan(net, loads))
+        with monkeypatch.context() as m:
+            m.setattr(sensitivity, "CACHED_BYTES", -1)
+            sensitivity._cached_chunks.cache_clear()
+            bypassed = list(sensitivity._scan(net, loads))
+            assert sensitivity._cached_chunks(*shape) is None
+        assert len(used) == len(bypassed)
+        for solved, want in zip(used, bypassed):
+            for field in dataclasses.fields(Solved):
+                assert np.array_equal(getattr(solved, field.name), getattr(want, field.name))
     finally:
         sensitivity._cached_chunks.cache_clear()
+
+
+def test_compact_layout_does_not_wrap(monkeypatch):
+    """Two generators at the ends of a path of 300 branches have pool rows
+    up to 301, past the 8-bit dtypes: every chunk is cached, holds the pool
+    rows of the lexicographic candidates, and the scan's sets and Jacobians
+    are those of each set's own block solved one at a time (bit for bit,
+    but for the sign of a zero); the worst-case report is ``==`` whether
+    the chunks come from the cache or not."""
+    net = _path_network(300)
+    loads = np.arange(net.n_load)
+    shape = (net.n_gen, net.n_edge, sensitivity._live_branches(net), sensitivity.CHUNK)
+    _check_cache_agrees(net, loads, monkeypatch)
+    cached = sensitivity._cached_chunks(*shape)
+    keys = oracles.lex_candidates(net)
+    rows = np.array([pool_rows(net, BindingSet(*key)) for key in keys])
+    assert np.array_equal(np.concatenate([batch.rows for batch in cached]), rows)
+    assert rows.max() == 301 and len(rows) == 302
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_ok, want = oracles.block_solve(net, rows, loads)
+    scanned = list(sensitivity._scan(net, loads))
+    assert np.array_equal(np.concatenate([solved.rows for solved in scanned]), rows[want_ok])
+    assert _same_bits(np.concatenate([solved.jacobian_rows(range(net.n_gen))
+                                      for solved in scanned]), want)
+    report = ops.worst_case_all(net)
+    with monkeypatch.context() as m:
+        m.setattr(sensitivity, "CACHED_BYTES", -1)
+        sensitivity._cached_chunks.cache_clear()
+        streamed = ops.worst_case_all(net)
+    sensitivity._cached_chunks.cache_clear()
+    assert ((report.cwc.tobytes(), report.argmax, report.candidates_valid)
+            == (streamed.cwc.tobytes(), streamed.argmax, streamed.candidates_valid))
+
+
+def test_chain18_layout_is_cached_compact(chain18):
+    """The 18-bus chain's 48 chunks of 44485 live candidates are cached at
+    the default ``CHUNK`` in under 0.5 MB of arrays (3.19 MB as ``intp``);
+    its layouts at ``CHUNK`` 1 and 7 pass :data:`CACHED_BYTES` and are
+    built as the scan goes."""
+    net = chain18[0]
+    shape = (net.n_gen, net.n_edge, sensitivity._live_branches(net))
+    chunks = sensitivity._cached_chunks(*shape, sensitivity.CHUNK)
+    assert (len(chunks), sum(map(len, chunks))) == (48, 44485)
+    held = sum(getattr(batch, field.name).nbytes
+               for batch in chunks for field in dataclasses.fields(SetBatch))
+    assert held <= 512 * 1024
+    for chunk in (1, 7):
+        assert sensitivity._cached_chunks(*shape, chunk) is None
 
 
 def test_report_holds_no_scan_buffer(chain18):
