@@ -18,6 +18,7 @@ against, is built by the test suite's oracles alone.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -41,12 +42,16 @@ REGULARITY_TOL = 1e-9
 
 def check_load(net: Network, load: np.ndarray) -> np.ndarray:
     """Validate a load vector: one finite, nonnegative entry per load bus.
+    A load that numpy cannot read as numbers raises :class:`InvalidLoad`.
 
     Strict positivity (the domain where the sensitivity theory lives) is not
     enforced, so that stock case files with zero-demand buses remain
     solvable.
     """
-    load = np.asarray(load, dtype=float)
+    try:
+        load = np.asarray(load, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidLoad(f"load is not an array of numbers: {exc}") from None
     if load.shape != (net.n_load,):
         raise DimensionMismatch(f"load has shape {load.shape}, want ({net.n_load},)")
     if not np.all(np.isfinite(load)) or np.any(load < 0):
@@ -490,11 +495,12 @@ def jacobian_finite_diff(
     generation vectors; a load below ``step`` takes the forward difference,
     since loads cannot go negative. Every stencil point must sit in the same
     active-set region as the center; otherwise :class:`RegionBoundary` is
-    raised, and a ``step`` not finite and positive is :class:`InvalidLoad`.
+    raised, and a ``step`` that is not a finite positive real number is
+    :class:`InvalidLoad`, as is a load that :func:`check_load` refuses.
     """
-    if not 0.0 < step < np.inf:
-        raise InvalidLoad(f"finite-difference step must be finite and positive, got {step}")
-    load = np.asarray(load, dtype=float)
+    if not (isinstance(step, numbers.Real) and 0.0 < step < np.inf):
+        raise InvalidLoad(f"finite-difference step must be finite and positive, got {step!r}")
+    load = check_load(net, load)
     center = solve_opf(net, params, load)
     center_set = extract_binding_set(center, net, params)
 

@@ -30,8 +30,10 @@ transfer from each load to ``r``::
     y = B^-1 P,   J[free g] = y[g],   J[binding g] = 0,   J[r] = 1 - sum(y)
 
 The independence test is the pivot ratio of ``B``
-(:func:`linalg.lu_factor_checked`). The scan tests and solves batches of
-sets through :func:`reduced_solve`, the one owner of the factors, and
+(:func:`linalg.lu_factor_checked`); a set that binds a branch outside
+:func:`live_branches` has a zero row of ``B`` and fails it, so the scan
+skips such sets. The scan tests and solves batches of sets through
+:func:`reduced_solve`, the one owner of the factors, and
 :func:`independence_check` and :func:`jacobian_from_binding` one helper's
 batch of one set, so they agree by construction. It gathers each passed
 set's ``P`` rows in the row order of its factors and returns a
@@ -184,7 +186,7 @@ def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
     start = 0
     for g, (gens, count) in enumerate(groups):
         stop = start + count
-        r, *others = (v for v in range(n_gen) if v not in gens)
+        r, others = _free(n_gen, gens)
         pads = gens[: width - len(others)]
         cols[g] = others + list(pads) + [r]
         bounds[g] = start
@@ -195,6 +197,25 @@ def set_batch(n_gen: int, n_edge: int, parts: Sequence[Part]) -> SetBatch:
     slots = np.full((len(groups), n_gen), width + 1, np.intp)
     slots[np.arange(len(groups))[:, None], cols] = np.arange(width + 1)
     return SetBatch(rows=_compact(rows), cols=cols, slots=slots, bounds=bounds, at=_compact(at))
+
+
+def _free(n_gen: int, gens: Sequence[int]) -> tuple[int, list[int]]:
+    """The reference of a set that binds the generators ``gens``, its lowest
+    free generator, and the other free generators, ascending."""
+    r, *others = (v for v in range(n_gen) if v not in gens)
+    return r, others
+
+
+def live_branches(net: Network, gens: Sequence[int]) -> np.ndarray:
+    """The live branches of the sets that bind the generators ``gens``,
+    ascending: all but the dead ones, whose transfer PTDF from every other
+    free generator ``f`` to the reference ``r``, ``ptdf_basis[f, n_gen + e]
+    - ptdf_basis[r, n_gen + e]`` as :func:`reduced_solve` gathers it, is an
+    exact zero. A set that binds a dead branch has a zero block row, which
+    elimination keeps zero, so a zero (or NaN) pivot rejects the set."""
+    r, others = _free(net.n_gen, gens)
+    branch_cols = net.ptdf_basis[:, net.n_gen :]
+    return np.flatnonzero((branch_cols[others] - branch_cols[r]).any(axis=0))
 
 
 def _compact(a: np.ndarray) -> np.ndarray:

@@ -253,9 +253,9 @@ def assemble_network(
     ``edges`` entries are ``(label_u, label_v, susceptance)``. Raises
     :class:`DisconnectedGraph` when the graph is not connected (reading
     :attr:`Network.bridges` checks it), :class:`ZeroReactance` for a
-    susceptance that is not finite and positive, :class:`DanglingReference`
-    for an endpoint that is not among the labels and :class:`SelfLoop` for an
-    edge from a bus to itself.
+    susceptance that is not a finite positive real number,
+    :class:`DanglingReference` for an endpoint that is not among the labels
+    and :class:`SelfLoop` for an edge from a bus to itself.
     """
     gens, loads = tuple(gen_labels), tuple(load_labels)
     order = gens + loads
@@ -268,9 +268,9 @@ def assemble_network(
     b = np.zeros(m)
     idx_edges = []
     for e, (lu, lv, be) in enumerate(edges):
-        if not 0 < be < math.inf:
+        if not (isinstance(be, numbers.Real) and 0 < be < math.inf):
             raise ZeroReactance(
-                f"edge ({lu!r},{lv!r}) has susceptance {be}, not finite and positive")
+                f"edge ({lu!r},{lv!r}) has susceptance {be!r}, not finite and positive")
         try:
             u, v = pos[lu], pos[lv]
         except KeyError as exc:
@@ -412,7 +412,8 @@ def build_chain(
     Copies and copy indices are integers that :func:`strict_index` accepts,
     tie buses such integers or strings, and susceptance and flow limit real
     numbers or ``None``; a bool is none of these. Anything else raises
-    :class:`InvalidTie`, as do the range and value rules above.
+    :class:`InvalidTie`, as do a tie that is not a :class:`TieLine` and the
+    range and value rules above.
     """
     copies = _chain_value(copies, "copies")
     if copies < 2:
@@ -438,6 +439,8 @@ def build_chain(
     tie_limits = []
     valid = set(base.vertex_order)
     for t in ties:
+        if not isinstance(t, TieLine):
+            raise InvalidTie(f"tie has type {type(t).__name__}: {t!r}")
         ends = []
         for copy, bus in ((t.from_copy, t.from_bus), (t.to_copy, t.to_bus)):
             copy, bus = _chain_value(copy, "tie copy"), _chain_value(bus, "tie bus", label=True)

@@ -8,10 +8,11 @@ walks the candidate sets in lexicographic order, a chunk at a time, and every
 query here reduces over it. It skips, per generator subset, the sets that
 bind a dead branch, one whose transfer PTDFs among the free generators are
 all exact zeros: their blocks have a zero row and fail the test anyway
-(:func:`_live_branches`). A chunk is a
+(:func:`~opfsens.jacobian.live_branches`). A chunk is a
 :class:`~opfsens.jacobian.SetBatch` of pool row indices, built with numpy
 from tables of branch combinations, with the layout of each set's reduced
-block; it is tested and solved by
+block, packed once per network and ``CHUNK`` (:data:`_LAYOUTS`); it is
+tested and solved by
 :func:`~opfsens.jacobian.reduced_solve` for only the load columns the query
 reads: one for a single pair and its ties, the load set for MISO, every load
 for the whole table, none for enumeration. The fold reads its one result,
@@ -45,6 +46,7 @@ from .jacobian import (
     Part,
     SetBatch,
     Solved,
+    live_branches,
     reduced_solve,
     set_batch,
 )
@@ -63,18 +65,19 @@ CHUNK = 1024
 #: lists are built a fixed prefix at a time from one table's tails
 COMBO_ROWS = 1 << 16
 
-#: the chunks of a network are built once per shape, live-branch lists and
-#: ``CHUNK`` and kept while they hold at most this many bytes, each chunk
-#: and its arrays as ``sys.getsizeof`` counts them: the 27-bus stages, with
-#: 78 to 1820 candidates and 7 distinct keys, and the 18-bus chain's 48
-#: chunks of 44485 live candidates (0.44 MB, its pool rows ``uint8``) are
-#: kept; larger layouts, such as that chain's at ``CHUNK`` 1 (44485 one-set
-#: chunks, 36 MB) or 7 (5.5 MB) or the 34.6 M live candidates of the 27-bus
-#: chain, are built as the scan goes
+#: the chunks of a network are packed once per ``CHUNK`` and kept while
+#: they hold at most this many bytes, each chunk and its arrays as
+#: ``sys.getsizeof`` counts them: the 27-bus stages, with 78 to 1820
+#: candidates, and the 18-bus chain's 48 chunks of 44485 live candidates
+#: (0.44 MB, its pool rows ``uint8``) are kept; larger layouts, such as that
+#: chain's at ``CHUNK`` 1 (44485 one-set chunks, 36 MB) or 7 (5.5 MB) or the
+#: 34.6 M live candidates of the 27-bus chain, are built as the scan goes
 CACHED_BYTES = 1 << 20
 
-#: the live-branch lists of each network scanned, dropped with it
-_LIVE: weakref.WeakKeyDictionary[Network, tuple[tuple[int, ...], ...]] = weakref.WeakKeyDictionary()
+#: each scanned network's layout, dropped with the network: the ``CHUNK``
+#: it was packed at and its chunks, or None past :data:`CACHED_BYTES`
+_LAYOUTS: weakref.WeakKeyDictionary[
+    Network, tuple[int, tuple[SetBatch, ...] | None]] = weakref.WeakKeyDictionary()
 
 
 @lru_cache(maxsize=64)
@@ -91,31 +94,6 @@ def _combinations(m: int, r: int) -> np.ndarray:
 def _gen_subsets(n_gen: int) -> list[tuple[int, ...]]:
     """The generator subsets of candidate sets, each before its extensions."""
     return sorted(chain.from_iterable(combinations(range(n_gen), k) for k in range(n_gen)))
-
-
-def _live_branches(net: Network) -> tuple[tuple[int, ...], ...]:
-    """For each generator subset of :func:`_gen_subsets`, in order, its live
-    branches, computed once per network.
-
-    Branch ``e`` is dead for a subset when its transfer PTDF from every free
-    generator ``f`` to the reference ``r`` is an exact zero,
-    ``ptdf_basis[f, n_gen + e] - ptdf_basis[r, n_gen + e] == 0.0``, the very
-    subtraction that :func:`~opfsens.jacobian.reduced_solve` gathers: every
-    set that binds it has a zero block row, which elimination keeps zero, so
-    a zero (or NaN) pivot rejects the set. The scan walks live branches
-    only.
-    """
-    live = _LIVE.get(net)
-    if live is None:
-        live = _LIVE[net] = tuple(_live_of(net, gens) for gens in _gen_subsets(net.n_gen))
-    return live
-
-
-def _live_of(net: Network, gens: tuple[int, ...]) -> tuple[int, ...]:
-    """The live branches of the generator subset ``gens``, ascending."""
-    branch_cols = net.ptdf_basis[:, net.n_gen :]
-    r, *others = (v for v in range(net.n_gen) if v not in gens)
-    return tuple(np.flatnonzero((branch_cols[others] - branch_cols[r]).any(axis=0)).tolist())
 
 
 def _subset_rows(gens: tuple[int, ...], live: Sequence[int], n_gen: int) -> Iterator[np.ndarray]:
@@ -155,15 +133,18 @@ def candidate_count(net: Network) -> int:
     return math.comb(net.n_gen + net.n_edge, net.n_gen - 1) if net.n_gen else 0
 
 
-def _chunks(n_gen: int, n_edge: int, live: Sequence[Sequence[int]], size: int) -> Iterator[SetBatch]:
-    """The candidate sets on the live branches ``live`` of each generator
-    subset (:func:`_live_branches`) in lexicographic order, at most ``size``
-    at a time. Consecutive sets share a chunk, padded to the largest block
-    in it, but a generator subset that does not fit in the open chunk starts
-    a new one, so only a subset of more than ``size`` sets is split."""
+def _chunks(net: Network, size: int) -> Iterator[SetBatch]:
+    """The candidate sets of ``net`` on the live branches of each generator
+    subset (:func:`~opfsens.jacobian.live_branches`) in lexicographic order,
+    at most ``size`` at a time. Consecutive sets share a chunk, padded to
+    the largest block in it, but a generator subset that does not fit in the
+    open chunk starts a new one, so only a subset of more than ``size`` sets
+    is split."""
+    n_gen, n_edge = net.n_gen, net.n_edge
     pending: list[Part] = []
     have = 0
-    for gens, branches in zip(_gen_subsets(n_gen), live):
+    for gens in _gen_subsets(n_gen):
+        branches = live_branches(net, gens)
         if pending and have + math.comb(len(branches), n_gen - 1 - len(gens)) > size:
             yield set_batch(n_gen, n_edge, pending)
             pending, have = [], 0
@@ -179,16 +160,11 @@ def _chunks(n_gen: int, n_edge: int, live: Sequence[Sequence[int]], size: int) -
         yield set_batch(n_gen, n_edge, pending)
 
 
-@lru_cache(maxsize=16)
-def _cached_chunks(
-    n_gen: int, n_edge: int, live: tuple[tuple[int, ...], ...], size: int
-) -> tuple[SetBatch, ...] | None:
-    """The :func:`_chunks` of one network shape, live-branch lists and
-    ``size``, built once, or None, also kept, once they hold more than
-    :data:`CACHED_BYTES`: the chunks hold nothing else, so networks with
-    equal lists share them."""
+def _packed(net: Network, size: int) -> tuple[SetBatch, ...] | None:
+    """The :func:`_chunks` of ``net`` at ``size``, or None once they hold
+    more than :data:`CACHED_BYTES`."""
     chunks, held = [], 0
-    for batch in _chunks(n_gen, n_edge, live, size):
+    for batch in _chunks(net, size):
         held += sum(map(sys.getsizeof, (batch, batch.rows, batch.cols, batch.slots,
                                         batch.bounds, batch.at)))
         if held > CACHED_BYTES:
@@ -202,14 +178,15 @@ def _scan(net: Network, loads: Sequence[int]) -> Iterator[Solved]:
     each chunk's independent sets, solved for the load columns ``loads``, as
     the :class:`~opfsens.jacobian.Solved` of :func:`reduced_solve`; with no
     ``loads`` nothing is solved. The chunks are :func:`_chunks` of ``CHUNK``
-    sets over the live branches, kept per shape and live-branch lists up to
+    sets over the live branches, packed on the first scan at that ``CHUNK``
+    and kept in :data:`_LAYOUTS`, or built as the scan goes past
     :data:`CACHED_BYTES`. Each set gets the numbers of its own block, so no
     result depends on the chunking."""
-    live = _live_branches(net)
-    chunks = _cached_chunks(net.n_gen, net.n_edge, live, CHUNK)
-    if chunks is None:
-        chunks = _chunks(net.n_gen, net.n_edge, live, CHUNK)
-    for batch in chunks:
+    size, chunks = _LAYOUTS.get(net, (None, None))
+    if size != CHUNK:
+        chunks = _packed(net, CHUNK)
+        _LAYOUTS[net] = CHUNK, chunks
+    for batch in _chunks(net, CHUNK) if chunks is None else chunks:
         solved = reduced_solve(net, batch, loads)
         if len(solved):
             yield solved

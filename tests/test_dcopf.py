@@ -14,7 +14,9 @@ import opfsens as ops
 from opfsens import linalg
 from opfsens.cli import main
 from opfsens.dcopf import _equality_form
-from opfsens.errors import DegeneratePoint, DependentBindings, DimensionMismatch, Infeasible
+from opfsens.errors import (
+    DegeneratePoint, DependentBindings, DimensionMismatch, Infeasible, InvalidLoad,
+)
 from opfsens.network import assemble_network
 
 import oracles
@@ -362,3 +364,22 @@ def test_dependent_point_raises(net9, params9, capsys, monkeypatch, via):
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "DependentBindings"
+
+
+@pytest.mark.parametrize("bad", [["a"] * 6, [1j] * 6, [object()] * 6],
+                         ids=["str", "complex", "object"])
+@pytest.mark.parametrize("call", [
+    lambda net, params, good, bad: ops.solve_opf(net, params, bad),
+    lambda net, params, good, bad: ops.kkt_residuals(
+        ops.solve_opf(net, params, good), net, params, bad),
+    lambda net, params, good, bad: ops.local_sensitivity(net, params, bad, 0, 0),
+    lambda net, params, good, bad: ops.sample_lower_bound(net, params, 0, 0, bad, good),
+    lambda net, params, good, bad: ops.sample_lower_bound(net, params, 0, 0, good, bad),
+    lambda net, params, good, bad: ops.jacobian_finite_diff(net, params, bad),
+], ids=["solve_opf", "kkt_residuals", "local_sensitivity", "box_low", "box_high",
+        "jacobian_finite_diff"])
+def test_non_numeric_loads_are_invalid_loads(net9, params9, loads9, call, bad):
+    """A load that numpy cannot read as numbers is an InvalidLoad at every
+    entry point that takes one, not a bare ValueError or TypeError."""
+    with pytest.raises(InvalidLoad, match="not an array of numbers"):
+        call(net9, params9, loads9, bad)

@@ -322,8 +322,9 @@ def _report(res):
 def test_shared_stages_match_cold_builds(make, net9, params9, monkeypatch):
     """A network decomposed before reuses its stage networks. Every pair's
     result from the warm network equals, bit for bit, the one from a network
-    never decomposed, with no candidate chunks cached; equal stages are one
-    object; each distinct stage is assembled once, 15 on the 27-bus chain."""
+    never decomposed, whose stages have packed no layout yet; equal stages
+    are one object; each distinct stage is assembled once, 15 on the 27-bus
+    chain."""
     def build():
         if make == "chain27":
             return _fresh_chain27(net9, params9)
@@ -354,6 +355,5 @@ def test_shared_stages_match_cold_builds(make, net9, params9, monkeypatch):
 
     for p in pairs:
         again = ops.worst_case_decomposed(warm, *p, collect_ties=True)
-        sensitivity._cached_chunks.cache_clear()
         cold = ops.worst_case_decomposed(build(), *p, collect_ties=True)
         assert _report(again) == _report(cold) == _report(first[p])

@@ -65,3 +65,17 @@ def test_no_private_name_crosses_a_module():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert crossing == []
+
+
+def test_ptdf_basis_is_read_beside_the_block():
+    """The PTDF basis is read only where it is built, ``network``, and in
+    ``jacobian``, beside the reduced block and the dead-branch rule that
+    predicts its zero rows; the scan reads neither."""
+    readers = {
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "ptdf_basis")
+        or (isinstance(node, ast.Constant) and node.value == "ptdf_basis")
+    }
+    assert readers - {"network"} == {"jacobian"}

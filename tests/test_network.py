@@ -78,9 +78,10 @@ def test_zero_reactance(case9_text):
 
 
 def test_non_finite_values_are_domain_errors():
-    """A non-finite susceptance is no reactance, and a non-finite cost or
-    limit an invalid limit; neither reaches the LP or the scan."""
-    for b in (np.nan, np.inf):
+    """A non-finite or non-real susceptance is no reactance, and a
+    non-finite cost or limit an invalid limit; neither reaches the LP or the
+    scan, and no bare TypeError escapes."""
+    for b in (np.nan, np.inf, "x", 1j, None, [1.0]):
         with pytest.raises(ZeroReactance):
             assemble_network([1], [2], [(1, 2, b)])
     net = assemble_network([1, 2, 3], [4], [(1, 4, 1.0), (2, 4, 1.0), (3, 4, 1.0)])
@@ -332,14 +333,17 @@ def test_opf_params_accept_sequences(net9, params9, loads9):
     (2, ops.TieLine(0, 7, 1, 4, susceptance=True)),
     (2, ops.TieLine(0, 7, 1, 4, flow_limit=True)),
     (2, ops.TieLine(0, 7, 1, 4, flow_limit=[2.5])),
+    (2, (0, 7, 1, 4)),
+    (2, None),
 ], ids=["float-copies", "str-copies", "float-from-copy", "float-to-copy", "bool-copies",
         "float-bus", "bool-bus", "list-bus", "str-susceptance", "bool-susceptance",
-        "bool-limit", "list-limit"])
+        "bool-limit", "list-limit", "tuple-tie", "none-tie"])
 def test_chain_rules_apply_to_library_calls(net9, params9, copies, tie):
     """``build_chain`` applies the chain config's rules itself: a float,
-    string or bool copy, a float or bool bus and a non-real or bool
-    susceptance or limit are each InvalidTie, not a bare TypeError or a
-    dangling ``'7.0'`` label."""
+    string or bool copy, a float or bool bus, a non-real or bool
+    susceptance or limit and a tie that is not a TieLine are each
+    InvalidTie, not a bare TypeError, AttributeError or a dangling
+    ``'7.0'`` label."""
     with pytest.raises(InvalidTie, match="has type"):
         ops.build_chain(net9, params9, copies, [tie])
 

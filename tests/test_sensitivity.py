@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
+import weakref
 import tracemalloc
 from types import SimpleNamespace
 
@@ -18,7 +20,9 @@ from opfsens.errors import (
     DependentBindings, DimensionMismatch, EmptyLoadSet, InvalidIndex, InvalidLoad, InvalidSampling,
     NoValidSet,
 )
-from opfsens.jacobian import BindingSet, SetBatch, Solved, pool_rows, reduced_solve, set_batch
+from opfsens.jacobian import (
+    BindingSet, SetBatch, Solved, live_branches, pool_rows, reduced_solve, set_batch,
+)
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count
 
@@ -66,6 +70,11 @@ def test_enumeration_star_two_generators():
     ]
 
 
+def _live(net):
+    """The live branches of each generator subset, in scan order."""
+    return [live_branches(net, gens) for gens in sensitivity._gen_subsets(net.n_gen)]
+
+
 def _walked(net, live):
     """The keys of the candidate rows over the branch lists ``live``, one
     per generator subset, each kept only if it binds its block's subset."""
@@ -87,14 +96,14 @@ def test_candidate_order_matches_itertools(net9, chain18, two_bus, monkeypatch, 
         every = [range(net.n_edge)] * (2**net.n_gen - 1)
         assert _walked(net, every) == oracles.lex_candidates(net)
         dead = {gens: oracles.dead_branches(net, gens) for gens in sensitivity._gen_subsets(net.n_gen)}
-        assert _walked(net, sensitivity._live_branches(net)) == [
+        assert _walked(net, _live(net)) == [
             (gens, branches) for gens, branches in oracles.lex_candidates(net)
             if dead[gens].isdisjoint(branches)]
 
 
 def _excluded(net):
     """The candidates the scan does not walk, in lexicographic order."""
-    walked = set(_walked(net, sensitivity._live_branches(net)))
+    walked = set(_walked(net, _live(net)))
     return [key for key in oracles.lex_candidates(net) if key not in walked]
 
 
@@ -128,8 +137,7 @@ def test_dead_branch_exclusion_is_exact(net9, chain18):
     assert counts == [3, 359, 940]
     net = chain18[0]
     keys = _excluded(net)
-    chunks = sensitivity._chunks(net.n_gen, net.n_edge, sensitivity._live_branches(net),
-                                 sensitivity.CHUNK)
+    chunks = sensitivity._chunks(net, sensitivity.CHUNK)
     assert len(keys) == 8645 == candidate_count(net) - sum(map(len, chunks))
     for gens, run in itertools.groupby(keys, key=lambda key: key[0]):
         rows = np.array([gens + tuple(net.n_gen + e for e in branches) for _, branches in run])
@@ -351,80 +359,130 @@ def test_chunk_size_invariance(net9, monkeypatch):
 
 
 def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
-    """Candidate chunks cached per network shape and live branches are
-    cached per ``CHUNK`` too, so the chunk-invariance tests scan each
-    chunking for real: case9's 63 live candidates (66 less the 3 that bind
-    a dead branch) take 63 kernel calls at ``CHUNK`` 1, 12 at 7 (a
-    generator subset that does not fit in the open chunk starts a new one,
-    so its 36, 8, 8 and 8 sets of four subsets take 6, 2, 2 and 2 chunks,
-    and the single sets of (0, 1), (0, 2) and (1, 2) join the open ones)
-    and one at the default, whichever ran first."""
-    calls = []
+    """A network's layout is packed per ``CHUNK``, so the chunk-invariance
+    tests scan each chunking for real: case9's 63 live candidates (66 less
+    the 3 that bind a dead branch) take 63 kernel calls at ``CHUNK`` 1, 12
+    at 7 (a generator subset that does not fit in the open chunk starts a
+    new one, so its 36, 8, 8 and 8 sets of four subsets take 6, 2, 2 and 2
+    chunks, and the single sets of (0, 1), (0, 2) and (1, 2) join the open
+    ones) and one at the default, whichever ran first. The registry holds
+    the layout of the last ``CHUNK`` scanned: a scan at the same ``CHUNK``
+    packs nothing, one at another packs again and never reads chunks of
+    the other size."""
+    calls, packs = [], []
+    chunks = sensitivity._chunks
 
     def counting(net, rows, loads):
         calls.append(len(rows))
         return reduced_solve(net, rows, loads)
 
+    def packing(net, size):
+        packs.append(size)
+        return chunks(net, size)
+
     monkeypatch.setattr(sensitivity, "reduced_solve", counting)
+    monkeypatch.setattr(sensitivity, "_chunks", packing)
     assert candidate_count(net9) == 66
-    default = sensitivity.CHUNK
-    shape = (net9.n_gen, net9.n_edge, sensitivity._live_branches(net9))
-    for chunk, want in ((default, 1), (1, 63), (7, 12), (default, 1)):
+    sensitivity._LAYOUTS.pop(net9, None)
+    default, last = sensitivity.CHUNK, None
+    for chunk, want in ((default, 1), (default, 1), (1, 63), (7, 12), (7, 12), (default, 1)):
         monkeypatch.setattr(sensitivity, "CHUNK", chunk)
         calls.clear()
+        packs.clear()
         ops.worst_case_all(net9)
-        assert len(calls) == want
-        assert sum(calls) == 63
-        assert len(sensitivity._cached_chunks(*shape, chunk)) == want
+        assert (len(calls), sum(calls), max(calls) <= chunk) == (want, 63, True)
+        assert packs == ([] if chunk == last else [chunk])
+        size, layout = sensitivity._LAYOUTS[net9]
+        assert (size, len(layout)) == (chunk, want)
+        last = chunk
+
+
+def test_layout_is_dropped_with_its_network():
+    """The registry keeps no network alive: once a scanned network is
+    collected, its layout is gone."""
+    net = _path_network(5)
+    ops.worst_case_all(net)
+    assert sensitivity._LAYOUTS[net][1] is not None
+    held = len(sensitivity._LAYOUTS)
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
+    assert len(sensitivity._LAYOUTS) < held
+
+
+def test_large_layout_is_kept_as_none_and_streams(monkeypatch):
+    """A layout past :data:`CACHED_BYTES` is registered as None: the first
+    scan tries to pack it and then streams, each later scan only streams,
+    and every report is the one of a kept layout."""
+    def report(net):
+        rep = ops.worst_case_all(net)
+        return rep.cwc.tobytes(), rep.argmax, rep.candidates_valid
+
+    kept = report(_path_network(30))
+    packs = []
+    chunks = sensitivity._chunks
+
+    def packing(net, size):
+        packs.append(size)
+        return chunks(net, size)
+
+    monkeypatch.setattr(sensitivity, "_chunks", packing)
+    monkeypatch.setattr(sensitivity, "CACHED_BYTES", -1)
+    net, size = _path_network(30), sensitivity.CHUNK
+    for want in ([size, size], [size]):
+        packs.clear()
+        assert report(net) == kept
+        assert packs == want
+        assert sensitivity._LAYOUTS[net] == (size, None)
 
 
 def test_cached_chunks_are_the_packed_chunks(net9, chain18, chain27, monkeypatch):
     """One packer: on case9, every stage network of the 27-bus chain and the
-    18-bus chain, the cache keyed by shape and live branches holds the
-    batches the scan otherwise builds as it goes, field by field, and the
-    scan yields ``==`` rows and solutions whether the cache is used or
-    bypassed. The 15 stages have 4 shapes but 7 distinct live-branch lists,
-    so a stage never scans chunks built for other lists."""
+    18-bus chain, the registered layout holds the batches the scan
+    otherwise builds as it goes, field by field, and the scan yields ``==``
+    rows and solutions whether the layout is kept or streamed. Each of the
+    15 stage networks packs a layout of its own."""
     net27 = chain27[0]
     stages = {}
     for i in range(net27.n_gen):
         for j in range(net27.n_load):
             for s in ops.chain_partition(net27, i, j).stages:
                 stages.setdefault(id(s.network), s.network)
-    keys = {(n.n_gen, n.n_edge, sensitivity._live_branches(n)) for n in stages.values()}
-    assert (len(stages), len({key[:2] for key in keys}), len(keys)) == (15, 4, 7)
+    assert len(stages) == 15
     nets = [net9, *stages.values(), chain18[0]]
     assert sorted(set(map(candidate_count, nets))) == [66, 78, 364, 455, 1820, 53130]
-    for net in nets:
-        _check_cache_agrees(net, range(net.n_load), monkeypatch)
+    layouts = [_check_cache_agrees(net, range(net.n_load), monkeypatch) for net in nets]
+    assert len(set(map(id, layouts))) == len(nets)
 
 
 def _check_cache_agrees(net, loads, monkeypatch):
-    """The cached chunks of ``net`` are the :func:`_chunks` it packs, field
-    by field, and the scan yields ``==`` rows and solutions for ``loads``
-    whether it reads them from the cache or, with ``CACHED_BYTES`` below
-    any layout, builds them as it goes."""
-    shape = (net.n_gen, net.n_edge, sensitivity._live_branches(net), sensitivity.CHUNK)
-    sensitivity._cached_chunks.cache_clear()
+    """The registered chunks of ``net`` are the :func:`_chunks` it packs,
+    field by field, and the scan yields ``==`` rows and solutions for
+    ``loads`` whether it reads them from the registry or, with
+    ``CACHED_BYTES`` below any layout, builds them as it goes. Returns the
+    chunks; the registry is left without ``net``."""
+    sensitivity._LAYOUTS.pop(net, None)
     try:
-        cached = sensitivity._cached_chunks(*shape)
-        built = list(sensitivity._chunks(*shape))
-        assert len(cached) == len(built)
+        used = list(sensitivity._scan(net, loads))
+        size, cached = sensitivity._LAYOUTS[net]
+        built = list(sensitivity._chunks(net, size))
+        assert (size, len(cached)) == (sensitivity.CHUNK, len(built))
         for a, b in zip(cached, built):
             for field in dataclasses.fields(SetBatch):
                 assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
-        used = list(sensitivity._scan(net, loads))
         with monkeypatch.context() as m:
             m.setattr(sensitivity, "CACHED_BYTES", -1)
-            sensitivity._cached_chunks.cache_clear()
+            del sensitivity._LAYOUTS[net]
             bypassed = list(sensitivity._scan(net, loads))
-            assert sensitivity._cached_chunks(*shape) is None
+            assert sensitivity._LAYOUTS[net] == (size, None)
         assert len(used) == len(bypassed)
         for solved, want in zip(used, bypassed):
             for field in dataclasses.fields(Solved):
                 assert np.array_equal(getattr(solved, field.name), getattr(want, field.name))
     finally:
-        sensitivity._cached_chunks.cache_clear()
+        sensitivity._LAYOUTS.pop(net, None)
+    return cached
 
 
 def test_compact_layout_does_not_wrap(monkeypatch):
@@ -433,12 +491,10 @@ def test_compact_layout_does_not_wrap(monkeypatch):
     rows of the lexicographic candidates, and the scan's sets and Jacobians
     are those of each set's own block solved one at a time (bit for bit,
     but for the sign of a zero); the worst-case report is ``==`` whether
-    the chunks come from the cache or not."""
+    the chunks come from the registry or not."""
     net = _path_network(300)
     loads = np.arange(net.n_load)
-    shape = (net.n_gen, net.n_edge, sensitivity._live_branches(net), sensitivity.CHUNK)
-    _check_cache_agrees(net, loads, monkeypatch)
-    cached = sensitivity._cached_chunks(*shape)
+    cached = _check_cache_agrees(net, loads, monkeypatch)
     keys = oracles.lex_candidates(net)
     rows = np.array([pool_rows(net, BindingSet(*key)) for key in keys])
     assert np.array_equal(np.concatenate([batch.rows for batch in cached]), rows)
@@ -452,27 +508,25 @@ def test_compact_layout_does_not_wrap(monkeypatch):
     report = ops.worst_case_all(net)
     with monkeypatch.context() as m:
         m.setattr(sensitivity, "CACHED_BYTES", -1)
-        sensitivity._cached_chunks.cache_clear()
+        sensitivity._LAYOUTS.pop(net)
         streamed = ops.worst_case_all(net)
-    sensitivity._cached_chunks.cache_clear()
     assert ((report.cwc.tobytes(), report.argmax, report.candidates_valid)
             == (streamed.cwc.tobytes(), streamed.argmax, streamed.candidates_valid))
 
 
 def test_chain18_layout_is_cached_compact(chain18):
-    """The 18-bus chain's 48 chunks of 44485 live candidates are cached at
+    """The 18-bus chain's 48 chunks of 44485 live candidates are kept at
     the default ``CHUNK`` in under 0.5 MB of arrays (3.19 MB as ``intp``);
     its layouts at ``CHUNK`` 1 and 7 pass :data:`CACHED_BYTES` and are
     built as the scan goes."""
     net = chain18[0]
-    shape = (net.n_gen, net.n_edge, sensitivity._live_branches(net))
-    chunks = sensitivity._cached_chunks(*shape, sensitivity.CHUNK)
+    chunks = sensitivity._packed(net, sensitivity.CHUNK)
     assert (len(chunks), sum(map(len, chunks))) == (48, 44485)
     held = sum(getattr(batch, field.name).nbytes
                for batch in chunks for field in dataclasses.fields(SetBatch))
     assert held <= 512 * 1024
     for chunk in (1, 7):
-        assert sensitivity._cached_chunks(*shape, chunk) is None
+        assert sensitivity._packed(net, chunk) is None
 
 
 def test_report_holds_no_scan_buffer(chain18):
