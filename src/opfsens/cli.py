@@ -51,9 +51,9 @@ def _warn_if_large_scan(net: Network) -> None:
     than ``SCAN_WARN_CANDIDATES`` candidate sets."""
     n = candidate_count(net)
     if n > SCAN_WARN_CANDIDATES:
-        # about 0.75 us per candidate: the direct scan of the bundled 27-bus
-        # chain's 48.9M candidates, of which it skips the 14.3M that bind a
-        # dead branch, took 36-37 s on a 2-vCPU x86 machine
+        # about 0.75 us per candidate, rounded up: the direct scan of the
+        # bundled 27-bus chain's 48.9M candidates, of which it skips the
+        # 16.9M that bind a dead branch, took 30-31 s on a 2-vCPU x86 machine
         seconds = n * 0.75e-6
         eta = f"{seconds:.2g} s" if seconds < 100 else f"{seconds / 60:.0f} min"
         logging.getLogger(__name__).warning(

@@ -1,15 +1,15 @@
 """Bridge decomposition of the worst-case sensitivity computation.
 
 When the graph has bridges, the worst case for a generator-load pair factors
-into per-subgraph worst cases. One pass over the bridge tree does the split:
-off-path subtrees collapse to single buses, the bridges on the tree path from
-the generator to the load split the graph into a chain of subgraphs, each
-subgraph is completed with an auxiliary generator/load pair at the bridge
-attachment points, and the pair's worst case is the product of the
-per-subgraph worst cases.
+into per-subgraph worst cases. The network's side table, which end of each
+bridge every bus lies behind, does the split: off-path sides collapse to
+single buses, the bridges on the path from the generator to the load split
+the graph into a chain of subgraphs, each subgraph is completed with an
+auxiliary generator/load pair at the bridge attachment points, and the
+pair's worst case is the product of the per-subgraph worst cases.
 
 What does not depend on the pair is built once per network: the network
-caches its adjacency and bridges, and every stage network is kept here and
+caches its blocks and side table, and every stage network is kept here and
 reused, with its cached PTDF basis, by each later pair that yields it.
 """
 
@@ -61,80 +61,50 @@ class ChainDecomposition:
 
 
 def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
-    """Split the pair's problem into a chain of stages in one pass over the
-    bridge tree.
+    """Split the pair's problem into a chain of stages, read off the
+    network's side table (:attr:`~opfsens.network.Network.sides`).
 
     Only bridges between two load buses split; a bridge at a generator spur
-    would only spawn a trivial stage. The blocks, the components left once
-    those bridges are removed, form a tree. Rooted at the generator's block,
-    its path to the load's block gives the on-path bridges, each oriented
-    from the bus ``x`` it leaves to the bus ``y`` it enters.
+    would only spawn a trivial stage. One is on the path when the generator
+    and the load lie behind different ends of it; it is oriented from the
+    end ``x`` on the generator's side to the other end ``y``, and the path
+    runs in order of shrinking far sides, the buses beyond each bridge.
+    Stage ``l`` holds the buses beyond ``l`` path bridges.
 
-    An off-path subtree carries no sensitivity information beyond its
-    aggregate injection: when it has more than one bus it collapses into one
-    bus, ``~g{k}`` if it holds a generator and ``~l{k}`` otherwise, still
-    attached through its bridge (``k`` counts collapses in ascending bridge
-    index). Each on-path bridge is replicated into both neighboring blocks:
-    the block it leaves gains an auxiliary load ``q{l}`` at ``x``, the block
-    it enters gains an auxiliary generator ``p{l}`` at ``y``, both with the
-    bridge's susceptance. Stage ``l`` then pairs its block's generator (the
-    original one in the first stage) with its load (the original one in the
-    last stage). With nothing to split or collapse the one stage is ``net``.
+    An off-path side, the buses beyond an outermost other splitting bridge,
+    carries no sensitivity information beyond its aggregate injection: when
+    it has more than one bus it collapses into one bus, ``~g{k}`` if it
+    holds a generator and ``~l{k}`` otherwise, still attached through its
+    bridge (``k`` counts collapses in ascending bridge index). Each on-path
+    bridge is replicated into both neighboring stages: the one it leaves
+    gains an auxiliary load ``q{l}`` at ``x``, the one it enters gains an
+    auxiliary generator ``p{l}`` at ``y``, both with the bridge's
+    susceptance. Stage ``l`` then pairs its generator (the original one in
+    the first stage) with its load (the original one in the last stage).
+    With nothing to split or collapse the one stage is ``net``.
     """
     net.check_pair(gen, load)
     n_gen, labels = net.n_gen, net.vertex_order
     load_bus = n_gen + load
-    cut = {e for e in net.bridges if min(net.edges[e][:2]) >= n_gen}
+    split = [e for e in net.bridges if min(net.edges[e][:2]) >= n_gen]
+    ends = net.sides[:, split].T.tolist()  # ends[k][v]: the end of bridge k that bus v lies behind
+    far = [[end != row[gen] for end in row] for row in ends]  # beyond it, seen from the generator
+    path = sorted((k for k in range(len(split)) if far[k][load_bus]), key=lambda k: -sum(far[k]))
+    oriented = [(ends[k][gen], ends[k][load_bus], split[k]) for k in path]
+    # the stage of each kept bus: the path bridges it lies beyond
+    home = [sum(beyond) for beyond in zip([0] * net.n_bus, *(far[k] for k in path))]
+    m = len(path) + 1
 
-    # one DFS from the generator labels every bus with its block; block b > 0
-    # is entered from block parent[b] < b through the bridge entry[b] = (x, y, e)
-    block = [-1] * net.n_bus
-    block[gen] = 0
-    parent: list[int] = [-1]
-    entry: list[tuple[int, int, int]] = [(-1, -1, -1)]
-    adj = net.adjacency
-    stack = [gen]
-    while stack:
-        u = stack.pop()
-        for w, e in adj[u]:
-            if block[w] != -1:
-                continue
-            if e in cut:
-                block[w] = len(parent)
-                parent.append(block[u])
-                entry.append((u, w, e))
-            else:
-                block[w] = block[u]
-            stack.append(w)
-
-    path = [block[load_bus]]
-    while path[-1]:  # up to the generator's block 0
-        path.append(parent[path[-1]])
-    path.reverse()
-    stage_of = {b: l for l, b in enumerate(path)}
-    oriented = [entry[b] for b in path[1:]]
-    m = len(path)
-
-    # an off-path block b lies in the subtree of top[b], which hangs from a
-    # path block; its buses form one off-path side
-    top = list(range(len(parent)))
-    for b in range(1, len(parent)):
-        if parent[b] not in stage_of:
-            top[b] = top[parent[b]]
-    home = [stage_of.get(block[v]) for v in range(net.n_bus)]  # stage of each kept bus
-    sides: dict[int, list[int]] = {}
-    for v, h in enumerate(home):
-        if h is None:
-            sides.setdefault(top[block[v]], []).append(v)
-
+    # the buses beyond an off-path bridge at a kept bus are one side
+    off = [k for k in range(len(split)) if not far[k][load_bus]]
     records: list[PrunedSubgraph] = []
     pendants: list[list[tuple[Label, str, float]]] = [[] for _ in range(m)]
-    for t in sorted(sides, key=lambda t: entry[t][2]):
-        x, _, e = entry[t]
-        side, l = sides[t], stage_of[parent[t]]
-        if len(side) == 1:
-            home[side[0]] = l  # a one-bus side keeps its bus and edge
-            continue
+    for k in off:
+        side, e, x = [v for v, f in enumerate(far[k]) if f], split[k], ends[k][gen]
+        if len(side) == 1 or any(far[j][x] for j in off):
+            continue  # a one-bus side keeps its bus and edge; an inner side is in an outer one
+        for v in side:
+            home[v] = -1
         kind = "generator" if side[0] < n_gen else "load"
         new_label = f"~{kind[0]}{len(records)}"
         records.append(PrunedSubgraph(
@@ -142,7 +112,7 @@ def chain_partition(net: Network, gen: int, load: int) -> ChainDecomposition:
             replaced=tuple(labels[v] for v in side),
             kind=kind,
         ))
-        pendants[l].append((labels[x], new_label, net.edges[e][2]))
+        pendants[home[x]].append((labels[x], new_label, net.edges[e][2]))
 
     built = _STAGES.setdefault(net, {})
     stages: list[StageProblem] = []

@@ -31,8 +31,8 @@ transfer from each load to ``r``::
 
 The independence test is the pivot ratio of ``B``
 (:func:`linalg.lu_factor_checked`); a set that binds a branch outside
-:func:`live_branches` has a zero row of ``B`` and fails it, so the scan
-skips such sets. The scan tests and solves batches of sets through
+:func:`live_branches` has a row of ``B`` of rounding noise and fails it,
+so the scan skips such sets. The scan tests and solves batches of sets through
 :func:`reduced_solve`, the one owner of the factors, and
 :func:`independence_check` and :func:`jacobian_from_binding` one helper's
 batch of one set, so they agree by construction. It gathers each passed
@@ -208,14 +208,12 @@ def _free(n_gen: int, gens: Sequence[int]) -> tuple[int, list[int]]:
 
 def live_branches(net: Network, gens: Sequence[int]) -> np.ndarray:
     """The live branches of the sets that bind the generators ``gens``,
-    ascending: all but the dead ones, whose transfer PTDF from every other
-    free generator ``f`` to the reference ``r``, ``ptdf_basis[f, n_gen + e]
-    - ptdf_basis[r, n_gen + e]`` as :func:`reduced_solve` gathers it, is an
-    exact zero. A set that binds a dead branch has a zero block row, which
-    elimination keeps zero, so a zero (or NaN) pivot rejects the set."""
+    ascending: those on a simple path between two free generators, whose
+    block they meet at different buses (:attr:`Network.sides`). No transfer
+    between free generators crosses a dead branch, so a set that binds one
+    has a block row of rounding noise, which the independence test rejects."""
     r, others = _free(net.n_gen, gens)
-    branch_cols = net.ptdf_basis[:, net.n_gen :]
-    return np.flatnonzero((branch_cols[others] - branch_cols[r]).any(axis=0))
+    return np.flatnonzero((net.sides[others] != net.sides[r]).any(axis=0))
 
 
 def _compact(a: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import logging
 import math
 import numbers
 import operator
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
@@ -128,45 +129,75 @@ class Network:
         return tuple(map(tuple, adj))
 
     @cached_property
-    def bridges(self) -> tuple[int, ...]:
-        """Bridge edge indices, ascending, from one iterative DFS low-link
-        pass from bus 0; :class:`DisconnectedGraph` when the pass misses a
-        bus.
-
-        Parallel edges are handled per edge index: only the exact edge used
-        to enter a vertex is skipped, so a doubled edge is never reported.
+    def blocks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """One iterative DFS low-link pass from bus 0 with an edge stack
+        (Hopcroft and Tarjan, CACM 1973): ``(block, heads, tree)``, the
+        biconnected block of each edge, each block's first bus reached, and
+        the buses as reached, each with the edge it came by (-1 at bus 0).
+        :class:`DisconnectedGraph` when the pass misses a bus. Parallel edges
+        are told apart by edge index, so a doubled edge is a block of two.
         """
         adj = self.adjacency
         disc = [-1] * len(adj)
         low = [0] * len(adj)
         iters = [iter(nbrs) for nbrs in adj]
-        bridges: list[int] = []
+        block = [-1] * self.n_edge
+        heads: list[int] = []
+        tree: list[tuple[int, int]] = []
+        edges: list[int] = []  # tree and back edges of the blocks still open
         stack: list[tuple[int, int]] = [(0, -1)] if adj else []
-        timer = 0
         while stack:
             v, entry_edge = stack[-1]
             if disc[v] == -1:  # first visit
-                disc[v] = low[v] = timer
-                timer += 1
+                disc[v] = low[v] = len(tree)
+                tree.append((v, entry_edge))
             step = next(iters[v], None)
             if step is None:
                 stack.pop()
                 if stack:
                     parent = stack[-1][0]
                     low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        bridges.append(entry_edge)
+                    if low[v] >= disc[parent]:  # the block entered by entry_edge closes
+                        while block[entry_edge] == -1:
+                            block[edges.pop()] = len(heads)
+                        heads.append(parent)
                 continue
             w, e = step
-            if e == entry_edge:
-                continue
             if disc[w] == -1:
+                edges.append(e)
                 stack.append((w, e))
-            else:
+            elif e != entry_edge and disc[w] < disc[v]:  # a back edge, seen from below
+                edges.append(e)
                 low[v] = min(low[v], disc[w])
-        if -1 in disc:
+        if len(tree) < len(adj):
             raise DisconnectedGraph("network graph is not connected")
-        return tuple(sorted(bridges))
+        return tuple(block), tuple(heads), tuple(tree)
+
+    @cached_property
+    def bridges(self) -> tuple[int, ...]:
+        """Bridge edge indices, ascending: the blocks of one edge."""
+        size = Counter(self.blocks[0])
+        return tuple(e for e, b in enumerate(self.blocks[0]) if size[b] == 1)
+
+    @cached_property
+    def sides(self) -> np.ndarray:
+        """``(n_bus, n_edge)``, read-only, built on first use: ``sides[v, e]``
+        is the bus at which bus ``v`` meets edge ``e``'s block, the one it
+        reaches without the block's edges (``v`` itself on the block). Two
+        buses meet a block at different buses exactly when a simple path
+        between them runs through each of its edges. A bus meets each block
+        where its DFS parent does but the one it came by; bus 0 at its head.
+        """
+        block, heads, tree = self.blocks
+        at = np.empty((self.n_bus, len(heads)), np.intp)
+        at[:] = heads
+        for v, e in tree[1:]:
+            u, w, _ = self.edges[e]
+            at[v] = at[u + w - v]
+            at[v, block[e]] = v
+        sides = at[:, block]
+        sides.setflags(write=False)
+        return sides
 
     @cached_property
     def ptdf_basis(self) -> np.ndarray:
@@ -252,10 +283,11 @@ def assemble_network(
 
     ``edges`` entries are ``(label_u, label_v, susceptance)``. Raises
     :class:`DisconnectedGraph` when the graph is not connected (reading
-    :attr:`Network.bridges` checks it), :class:`ZeroReactance` for a
-    susceptance that is not a finite positive real number,
-    :class:`DanglingReference` for an endpoint that is not among the labels
-    and :class:`SelfLoop` for an edge from a bus to itself.
+    :attr:`Network.bridges` checks it), :class:`DimensionMismatch` for an
+    edge that is not such a triple, :class:`ZeroReactance` for a
+    susceptance that is not a finite positive real number (a bool is not
+    one), :class:`DanglingReference` for an endpoint that is not among the
+    labels and :class:`SelfLoop` for an edge from a bus to itself.
     """
     gens, loads = tuple(gen_labels), tuple(load_labels)
     order = gens + loads
@@ -267,8 +299,12 @@ def assemble_network(
     incidence = np.zeros((n, m))
     b = np.zeros(m)
     idx_edges = []
-    for e, (lu, lv, be) in enumerate(edges):
-        if not (isinstance(be, numbers.Real) and 0 < be < math.inf):
+    for e, edge in enumerate(edges):
+        try:
+            lu, lv, be = edge
+        except (TypeError, ValueError):
+            raise DimensionMismatch(f"edge {edge!r} is not a (u, v, susceptance) triple") from None
+        if isinstance(be, bool) or not (isinstance(be, numbers.Real) and 0 < be < math.inf):
             raise ZeroReactance(
                 f"edge ({lu!r},{lv!r}) has susceptance {be!r}, not finite and positive")
         try:
@@ -412,12 +448,16 @@ def build_chain(
     Copies and copy indices are integers that :func:`strict_index` accepts,
     tie buses such integers or strings, and susceptance and flow limit real
     numbers or ``None``; a bool is none of these. Anything else raises
-    :class:`InvalidTie`, as do a tie that is not a :class:`TieLine` and the
-    range and value rules above.
+    :class:`InvalidTie`, as do ``ties`` that are not a collection of
+    :class:`TieLine` and the range and value rules above.
     """
     copies = _chain_value(copies, "copies")
     if copies < 2:
         raise InvalidTie(f"a chain needs at least 2 copies, got {copies}")
+    try:
+        ties = tuple(ties)
+    except TypeError:
+        raise InvalidTie(f"ties {ties!r} is not a collection of tie lines") from None
     if not ties:
         raise InvalidTie("a chain needs at least one tie line")
 

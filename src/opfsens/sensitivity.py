@@ -6,9 +6,10 @@ totalling ``n_gen - 1`` members) whose constraint stack is independent.
 Enumeration is exhaustive (the problem is discrete and non-convex). One scan
 walks the candidate sets in lexicographic order, a chunk at a time, and every
 query here reduces over it. It skips, per generator subset, the sets that
-bind a dead branch, one whose transfer PTDFs among the free generators are
-all exact zeros: their blocks have a zero row and fail the test anyway
-(:func:`~opfsens.jacobian.live_branches`). A chunk is a
+bind a dead branch, one on no simple path between two free generators: no
+transfer among them crosses it, so their blocks have a row of rounding
+noise and fail the test anyway (:func:`~opfsens.jacobian.live_branches`,
+read off the network's side table). A chunk is a
 :class:`~opfsens.jacobian.SetBatch` of pool row indices, built with numpy
 from tables of branch combinations, with the layout of each set's reduced
 block, packed once per network and ``CHUNK`` (:data:`_LAYOUTS`); it is
@@ -67,11 +68,11 @@ COMBO_ROWS = 1 << 16
 
 #: the chunks of a network are packed once per ``CHUNK`` and kept while
 #: they hold at most this many bytes, each chunk and its arrays as
-#: ``sys.getsizeof`` counts them: the 27-bus stages, with 78 to 1820
-#: candidates, and the 18-bus chain's 48 chunks of 44485 live candidates
-#: (0.44 MB, its pool rows ``uint8``) are kept; larger layouts, such as that
-#: chain's at ``CHUNK`` 1 (44485 one-set chunks, 36 MB) or 7 (5.5 MB) or the
-#: 34.6 M live candidates of the 27-bus chain, are built as the scan goes
+#: ``sys.getsizeof`` counts them: the 27-bus stages, with 63 to 1369 live
+#: candidates, and the 18-bus chain's 45 chunks of 41851 live candidates
+#: (0.42 MB, its pool rows ``uint8``) are kept; larger layouts, such as that
+#: chain's at ``CHUNK`` 1 (41851 one-set chunks, 34 MB) or 7 (5.2 MB) or the
+#: 32.0 M live candidates of the 27-bus chain, are built as the scan goes
 CACHED_BYTES = 1 << 20
 
 #: each scanned network's layout, dropped with the network: the ``CHUNK``

@@ -1,7 +1,8 @@
 """Reference computations the tests check the package against, kept apart
 from the package: the doubled-inequality standard form of the dispatch LP,
 the candidate order built with ``itertools``, graph components from
-``scipy.sparse.csgraph``, and the full
+``scipy.sparse.csgraph``, dead branches from every simple path between
+generators, and the full
 ``n_bus x n_bus`` constraint stack with the independence test and Jacobian
 that the package's reduced kernel replaces, the row-major stacked LU, the
 reduced block of each set solved one set at a time that the package's
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -170,14 +172,33 @@ def row_keys(net: Network, rows) -> list[tuple[tuple[int, ...], tuple[int, ...]]
             for row in np.asarray(rows).tolist()]
 
 
+@lru_cache(maxsize=None)
+def _path_edges(net: Network) -> dict[tuple[int, int], set[int]]:
+    """For each pair of generators ``f < g``, the edges on some simple
+    ``f``-``g`` path, found by walking every simple path from ``f`` edge by
+    edge (exponential, for small networks)."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(net.n_bus)]
+    for e, (u, v, _) in enumerate(net.edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    found: dict[tuple[int, int], set[int]] = {}
+    for f in range(net.n_gen):
+        stack = [(f, (f,), ())]
+        while stack:
+            v, buses, path = stack.pop()
+            if f < v < net.n_gen:
+                found.setdefault((f, v), set()).update(path)
+            stack.extend((w, buses + (w,), path + (e,)) for w, e in adj[v] if w not in buses)
+    return found
+
+
 def dead_branches(net: Network, gens) -> set[int]:
-    """The branches whose transfer PTDFs from every generator free of
-    ``gens`` to the lowest such one are exact zeros in the network's PTDF
-    basis."""
-    by_bus = net.ptdf_basis
+    """The branches on no simple path between two generators free of
+    ``gens``: no transfer among the free generators crosses them."""
     free = [g for g in range(net.n_gen) if g not in gens]
-    return {e for e in range(net.n_edge)
-            if all(by_bus[f, net.n_gen + e] - by_bus[free[0], net.n_gen + e] == 0.0 for f in free)}
+    paths = _path_edges(net)
+    crossed = (paths.get(pair, ()) for pair in combinations(free, 2))
+    return set(range(net.n_edge)).difference(*crossed)
 
 
 def binds_dead_branch(net: Network, key) -> bool:

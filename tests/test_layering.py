@@ -1,7 +1,8 @@
 """The package's layering, checked on its source: no module imports inside a
-function or takes a private name from another, and the graph,
+function or takes a private name from another, the graph,
 linear-algebra, Jacobian, scan and decomposition layers never import the LP
-(``dcopf``, ``simplex``)."""
+(``dcopf``, ``simplex``), only the graph layer walks the adjacency, and only
+it and the reduced block read the PTDF basis."""
 
 from __future__ import annotations
 
@@ -67,15 +68,31 @@ def test_no_private_name_crosses_a_module():
     assert crossing == []
 
 
+def _readers(attr: str) -> set[str]:
+    """Where the package reads the attribute ``attr``: each reader as
+    ``module.function``, the top-level function or class it sits in, or
+    ``module`` at module level."""
+    readers = set()
+    for module, tree in _trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == attr) or (
+                        isinstance(node, ast.Constant) and node.value == attr):
+                    name = getattr(top, "name", None)
+                    readers.add(f"{module}.{name}" if name else module)
+    return readers
+
+
 def test_ptdf_basis_is_read_beside_the_block():
-    """The PTDF basis is read only where it is built, ``network``, and in
-    ``jacobian``, beside the reduced block and the dead-branch rule that
-    predicts its zero rows; the scan reads neither."""
-    readers = {
-        module
-        for module, tree in _trees().items()
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Attribute) and node.attr == "ptdf_basis")
-        or (isinstance(node, ast.Constant) and node.value == "ptdf_basis")
-    }
-    assert readers - {"network"} == {"jacobian"}
+    """The PTDF basis is read only where it is built, ``network``, and by
+    ``jacobian.reduced_solve``, the one owner of the reduced block; the
+    dead-branch rule reads the graph's side table instead."""
+    readers = {r for r in _readers("ptdf_basis") if not r.startswith("network")}
+    assert readers == {"jacobian.reduced_solve"}
+
+
+def test_adjacency_is_read_by_the_graph_alone():
+    """Only ``network`` walks the graph: its one low-link walk builds the
+    blocks, and bridges, the side table, the dead-branch rule and the
+    decomposition are read off them."""
+    assert {r.split(".")[0] for r in _readers("adjacency")} == {"network"}

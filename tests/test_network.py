@@ -78,10 +78,10 @@ def test_zero_reactance(case9_text):
 
 
 def test_non_finite_values_are_domain_errors():
-    """A non-finite or non-real susceptance is no reactance, and a
-    non-finite cost or limit an invalid limit; neither reaches the LP or the
+    """A non-finite or non-real susceptance, a bool among them, is no
+    reactance, and a non-finite cost or limit an invalid limit; neither reaches the LP or the
     scan, and no bare TypeError escapes."""
-    for b in (np.nan, np.inf, "x", 1j, None, [1.0]):
+    for b in (np.nan, np.inf, "x", 1j, None, [1.0], True, np.True_):
         with pytest.raises(ZeroReactance):
             assemble_network([1], [2], [(1, 2, b)])
     net = assemble_network([1, 2, 3], [4], [(1, 4, 1.0), (2, 4, 1.0), (3, 4, 1.0)])
@@ -94,6 +94,14 @@ def test_non_finite_values_are_domain_errors():
             arr[1] = bad
             with pytest.raises(InvalidLimits, match=name):
                 dataclasses.replace(ok, **{name: arr}).validate(net)
+
+
+@pytest.mark.parametrize("edge", [(1, 2), (1, 2, 1.0, 3), 5, None])
+def test_edge_that_is_not_a_triple_is_a_domain_error(edge):
+    """An edge that is not a ``(u, v, susceptance)`` triple is
+    DimensionMismatch naming the edge, not a bare ValueError or TypeError."""
+    with pytest.raises(DimensionMismatch, match=f"^edge {re.escape(repr(edge))} is not a"):
+        assemble_network([1], [2], [edge])
 
 
 def _validate(**fields):
@@ -346,6 +354,14 @@ def test_chain_rules_apply_to_library_calls(net9, params9, copies, tie):
     ``'7.0'`` label."""
     with pytest.raises(InvalidTie, match="has type"):
         ops.build_chain(net9, params9, copies, [tie])
+
+
+@pytest.mark.parametrize("ties", [5, 7.0, None])
+def test_ties_that_are_not_a_collection_are_invalid(net9, params9, ties):
+    """``ties`` that cannot be iterated are InvalidTie, not a bare
+    TypeError from the tie loop."""
+    with pytest.raises(InvalidTie, match="is not a collection of tie lines"):
+        ops.build_chain(net9, params9, 2, ties)
 
 
 def test_chain_number_too_large_for_a_float(net9, params9):

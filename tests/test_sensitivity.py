@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
+import math
 import weakref
 import tracemalloc
 from types import SimpleNamespace
@@ -116,29 +117,48 @@ def _assert_rejected(net, keys):
             ops.jacobian_from_binding(net, bset)
 
 
+def _assert_live_on_simple_paths(net):
+    """The live branches of each generator subset are those on a simple
+    path between two of its free generators, by the path-walking oracle."""
+    for gens in sensitivity._gen_subsets(net.n_gen):
+        dead = oracles.dead_branches(net, gens)
+        assert live_branches(net, gens).tolist() == [e for e in range(net.n_edge) if e not in dead]
+
+
+def _bridge_and_random_networks(net9):
+    """case9, the 30 random networks of
+    test_independence_agrees_across_entry_points and the 21 random bridge
+    networks of the decomposition tests."""
+    rng = np.random.default_rng(7)
+    return [[net9], [_random_network(rng) for _ in range(30)],
+            [_random_bridge_network(seed) for seed in RANDOM_SEEDS]]
+
+
+def test_live_branches_are_on_simple_paths(net9):
+    for nets in _bridge_and_random_networks(net9):
+        for net in nets:
+            _assert_live_on_simple_paths(net)
+
+
 def test_dead_branch_exclusion_is_exact(net9, chain18):
     """Every candidate the scan skips binds a dead branch, and is rejected
     by independence_check and jacobian_from_binding: all of case9's, of the
-    30 random networks of test_independence_agrees_across_entry_points and
-    of the 21 random bridge networks of the decomposition tests. The 18-bus
-    chain's 8645 are checked with one batched reduced_solve per generator
+    30 random networks and of the 21 random bridge networks. The 18-bus
+    chain's 11279 are checked with one batched reduced_solve per generator
     subset here, whose verdicts are each set's own (the oracle-pipeline
     property), and through both entry points under ``-m slow``."""
-    rng = np.random.default_rng(7)
-    groups = [[net9], [_random_network(rng) for _ in range(30)],
-              [_random_bridge_network(seed) for seed in RANDOM_SEEDS]]
     counts = []
-    for nets in groups:
+    for nets in _bridge_and_random_networks(net9):
         excluded = [(net, _excluded(net)) for net in nets]
         for net, keys in excluded:
             assert all(oracles.binds_dead_branch(net, key) for key in keys)
             _assert_rejected(net, keys)
         counts.append(sum(len(keys) for _, keys in excluded))
-    assert counts == [3, 359, 940]
+    assert counts == [3, 756, 5505]
     net = chain18[0]
     keys = _excluded(net)
     chunks = sensitivity._chunks(net, sensitivity.CHUNK)
-    assert len(keys) == 8645 == candidate_count(net) - sum(map(len, chunks))
+    assert len(keys) == 11279 == candidate_count(net) - sum(map(len, chunks))
     for gens, run in itertools.groupby(keys, key=lambda key: key[0]):
         rows = np.array([gens + tuple(net.n_gen + e for e in branches) for _, branches in run])
         assert not len(reduced_solve(net, set_batch(net.n_gen, net.n_edge, [(gens, rows)]), ()))
@@ -146,12 +166,30 @@ def test_dead_branch_exclusion_is_exact(net9, chain18):
 
 @pytest.mark.slow
 def test_dead_branch_exclusion_is_exact_chain18(chain18):
-    """The 18-bus chain's 8645 skipped candidates, each through both entry
+    """The 18-bus chain's 11279 skipped candidates, each through both entry
     points."""
     net = chain18[0]
     keys = _excluded(net)
-    assert len(keys) == 8645
+    assert len(keys) == 11279
     _assert_rejected(net, keys)
+
+
+def test_hub_walk_is_bounded_by_the_graph():
+    """Eleven generators on one hub bus, with 300 parallel branches from the
+    hub to a pendant load: no transfer between generators crosses the
+    parallel branches, so each subset's live branches are its free
+    generators' spurs, and the scan walks 11 * 2**10 = 11264 of the C(322,
+    10), about 2.87e18, candidates and completes."""
+    gens = [f"g{k}" for k in range(11)]
+    net = assemble_network(gens, ["hub", "pendant"],
+                           [(g, "hub", 1.0 + k) for k, g in enumerate(gens)]
+                           + [("hub", "pendant", 2.0)] * 300)
+    walked = sum(math.comb(len(live), net.n_gen - 1 - len(g))
+                 for g, live in zip(sensitivity._gen_subsets(net.n_gen), _live(net)))
+    assert walked == 11264
+    report = ops.worst_case_all(net)
+    assert report.candidates_valid == 11264
+    assert report.candidates_total == math.comb(322, 10)
 
 
 @st.composite
@@ -167,8 +205,10 @@ def _networks(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_networks())
 def test_skipped_candidates_are_rejected(net):
-    """On random connected networks, the scan skips exactly the candidates
+    """On random connected networks, the live branches are those on simple
+    paths between free generators, the scan skips exactly the candidates
     that bind a dead branch, and both entry points reject each of them."""
+    _assert_live_on_simple_paths(net)
     keys = _excluded(net)
     assert keys == [key for key in oracles.lex_candidates(net) if oracles.binds_dead_branch(net, key)]
     _assert_rejected(net, keys)
@@ -515,13 +555,13 @@ def test_compact_layout_does_not_wrap(monkeypatch):
 
 
 def test_chain18_layout_is_cached_compact(chain18):
-    """The 18-bus chain's 48 chunks of 44485 live candidates are kept at
-    the default ``CHUNK`` in under 0.5 MB of arrays (3.19 MB as ``intp``);
+    """The 18-bus chain's 45 chunks of 41851 live candidates are kept at
+    the default ``CHUNK`` in under 0.5 MB of arrays (3.02 MB as ``intp``);
     its layouts at ``CHUNK`` 1 and 7 pass :data:`CACHED_BYTES` and are
     built as the scan goes."""
     net = chain18[0]
     chunks = sensitivity._packed(net, sensitivity.CHUNK)
-    assert (len(chunks), sum(map(len, chunks))) == (48, 44485)
+    assert (len(chunks), sum(map(len, chunks))) == (45, 41851)
     held = sum(getattr(batch, field.name).nbytes
                for batch in chunks for field in dataclasses.fields(SetBatch))
     assert held <= 512 * 1024
