@@ -39,22 +39,24 @@ from .jacobian import BindingSet
 from .matpower import read_case
 from .network import Network, build_chain, build_network, copy_label, load_chain_config, nominal_loads
 from .decompose import worst_case_decomposed
-from .sensitivity import candidate_count, worst_case_all, worst_case_miso, worst_case_siso
+from .sensitivity import (
+    live_candidate_count, worst_case_all, worst_case_miso, worst_case_siso,
+)
 
-#: above this many candidate sets the CLI notes the scan's rough duration and
-#: suggests the bridge path
+#: above this many walked candidate sets the CLI notes the scan's rough
+#: duration and suggests the bridge path
 SCAN_WARN_CANDIDATES = 2_000_000
 
 
 def _warn_if_large_scan(net: Network) -> None:
-    """Log a warning with the direct scan's rough time when ``net`` has more
-    than ``SCAN_WARN_CANDIDATES`` candidate sets."""
-    n = candidate_count(net)
+    """Log a warning with the direct scan's rough time when it walks more
+    than ``SCAN_WARN_CANDIDATES`` candidate sets of ``net``."""
+    n = live_candidate_count(net)
     if n > SCAN_WARN_CANDIDATES:
-        # about 0.75 us per candidate, rounded up: the direct scan of the
-        # bundled 27-bus chain's 48.9M candidates, of which it skips the
-        # 16.9M that bind a dead branch, took 30-31 s on a 2-vCPU x86 machine
-        seconds = n * 0.75e-6
+        # about 1 us per walked candidate, rounded up: the direct scan walks
+        # the bundled 27-bus chain's 32.0M live candidates in 30-31 s on a
+        # 2-vCPU x86 machine (0.95 us each)
+        seconds = n * 1e-6
         eta = f"{seconds:.2g} s" if seconds < 100 else f"{seconds / 60:.0f} min"
         logging.getLogger(__name__).warning(
             "note: exhaustive scan over %d candidate sets, roughly %s; the decompose "

@@ -10,10 +10,12 @@ The problem in network terms::
                 gen_lower  <= s_g           <= gen_upper
                 flow_lower <= B C' theta    <= flow_upper
 
-Internally the equalities are solved as genuine equalities (the reference
-angle is eliminated). The doubled-inequality standard form, the reference
-that the independence test (:func:`jacobian.independence_check`) is checked
-against, is built by the test suite's oracles alone.
+Internally one plan in :func:`_equality_form` states the LP's layout over
+nonnegative variables, the reference angle eliminated: it fills the tableau,
+and :func:`solve_opf` reads the primal and dual blocks back by its widths and
+heights. The doubled-inequality standard form, the reference that the
+independence test (:func:`jacobian.independence_check`) is checked against,
+is built by the test suite's oracles alone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     DegeneratePoint, DependentBindings, DimensionMismatch, InvalidLoad, InvalidSampling,
     RegionBoundary,
 )
-from .network import Network, OpfParams, strict_index
+from .network import Network, OpfParams, float_array, strict_index
 from .simplex import solve_lp
 
 #: absolute tolerance (per-unit) for calling a constraint binding
@@ -42,14 +44,15 @@ REGULARITY_TOL = 1e-9
 
 def check_load(net: Network, load: np.ndarray) -> np.ndarray:
     """Validate a load vector: one finite, nonnegative entry per load bus.
-    A load that numpy cannot read as numbers raises :class:`InvalidLoad`.
+    A load that is not numbers (:func:`~opfsens.network.float_array`: text
+    and bools are not) raises :class:`InvalidLoad`.
 
     Strict positivity (the domain where the sensitivity theory lives) is not
     enforced, so that stock case files with zero-demand buses remain
     solvable.
     """
     try:
-        load = np.asarray(load, dtype=float)
+        load = float_array(load)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidLoad(f"load is not an array of numbers: {exc}") from None
     if load.shape != (net.n_load,):
@@ -68,10 +71,11 @@ _SOLUTION_FIELDS = (
 
 
 @lru_cache(maxsize=64)
-def _vector_slices(sizes: tuple[int, ...]) -> tuple[slice, ...]:
-    """Slices of vectors of ``sizes`` laid end to end after the three
-    scalars, shared by every solution of one shape."""
-    ends = tuple(accumulate(sizes, initial=3))
+def _block_slices(sizes: tuple[int, ...], start: int = 0) -> tuple[slice, ...]:
+    """Slices of blocks of ``sizes`` laid end to end from ``start``, shared
+    by every user of one layout: the dispatch LP's column blocks and row
+    bands, and a solution's vectors after its three scalars."""
+    ends = tuple(accumulate(sizes, initial=start))
     return tuple(map(slice, ends[:-1], ends[1:]))
 
 
@@ -121,7 +125,7 @@ class OpfSolution:
         self._buf = np.concatenate(
             ([objective, min_basic_value, min_nonbasic_rc], *vectors), dtype=float
         )
-        self._slices = _vector_slices(tuple(map(len, vectors)))
+        self._slices = _block_slices(tuple(map(len, vectors)), 3)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SOLUTION_FIELDS)
@@ -129,63 +133,33 @@ class OpfSolution:
 
 
 def _equality_form(net: Network, params: OpfParams, load: np.ndarray):
-    """Equality-form LP over nonnegative variables.
-
-    Variables: ``[s_g, theta+_red, theta-_red, t_gu, t_gl, t_fu, t_fl]``
-    where the reference angle is eliminated (``theta_1 = 0`` exactly) and the
-    remaining angles are split into positive/negative parts.
+    """Equality-form LP ``a x = b``, ``x >= 0``, minimizing ``c' x``, and its
+    layout ``(widths, heights)``, from one plan: the widths of the column
+    blocks ``s_g, theta+, theta-, t_gu, t_gl, t_fu, t_fl`` (the angles less
+    the reference one, split by sign, then a slack per bound row), and the
+    right-hand side and nonzero blocks of each row band: nodal balance
+    ``-W s_g + L_r theta = [0; -s_l]``, then the generator and flow bounds.
     """
     n, n_g, m = net.n_bus, net.n_gen, net.n_edge
-    nr = n - 1  # reduced angle coordinates
-
-    lap_red = net.laplacian[:, 1:]
-    bct_red = net.flow_matrix[:, 1:]
-    w = np.zeros((n, n_g))
-    w[:n_g, :] = np.eye(n_g)
-
-    n_var = n_g + 2 * nr + 2 * n_g + 2 * m
-    sl = {}
-    ofs = n_g
-    sl["tp"] = slice(ofs, ofs + nr); ofs += nr
-    sl["tm"] = slice(ofs, ofs + nr); ofs += nr
-    sl["gu"] = slice(ofs, ofs + n_g); ofs += n_g
-    sl["gl"] = slice(ofs, ofs + n_g); ofs += n_g
-    sl["fu"] = slice(ofs, ofs + m); ofs += m
-    sl["fl"] = slice(ofs, ofs + m); ofs += m
-
-    rows = n + 2 * n_g + 2 * m
-    a = np.zeros((rows, n_var))
-    b = np.empty(rows)
-    r = 0
-    # nodal balance: L theta - W s_g = [0; -s_l]
-    a[r : r + n, :n_g] = -w
-    a[r : r + n, sl["tp"]] = lap_red
-    a[r : r + n, sl["tm"]] = -lap_red
-    b[r : r + n] = np.concatenate([np.zeros(n_g), -load])
-    r += n
-    # generator bounds
-    a[r : r + n_g, :n_g] = np.eye(n_g)
-    a[r : r + n_g, sl["gu"]] = np.eye(n_g)
-    b[r : r + n_g] = params.gen_upper
-    r += n_g
-    a[r : r + n_g, :n_g] = np.eye(n_g)
-    a[r : r + n_g, sl["gl"]] = -np.eye(n_g)
-    b[r : r + n_g] = params.gen_lower
-    r += n_g
-    # flow bounds
-    a[r : r + m, sl["tp"]] = bct_red
-    a[r : r + m, sl["tm"]] = -bct_red
-    a[r : r + m, sl["fu"]] = np.eye(m)
-    b[r : r + m] = params.flow_upper
-    r += m
-    a[r : r + m, sl["tp"]] = bct_red
-    a[r : r + m, sl["tm"]] = -bct_red
-    a[r : r + m, sl["fl"]] = -np.eye(m)
-    b[r : r + m] = params.flow_lower
-
-    c = np.zeros(n_var)
-    c[:n_g] = params.cost
-    return a, b, c, sl
+    lap, bct = net.laplacian[:, 1:], net.flow_matrix[:, 1:]
+    eye_g, eye_m = np.eye(n_g), np.eye(m)
+    widths = (n_g, n - 1, n - 1, n_g, n_g, m, m)
+    bands = (  # (right-hand side, {column block: coefficients})
+        (np.concatenate([np.zeros(n_g), -load]), {0: -np.eye(n, n_g), 1: lap, 2: -lap}),
+        (params.gen_upper, {0: eye_g, 3: eye_g}),
+        (params.gen_lower, {0: eye_g, 4: -eye_g}),
+        (params.flow_upper, {1: bct, 2: -bct, 5: eye_m}),
+        (params.flow_lower, {1: bct, 2: -bct, 6: -eye_m}),
+    )
+    heights = tuple(len(rhs) for rhs, _ in bands)
+    cols = _block_slices(widths)
+    a = np.zeros((sum(heights), sum(widths)))
+    for rows, (_, blocks) in zip(_block_slices(heights), bands):
+        for k, block in blocks.items():
+            a[rows, cols[k]] = block
+    b = np.concatenate([rhs for rhs, _ in bands])
+    c = np.concatenate([params.cost, np.zeros(sum(widths) - n_g)])
+    return a, b, c, (widths, heights)
 
 
 def solve_opf(net: Network, params: OpfParams, load: np.ndarray) -> OpfSolution:
@@ -197,26 +171,19 @@ def solve_opf(net: Network, params: OpfParams, load: np.ndarray) -> OpfSolution:
     """
     load = check_load(net, load)
     params.validate(net)
-    n, n_g, m = net.n_bus, net.n_gen, net.n_edge
-    nr = n - 1
 
-    a, b, c, sl = _equality_form(net, params, load)
+    a, b, c, (widths, heights) = _equality_form(net, params, load)
     lp = solve_lp(c, a, b)
 
-    # views of the LP's vectors: OpfSolution copies them into its one buffer
-    gen = lp.x[:n_g]
-    theta = np.concatenate([[0.0], lp.x[sl["tp"]] - lp.x[sl["tm"]]])
+    # views of the LP's blocks: OpfSolution copies them into its one buffer
+    cols = _block_slices(widths)
+    gen, theta_p, theta_m, *_ = (lp.x[s] for s in cols)
+    theta = np.concatenate([[0.0], theta_p - theta_m])
     flows = net.flow_matrix @ theta
 
-    y = lp.duals
-    y_bal = y[:n]
-    y_gu = y[n : n + n_g]
-    y_gl = y[n + n_g : n + 2 * n_g]
-    y_fu = y[n + 2 * n_g : n + 2 * n_g + m]
-    y_fl = y[n + 2 * n_g + m :]
-
+    y_bal, y_gu, y_gl, y_fu, y_fl = (lp.duals[s] for s in _block_slices(heights))
     lam_up = -y_gu
-    lam_lo = y_gl + lp.reduced_costs[:n_g]
+    lam_lo = y_gl + lp.reduced_costs[cols[0]]
     mu_up = -y_fu
     mu_lo = y_fl
     # the eliminated reference-angle multiplier, recovered from stationarity
@@ -228,13 +195,12 @@ def solve_opf(net: Network, params: OpfParams, load: np.ndarray) -> OpfSolution:
 
     # uniqueness diagnostics: ignore split-angle twins (pure representation)
     rc = lp.reduced_costs
-    nonbasic = np.ones(rc.shape[0], dtype=bool)
+    twin = np.repeat([False, True, True, False, False, False, False], widths)
+    nonbasic = ~twin
     nonbasic[lp.basis] = False
-    nonbasic[sl["tp"]] = False
-    nonbasic[sl["tm"]] = False
     min_rc = float(rc[nonbasic].min()) if nonbasic.any() else np.inf
 
-    structural = lp.basis[(lp.basis < n_g) | (lp.basis >= n_g + 2 * nr)]
+    structural = lp.basis[~twin[lp.basis]]
     min_basic = float(lp.x[structural].min()) if structural.size else np.inf
 
     return OpfSolution(
@@ -496,9 +462,10 @@ def jacobian_finite_diff(
     since loads cannot go negative. Every stencil point must sit in the same
     active-set region as the center; otherwise :class:`RegionBoundary` is
     raised, and a ``step`` that is not a finite positive real number is
-    :class:`InvalidLoad`, as is a load that :func:`check_load` refuses.
+    :class:`InvalidLoad` (a bool is not one), as is a load that
+    :func:`check_load` refuses.
     """
-    if not (isinstance(step, numbers.Real) and 0.0 < step < np.inf):
+    if isinstance(step, bool) or not (isinstance(step, numbers.Real) and 0.0 < step < np.inf):
         raise InvalidLoad(f"finite-difference step must be finite and positive, got {step!r}")
     load = check_load(net, load)
     center = solve_opf(net, params, load)

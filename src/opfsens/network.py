@@ -53,6 +53,19 @@ def strict_index(value) -> int:
     return operator.index(value)
 
 
+def float_array(value) -> np.ndarray:
+    """``value`` as a float array, the package's one reading of a vector of
+    numbers: ``TypeError``, ``ValueError`` or ``OverflowError`` when numpy
+    cannot read it as numbers, and ``TypeError`` for text and bools, which
+    numpy would read as numbers (``"0.5"`` as 0.5, ``True`` as 1.0)."""
+    arr = np.asarray(value, dtype=float)
+    given = np.asarray(value)
+    if given.dtype.kind in "USb" or (given.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes, bool, np.bool_)) for v in given.flat)):
+        raise TypeError("text and bools are not numbers")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """Immutable graph model with precomputed matrices.
@@ -233,8 +246,9 @@ class OpfParams:
     """Generation cost vector and operating limits, all per-unit.
 
     Each field is stored as a float array: a float array as the same object,
-    any other sequence of numbers as a copy. A field that numpy cannot read
-    as numbers raises :class:`InvalidLimits`.
+    any other sequence of numbers as a copy. A field that is not numbers
+    (:func:`float_array`: text and bools are not) raises
+    :class:`InvalidLimits`.
     """
 
     cost: np.ndarray
@@ -246,7 +260,7 @@ class OpfParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             try:
-                arr = np.asarray(getattr(self, f.name), dtype=float)
+                arr = float_array(getattr(self, f.name))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidLimits(f"{f.name} is not an array of numbers: {exc}") from None
             object.__setattr__(self, f.name, arr)

@@ -134,19 +134,33 @@ def candidate_count(net: Network) -> int:
     return math.comb(net.n_gen + net.n_edge, net.n_gen - 1) if net.n_gen else 0
 
 
+def _subsets(net: Network) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
+    """Each generator subset of the candidate sets, in order, with its live
+    branches (:func:`~opfsens.jacobian.live_branches`) and the number of
+    candidate sets the scan walks for it: those that bind it and live
+    branches only."""
+    for gens in _gen_subsets(net.n_gen):
+        branches = live_branches(net, gens)
+        yield gens, branches, math.comb(len(branches), net.n_gen - 1 - len(gens))
+
+
+def live_candidate_count(net: Network) -> int:
+    """Number of candidate sets the scan walks: the cardinality-feasible
+    sets (:func:`candidate_count`) less those that bind a dead branch."""
+    return sum(count for _, _, count in _subsets(net))
+
+
 def _chunks(net: Network, size: int) -> Iterator[SetBatch]:
     """The candidate sets of ``net`` on the live branches of each generator
-    subset (:func:`~opfsens.jacobian.live_branches`) in lexicographic order,
-    at most ``size`` at a time. Consecutive sets share a chunk, padded to
-    the largest block in it, but a generator subset that does not fit in the
-    open chunk starts a new one, so only a subset of more than ``size`` sets
-    is split."""
+    subset (:func:`_subsets`) in lexicographic order, at most ``size`` at a
+    time. Consecutive sets share a chunk, padded to the largest block in
+    it, but a generator subset that does not fit in the open chunk starts a
+    new one, so only a subset of more than ``size`` sets is split."""
     n_gen, n_edge = net.n_gen, net.n_edge
     pending: list[Part] = []
     have = 0
-    for gens in _gen_subsets(n_gen):
-        branches = live_branches(net, gens)
-        if pending and have + math.comb(len(branches), n_gen - 1 - len(gens)) > size:
+    for gens, branches, count in _subsets(net):
+        if pending and have + count > size:
             yield set_batch(n_gen, n_edge, pending)
             pending, have = [], 0
         for block in _subset_rows(gens, branches, n_gen):

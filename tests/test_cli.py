@@ -264,21 +264,59 @@ def test_report_table_without_loads(capsys, tmp_path):
     assert rows["table"] == rows["csv"] == [["gen\\load"], ["1"], ["2"]]
 
 
-def test_large_scan_note_gives_a_time(capsys, caplog, monkeypatch):
+def test_large_scan_note_gives_a_time(capsys, caplog, monkeypatch, chain27):
     """Above the threshold the note gives the scan's rough time at about
-    0.75 us per candidate, in seconds and, from 100 s, in minutes, as a
-    warning of the ``opfsens.cli`` logger."""
+    1 us per walked candidate, in seconds and, from 100 s, in minutes, as a
+    warning of the ``opfsens.cli`` logger. It counts the sets the scan
+    walks: 63 of case9's 66, and 32,031,065 of the 27-bus chain's
+    48,903,492, counted without scanning."""
     monkeypatch.setattr(cli, "SCAN_WARN_CANDIDATES", 10)
     code, _, err = run_cli(capsys, "report", "--case", CASE)
     assert code == 0
-    assert "note: exhaustive scan over 66 candidate sets, roughly 5e-05 s;" in err
-    for count, eta in ((48_903_492, "37 s"), (10**9, "12 min")):
-        monkeypatch.setattr(cli, "candidate_count", lambda net: count)
+    assert "note: exhaustive scan over 63 candidate sets, roughly 6.3e-05 s;" in err
+    monkeypatch.setattr(cli, "SCAN_WARN_CANDIDATES", 2_000_000)
+    monkeypatch.setattr(cli, "worst_case_all", None)  # a scan would fail with a TypeError
+    for net, count, eta in ((chain27[0], 32_031_065, "32 s"), (None, 10**9, "17 min")):
+        if net is None:
+            monkeypatch.setattr(cli, "live_candidate_count", lambda net: count)
         caplog.clear()
-        cli._warn_if_large_scan(None)
+        cli._warn_if_large_scan(net)
         [record] = caplog.records
         assert (record.name, record.levelno) == ("opfsens.cli", logging.WARNING)
         assert f"over {count} candidate sets, roughly {eta};" in record.getMessage()
+
+
+def _hub_case(spokes: int, parallel: int) -> str:
+    """A MATPOWER case of ``spokes`` generators on one hub bus and
+    ``parallel`` branches from the hub to a pendant load of 90 MW."""
+    hub, pendant = spokes + 1, spokes + 2
+    spoke_ids = range(1, spokes + 1)
+
+    def table(name, rows):
+        lines = ("\t" + "\t".join(map(str, row)) + ";" for row in rows)
+        return f"mpc.{name} = [\n" + "\n".join(lines) + "\n];\n"
+
+    bus = [(b, 3 if b == 1 else 2 if b <= spokes else 1, 90 if b == pendant else 0,
+            0, 0, 0, 1, 1, 0, 345, 1, 1.1, 0.9) for b in range(1, pendant + 1)]
+    gen = [(g, 0, 0, 300, -300, 1, 100, 1, 250, 10) + (0,) * 11 for g in spoke_ids]
+    line = (0, 250, 250, 250, 0, 0, 1, -360, 360)
+    branch = [(g, hub, 0, 1 / (1 + g), *line) for g in spoke_ids]
+    branch += [(hub, pendant, 0, 0.5, *line)] * parallel
+    gencost = [(2, 0, 0, 2, g, 0) for g in spoke_ids]
+    return ("function mpc = hub\nmpc.version = '2';\nmpc.baseMVA = 100;\n"
+            + table("bus", bus) + table("gen", gen) + table("branch", branch)
+            + table("gencost", gencost))
+
+
+def test_hub_report_has_no_large_scan_note(capsys, tmp_path):
+    """Eleven generators on a hub with 300 parallel branches to a pendant
+    load: C(322, 10), about 2.87e18, cardinality-feasible sets, but the scan
+    walks 11,264, so ``report`` prints no note and completes its table."""
+    case = _write(tmp_path / "hub.m", _hub_case(11, 300))
+    code, out, err = run_cli(capsys, "report", "--case", case, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["pairs"]) == 22
 
 
 def test_missing_case_file_exit_2(capsys):

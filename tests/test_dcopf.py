@@ -13,7 +13,6 @@ import scipy.optimize as sopt
 import opfsens as ops
 from opfsens import linalg
 from opfsens.cli import main
-from opfsens.dcopf import _equality_form
 from opfsens.errors import (
     DegeneratePoint, DependentBindings, DimensionMismatch, Infeasible, InvalidLoad,
 )
@@ -70,12 +69,34 @@ def test_two_bus_balance(two_bus):
     assert sol.theta[0] == 0.0
 
 
-def test_case9_objective_against_reference(net9, params9, loads9):
-    sol = ops.solve_opf(net9, params9, loads9)
-    a, b, c, _ = _equality_form(net9, params9, loads9)
-    ref = sopt.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-    assert ref.status == 0
-    assert sol.objective == pytest.approx(ref.fun, abs=1e-9)
+@pytest.fixture(scope="module")
+def chain90(net9, params9):
+    """Ten case9 copies, each tied 7 -> 4 to the next: a 90-bus chain."""
+    return ops.build_chain(net9, params9, 10, [ops.TieLine(k, 7, k + 1, 4) for k in range(9)])
+
+
+@pytest.mark.parametrize("name", ["case9", "chain18", "chain27", "chain90"])
+def test_objective_against_reference(request, name):
+    """On 20 seeded cost and load draws (4 on the 90-bus chain), the
+    objective equals HiGHS on the oracles' doubled-inequality standard
+    form, which shares no code with the package's tableau, within 1e-9
+    relative, and the solution passes the KKT check to 1e-8: a slip in
+    assembling the tableau fails here."""
+    if name == "case9":
+        net, params = request.getfixturevalue("net9"), request.getfixturevalue("params9")
+    else:
+        net, params = request.getfixturevalue(name)
+    rng = np.random.default_rng(28)
+    for _ in range(4 if name == "chain90" else 20):
+        p = ops.OpfParams(rng.uniform(0.5, 5.0, net.n_gen), params.gen_upper,
+                          params.gen_lower, params.flow_upper, params.flow_lower)
+        load = rng.uniform(0.1, 0.5, net.n_load)
+        sol = ops.solve_opf(net, p, load)
+        sf = oracles.standard_form(net, p, load)
+        ref = sopt.linprog(sf.c, A_ub=sf.a, b_ub=sf.b, bounds=(None, None), method="highs")
+        assert ref.status == 0
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+        assert ops.kkt_residuals(sol, net, p, load).max_residual <= 1e-8
 
 
 def test_infeasible_when_load_exceeds_capacity(net9, params9):
@@ -366,8 +387,9 @@ def test_dependent_point_raises(net9, params9, capsys, monkeypatch, via):
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "DependentBindings"
 
 
-@pytest.mark.parametrize("bad", [["a"] * 6, [1j] * 6, [object()] * 6],
-                         ids=["str", "complex", "object"])
+@pytest.mark.parametrize("bad", [["a"] * 6, [1j] * 6, [object()] * 6, ["0.5"] * 6,
+                                 [b"0.5"] * 6, [True] * 6],
+                         ids=["str", "complex", "object", "numeric-str", "bytes", "bool"])
 @pytest.mark.parametrize("call", [
     lambda net, params, good, bad: ops.solve_opf(net, params, bad),
     lambda net, params, good, bad: ops.kkt_residuals(
@@ -379,7 +401,8 @@ def test_dependent_point_raises(net9, params9, capsys, monkeypatch, via):
 ], ids=["solve_opf", "kkt_residuals", "local_sensitivity", "box_low", "box_high",
         "jacobian_finite_diff"])
 def test_non_numeric_loads_are_invalid_loads(net9, params9, loads9, call, bad):
-    """A load that numpy cannot read as numbers is an InvalidLoad at every
-    entry point that takes one, not a bare ValueError or TypeError."""
+    """A load that is not numbers is an InvalidLoad at every entry point that
+    takes one, not a bare ValueError or TypeError: text and bools too,
+    though numpy reads ``"0.5"`` as 0.5 and ``True`` as 1.0."""
     with pytest.raises(InvalidLoad, match="not an array of numbers"):
         call(net9, params9, loads9, bad)

@@ -202,11 +202,11 @@ def test_finite_diff_region_boundary(net9, params9):
     assert jac.shape == (3, 6)
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-4, np.nan, np.inf, "a", None, 1j])
+@pytest.mark.parametrize("step", [0.0, -1e-4, np.nan, np.inf, "a", None, 1j, True])
 def test_finite_diff_step_must_be_finite_and_positive(net9, params9, loads9, monkeypatch, step):
-    """A step that is zero, negative, not finite or not a real number is an
-    InvalidLoad raised before any LP is solved, not an all-NaN Jacobian or
-    a bare TypeError."""
+    """A step that is zero, negative, not finite or not a real number (a
+    bool is not one) is an InvalidLoad raised before any LP is solved, not
+    an all-NaN Jacobian or a bare TypeError."""
     monkeypatch.setattr(dcopf, "solve_opf", None)  # any LP solve would fail with a TypeError
     with pytest.raises(InvalidLoad, match="step must be finite and positive"):
         ops.jacobian_finite_diff(net9, params9, loads9, step=step)

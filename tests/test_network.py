@@ -315,7 +315,8 @@ def test_pair_indices_refuse_bools(net9, params9, loads9):
 
 def test_opf_params_accept_sequences(net9, params9, loads9):
     """Lists solve case9 as the arrays they hold do; a float array is kept
-    as the same object, and a field that is not numbers is InvalidLimits."""
+    as the same object, and a field that is not numbers, text and bools
+    included, is InvalidLimits."""
     fields = {f.name: getattr(params9, f.name) for f in dataclasses.fields(params9)}
     as_lists = ops.OpfParams(**{k: v.tolist() for k, v in fields.items()})
     assert all(getattr(as_lists, k).dtype == float for k in fields)
@@ -323,7 +324,8 @@ def test_opf_params_accept_sequences(net9, params9, loads9):
     assert sol.objective == ref.objective
     assert np.array_equal(sol.gen, ref.gen)
     assert all(getattr(ops.OpfParams(**fields), k) is v for k, v in fields.items())
-    for bad in ("cheap", ["1", "x", "2"], [1.0, [2.0], 3.0], [10**400, 1.0, 1.0]):
+    for bad in ("cheap", ["1", "x", "2"], [1.0, [2.0], 3.0], [10**400, 1.0, 1.0],
+                ["1", "2", "3"], [True] * 3):
         with pytest.raises(InvalidLimits, match="cost"):
             ops.OpfParams(**{**fields, "cost": bad})
 

@@ -25,7 +25,7 @@ from opfsens.jacobian import (
     BindingSet, SetBatch, Solved, live_branches, pool_rows, reduced_solve, set_batch,
 )
 from opfsens.network import assemble_network
-from opfsens.sensitivity import TIE_TOL, candidate_count
+from opfsens.sensitivity import TIE_TOL, candidate_count, live_candidate_count
 
 import oracles
 from conftest import random_regular_params
@@ -36,6 +36,8 @@ from test_jacobian import _path_network, _random_network, _same_bits
 def test_candidate_count_case9(net9):
     # C(3,0)C(9,2) + C(3,1)C(9,1) + C(3,2)C(9,0)
     assert candidate_count(net9) == 36 + 27 + 3 == 66
+    # the scan walks all but the three sets that bind a dead branch
+    assert live_candidate_count(net9) == 63 == sum(map(len, sensitivity._chunks(net9, 7)))
 
 
 def test_network_without_generators_has_no_candidates():
@@ -157,8 +159,9 @@ def test_dead_branch_exclusion_is_exact(net9, chain18):
     assert counts == [3, 756, 5505]
     net = chain18[0]
     keys = _excluded(net)
-    chunks = sensitivity._chunks(net, sensitivity.CHUNK)
-    assert len(keys) == 11279 == candidate_count(net) - sum(map(len, chunks))
+    walked = sum(map(len, sensitivity._chunks(net, sensitivity.CHUNK)))
+    assert walked == live_candidate_count(net) == 41851
+    assert len(keys) == 11279 == candidate_count(net) - walked
     for gens, run in itertools.groupby(keys, key=lambda key: key[0]):
         rows = np.array([gens + tuple(net.n_gen + e for e in branches) for _, branches in run])
         assert not len(reduced_solve(net, set_batch(net.n_gen, net.n_edge, [(gens, rows)]), ()))
@@ -186,7 +189,7 @@ def test_hub_walk_is_bounded_by_the_graph():
                            + [("hub", "pendant", 2.0)] * 300)
     walked = sum(math.comb(len(live), net.n_gen - 1 - len(g))
                  for g, live in zip(sensitivity._gen_subsets(net.n_gen), _live(net)))
-    assert walked == 11264
+    assert walked == 11264 == live_candidate_count(net)
     report = ops.worst_case_all(net)
     assert report.candidates_valid == 11264
     assert report.candidates_total == math.comb(322, 10)
