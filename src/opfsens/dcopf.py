@@ -13,8 +13,11 @@ The problem in network terms::
 Internally one plan in :func:`_equality_form` states the LP's layout over
 nonnegative variables, the reference angle eliminated: it fills the tableau,
 and :func:`solve_opf` reads the primal and dual blocks back by its widths and
-heights. The doubled-inequality standard form, the reference that the
-independence test (:func:`jacobian.independence_check`) is checked against,
+heights. One table, :data:`_SCALARS` then :data:`_VECTORS`, states an
+:class:`OpfSolution`'s layout: its properties, its keyword constructor and
+every reader of a point take the fields, their lengths and the one view of
+the inequality duals from it. The doubled-inequality standard form, the
+reference of the independence test (:func:`jacobian.independence_check`),
 is built by the test suite's oracles alone.
 """
 
@@ -62,74 +65,73 @@ def check_load(net: Network, load: np.ndarray) -> np.ndarray:
     return load
 
 
-#: the constructor's arguments of :class:`OpfSolution`, in order
-_SOLUTION_FIELDS = (
-    "gen", "theta", "flows", "objective", "dual_eq", "dual_gen_upper",
-    "dual_gen_lower", "dual_flow_upper", "dual_flow_lower",
-    "min_basic_value", "min_nonbasic_rc",
-)
+#: an :class:`OpfSolution`'s fields, the layout of its one buffer: the
+#: scalars, then the vectors, the inequality duals last in the order of the
+#: LP's bound bands
+_SCALARS = ("objective", "min_basic_value", "min_nonbasic_rc")
+_VECTORS = ("gen", "theta", "flows", "dual_eq",
+            "dual_gen_upper", "dual_gen_lower", "dual_flow_upper", "dual_flow_lower")
+_FIRST_INEQUALITY_DUAL = _VECTORS.index("dual_gen_upper")
+
+
+def _lengths(net: Network) -> tuple[int, ...]:
+    """The length of each of :data:`_VECTORS` on ``net``."""
+    n_g, n, m = net.n_gen, net.n_bus, net.n_edge
+    return (n_g, n, m, n + 1, n_g, n_g, m, m)
 
 
 @lru_cache(maxsize=64)
 def _block_slices(sizes: tuple[int, ...], start: int = 0) -> tuple[slice, ...]:
     """Slices of blocks of ``sizes`` laid end to end from ``start``, shared
     by every user of one layout: the dispatch LP's column blocks and row
-    bands, and a solution's vectors after its three scalars."""
+    bands, and a solution's vectors after its scalars."""
     ends = tuple(accumulate(sizes, initial=start))
     return tuple(map(slice, ends[:-1], ends[1:]))
 
 
-def _scalar(k: int) -> property:
-    return property(lambda self: float(self._buf[k]))
+def _with_fields(cls):
+    """Bind each field of :data:`_SCALARS` and :data:`_VECTORS` as a
+    read-only property serving its part of the buffer."""
+    for k, name in enumerate(_SCALARS):
+        setattr(cls, name, property(lambda self, k=k: float(self._buf[k])))
+    for k, name in enumerate(_VECTORS):
+        setattr(cls, name, property(lambda self, k=k: self._buf[self._slices[k]]))
+    return cls
 
 
-def _vector(k: int) -> property:
-    return property(lambda self: self._buf[self._slices[k]])
-
-
+@_with_fields
 class OpfSolution:
-    """Primal/dual solution of one dispatch LP.
+    """Primal/dual solution of one dispatch LP, built from every field by keyword.
 
     ``dual_eq`` stacks the multipliers of the nodal balance rows (length
     ``n_bus``) followed by the reference-angle row, matching the KKT
     convention in which the angle-gradient condition reads
     ``[L; e_1'] ' tau + C B (mu_up - mu_lo) = 0``.
 
-    Every value lives in one owned float buffer: the three scalars, then
-    the eight vectors in the constructor's order. The vectors are served as
-    views of it, so a kept solution holds that buffer alone, no vector of
-    the LP. Attributes are read-only.
+    Every value lives in one owned float buffer laid out by :data:`_SCALARS`
+    then :data:`_VECTORS`, the vectors served as views of it, so a kept
+    solution holds that buffer alone, no vector of the LP. Read-only.
     """
 
     __slots__ = ("_buf", "_slices")
 
-    objective = _scalar(0)
-    min_basic_value = _scalar(1)
-    min_nonbasic_rc = _scalar(2)
-    gen = _vector(0)
-    theta = _vector(1)
-    flows = _vector(2)
-    dual_eq = _vector(3)
-    dual_gen_upper = _vector(4)
-    dual_gen_lower = _vector(5)
-    dual_flow_upper = _vector(6)
-    dual_flow_lower = _vector(7)
-
-    def __init__(
-        self, gen, theta, flows, objective, dual_eq, dual_gen_upper,
-        dual_gen_lower, dual_flow_upper, dual_flow_lower,
-        min_basic_value, min_nonbasic_rc,
-    ) -> None:
-        vectors = (gen, theta, flows, dual_eq, dual_gen_upper, dual_gen_lower,
-                   dual_flow_upper, dual_flow_lower)
-        self._buf = np.concatenate(
-            ([objective, min_basic_value, min_nonbasic_rc], *vectors), dtype=float
-        )
-        self._slices = _block_slices(tuple(map(len, vectors)), 3)
+    def __init__(self, **fields) -> None:
+        names = _SCALARS + _VECTORS
+        if fields.keys() != set(names):
+            raise TypeError(f"OpfSolution takes exactly the fields {', '.join(names)} "
+                            f"by keyword, got {', '.join(fields) or 'none'}")
+        vectors = [fields[name] for name in _VECTORS]
+        self._buf = np.concatenate(([fields[name] for name in _SCALARS], *vectors), dtype=float)
+        self._slices = _block_slices(tuple(map(len, vectors)), len(_SCALARS))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SOLUTION_FIELDS)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _SCALARS + _VECTORS)
         return f"OpfSolution({fields})"
+
+    @property
+    def _inequality_duals(self) -> np.ndarray:
+        """The four inequality duals as one view, in :data:`_VECTORS` order."""
+        return self._buf[self._slices[_FIRST_INEQUALITY_DUAL].start:]
 
 
 def _equality_form(net: Network, params: OpfParams, load: np.ndarray):
@@ -231,14 +233,7 @@ class KktReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.stationarity_theta,
-            self.stationarity_gen,
-            self.primal_equality,
-            self.primal_inequality,
-            self.dual_sign,
-            self.complementarity,
-        )
+        return max(vars(self).values())
 
 
 def kkt_residuals(
@@ -259,34 +254,20 @@ def kkt_residuals(
         net.susceptances * mu_diff
     )
     # -f = -tau[:n_g] + lambda+ - lambda-
-    stat_gen = (
-        -params.cost + tau[:n_g] - sol.dual_gen_upper + sol.dual_gen_lower
-    )
+    stat_gen = -params.cost + tau[:n_g] - sol.dual_gen_upper + sol.dual_gen_lower
 
     balance = net.laplacian @ sol.theta - np.concatenate([sol.gen, -load])
     primal_eq = max(abs(sol.theta[0]), float(np.abs(balance).max()))
 
-    viol = [
-        sol.gen - params.gen_upper,
-        params.gen_lower - sol.gen,
-        sol.flows - params.flow_upper,
-        params.flow_lower - sol.flows,
-    ]
-    primal_ineq = float(max(np.concatenate(viol).max(), 0.0))
-
-    signs = np.concatenate([
-        sol.dual_gen_upper, sol.dual_gen_lower,
-        sol.dual_flow_upper, sol.dual_flow_lower,
+    # each inequality's gap, <= 0 when it holds, beside its dual
+    gap = np.concatenate([
+        sol.gen - params.gen_upper, params.gen_lower - sol.gen,
+        sol.flows - params.flow_upper, params.flow_lower - sol.flows,
     ])
-    dual_sign = float(max(-signs.min(), 0.0)) if signs.size else 0.0
-
-    comp = np.concatenate([
-        sol.dual_gen_upper * (sol.gen - params.gen_upper),
-        sol.dual_gen_lower * (params.gen_lower - sol.gen),
-        sol.dual_flow_upper * (sol.flows - params.flow_upper),
-        sol.dual_flow_lower * (params.flow_lower - sol.flows),
-    ])
-    complementarity = float(np.abs(comp).max()) if comp.size else 0.0
+    duals = sol._inequality_duals
+    primal_ineq = float(max(gap.max(), 0.0)) if gap.size else 0.0
+    dual_sign = float(max(-duals.min(), 0.0)) if duals.size else 0.0
+    complementarity = float(np.abs(duals * gap).max()) if gap.size else 0.0
 
     return KktReport(
         stationarity_theta=float(np.abs(stat_theta).max()),
@@ -302,10 +283,7 @@ def _check_point(sol: OpfSolution, net: Network, params: OpfParams) -> None:
     """Raise unless ``params`` passes :meth:`OpfParams.validate` on ``net``
     and the solution's primal and dual vectors fit ``net``."""
     params.validate(net)
-    for name, want in (("gen", net.n_gen), ("theta", net.n_bus), ("flows", net.n_edge),
-                       ("dual_eq", net.n_bus + 1), ("dual_gen_upper", net.n_gen),
-                       ("dual_gen_lower", net.n_gen), ("dual_flow_upper", net.n_edge),
-                       ("dual_flow_lower", net.n_edge)):
+    for name, want in zip(_VECTORS, _lengths(net)):
         got = len(getattr(sol, name))
         if got != want:
             raise DimensionMismatch(f"solution {name} has length {got}, want {want}")
@@ -362,11 +340,7 @@ def check_regularity(sol: OpfSolution) -> RegularityReport:
     cost is strictly positive; "significant" and "strictly" both mean beyond
     :data:`REGULARITY_TOL`.
     """
-    ineq = np.concatenate([
-        sol.dual_gen_upper, sol.dual_gen_lower,
-        sol.dual_flow_upper, sol.dual_flow_lower,
-    ])
-    n_ineq = int(np.sum(np.abs(ineq) > REGULARITY_TOL))
+    n_ineq = int(np.sum(np.abs(sol._inequality_duals) > REGULARITY_TOL))
     n_eq = int(np.sum(np.abs(sol.dual_eq) > REGULARITY_TOL))
     degenerate = sol.min_basic_value <= REGULARITY_TOL
     unique = (not degenerate) and sol.min_nonbasic_rc > REGULARITY_TOL

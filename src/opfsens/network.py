@@ -57,13 +57,14 @@ def float_array(value) -> np.ndarray:
     """``value`` as a float array, the package's one reading of a vector of
     numbers: ``TypeError``, ``ValueError`` or ``OverflowError`` when numpy
     cannot read it as numbers, and ``TypeError`` for text and bools, which
-    numpy would read as numbers (``"0.5"`` as 0.5, ``True`` as 1.0)."""
-    arr = np.asarray(value, dtype=float)
-    given = np.asarray(value)
+    numpy would read as numbers (``"0.5"`` as 0.5, ``True`` as 1.0). An
+    array is judged by its dtype, anything else element by element, so a
+    bool among floats is refused too."""
+    given = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
     if given.dtype.kind in "USb" or (given.dtype.kind == "O" and any(
             isinstance(v, (str, bytes, bool, np.bool_)) for v in given.flat)):
         raise TypeError("text and bools are not numbers")
-    return arr
+    return np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +148,13 @@ class Network:
         (Hopcroft and Tarjan, CACM 1973): ``(block, heads, tree)``, the
         biconnected block of each edge, each block's first bus reached, and
         the buses as reached, each with the edge it came by (-1 at bus 0).
-        :class:`DisconnectedGraph` when the pass misses a bus. Parallel edges
-        are told apart by edge index, so a doubled edge is a block of two.
+        :class:`DisconnectedGraph` when the pass misses a bus or there is
+        none. Parallel edges are told apart by edge index, so a doubled edge
+        is a block of two.
         """
         adj = self.adjacency
+        if not adj:
+            raise DisconnectedGraph("network has no buses")
         disc = [-1] * len(adj)
         low = [0] * len(adj)
         iters = [iter(nbrs) for nbrs in adj]
@@ -158,7 +162,7 @@ class Network:
         heads: list[int] = []
         tree: list[tuple[int, int]] = []
         edges: list[int] = []  # tree and back edges of the blocks still open
-        stack: list[tuple[int, int]] = [(0, -1)] if adj else []
+        stack = [(0, -1)]
         while stack:
             v, entry_edge = stack[-1]
             if disc[v] == -1:  # first visit
@@ -233,8 +237,9 @@ class Network:
         """
         n_gen, n = self.n_gen, self.n_bus
         pool_x = np.zeros((n_gen + self.n_edge, n))
-        pool_x[0, 1:] = -1.0
-        pool_x[1:n_gen, 1:n_gen] = np.eye(n_gen - 1)
+        if n_gen:  # without generators, the basis is the branch block alone
+            pool_x[0, 1:] = -1.0
+            pool_x[1:n_gen, 1:n_gen] = np.eye(n_gen - 1)
         pool_x[n_gen:, 1:] = np.linalg.solve(self.laplacian[1:, 1:], self.flow_matrix[:, 1:].T).T
         by_bus = np.ascontiguousarray(pool_x.T)
         by_bus.setflags(write=False)
@@ -296,12 +301,13 @@ def assemble_network(
     then loads in the order given.
 
     ``edges`` entries are ``(label_u, label_v, susceptance)``. Raises
-    :class:`DisconnectedGraph` when the graph is not connected (reading
-    :attr:`Network.bridges` checks it), :class:`DimensionMismatch` for an
-    edge that is not such a triple, :class:`ZeroReactance` for a
-    susceptance that is not a finite positive real number (a bool is not
-    one), :class:`DanglingReference` for an endpoint that is not among the
-    labels and :class:`SelfLoop` for an edge from a bus to itself.
+    :class:`DisconnectedGraph` when the graph has no bus or is not
+    connected (reading :attr:`Network.bridges` checks it),
+    :class:`DimensionMismatch` for an edge that is not such a triple,
+    :class:`ZeroReactance` for a susceptance that is not a finite positive
+    real number (a bool is not one), :class:`DanglingReference` for an
+    endpoint that is not among the labels and :class:`SelfLoop` for an edge
+    from a bus to itself.
     """
     gens, loads = tuple(gen_labels), tuple(load_labels)
     order = gens + loads

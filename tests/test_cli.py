@@ -374,6 +374,20 @@ def _python(code):
                           env=env, timeout=120)
 
 
+def test_import_loads_only_declared_dependencies():
+    """pyproject.toml declares numpy alone: importing the package and its
+    CLI in a fresh process loads none of the test extras' modules."""
+    code = (
+        "import sys\n"
+        "import opfsens, opfsens.cli\n"
+        "extras = {'scipy', 'networkx', 'hypothesis', 'pytest'}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in extras)\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_library_logs_to_no_handler_by_default():
     """A library caller that configures no logging gets nothing on stderr:
     the package's logger has a NullHandler, so Python's last-resort handler

@@ -116,6 +116,7 @@ def test_solve_deterministic(net9, params9, loads9):
 
 SOLUTION_VECTORS = ("gen", "theta", "flows", "dual_eq", "dual_gen_upper",
                     "dual_gen_lower", "dual_flow_upper", "dual_flow_lower")
+SOLUTION_SCALARS = ("objective", "min_basic_value", "min_nonbasic_rc")
 
 
 def test_solution_is_one_owned_buffer(net9, params9, loads9):
@@ -164,6 +165,23 @@ def test_solution_keyword_constructor_and_read_only(net9, params9, loads9):
         again.objective = 0.0
     with pytest.raises(AttributeError):
         again.gen = np.zeros(3)
+
+
+def test_solution_takes_every_field_by_keyword(net9, params9, loads9):
+    """A missing, unknown or positional field is a TypeError naming the
+    fields, and the repr names every field once."""
+    sol = ops.solve_opf(net9, params9, loads9)
+    fields = {name: getattr(sol, name) for name in SOLUTION_VECTORS + SOLUTION_SCALARS}
+    missing = {k: v for k, v in fields.items() if k != "theta"}
+    for bad in (missing, {**fields, "thetas": sol.theta}):
+        with pytest.raises(TypeError, match="takes exactly the fields objective, .*, theta, "):
+            ops.OpfSolution(**bad)
+    with pytest.raises(TypeError):
+        ops.OpfSolution(*fields.values())
+    text = repr(sol)
+    assert text.startswith("OpfSolution(") and text.endswith(")")
+    for name in fields:
+        assert text.count(f" {name}=") + text.startswith(f"OpfSolution({name}=") == 1
 
 
 def test_lossless_balance_over_random_instances(net9, params9):
@@ -388,8 +406,9 @@ def test_dependent_point_raises(net9, params9, capsys, monkeypatch, via):
 
 
 @pytest.mark.parametrize("bad", [["a"] * 6, [1j] * 6, [object()] * 6, ["0.5"] * 6,
-                                 [b"0.5"] * 6, [True] * 6],
-                         ids=["str", "complex", "object", "numeric-str", "bytes", "bool"])
+                                 [b"0.5"] * 6, [True] * 6, [0.5] * 5 + [True]],
+                         ids=["str", "complex", "object", "numeric-str", "bytes", "bool",
+                              "mixed-bool"])
 @pytest.mark.parametrize("call", [
     lambda net, params, good, bad: ops.solve_opf(net, params, bad),
     lambda net, params, good, bad: ops.kkt_residuals(

@@ -239,6 +239,15 @@ def test_rank_empty():
     assert numerical_rank(np.zeros((3, 3))) == 0
 
 
+def test_rank_wide_and_not_a_matrix():
+    """A wide matrix stops at its last row; an input that is not 2-D is a
+    DimensionMismatch."""
+    assert numerical_rank(np.eye(2, 3)) == 2
+    for bad in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="expected a 2-D matrix"):
+            numerical_rank(bad)
+
+
 def test_rank_rectangular():
     assert numerical_rank(np.array([[0.0, 1.0]])) == 1
     assert numerical_rank(np.array([[0.0, 1.0], [0.0, 2.0]])) == 1
@@ -276,3 +285,5 @@ def test_standard_form_rank_matches_stack(net9, params9, loads9):
 def test_rcond_estimate():
     assert rcond_estimate(np.eye(4)) == pytest.approx(1.0)
     assert rcond_estimate(np.array([[1.0, 1.0], [1.0, 1.0]])) == 0.0
+    for bad in (np.nan, np.inf):
+        assert rcond_estimate(np.array([[bad, 1.0], [1.0, 1.0]])) == 0.0

@@ -50,6 +50,8 @@ def test_case9_counts(case9):
 def test_mini_case_columns():
     case = ops.parse_matpower(MINI_CASE)
     assert case.bus_demand_mw(2) == 50.0
+    with pytest.raises(DanglingReference, match="unknown bus id 99"):
+        case.bus_demand_mw(99)
     assert case.branch_reactance(0) == 0.1
     assert case.branch_rate_a_mva(0) == 100.0
     assert case.gen_limits_mw(0) == (0.0, 200.0)

@@ -252,6 +252,12 @@ def test_assemble_rejects_exactly_the_disconnected_graphs():
     assert outcomes == {True, False}
 
 
+def test_assemble_rejects_a_network_without_buses():
+    """A network needs a bus for its graph walk to start from."""
+    with pytest.raises(DisconnectedGraph, match="no buses"):
+        assemble_network([], [], [])
+
+
 def test_assemble_rejects_an_unknown_endpoint():
     """An edge endpoint that is not among the labels is a
     :class:`DanglingReference` naming the edge and the label."""
@@ -325,7 +331,7 @@ def test_opf_params_accept_sequences(net9, params9, loads9):
     assert np.array_equal(sol.gen, ref.gen)
     assert all(getattr(ops.OpfParams(**fields), k) is v for k, v in fields.items())
     for bad in ("cheap", ["1", "x", "2"], [1.0, [2.0], 3.0], [10**400, 1.0, 1.0],
-                ["1", "2", "3"], [True] * 3):
+                ["1", "2", "3"], [True] * 3, [1.0, 1.0, True]):
         with pytest.raises(InvalidLimits, match="cost"):
             ops.OpfParams(**{**fields, "cost": bad})
 

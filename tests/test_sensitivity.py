@@ -41,10 +41,16 @@ def test_candidate_count_case9(net9):
 
 
 def test_network_without_generators_has_no_candidates():
+    """No binding set, and a PTDF basis of branch rows alone: the flows of a
+    unit injection at each bus, grounded at bus 0."""
     net = assemble_network([], [1, 2], [(1, 2, 1.0)])
     assert candidate_count(net) == 0
     with pytest.raises(NoValidSet):
         ops.worst_case_all(net)
+    grounded = np.zeros((2, 2))
+    grounded[1:, 1:] = np.linalg.inv(net.laplacian[1:, 1:])
+    assert net.ptdf_basis.shape == (net.n_bus, net.n_edge)
+    assert np.array_equal(net.ptdf_basis, (net.flow_matrix @ grounded).T)
 
 
 def test_enumeration_case9(net9):
@@ -757,6 +763,19 @@ def test_sample_lower_bound(net9, params9):
     assert res.samples_used + res.samples_degenerate == 30
     assert res.samples_used > 0
     assert res.value <= wc + 1e-9
+
+
+def test_sample_lower_bound_skips_degenerate_samples(net9, params9, loads9):
+    """At equal costs case9's vertex is degenerate at its nominal loads, so
+    a box of that one point uses no sample and bounds nothing; a box from
+    0.5x to 1.5x nominal finds regular points among them."""
+    equal = dataclasses.replace(params9, cost=np.ones(3))
+    at_nominal = ops.sample_lower_bound(net9, equal, 0, 0, loads9, loads9, samples=20, seed=1)
+    assert at_nominal == dcopf.SampledBound(0.0, samples_used=0, samples_degenerate=20)
+    boxed = ops.sample_lower_bound(net9, equal, 0, 0, 0.5 * loads9, 1.5 * loads9,
+                                   samples=20, seed=1)
+    assert (boxed.samples_used, boxed.samples_degenerate) == (5, 15)
+    assert boxed.value > 0.0
 
 
 def test_sample_box_must_be_ordered(net9, params9, monkeypatch):
