@@ -32,20 +32,25 @@ transfer from each load to ``r``::
 The independence test is the pivot ratio of ``B``
 (:func:`linalg.lu_factor_checked`); a set that binds a branch outside
 :func:`live_branches` has a row of ``B`` of rounding noise and fails it,
-so the scan skips such sets. The scan tests and solves batches of sets through
+and one that binds two branches of one :func:`series_classes` class has
+two parallel rows, flows in a passive two-terminal region, each a multiple
+of the angle difference of its ends. Both are singular in exact
+arithmetic, so the scan skips them by the graph alone, before rounding can
+fool the pivot test. The scan tests and solves batches of sets through
 :func:`reduced_solve`, the one owner of the factors, and
-:func:`independence_check` and :func:`jacobian_from_binding` one helper's
-batch of one set, so they agree by construction. It gathers each passed
-set's ``P`` rows in the row order of its factors and returns a
-:class:`Solved` of the sets that pass: their pool rows and ``y`` as
-solved, with a map from generators to rows of ``y``, not assembled
-Jacobians. The scan reads maxima, values and the sets it reports through
+:func:`independence_check` and :func:`jacobian_from_binding`, after the
+same two rules, one helper's batch of one set, so they agree by
+construction. It gathers each passed set's ``P`` rows in the row order of
+its factors and returns a :class:`Solved` of the sets that pass: their
+pool rows and ``y`` as solved, with a map from generators to rows of
+``y``, not assembled Jacobians. The scan reads maxima, values and the sets it reports through
 its methods, and :meth:`Solved.jacobian_rows` assembles ``J``.
 """
 
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -216,6 +221,45 @@ def live_branches(net: Network, gens: Sequence[int]) -> np.ndarray:
     return np.flatnonzero((net.sides[others] != net.sides[r]).any(axis=0))
 
 
+#: each network's :func:`series_classes`, by generator subset, dropped
+#: with the network
+_CLASSES: weakref.WeakKeyDictionary[
+    Network, dict[tuple[int, ...], np.ndarray]] = weakref.WeakKeyDictionary()
+
+
+def series_classes(net: Network, gens: Sequence[int]) -> np.ndarray:
+    """The series class of each branch for the sets that bind the
+    generators ``gens``, ``(n_edge,)``, read-only, cached with the network:
+    -1 on a branch outside :func:`live_branches`, else the least live branch
+    of its class. A two-terminal region of :attr:`Network.separations`
+    whose component holds no free generator carries no injection, so every
+    transfer's flow on each of its branches is a fixed multiple of the
+    angle difference of its two ends: its live branches have parallel block
+    rows and share a class, and classes that share a branch merge. A set
+    that binds two branches of a class is singular in exact arithmetic. A
+    bus pair whose removal leaves one component is not in the table: that
+    component is passive only when no more than two generators are free,
+    and then no set binds two branches."""
+    cache = _CLASSES.setdefault(net, {})
+    key = tuple(gens)
+    if (classes := cache.get(key)) is None:
+        live = live_branches(net, key)
+        held, edges = net.separations
+        free = np.ones(net.n_gen, bool)
+        free[list(key)] = False
+        members = edges[~held[:, free].any(axis=1)][:, live]
+        label, grown, top = None, np.arange(len(live)), len(live)
+        while not np.array_equal(label, grown):  # each class takes its least position
+            label = grown
+            least = np.where(members, label, top).min(axis=1, initial=top)
+            grown = np.minimum(label, np.where(members.T, least, top).min(axis=1, initial=top))
+        classes = np.full(net.n_edge, -1, np.intp)
+        classes[live] = live[label]
+        classes.setflags(write=False)
+        cache[key] = classes
+    return classes
+
+
 def _compact(a: np.ndarray) -> np.ndarray:
     """The nonnegative integers ``a`` in the smallest dtype that holds
     their largest value."""
@@ -328,10 +372,15 @@ def reduced_solve(net: Network, batch: SetBatch, loads: Sequence[int]) -> Solved
     return solved
 
 
-def _solve_set(net: Network, bset: BindingSet, loads: Sequence[int]) -> Solved:
-    """:func:`reduced_solve` of the one-set batch of ``bset``."""
-    batch = set_batch(net.n_gen, net.n_edge, [(bset.gens, pool_rows(net, bset)[None])])
-    return reduced_solve(net, batch, loads)
+def _solve_set(net: Network, bset: BindingSet, loads: Sequence[int]) -> Solved | None:
+    """:func:`reduced_solve` of the one-set batch of ``bset``, or None for a
+    set the scan skips: one that binds a dead branch or two branches of one
+    :func:`series_classes` class."""
+    rows = pool_rows(net, bset)
+    classes = series_classes(net, bset.gens)[list(bset.branches)].tolist()
+    if -1 in classes or len(set(classes)) < len(classes):
+        return None
+    return reduced_solve(net, set_batch(net.n_gen, net.n_edge, [(bset.gens, rows[None])]), loads)
 
 
 def independence_check(net: Network, bset: BindingSet) -> bool:
@@ -342,7 +391,7 @@ def independence_check(net: Network, bset: BindingSet) -> bool:
     rows, invertibility coincides with row-independence of the binding rows
     in the doubled-inequality standard form.
     """
-    return len(_solve_set(net, bset, ())) == 1
+    return bool(_solve_set(net, bset, ()))
 
 
 @dataclass(frozen=True)
@@ -361,12 +410,12 @@ def jacobian_from_binding(net: Network, bset: BindingSet) -> JacobianResult:
     """Closed-form Jacobian of optimal generation w.r.t. loads for one set,
     the load-column block of ``-G`` times the stack inverse, from the set's
     reduced block (module docstring). Raises :class:`DependentBindings` when
-    the block fails the independence test.
+    the scan skips the set or its block fails the independence test.
     """
     solved = _solve_set(net, bset, range(net.n_load))
-    if not len(solved):
+    if not solved:
         raise DependentBindings(
             f"binding set gens={bset.gens} branches={bset.branches} is dependent: "
-            "its reduced block fails the independence test"
+            "the scan skips it or its reduced block fails the independence test"
         )
     return JacobianResult(jac=solved.jacobian_rows(range(net.n_gen))[0].copy())

@@ -217,6 +217,65 @@ class Network:
         return sides
 
     @cached_property
+    def separations(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(gens, edges)``, read-only, built on first use: the
+        two-terminal regions. For each separation pair ``{a, b}``, a bus
+        pair whose removal leaves more than one component (Hopcroft and
+        Tarjan, SIAM J. Comput. 1973), and each such component ``C`` that
+        meets both ``a`` and ``b``, ``gens`` marks the generators in ``C``,
+        ``(regions, n_gen)``, and ``edges`` the edges with an end in ``C``
+        and the ``a``-``b`` edges, ``(regions, n_edge)``. A ``C`` that meets
+        one of them only is kept where two or more edges join ``a`` and
+        ``b``: its own edges lie on no path between buses outside it. Rows
+        are distinct and hold at least two edges. One low-link DFS of the
+        network less each bus ``a`` gives every ``b`` and its components,
+        as runs of that DFS's preorder.
+        """
+        n, m = self.n_bus, self.n_edge
+        us, vs = np.array([e[:2] for e in self.edges], dtype=np.intp).reshape(m, 2).T
+        near = np.zeros((n, n), bool)
+        near[us, vs] = near[vs, us] = True
+        found = [np.zeros((0, self.n_gen + m), bool)]
+        for a in range(n):
+            disc, low, size, kids, order, spans = _low_links(self.adjacency, a)
+            ends, marks = [], []  # each region's b, and its (region, position, +-1) marks
+            for b in range(a + 1, n):
+                lo, hi = next(span for span in spans if span[0] <= disc[b] < span[1])
+                cut = [(disc[c], disc[c] + size[c]) for c in kids[b]
+                       if disc[b] == lo or low[c] >= disc[b]]
+                # the other components of the network less a, the subtrees cut at b
+                parts = [[(s, 1), (t, -1)] for s, t in spans + cut if s != lo]
+                if disc[b] != lo:  # the rest of b's run, less b and the cut subtrees
+                    parts.append([(lo, 1), (hi, -1), (disc[b], -1), (disc[b] + 1, 1)]
+                                 + [mark for s, t in cut for mark in ((s, -1), (t, 1))])
+                if len(parts) > 1:
+                    marks += [(len(ends) + k, *mark)
+                              for k, part in enumerate(parts) for mark in part]
+                    ends += [b] * len(parts)
+            if not ends:
+                continue
+            marks = np.array(marks)
+            runs = np.zeros((len(ends), n), np.intp)
+            np.add.at(runs, (marks[:, 0], marks[:, 1]), marks[:, 2])
+            inside = np.zeros((len(ends), n), bool)
+            inside[:, order] = runs.cumsum(axis=1)[:, : n - 1] > 0
+            ends = np.array(ends)
+            joins = (np.minimum(us, vs) == a) & (np.maximum(us, vs) == ends[:, None])
+            keep = (inside[:, near[a]].any(axis=1) & (inside & near[ends]).any(axis=1)
+                    | (joins.sum(axis=1) > 1))
+            edges = inside[:, us] | inside[:, vs] | joins
+            found.append(np.hstack([inside[:, : self.n_gen], edges])[keep])
+        table = np.concatenate(found)
+        table = table[table[:, self.n_gen :].sum(axis=1) > 1]
+        packed = np.packbits(table, axis=1)  # one bytes key per row, for a fast unique
+        keys = packed.view(np.dtype((np.void, packed.shape[1])))
+        table = table[np.sort(np.unique(keys.ravel(), return_index=True)[1])]
+        gens, edges = table[:, : self.n_gen], table[:, self.n_gen :]
+        for arr in (gens, edges):
+            arr.setflags(write=False)
+        return gens, edges
+
+    @cached_property
     def ptdf_basis(self) -> np.ndarray:
         """The rows a binding set picks from, in a PTDF basis, computed on
         first use: ``(n_bus, n_gen + n_edge)``, read-only.
@@ -244,6 +303,47 @@ class Network:
         by_bus = np.ascontiguousarray(pool_x.T)
         by_bus.setflags(write=False)
         return by_bus
+
+
+def _low_links(adj, a: int):
+    """One iterative low-link DFS (Hopcroft and Tarjan, CACM 1973) of the
+    graph with neighbour lists ``adj`` less bus ``a``: each bus's preorder
+    position, low point and subtree size, its tree children, the buses in
+    preorder and the ``(start, stop)`` run of each component. A child ``c``
+    of ``b`` whose low point is not below ``b``'s position, or any child of
+    a component's first bus, heads a component of the graph less ``a`` and
+    ``b``: its subtree, the ``size[c]`` buses from position ``disc[c]``."""
+    n = len(adj)
+    disc, low, size = [-1] * n, [0] * n, [1] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    disc[a] = n  # never entered
+    order: list[int] = []
+    spans: list[tuple[int, int]] = []
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        start = disc[root] = low[root] = len(order)
+        order.append(root)
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, nbrs = stack[-1]
+            for w, _ in nbrs:
+                if disc[w] == -1:
+                    disc[w] = low[w] = len(order)
+                    order.append(w)
+                    kids[v].append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
+                if w != a:
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    size[u] += size[v]
+        spans.append((start, len(order)))
+    return disc, low, size, kids, order, spans
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,12 @@ query here reduces over it. It skips, per generator subset, the sets that
 bind a dead branch, one on no simple path between two free generators: no
 transfer among them crosses it, so their blocks have a row of rounding
 noise and fail the test anyway (:func:`~opfsens.jacobian.live_branches`,
-read off the network's side table). A chunk is a
+read off the network's side table). It also skips the sets that bind two
+branches of one series class: in a region joined to the rest at two buses
+``a`` and ``b`` with no free generator inside, every flow is a multiple of
+``theta_a - theta_b``, so two such rows are parallel and the block is
+singular in exact arithmetic (:func:`~opfsens.jacobian.series_classes`).
+The numeric test still judges every set walked. A chunk is a
 :class:`~opfsens.jacobian.SetBatch` of pool row indices, built with numpy
 from tables of branch combinations, with the layout of each set's reduced
 block, packed once per network and ``CHUNK`` (:data:`_LAYOUTS`); it is
@@ -47,8 +52,8 @@ from .jacobian import (
     Part,
     SetBatch,
     Solved,
-    live_branches,
     reduced_solve,
+    series_classes,
     set_batch,
 )
 from .network import Network
@@ -68,11 +73,11 @@ COMBO_ROWS = 1 << 16
 
 #: the chunks of a network are packed once per ``CHUNK`` and kept while
 #: they hold at most this many bytes, each chunk and its arrays as
-#: ``sys.getsizeof`` counts them: the 27-bus stages, with 63 to 1369 live
-#: candidates, and the 18-bus chain's 45 chunks of 41851 live candidates
-#: (0.42 MB, its pool rows ``uint8``) are kept; larger layouts, such as that
-#: chain's at ``CHUNK`` 1 (41851 one-set chunks, 34 MB) or 7 (5.2 MB) or the
-#: 32.0 M live candidates of the 27-bus chain, are built as the scan goes
+#: ``sys.getsizeof`` counts them: the 27-bus stages and the 18-bus chain's
+#: 32 chunks of 27374 walked candidates (0.28 MB, its pool rows ``uint8``)
+#: are kept; larger layouts, such as that chain's at ``CHUNK`` 1 (27374
+#: one-set chunks, 24 MB) or 7 (5.1 MB) or the 16.0 M walked candidates of
+#: the 27-bus chain, are built as the scan goes
 CACHED_BYTES = 1 << 20
 
 #: each scanned network's layout, dropped with the network: the ``CHUNK``
@@ -97,21 +102,27 @@ def _gen_subsets(n_gen: int) -> list[tuple[int, ...]]:
     return sorted(chain.from_iterable(combinations(range(n_gen), k) for k in range(n_gen)))
 
 
-def _subset_rows(gens: tuple[int, ...], live: Sequence[int], n_gen: int) -> Iterator[np.ndarray]:
-    """The candidate sets that bind the generators ``gens`` and branches
-    from ``live``, in lexicographic order of their branches, as blocks of
-    :func:`~opfsens.jacobian.pool_rows` rows.
+def _subset_rows(gens: tuple[int, ...], classes: np.ndarray, n_gen: int) -> Iterator[np.ndarray]:
+    """The candidate sets that bind the generators ``gens`` and live
+    branches (``classes`` not -1, :func:`~opfsens.jacobian.series_classes`)
+    of distinct ``classes``, in lexicographic order of their branches, as
+    blocks of :func:`~opfsens.jacobian.pool_rows` rows.
 
     The ``need`` branches come from a table of all ``q``-subsets of the
-    positions in ``live``, ``q`` as large as keeps it within
+    positions of the live branches, ``q`` as large as keeps it within
     :data:`COMBO_ROWS` rows. Each block is one prefix, the generator subset
     and ``need - q`` branches from ``itertools.combinations``, followed by
     every suffix from the table whose first entry lies past the prefix: a
-    contiguous tail of the table, the whole table when ``q = need``.
+    contiguous tail of the table, the whole table when ``q = need``. A
+    prefix that repeats a class is skipped, and a tail keeps the suffixes of
+    distinct classes that meet none of its prefix's.
     """
     size = n_gen - 1
     need = size - len(gens)
-    pool = n_gen + np.array(live, dtype=np.intp)
+    live = np.flatnonzero(classes >= 0)
+    # in the smallest dtype: the table of their classes has a row per combination
+    labels = classes[live].astype(np.min_scalar_type(len(classes)))
+    pool = n_gen + live
     q = need
     while math.comb(len(pool), q) > COMBO_ROWS:
         q -= 1
@@ -119,8 +130,15 @@ def _subset_rows(gens: tuple[int, ...], live: Sequence[int], n_gen: int) -> Iter
     if q < need:  # first[v]: the first table row that starts at v or later
         first = (np.searchsorted(table[:, 0], np.arange(len(pool) + 1)) if q
                  else np.zeros(len(pool) + 1, np.intp))
+    ordered = np.sort(labels.take(table), axis=1)  # distinct[i]: row i repeats no class
+    distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
     for branches in combinations(range(len(pool)), need - q):
-        tail = table[first[branches[-1] + 1] :] if branches else table
+        taken = labels[list(branches)]
+        if len(set(taken.tolist())) < len(taken):
+            continue
+        start = first[branches[-1] + 1] if branches else 0
+        tail = table[start:]
+        tail = tail[distinct[start:] & ~np.isin(labels, taken).take(tail).any(axis=1)]
         if len(tail):
             rows = np.empty((len(tail), size), dtype=np.intp)
             rows[:, : size - q] = gens + tuple(pool[list(branches)])
@@ -134,19 +152,31 @@ def candidate_count(net: Network) -> int:
     return math.comb(net.n_gen + net.n_edge, net.n_gen - 1) if net.n_gen else 0
 
 
+def _walk_count(classes: np.ndarray, need: int) -> int:
+    """Number of ``need``-subsets of the live branches with at most one of
+    each class (:func:`_subset_rows`): the coefficient of ``x**need`` in
+    the product over classes of ``1 + size * x``."""
+    coef = [1] + [0] * need
+    for size in np.unique(classes[classes >= 0], return_counts=True)[1].tolist():
+        for k in range(need, 0, -1):
+            coef[k] += size * coef[k - 1]
+    return coef[need]
+
+
 def _subsets(net: Network) -> Iterator[tuple[tuple[int, ...], np.ndarray, int]]:
-    """Each generator subset of the candidate sets, in order, with its live
-    branches (:func:`~opfsens.jacobian.live_branches`) and the number of
-    candidate sets the scan walks for it: those that bind it and live
-    branches only."""
+    """Each generator subset of the candidate sets, in order, with the
+    series class of each branch (:func:`~opfsens.jacobian.series_classes`)
+    and the number of candidate sets the scan walks for it: those that bind
+    it and live branches of distinct classes only."""
     for gens in _gen_subsets(net.n_gen):
-        branches = live_branches(net, gens)
-        yield gens, branches, math.comb(len(branches), net.n_gen - 1 - len(gens))
+        classes = series_classes(net, gens)
+        yield gens, classes, _walk_count(classes, net.n_gen - 1 - len(gens))
 
 
 def live_candidate_count(net: Network) -> int:
     """Number of candidate sets the scan walks: the cardinality-feasible
-    sets (:func:`candidate_count`) less those that bind a dead branch."""
+    sets (:func:`candidate_count`) less those that bind a dead branch or two
+    branches of one series class."""
     return sum(count for _, _, count in _subsets(net))
 
 
@@ -159,11 +189,11 @@ def _chunks(net: Network, size: int) -> Iterator[SetBatch]:
     n_gen, n_edge = net.n_gen, net.n_edge
     pending: list[Part] = []
     have = 0
-    for gens, branches, count in _subsets(net):
+    for gens, classes, count in _subsets(net):
         if pending and have + count > size:
             yield set_batch(n_gen, n_edge, pending)
             pending, have = [], 0
-        for block in _subset_rows(gens, branches, n_gen):
+        for block in _subset_rows(gens, classes, n_gen):
             while len(block):
                 part, block = block[: size - have], block[size - have :]
                 pending.append((gens, part))

@@ -97,6 +97,11 @@ def solve_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
     b = np.asarray(b, dtype=float).copy()
     c = np.asarray(c, dtype=float)
     m, n = a.shape
+    if not n:  # no columns: feasible only where b is zero, at the empty optimum
+        if np.abs(b).sum() > FEAS_TOL:
+            raise Infeasible(f"no columns, and |b| sums to {np.abs(b).sum():.3e} > 0")
+        return LpSolution(x=np.zeros(0), objective=0.0, basis=np.zeros(0, np.intp),
+                          duals=np.zeros(m), reduced_costs=np.zeros(0), iterations=0)
 
     # orient rows so the artificial basis is feasible
     flip = b < 0

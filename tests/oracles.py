@@ -2,7 +2,8 @@
 from the package: the doubled-inequality standard form of the dispatch LP,
 the candidate order built with ``itertools``, graph components from
 ``scipy.sparse.csgraph``, dead branches from every simple path between
-generators, and the full
+generators, series classes from the components that every bus pair
+leaves, flows in exact arithmetic, and the full
 ``n_bus x n_bus`` constraint stack with the independence test and Jacobian
 that the package's reduced kernel replaces, the row-major stacked LU, the
 reduced block of each set solved one set at a time that the package's
@@ -206,6 +207,70 @@ def binds_dead_branch(net: Network, key) -> bool:
     :func:`dead_branches` of its generator subset."""
     gens, branches = key
     return not dead_branches(net, gens).isdisjoint(branches)
+
+
+@lru_cache(maxsize=None)
+def series_classes(net: Network, gens: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The series classes of the live branches (those not in
+    :func:`dead_branches`) of the sets that bind ``gens``, each an ascending
+    tuple, in order of their least branch. For every bus pair ``{a, b}``
+    and every component ``C`` of the network less ``a`` and ``b``
+    (:func:`csgraph_components`) with no free generator, the live branches
+    with an end in ``C`` and the live ``a``-``b`` branches are one class;
+    classes that share a branch are merged until none do."""
+    live = set(range(net.n_edge)) - dead_branches(net, gens)
+    free = set(range(net.n_gen)) - set(gens)
+    classes = [{e} for e in sorted(live)]
+    for a, b, part in _pair_components(net):
+        if free.isdisjoint(part):
+            found = {e for e in live if set(net.edges[e][:2]) & set(part)
+                     or set(net.edges[e][:2]) == {a, b}}
+            meets = [c for c in classes if c & found]
+            classes = [c for c in classes if not c & found] + [found.union(*meets)]
+    return sorted(tuple(sorted(c)) for c in classes if c)
+
+
+@lru_cache(maxsize=None)
+def _pair_components(net: Network) -> list[tuple[int, int, tuple[int, ...]]]:
+    """``(a, b, C)`` for every bus pair ``a < b`` and every component ``C``
+    of the network less ``a`` and ``b``."""
+    found = []
+    for a, b in combinations(range(net.n_bus), 2):
+        touching = [e for e, (u, v, _) in enumerate(net.edges) if {u, v} & {a, b}]
+        found += [(a, b, part) for part in csgraph_components(net.n_bus, net.edges, touching)
+                  if part not in ((a,), (b,))]
+    return found
+
+
+@lru_cache(maxsize=None)
+def exact_ptdf(net: Network) -> list[list[Fraction]]:
+    """``[e][v]``: the flow on edge ``e`` of a unit injection at bus ``v``
+    withdrawn at bus 0, in exact arithmetic over the susceptances read as
+    fractions: Gauss-Jordan elimination on the grounded Laplacian."""
+    n = net.n_bus
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for (u, v, _), b in zip(net.edges, net.susceptances.tolist()):
+        for i, j, sign in ((u, u, 1), (v, v, 1), (u, v, -1), (v, u, -1)):
+            lap[i][j] += sign * Fraction(b)
+    m = [lap[i][1:] + [Fraction(int(i == j)) for j in range(1, n)] for i in range(1, n)]
+    for j in range(n - 1):
+        p = next(i for i in range(j, n - 1) if m[i][j] != 0)
+        m[j], m[p] = m[p], m[j]
+        m[j] = [x / m[j][j] for x in m[j]]
+        for i in range(n - 1):
+            if i != j and m[i][j] != 0:
+                m[i] = [x - m[i][j] * y for x, y in zip(m[i], m[j])]
+    theta = [[Fraction(0)] * n] + [row[n - 1 :] for row in m]  # [w][v]: bus w, injection at v + 1
+    return [[Fraction(0)] + [Fraction(b) * (theta[u][v] - theta[w][v]) for v in range(n - 1)]
+            for (u, w, _), b in zip(net.edges, net.susceptances.tolist())]
+
+
+def skipped_by_walk(net: Network, key) -> bool:
+    """Whether the candidate ``(gens, branches)`` binds a dead branch or two
+    branches of one of the :func:`series_classes` of its generator subset."""
+    gens, branches = key
+    return binds_dead_branch(net, key) or any(
+        len(set(c).intersection(branches)) > 1 for c in series_classes(net, gens))
 
 
 def csgraph_components(n_bus: int, edges, removed=()) -> list[tuple[int, ...]]:

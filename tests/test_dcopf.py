@@ -69,6 +69,17 @@ def test_two_bus_balance(two_bus):
     assert sol.theta[0] == 0.0
 
 
+def test_one_bus_network_without_generators():
+    """A lone load bus: at zero load the dispatch is empty, and any other
+    load is infeasible, not numpy's error from an LP without columns."""
+    net = assemble_network([], [1], [])
+    params = ops.OpfParams([], [], [], [], [])
+    sol = ops.solve_opf(net, params, [0.0])
+    assert (sol.objective, sol.gen.size, sol.flows.size, sol.theta.tolist()) == (0.0, 0, 0, [0.0])
+    with pytest.raises(Infeasible):
+        ops.solve_opf(net, params, [1.0])
+
+
 @pytest.fixture(scope="module")
 def chain90(net9, params9):
     """Ten case9 copies, each tied 7 -> 4 to the next: a 90-bus chain."""

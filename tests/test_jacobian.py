@@ -404,7 +404,7 @@ def _parts(net):
     each block of rows of ``_subset_rows`` over all branches with the
     generator subset it binds."""
     return [(gens, rows) for gens in sensitivity._gen_subsets(net.n_gen)
-            for rows in sensitivity._subset_rows(gens, range(net.n_edge), net.n_gen)]
+            for rows in sensitivity._subset_rows(gens, np.arange(net.n_edge), net.n_gen)]
 
 
 @st.composite

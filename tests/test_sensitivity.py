@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opfsens as ops
-from opfsens import dcopf, sensitivity
+from opfsens import dcopf, jacobian, sensitivity
 from opfsens.errors import (
     DependentBindings, DimensionMismatch, EmptyLoadSet, InvalidIndex, InvalidLoad, InvalidSampling,
     NoValidSet,
 )
 from opfsens.jacobian import (
-    BindingSet, SetBatch, Solved, live_branches, pool_rows, reduced_solve, set_batch,
+    BindingSet, SetBatch, Solved, live_branches, pool_rows, reduced_solve, series_classes,
+    set_batch,
 )
 from opfsens.network import assemble_network
 from opfsens.sensitivity import TIE_TOL, candidate_count, live_candidate_count
@@ -36,8 +37,9 @@ from test_jacobian import _path_network, _random_network, _same_bits
 def test_candidate_count_case9(net9):
     # C(3,0)C(9,2) + C(3,1)C(9,1) + C(3,2)C(9,0)
     assert candidate_count(net9) == 36 + 27 + 3 == 66
-    # the scan walks all but the three sets that bind a dead branch
-    assert live_candidate_count(net9) == 63 == sum(map(len, sensitivity._chunks(net9, 7)))
+    # the scan walks all but the three sets that bind a dead branch and the
+    # three that bind two branches in series through a load bus
+    assert live_candidate_count(net9) == 60 == sum(map(len, sensitivity._chunks(net9, 7)))
 
 
 def test_network_without_generators_has_no_candidates():
@@ -80,15 +82,17 @@ def test_enumeration_star_two_generators():
 
 
 def _live(net):
-    """The live branches of each generator subset, in scan order."""
-    return [live_branches(net, gens) for gens in sensitivity._gen_subsets(net.n_gen)]
+    """The series classes of each generator subset's branches, in scan
+    order."""
+    return [series_classes(net, gens) for gens in sensitivity._gen_subsets(net.n_gen)]
 
 
-def _walked(net, live):
-    """The keys of the candidate rows over the branch lists ``live``, one
-    per generator subset, each kept only if it binds its block's subset."""
-    return [key for gens, branches in zip(sensitivity._gen_subsets(net.n_gen), live)
-            for rows in sensitivity._subset_rows(gens, branches, net.n_gen)
+def _walked(net, classes):
+    """The keys of the candidate rows over the branch labels ``classes``,
+    one array per generator subset, each kept only if it binds its block's
+    subset."""
+    return [key for gens, labels in zip(sensitivity._gen_subsets(net.n_gen), classes)
+            for rows in sensitivity._subset_rows(gens, labels, net.n_gen)
             for key in oracles.row_keys(net, rows) if key[0] == gens]
 
 
@@ -97,17 +101,16 @@ def test_candidate_order_matches_itertools(net9, chain18, two_bus, monkeypatch, 
     """The numpy-built candidate rows list every set once, in the
     lexicographic order itertools gives, each block with the generator
     subset its rows bind, also when long combination lists are built a
-    prefix at a time from a short table. Over each subset's live branches
-    they list exactly the candidates without a dead branch, in that order."""
+    prefix at a time from a short table. Over each subset's series classes
+    they list exactly the candidates without a dead branch or two branches
+    of one class, in that order."""
     monkeypatch.setattr(sensitivity, "COMBO_ROWS", combo_rows)
     star = assemble_network([1, 2], [3], [(1, 3, 5.0), (2, 3, 7.0)])
     for net in (net9, chain18[0], two_bus[0], star):
-        every = [range(net.n_edge)] * (2**net.n_gen - 1)
+        every = [np.arange(net.n_edge)] * (2**net.n_gen - 1)
         assert _walked(net, every) == oracles.lex_candidates(net)
-        dead = {gens: oracles.dead_branches(net, gens) for gens in sensitivity._gen_subsets(net.n_gen)}
         assert _walked(net, _live(net)) == [
-            (gens, branches) for gens, branches in oracles.lex_candidates(net)
-            if dead[gens].isdisjoint(branches)]
+            key for key in oracles.lex_candidates(net) if not oracles.skipped_by_walk(net, key)]
 
 
 def _excluded(net):
@@ -133,6 +136,52 @@ def _assert_live_on_simple_paths(net):
         assert live_branches(net, gens).tolist() == [e for e in range(net.n_edge) if e not in dead]
 
 
+def _assert_classes_match_oracle(net):
+    """The series classes of each generator subset that leaves three or
+    more generators free are those of the component oracle. With two free
+    generators no set binds two branches, and a bus pair whose removal
+    leaves one component, which the package's table leaves out, may merge
+    classes there."""
+    for gens in _three_free(net):
+        classes = series_classes(net, gens)
+        live = np.flatnonzero(classes >= 0)
+        found = {}
+        for e, label in zip(live.tolist(), classes[live].tolist()):
+            found.setdefault(label, []).append(e)
+        assert sorted(map(tuple, found.values())) == oracles.series_classes(net, gens), gens
+
+
+def _three_free(net):
+    """The generator subsets of candidate sets that leave three or more
+    generators free, in scan order."""
+    return [gens for gens in sensitivity._gen_subsets(net.n_gen) if len(gens) <= net.n_gen - 3]
+
+
+def _assert_series_rows_parallel(net):
+    """Two branches of one series class have parallel block rows, their
+    flows under a unit transfer from each free generator to the reference:
+    in exact arithmetic (:func:`oracles.exact_ptdf`) every 2 x 2 minor of
+    the two rows is zero."""
+    ptdf = oracles.exact_ptdf(net)
+    for gens in _three_free(net):
+        classes = series_classes(net, gens).tolist()
+        r, *others = (v for v in range(net.n_gen) if v not in gens)
+        for e, f in itertools.combinations(range(net.n_edge), 2):
+            if classes[e] == classes[f] != -1:
+                row_e, row_f = ([ptdf[k][g] - ptdf[k][r] for g in others] for k in (e, f))
+                assert all(a * d == b * c for (a, b), (c, d) in
+                           itertools.combinations(zip(row_e, row_f), 2)), (gens, e, f)
+
+
+def _assert_singular(net, keys):
+    """No set of ``keys`` passes the numeric independence test: one batched
+    :func:`reduced_solve` per generator subset, whose verdicts are each
+    set's own (the oracle-pipeline property)."""
+    for gens, run in itertools.groupby(keys, key=lambda key: key[0]):
+        rows = np.array([gens + tuple(net.n_gen + e for e in branches) for _, branches in run])
+        assert not len(reduced_solve(net, set_batch(net.n_gen, net.n_edge, [(gens, rows)]), ()))
+
+
 def _bridge_and_random_networks(net9):
     """case9, the 30 random networks of
     test_independence_agrees_across_entry_points and the 21 random bridge
@@ -148,53 +197,103 @@ def test_live_branches_are_on_simple_paths(net9):
             _assert_live_on_simple_paths(net)
 
 
+def test_series_classes_match_the_oracle(net9, chain18):
+    """The package's series classes, from its separation-pair table, are
+    those of the component oracle on case9, the 18-bus chain, the 30
+    random networks and the 21 random bridge networks, and the block rows
+    of two branches of one class are parallel; case9's one class of two is
+    the two branches through load bus 5, and every class is cached."""
+    for net in [net9, chain18[0], *itertools.chain(*_bridge_and_random_networks(net9)[1:])]:
+        _assert_classes_match_oracle(net)
+        _assert_series_rows_parallel(net)
+    assert series_classes(net9, ()).tolist() == [0, 1, 1, 3, 4, 4, 6, 7, 7]
+    assert series_classes(net9, ()) is series_classes(net9, [])
+
+
 def test_dead_branch_exclusion_is_exact(net9, chain18):
-    """Every candidate the scan skips binds a dead branch, and is rejected
-    by independence_check and jacobian_from_binding: all of case9's, of the
-    30 random networks and of the 21 random bridge networks. The 18-bus
-    chain's 11279 are checked with one batched reduced_solve per generator
-    subset here, whose verdicts are each set's own (the oracle-pipeline
-    property), and through both entry points under ``-m slow``."""
+    """Every candidate the scan skips binds a dead branch or two branches of
+    one series class, fails the numeric independence test as well, and is
+    rejected by independence_check and jacobian_from_binding: all of
+    case9's (3 dead, 3 by class), of the 30 random networks (756 dead, 460
+    by class) and of the 21 random bridge networks (5505 dead, 1555 by
+    class). The 18-bus chain's 25756 (11279 dead, 14477 by class) are
+    checked by the numeric test here and through both entry points under
+    ``-m slow``."""
     counts = []
     for nets in _bridge_and_random_networks(net9):
         excluded = [(net, _excluded(net)) for net in nets]
         for net, keys in excluded:
-            assert all(oracles.binds_dead_branch(net, key) for key in keys)
+            assert all(oracles.skipped_by_walk(net, key) for key in keys)
+            _assert_singular(net, keys)
             _assert_rejected(net, keys)
-        counts.append(sum(len(keys) for _, keys in excluded))
-    assert counts == [3, 756, 5505]
+        counts.append([sum(len(keys) for _, keys in excluded),
+                       sum(oracles.binds_dead_branch(net, key) for net, keys in excluded
+                           for key in keys)])
+    assert counts == [[6, 3], [1216, 756], [7060, 5505]]
     net = chain18[0]
     keys = _excluded(net)
     walked = sum(map(len, sensitivity._chunks(net, sensitivity.CHUNK)))
-    assert walked == live_candidate_count(net) == 41851
-    assert len(keys) == 11279 == candidate_count(net) - walked
-    for gens, run in itertools.groupby(keys, key=lambda key: key[0]):
-        rows = np.array([gens + tuple(net.n_gen + e for e in branches) for _, branches in run])
-        assert not len(reduced_solve(net, set_batch(net.n_gen, net.n_edge, [(gens, rows)]), ()))
+    assert walked == live_candidate_count(net) == 27374
+    assert len(keys) == 25756 == candidate_count(net) - walked
+    assert sum(oracles.binds_dead_branch(net, key) for key in keys) == 11279
+    _assert_singular(net, keys)
 
 
 @pytest.mark.slow
 def test_dead_branch_exclusion_is_exact_chain18(chain18):
-    """The 18-bus chain's 11279 skipped candidates, each through both entry
-    points."""
+    """The 18-bus chain's 25756 skipped candidates, 11279 with a dead branch
+    and 14477 with two branches of one series class, each through both
+    entry points."""
     net = chain18[0]
     keys = _excluded(net)
-    assert len(keys) == 11279
+    assert len(keys) == 25756
     _assert_rejected(net, keys)
+
+
+def test_series_pair_is_skipped_where_the_pivot_test_accepts_it():
+    """On an ill-scaled network the pivot test accepts ``BindingSet((),
+    (2, 5))``, branches g1-l3 and l3-g2 in series through load bus l3, and
+    the scan reported a worst case of 4.27e10 from it. The set is singular
+    in exact arithmetic, and the two branches share a series class, so it
+    is neither walked nor accepted: 59 valid sets, and the table is the
+    largest ``|J|`` over them, about 1.35e6."""
+    net = assemble_network(
+        ["g0", "g1", "g2"], ["l3", "l4", "l5", "l6"],
+        [("g0", "g1", 0.0011), ("g0", "l4", 0.0022), ("g1", "l3", 156.0527),
+         ("g1", "l5", 6.3451), ("g1", "l6", 23.3227), ("g2", "l3", 557.3558),
+         ("g2", "l4", 0.0203), ("l4", "l5", 331.1319), ("l5", "l6", 0.0285)])
+    bset = BindingSet((), (2, 5))
+    ptdf = oracles.exact_ptdf(net)  # its block, the two branches' transfers to g0, is singular
+    assert ((ptdf[2][1] - ptdf[2][0]) * (ptdf[5][2] - ptdf[5][0])
+            == (ptdf[2][2] - ptdf[2][0]) * (ptdf[5][1] - ptdf[5][0]))
+    batch = set_batch(net.n_gen, net.n_edge, [((), pool_rows(net, bset)[None])])
+    assert len(reduced_solve(net, batch, ())) == 1
+    assert series_classes(net, ())[[2, 5]].tolist() == [2, 2]
+    assert not ops.independence_check(net, bset)
+    with pytest.raises(DependentBindings):
+        ops.jacobian_from_binding(net, bset)
+    sets = list(ops.enumerate_binding_sets(net))
+    assert len(sets) == 59 and bset not in sets
+    report = ops.worst_case_all(net)
+    assert report.candidates_valid == 59
+    jacs = np.abs([ops.jacobian_from_binding(net, s).jac for s in sets])
+    assert np.array_equal(report.cwc, jacs.max(axis=0))
+    assert report.cwc.max() == pytest.approx(1.3481598e6, rel=1e-6)
 
 
 def test_hub_walk_is_bounded_by_the_graph():
     """Eleven generators on one hub bus, with 300 parallel branches from the
     hub to a pendant load: no transfer between generators crosses the
     parallel branches, so each subset's live branches are its free
-    generators' spurs, and the scan walks 11 * 2**10 = 11264 of the C(322,
-    10), about 2.87e18, candidates and completes."""
+    generators' spurs, each its own series class, and the scan walks 11 *
+    2**10 = 11264 of the C(322, 10), about 2.87e18, candidates and
+    completes."""
     gens = [f"g{k}" for k in range(11)]
     net = assemble_network(gens, ["hub", "pendant"],
                            [(g, "hub", 1.0 + k) for k, g in enumerate(gens)]
                            + [("hub", "pendant", 2.0)] * 300)
-    walked = sum(math.comb(len(live), net.n_gen - 1 - len(g))
-                 for g, live in zip(sensitivity._gen_subsets(net.n_gen), _live(net)))
+    walked = sum(math.comb(len(np.unique(classes[classes >= 0])), net.n_gen - 1 - len(g))
+                 for g, classes in zip(sensitivity._gen_subsets(net.n_gen), _live(net)))
     assert walked == 11264 == live_candidate_count(net)
     report = ops.worst_case_all(net)
     assert report.candidates_valid == 11264
@@ -215,12 +314,17 @@ def _networks(draw):
 @given(_networks())
 def test_skipped_candidates_are_rejected(net):
     """On random connected networks, the live branches are those on simple
-    paths between free generators, the scan skips exactly the candidates
-    that bind a dead branch, and both entry points reject each of them."""
+    paths between free generators and the series classes those of the
+    component oracle, the scan skips exactly the candidates that bind a
+    dead branch or two branches of one class, both entry points reject
+    each of them, and two branches of one class have parallel block
+    rows."""
     _assert_live_on_simple_paths(net)
+    _assert_classes_match_oracle(net)
     keys = _excluded(net)
-    assert keys == [key for key in oracles.lex_candidates(net) if oracles.binds_dead_branch(net, key)]
+    assert keys == [key for key in oracles.lex_candidates(net) if oracles.skipped_by_walk(net, key)]
     _assert_rejected(net, keys)
+    _assert_series_rows_parallel(net)
 
 
 def test_worst_case_siso_published(net9, table9):
@@ -409,13 +513,14 @@ def test_chunk_size_invariance(net9, monkeypatch):
 
 def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
     """A network's layout is packed per ``CHUNK``, so the chunk-invariance
-    tests scan each chunking for real: case9's 63 live candidates (66 less
-    the 3 that bind a dead branch) take 63 kernel calls at ``CHUNK`` 1, 12
-    at 7 (a generator subset that does not fit in the open chunk starts a
-    new one, so its 36, 8, 8 and 8 sets of four subsets take 6, 2, 2 and 2
-    chunks, and the single sets of (0, 1), (0, 2) and (1, 2) join the open
-    ones) and one at the default, whichever ran first. The registry holds
-    the layout of the last ``CHUNK`` scanned: a scan at the same ``CHUNK``
+    tests scan each chunking for real: case9's 60 walked candidates (66
+    less the 3 that bind a dead branch and the 3 that bind two branches of
+    one series class) take 60 kernel calls at ``CHUNK`` 1, 11 at 7 (a
+    generator subset that does not fit in the open chunk starts a new one,
+    so its 33, 8, 8 and 8 sets of four subsets take 5, 2, 2 and 2 chunks,
+    and the single sets of (0, 1), (0, 2) and (1, 2) join the open ones)
+    and one at the default, whichever ran first. The registry holds the
+    layout of the last ``CHUNK`` scanned: a scan at the same ``CHUNK``
     packs nothing, one at another packs again and never reads chunks of
     the other size."""
     calls, packs = [], []
@@ -434,12 +539,12 @@ def test_candidate_cache_keeps_the_chunking(net9, monkeypatch):
     assert candidate_count(net9) == 66
     sensitivity._LAYOUTS.pop(net9, None)
     default, last = sensitivity.CHUNK, None
-    for chunk, want in ((default, 1), (default, 1), (1, 63), (7, 12), (7, 12), (default, 1)):
+    for chunk, want in ((default, 1), (default, 1), (1, 60), (7, 11), (7, 11), (default, 1)):
         monkeypatch.setattr(sensitivity, "CHUNK", chunk)
         calls.clear()
         packs.clear()
         ops.worst_case_all(net9)
-        assert (len(calls), sum(calls), max(calls) <= chunk) == (want, 63, True)
+        assert (len(calls), sum(calls), max(calls) <= chunk) == (want, 60, True)
         assert packs == ([] if chunk == last else [chunk])
         size, layout = sensitivity._LAYOUTS[net9]
         assert (size, len(layout)) == (chunk, want)
@@ -563,17 +668,47 @@ def test_compact_layout_does_not_wrap(monkeypatch):
             == (streamed.cwc.tobytes(), streamed.argmax, streamed.candidates_valid))
 
 
+def test_intp_layouts_give_the_compact_results(net9, chain18, monkeypatch):
+    """With ``_compact`` the identity the layouts hold ``intp``, the dtype
+    every index has under numpy 1.x value-based promotion: the reports and
+    the enumerated sets of case9 and the 18-bus chain are ``==`` to those
+    from the compact ``uint8`` layouts, whose pool rows the scan reads
+    less ``n_gen``."""
+    nets = (net9, chain18[0])
+
+    def results():
+        for net in nets:
+            sensitivity._LAYOUTS.pop(net, None)
+        found = []
+        for net in nets:
+            report = ops.worst_case_all(net)
+            found.append((report.cwc.tobytes(), report.argmax, report.candidates_valid,
+                          list(ops.enumerate_binding_sets(net))))
+        return found, [next(sensitivity._chunks(net, sensitivity.CHUNK)).rows.dtype for net in nets]
+
+    compact, dtypes = results()
+    assert dtypes == [np.uint8, np.uint8]
+    monkeypatch.setattr(jacobian, "_compact", lambda a: a)
+    try:
+        wide, dtypes = results()
+    finally:
+        for net in nets:
+            sensitivity._LAYOUTS.pop(net, None)
+    assert dtypes == [np.intp, np.intp]
+    assert wide == compact
+
+
 def test_chain18_layout_is_cached_compact(chain18):
-    """The 18-bus chain's 45 chunks of 41851 live candidates are kept at
-    the default ``CHUNK`` in under 0.5 MB of arrays (3.02 MB as ``intp``);
+    """The 18-bus chain's 32 chunks of 27374 walked candidates are kept at
+    the default ``CHUNK`` in under 0.3 MB of arrays (2.01 MB as ``intp``);
     its layouts at ``CHUNK`` 1 and 7 pass :data:`CACHED_BYTES` and are
     built as the scan goes."""
     net = chain18[0]
     chunks = sensitivity._packed(net, sensitivity.CHUNK)
-    assert (len(chunks), sum(map(len, chunks))) == (45, 41851)
+    assert (len(chunks), sum(map(len, chunks))) == (32, 27374)
     held = sum(getattr(batch, field.name).nbytes
                for batch in chunks for field in dataclasses.fields(SetBatch))
-    assert held <= 512 * 1024
+    assert held <= 300 * 1024
     for chunk in (1, 7):
         assert sensitivity._packed(net, chunk) is None
 

@@ -10,7 +10,7 @@ import scipy.optimize as sopt
 import opfsens as ops
 from opfsens import dcopf
 from opfsens.errors import Infeasible, OpfSensError, Unbounded
-from opfsens.simplex import solve_lp
+from opfsens.simplex import FEAS_TOL, solve_lp
 
 import oracles
 
@@ -70,6 +70,17 @@ def test_duals_satisfy_optimality():
 def test_infeasible():
     with pytest.raises(Infeasible):
         solve_lp(*INFEASIBLE_LP)
+
+
+def test_lp_without_columns():
+    """With no columns the only point is the empty one: optimal where ``b``
+    is zero within ``FEAS_TOL``, infeasible otherwise (phase 1 once ran on
+    the empty tableau and failed in numpy's ``argmax``)."""
+    sol = solve_lp(np.zeros(0), np.zeros((2, 0)), np.array([0.0, -FEAS_TOL / 4]))
+    assert (sol.x.shape, sol.objective, sol.basis.shape, sol.iterations) == ((0,), 0.0, (0,), 0)
+    assert (sol.duals.tolist(), sol.reduced_costs.shape) == ([0.0, 0.0], (0,))
+    with pytest.raises(Infeasible):
+        solve_lp(np.zeros(0), np.zeros((2, 0)), np.array([0.0, 1e-6]))
 
 
 def test_unbounded():
