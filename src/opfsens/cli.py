@@ -53,10 +53,10 @@ def _warn_if_large_scan(net: Network) -> None:
     than ``SCAN_WARN_CANDIDATES`` candidate sets of ``net``."""
     n = live_candidate_count(net)
     if n > SCAN_WARN_CANDIDATES:
-        # about 1 us per walked candidate, rounded up: the direct scan walks
-        # the bundled 27-bus chain's 32.0M live candidates in 30-31 s on a
-        # 2-vCPU x86 machine (0.95 us each)
-        seconds = n * 1e-6
+        # about 2 us per walked candidate, rounded up: the direct scan walks
+        # the bundled 27-bus chain's 16.0M candidates in 29.3 s on a 2-vCPU
+        # x86 machine (1.8 us each)
+        seconds = n * 2e-6
         eta = f"{seconds:.2g} s" if seconds < 100 else f"{seconds / 60:.0f} min"
         logging.getLogger(__name__).warning(
             "note: exhaustive scan over %d candidate sets, roughly %s; the decompose "

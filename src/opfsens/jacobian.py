@@ -235,11 +235,13 @@ def series_classes(net: Network, gens: Sequence[int]) -> np.ndarray:
     whose component holds no free generator carries no injection, so every
     transfer's flow on each of its branches is a fixed multiple of the
     angle difference of its two ends: its live branches have parallel block
-    rows and share a class, and classes that share a branch merge. A set
-    that binds two branches of a class is singular in exact arithmetic. A
-    bus pair whose removal leaves one component is not in the table: that
-    component is passive only when no more than two generators are free,
-    and then no set binds two branches."""
+    rows and share a class, and classes that share a branch merge. The
+    table's row of the branches that join one bus pair holds no generator,
+    so they share a class for every subset. A set that binds two branches
+    of a class is singular in exact arithmetic. Any other bus pair whose
+    removal leaves one component is not in the table: that component is
+    passive only when no more than two generators are free, and then no
+    set binds two branches."""
     cache = _CLASSES.setdefault(net, {})
     key = tuple(gens)
     if (classes := cache.get(key)) is None:

@@ -144,51 +144,33 @@ class Network:
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """One iterative DFS low-link pass from bus 0 with an edge stack
-        (Hopcroft and Tarjan, CACM 1973): ``(block, heads, tree)``, the
-        biconnected block of each edge, each block's first bus reached, and
-        the buses as reached, each with the edge it came by (-1 at bus 0).
-        :class:`DisconnectedGraph` when the pass misses a bus or there is
-        none. Parallel edges are told apart by edge index, so a doubled edge
-        is a block of two.
+        """The biconnected blocks, read off one :func:`_low_links` walk of
+        the network from bus 0: ``(block, heads, tree)``, the block of each
+        edge, each block's first bus reached, and the buses in preorder, each
+        with the edge it came by (-1 at bus 0). A tree edge into ``c`` from
+        ``p`` opens a block headed by ``p`` when ``low[c] >= disc[p]``, else
+        it joins ``p``'s; any other edge joins the block of its deeper end's
+        entry edge, so a doubled edge is a block of two. Blocks are numbered
+        in preorder. :class:`DisconnectedGraph` when there is no bus or the
+        walk spans more than one component.
         """
-        adj = self.adjacency
-        if not adj:
-            raise DisconnectedGraph("network has no buses")
-        disc = [-1] * len(adj)
-        low = [0] * len(adj)
-        iters = [iter(nbrs) for nbrs in adj]
+        disc, low, _, _, order, spans, entry = _low_links(self.adjacency)
+        if len(spans) != 1:
+            raise DisconnectedGraph("network has no buses" if not spans
+                                    else "network graph is not connected")
         block = [-1] * self.n_edge
         heads: list[int] = []
-        tree: list[tuple[int, int]] = []
-        edges: list[int] = []  # tree and back edges of the blocks still open
-        stack = [(0, -1)]
-        while stack:
-            v, entry_edge = stack[-1]
-            if disc[v] == -1:  # first visit
-                disc[v] = low[v] = len(tree)
-                tree.append((v, entry_edge))
-            step = next(iters[v], None)
-            if step is None:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:  # the block entered by entry_edge closes
-                        while block[entry_edge] == -1:
-                            block[edges.pop()] = len(heads)
-                        heads.append(parent)
-                continue
-            w, e = step
-            if disc[w] == -1:
-                edges.append(e)
-                stack.append((w, e))
-            elif e != entry_edge and disc[w] < disc[v]:  # a back edge, seen from below
-                edges.append(e)
-                low[v] = min(low[v], disc[w])
-        if len(tree) < len(adj):
-            raise DisconnectedGraph("network graph is not connected")
-        return tuple(block), tuple(heads), tuple(tree)
+        for c in order[1:]:
+            p = sum(self.edges[entry[c]][:2]) - c  # the other end of c's entry edge
+            if low[c] >= disc[p]:
+                block[entry[c]] = len(heads)
+                heads.append(p)
+            else:
+                block[entry[c]] = block[entry[p]]
+        for e, (u, w, _) in enumerate(self.edges):
+            if block[e] == -1:
+                block[e] = block[entry[max(u, w, key=disc.__getitem__)]]
+        return tuple(block), tuple(heads), tuple((v, entry[v]) for v in order)
 
     @cached_property
     def bridges(self) -> tuple[int, ...]:
@@ -219,25 +201,26 @@ class Network:
     @cached_property
     def separations(self) -> tuple[np.ndarray, np.ndarray]:
         """``(gens, edges)``, read-only, built on first use: the
-        two-terminal regions. For each separation pair ``{a, b}``, a bus
-        pair whose removal leaves more than one component (Hopcroft and
-        Tarjan, SIAM J. Comput. 1973), and each such component ``C`` that
-        meets both ``a`` and ``b``, ``gens`` marks the generators in ``C``,
-        ``(regions, n_gen)``, and ``edges`` the edges with an end in ``C``
-        and the ``a``-``b`` edges, ``(regions, n_edge)``. A ``C`` that meets
-        one of them only is kept where two or more edges join ``a`` and
-        ``b``: its own edges lie on no path between buses outside it. Rows
-        are distinct and hold at least two edges. One low-link DFS of the
-        network less each bus ``a`` gives every ``b`` and its components,
-        as runs of that DFS's preorder.
+        two-terminal regions. ``gens`` marks each region's generators,
+        ``(regions, n_gen)``, and ``edges`` its edges, ``(regions, n_edge)``.
+        The edges joining one bus pair, where there are two or more, are a
+        region without generators. For each separation pair ``{a, b}``, a
+        bus pair whose removal leaves more than one component (Hopcroft and
+        Tarjan, SIAM J. Comput. 1973), each such component ``C`` that meets
+        both ``a`` and ``b`` is a region: the generators in ``C``, the edges
+        with an end in ``C`` and the ``a``-``b`` edges. Rows are distinct and
+        hold at least two edges. One :func:`_low_links` walk of the network
+        less each bus ``a`` gives every ``b`` and its components, as runs of
+        its preorder.
         """
         n, m = self.n_bus, self.n_edge
-        us, vs = np.array([e[:2] for e in self.edges], dtype=np.intp).reshape(m, 2).T
+        us, vs = np.sort(np.array([e[:2] for e in self.edges], np.intp).reshape(m, 2), axis=1).T
         near = np.zeros((n, n), bool)
         near[us, vs] = near[vs, us] = True
-        found = [np.zeros((0, self.n_gen + m), bool)]
+        found = [np.zeros((m, self.n_gen + m), bool)]  # first each bus pair's joining edges
+        found[0][np.unique(us * n + vs, return_inverse=True)[1], self.n_gen + np.arange(m)] = True
         for a in range(n):
-            disc, low, size, kids, order, spans = _low_links(self.adjacency, a)
+            disc, low, size, kids, order, spans, _ = _low_links(self.adjacency, a)
             ends, marks = [], []  # each region's b, and its (region, position, +-1) marks
             for b in range(a + 1, n):
                 lo, hi = next(span for span in spans if span[0] <= disc[b] < span[1])
@@ -260,9 +243,8 @@ class Network:
             inside = np.zeros((len(ends), n), bool)
             inside[:, order] = runs.cumsum(axis=1)[:, : n - 1] > 0
             ends = np.array(ends)
-            joins = (np.minimum(us, vs) == a) & (np.maximum(us, vs) == ends[:, None])
-            keep = (inside[:, near[a]].any(axis=1) & (inside & near[ends]).any(axis=1)
-                    | (joins.sum(axis=1) > 1))
+            joins = (us == a) & (vs == ends[:, None])
+            keep = inside[:, near[a]].any(axis=1) & (inside & near[ends]).any(axis=1)
             edges = inside[:, us] | inside[:, vs] | joins
             found.append(np.hstack([inside[:, : self.n_gen], edges])[keep])
         table = np.concatenate(found)
@@ -305,18 +287,20 @@ class Network:
         return by_bus
 
 
-def _low_links(adj, a: int):
-    """One iterative low-link DFS (Hopcroft and Tarjan, CACM 1973) of the
-    graph with neighbour lists ``adj`` less bus ``a``: each bus's preorder
-    position, low point and subtree size, its tree children, the buses in
-    preorder and the ``(start, stop)`` run of each component. A child ``c``
-    of ``b`` whose low point is not below ``b``'s position, or any child of
-    a component's first bus, heads a component of the graph less ``a`` and
+def _low_links(adj, a: int = -1):
+    """The package's one graph walk: an iterative low-link DFS (Hopcroft
+    and Tarjan, CACM 1973) of the graph with neighbour lists ``adj``, less
+    bus ``a`` when one is given, from its least bus. Returns each bus's
+    preorder position, low point and subtree size, its tree children, the
+    buses in preorder, the ``(start, stop)`` run of each component and each
+    bus's entry edge (-1 at a component's first bus). A child ``c`` of ``b``
+    whose low point is not below ``b``'s position, or any child of a
+    component's first bus, heads a component of the graph less ``a`` and
     ``b``: its subtree, the ``size[c]`` buses from position ``disc[c]``."""
     n = len(adj)
-    disc, low, size = [-1] * n, [0] * n, [1] * n
+    disc = [n if v == a else -1 for v in range(n)]  # a is never entered
+    low, size, entry = [0] * n, [1] * n, [-1] * n
     kids: list[list[int]] = [[] for _ in range(n)]
-    disc[a] = n  # never entered
     order: list[int] = []
     spans: list[tuple[int, int]] = []
     for root in range(n):
@@ -327,11 +311,12 @@ def _low_links(adj, a: int):
         stack = [(root, iter(adj[root]))]
         while stack:
             v, nbrs = stack[-1]
-            for w, _ in nbrs:
+            for w, e in nbrs:
                 if disc[w] == -1:
                     disc[w] = low[w] = len(order)
                     order.append(w)
                     kids[v].append(w)
+                    entry[w] = e
                     stack.append((w, iter(adj[w])))
                     break
                 if w != a:
@@ -343,7 +328,7 @@ def _low_links(adj, a: int):
                     low[u] = min(low[u], low[v])
                     size[u] += size[v]
         spans.append((start, len(order)))
-    return disc, low, size, kids, order, spans
+    return disc, low, size, kids, order, spans, entry
 
 
 @dataclass(frozen=True)

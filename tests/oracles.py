@@ -213,21 +213,49 @@ def binds_dead_branch(net: Network, key) -> bool:
 def series_classes(net: Network, gens: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The series classes of the live branches (those not in
     :func:`dead_branches`) of the sets that bind ``gens``, each an ascending
-    tuple, in order of their least branch. For every bus pair ``{a, b}``
-    and every component ``C`` of the network less ``a`` and ``b``
-    (:func:`csgraph_components`) with no free generator, the live branches
-    with an end in ``C`` and the live ``a``-``b`` branches are one class;
-    classes that share a branch are merged until none do."""
+    tuple, in order of their least branch. The live branches that join one
+    bus pair ``{a, b}`` are one class, and so, for every component ``C`` of
+    the network less ``a`` and ``b`` (:func:`csgraph_components`) with no
+    free generator, are the live branches with an end in ``C`` and the live
+    ``a``-``b`` branches; classes that share a branch are merged until none
+    do."""
     live = set(range(net.n_edge)) - dead_branches(net, gens)
     free = set(range(net.n_gen)) - set(gens)
+    parallel: dict[frozenset[int], set[int]] = {}
+    for e in live:
+        parallel.setdefault(frozenset(net.edges[e][:2]), set()).add(e)
+    regions = list(parallel.values()) + [
+        {e for e in live if set(net.edges[e][:2]) & set(part) or set(net.edges[e][:2]) == {a, b}}
+        for a, b, part in _pair_components(net) if free.isdisjoint(part)]
     classes = [{e} for e in sorted(live)]
-    for a, b, part in _pair_components(net):
-        if free.isdisjoint(part):
-            found = {e for e in live if set(net.edges[e][:2]) & set(part)
-                     or set(net.edges[e][:2]) == {a, b}}
-            meets = [c for c in classes if c & found]
-            classes = [c for c in classes if not c & found] + [found.union(*meets)]
+    for found in regions:
+        meets = [c for c in classes if c & found]
+        classes = [c for c in classes if not c & found] + [found.union(*meets)]
     return sorted(tuple(sorted(c)) for c in classes if c)
+
+
+def separation_regions(net: Network) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The two-terminal regions as ``(generators, edges)`` pairs of
+    ascending tuples, sorted, those with two or more edges: the edges that
+    join each bus pair, and for each bus pair ``{a, b}`` whose removal
+    leaves two or more components (:func:`_pair_components`) and each of
+    those components ``C`` with an edge to ``a`` and one to ``b``, the
+    generators in ``C`` with the edges that have an end in ``C`` or join
+    ``a`` and ``b``."""
+    ends = [set(edge[:2]) for edge in net.edges]
+    joining = {pair: tuple(e for e, end in enumerate(ends) if end == set(pair))
+               for pair in combinations(range(net.n_bus), 2)}
+    parts: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for a, b, part in _pair_components(net):
+        parts.setdefault((a, b), []).append(part)
+    regions = {((), edges) for edges in joining.values()}
+    for (a, b), found in parts.items():
+        for part in found if len(found) > 1 else ():
+            touching = [e for e, end in enumerate(ends) if end & set(part)]
+            if all(any(v in ends[e] for e in touching) for v in (a, b)):
+                regions.add((tuple(v for v in part if v < net.n_gen),
+                             tuple(sorted({*touching, *joining[a, b]}))))
+    return sorted(region for region in regions if len(region[1]) > 1)
 
 
 @lru_cache(maxsize=None)

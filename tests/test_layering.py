@@ -1,8 +1,8 @@
 """The package's layering, checked on its source: no module imports inside a
 function or takes a private name from another, the graph,
 linear-algebra, Jacobian, scan and decomposition layers never import the LP
-(``dcopf``, ``simplex``), only the graph layer walks the adjacency, and only
-it and the reduced block read the PTDF basis."""
+(``dcopf``, ``simplex``), only the graph layer's one walk reads the
+adjacency, and only it and the reduced block read the PTDF basis."""
 
 from __future__ import annotations
 
@@ -92,7 +92,16 @@ def test_ptdf_basis_is_read_beside_the_block():
 
 
 def test_adjacency_is_read_by_the_graph_alone():
-    """Only ``network`` walks the graph: its one low-link walk builds the
-    blocks, and bridges, the side table, the dead-branch rule and the
+    """Only ``network`` reads the adjacency, and each read is the first
+    argument of a ``_low_links`` call, the package's one graph walk: the
+    blocks and the separation-pair table come from it, and bridges, the
+    side table, the dead-branch rule, the series classes and the
     decomposition are read off them."""
     assert {r.split(".")[0] for r in _readers("adjacency")} == {"network"}
+    reads, walked = set(), set()
+    for node in ast.walk(_trees()["network"]):
+        if isinstance(node, ast.Attribute) and node.attr == "adjacency":
+            reads.add(node)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_low_links":
+            walked.add(node.args[0])
+    assert reads and reads == walked

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opfsens as ops
 from opfsens.errors import (
@@ -18,6 +21,7 @@ from opfsens.linalg import numerical_rank
 from opfsens.network import UNLIMITED_FLOW_PU, assemble_network
 
 import oracles
+from test_sensitivity import _bridge_and_random_networks
 
 
 def test_case9_shape(net9):
@@ -256,6 +260,74 @@ def test_assemble_rejects_a_network_without_buses():
     """A network needs a bus for its graph walk to start from."""
     with pytest.raises(DisconnectedGraph, match="no buses"):
         assemble_network([], [], [])
+
+
+@st.composite
+def _multigraphs(draw):
+    """A random connected network on 2 to 9 buses: a random spanning tree
+    and up to six more branches, each a copy of an earlier branch half the
+    time, so parallel branches are common, all in a random order."""
+    n = draw(st.integers(2, 9))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[k], label[draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            edges.append(draw(st.sampled_from(edges)))
+        else:
+            edges.append(tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                             unique=True))))
+    return assemble_network([0], list(range(1, n)),
+                            [(u, v, 1.0) for u, v in draw(st.permutations(edges))])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_multigraphs())
+def test_graph_tables_match_separating_buses(net):
+    """The block table, bridges and side table against the components of
+    the network less one bus (:func:`oracles.csgraph_components`), an edge
+    at the removed bus going with its other end: two edges share a block
+    exactly when no bus's removal puts them in different components, and a
+    block's head is its bus nearest bus 0, bus 0 itself or else the one bus
+    whose removal cuts bus 0 off from the rest of the block. A bridge is an
+    edge whose removal splits the network, and a bus meets a block at the
+    block's one bus in its component of the network less the block's
+    edges."""
+    n, m, ends = net.n_bus, net.n_edge, [edge[:2] for edge in net.edges]
+    less = []  # less[v][w]: the component of bus w in the network less bus v
+    for v in range(n):
+        parts = oracles.csgraph_components(n, net.edges, [e for e in range(m) if v in ends[e]])
+        less.append({w: k for k, part in enumerate(parts) for w in part})
+
+    def part(v, e):  # the component of edge e in the network less bus v
+        u, w = ends[e]
+        return less[v][w if u == v else u]
+
+    block, heads, _ = net.blocks
+    assert sorted(set(block)) == list(range(len(heads)))
+    for e, f in itertools.combinations(range(m), 2):
+        assert (block[e] == block[f]) == all(part(v, e) == part(v, f) for v in range(n)), (e, f)
+    for b, head in enumerate(heads):
+        inner = [e for e in range(m) if block[e] == b]
+        buses = {w for e in inner for w in ends[e]}
+        assert [head] == ([0] if 0 in buses else [
+            h for h in sorted(buses) if all(less[h][0] != less[h][w] for w in buses - {h})])
+        for beyond in oracles.csgraph_components(n, net.edges, inner):
+            [meet] = buses.intersection(beyond)
+            assert (net.sides[np.ix_(beyond, inner)] == meet).all()
+    assert net.bridges == tuple(
+        e for e in range(m) if len(oracles.csgraph_components(n, net.edges, [e])) > 1)
+
+
+def test_separations_match_the_oracle(net9, chain18):
+    """The separation-pair table holds each two-terminal region of the
+    component oracle once, parallel branches included, on case9, the
+    18-bus chain, the 30 random networks of the independence tests and the
+    21 random bridge networks."""
+    for net in [chain18[0], *itertools.chain(*_bridge_and_random_networks(net9))]:
+        rows = [(tuple(np.flatnonzero(g).tolist()), tuple(np.flatnonzero(e).tolist()))
+                for g, e in zip(*net.separations)]
+        assert len(set(rows)) == len(rows)
+        assert sorted(rows) == oracles.separation_regions(net)
 
 
 def test_assemble_rejects_an_unknown_endpoint():

@@ -215,7 +215,7 @@ def test_dead_branch_exclusion_is_exact(net9, chain18):
     one series class, fails the numeric independence test as well, and is
     rejected by independence_check and jacobian_from_binding: all of
     case9's (3 dead, 3 by class), of the 30 random networks (756 dead, 460
-    by class) and of the 21 random bridge networks (5505 dead, 1555 by
+    by class) and of the 21 random bridge networks (5505 dead, 1568 by
     class). The 18-bus chain's 25756 (11279 dead, 14477 by class) are
     checked by the numeric test here and through both entry points under
     ``-m slow``."""
@@ -229,7 +229,7 @@ def test_dead_branch_exclusion_is_exact(net9, chain18):
         counts.append([sum(len(keys) for _, keys in excluded),
                        sum(oracles.binds_dead_branch(net, key) for net, keys in excluded
                            for key in keys)])
-    assert counts == [[6, 3], [1216, 756], [7060, 5505]]
+    assert counts == [[6, 3], [1216, 756], [7073, 5505]]
     net = chain18[0]
     keys = _excluded(net)
     walked = sum(map(len, sensitivity._chunks(net, sensitivity.CHUNK)))
@@ -279,6 +279,25 @@ def test_series_pair_is_skipped_where_the_pivot_test_accepts_it():
     jacs = np.abs([ops.jacobian_from_binding(net, s).jac for s in sets])
     assert np.array_equal(report.cwc, jacs.max(axis=0))
     assert report.cwc.max() == pytest.approx(1.3481598e6, rel=1e-6)
+
+
+def test_parallel_branches_share_a_class():
+    """Two branches that join the same two buses carry flows in a fixed
+    ratio under every transfer, so they share a series class even where
+    every component of the network less their ends holds a free
+    generator: on a triangle of three generators with a doubled 1-2 edge
+    the scan walks 20 of the 21 candidates, skipping ``BindingSet((), (0,
+    1))``, which is singular and rejected by both entry points, and all 20
+    are valid."""
+    net = assemble_network([1, 2, 3], [], [(1, 2, 1.0), (1, 2, 2.0), (2, 3, 1.5), (1, 3, 0.7)])
+    assert series_classes(net, ()).tolist() == [0, 0, 2, 3]
+    _assert_classes_match_oracle(net)
+    keys = _excluded(net)
+    assert keys == [((), (0, 1))]
+    _assert_singular(net, keys)
+    _assert_rejected(net, keys)
+    assert (candidate_count(net), live_candidate_count(net)) == (21, 20)
+    assert ops.worst_case_all(net).candidates_valid == 20
 
 
 def test_hub_walk_is_bounded_by_the_graph():
